@@ -42,11 +42,53 @@ func portMask(k isa.Kind) uint8 {
 	}
 }
 
-// UOpSource is where the backend pulls micro-ops from (the frontend's
-// per-thread IDQs).
-type UOpSource interface {
-	PopUOp(t int) (isa.Inst, bool)
-	IDQLen(t int) int
+// IDQ is one hardware thread's Instruction Decode Queue: the micro-op
+// buffer between frontend delivery and backend retirement (Figure 1).
+// The frontend pushes into it and the backend pops from it; its length
+// counts micro-ops, not instructions. The buffer is sized to the next
+// power of two above the capacity so the ring arithmetic is a mask
+// instead of a modulo.
+type IDQ struct {
+	buf      []isa.Inst
+	mask     int
+	head     int
+	size     int // micro-ops buffered
+	capacity int // micro-ops the queue may hold
+}
+
+// NewIDQ builds an empty queue holding up to capacity micro-ops.
+func NewIDQ(capacity int) IDQ {
+	n := 1
+	for n <= capacity {
+		n <<= 1
+	}
+	return IDQ{buf: make([]isa.Inst, n), mask: n - 1, capacity: capacity}
+}
+
+// Len returns the micro-ops buffered.
+func (q *IDQ) Len() int { return q.size }
+
+// Free returns the micro-ops the queue can still accept.
+func (q *IDQ) Free() int { return q.capacity - q.size }
+
+// Push appends an instruction's micro-ops. The caller bounds pushes by
+// Free.
+func (q *IDQ) Push(in isa.Inst) {
+	i := (q.head + q.size) & q.mask
+	q.buf[i] = in
+	q.size += int(in.UOps)
+}
+
+// Pop removes the oldest instruction; ok is false when the queue is
+// empty.
+func (q *IDQ) Pop() (isa.Inst, bool) {
+	if q.size == 0 {
+		return isa.Inst{}, false
+	}
+	in := q.buf[q.head]
+	q.head = (q.head + 1) & q.mask
+	q.size -= int(in.UOps)
+	return in, true
 }
 
 // MemHook observes retiring memory micro-ops (the CPU core wires this to
@@ -67,20 +109,22 @@ type Backend struct {
 // New builds a backend.
 func New(p Params) *Backend { return &Backend{P: p} }
 
-// Cycle retires up to RetireWidth micro-ops per thread, sharing the
-// execution ports between the two threads; the first thread considered
-// alternates each cycle. It returns the total retired this cycle.
-func (b *Backend) Cycle(src UOpSource, mem MemHook) int {
+// Cycle retires up to RetireWidth micro-ops per thread from the two
+// threads' IDQs, sharing the execution ports between the threads; the
+// first thread considered alternates each cycle. It returns the total
+// retired this cycle.
+func (b *Backend) Cycle(idq *[2]IDQ, mem MemHook) int {
 	var portsBusy uint8
 	total := 0
 	first := b.prio
 	b.prio = 1 - b.prio
 	for i := 0; i < 2; i++ {
 		t := first ^ i
+		q := &idq[t]
 		for n := 0; n < b.P.RetireWidth; n++ {
 			// Pop-and-check: the failed pop doubles as the empty-queue
-			// test, so the hot loop makes one interface call per micro-op.
-			in, ok := src.PopUOp(t)
+			// test.
+			in, ok := q.Pop()
 			if !ok {
 				break
 			}
@@ -109,4 +153,13 @@ func (b *Backend) Cycle(src UOpSource, mem MemHook) int {
 		}
 	}
 	return total
+}
+
+// SkipIdle accounts for k cycles on which both IDQs are empty: such a
+// cycle retires nothing and only flips the alternating priority, so k
+// of them flip it by the parity of k.
+func (b *Backend) SkipIdle(k uint64) {
+	if k&1 == 1 {
+		b.prio = 1 - b.prio
+	}
 }

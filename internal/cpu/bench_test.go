@@ -45,7 +45,21 @@ func BenchmarkCoreRunTimed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink += c.RunTimed(0, isa.NewLoopStream(blocks, 10))
 	}
+	b.ReportMetric(float64(c.Cycle())/float64(b.N), "sim-cycles/op")
 	if sink < 0 {
 		b.Fatal("negative measurement sum")
 	}
+}
+
+// BenchmarkCoreRunCyclesIdle times RunCycles over one timer handshake
+// of an idle core, the protocol gap around every non-MT attack step.
+func BenchmarkCoreRunCyclesIdle(b *testing.B) {
+	c := NewCore(Gold6226(), 1)
+	gap := uint64(c.Model.ProtocolOverheadCycles)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.RunCycles(gap)
+	}
+	b.ReportMetric(float64(c.Cycle())/float64(b.N), "sim-cycles/op")
 }

@@ -93,13 +93,18 @@ func (c *Core) Retired(t int) uint64 { return c.BE.Retired[t] }
 
 // Enqueue schedules a stream on hardware thread t. onDone may be nil.
 func (c *Core) Enqueue(t int, s isa.Stream, onDone func(start, end uint64)) {
+	c.checkThread(t)
+	c.queue[t] = append(c.queue[t], &Task{Stream: s, OnDone: onDone})
+}
+
+// checkThread panics unless t names a hardware thread this model has.
+func (c *Core) checkThread(t int) {
 	if t != 0 && t != 1 {
 		panic(fmt.Sprintf("cpu: invalid hardware thread %d", t))
 	}
 	if t == 1 && !c.Model.HyperThreading {
 		panic(fmt.Sprintf("cpu: %s has hyper-threading disabled", c.Model.Name))
 	}
-	c.queue[t] = append(c.queue[t], &Task{Stream: s, OnDone: onDone})
 }
 
 // Busy reports whether thread t has queued or in-flight work.
@@ -190,7 +195,7 @@ func (c *Core) Step() {
 	}
 
 	// Backend retirement; loads and stores touch the L1D as they execute.
-	retired := c.BE.Cycle(c.FE, c.memHook)
+	retired := c.BE.Cycle(c.FE.IDQs(), c.memHook)
 
 	// Package power accrual from this cycle's frontend activity. The
 	// meter reads only the delivery-path micro-op and stall counters, so
@@ -241,11 +246,47 @@ func (c *Core) AbortThread(t int) {
 	c.FE.SetStream(t, nil)
 }
 
-// RunCycles advances exactly n cycles.
+// RunCycles advances exactly n cycles. Idle stretches, with no current
+// or queued task on either thread and both IDQs empty, are skipped in
+// bulk: on such a cycle Step changes only the cycle count, the backend's
+// retire priority and the meter's static energy, so skipIdle applies
+// exactly those changes. Every simulated value matches n calls of Step.
 func (c *Core) RunCycles(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		c.Step()
+	for n > 0 {
+		k := c.idleSpan(n)
+		if k == 0 {
+			c.Step()
+			k = 1
+		} else {
+			c.skipIdle(k)
+		}
+		n -= k
 	}
+}
+
+// idleSpan returns how many of the next n cycles can be skipped as idle:
+// 0 when the next cycle has work to dispatch, fetch or retire. A span
+// stops short of the cycle on which Step reverts the DSB partition, so
+// Step performs that revert itself.
+func (c *Core) idleSpan(n uint64) uint64 {
+	if c.Busy(0) || c.Busy(1) || c.FE.IDQLen(0) != 0 || c.FE.IDQLen(1) != 0 {
+		return 0
+	}
+	if c.Model.HyperThreading && !c.Model.StaticDSBPartition && c.FE.DSB.Partitioned() {
+		revert := c.lastBoth + c.Model.PartitionHysteresis + 1
+		if revert <= c.cycle+1 {
+			return 0
+		}
+		n = min(n, revert-1-c.cycle)
+	}
+	return n
+}
+
+// skipIdle advances k idle cycles without stepping them.
+func (c *Core) skipIdle(k uint64) {
+	c.cycle += k
+	c.BE.SkipIdle(k)
+	c.PM.AddIdleCycles(k)
 }
 
 // RunUntilIdle steps until both threads drain, or panics after maxCycles
@@ -309,6 +350,7 @@ func (c *Core) RunTimedTight(t int, s isa.Stream) float64 {
 // without blocking: the callback fires when the task completes. MT
 // receivers use this to take measurements while the sender thread runs.
 func (c *Core) MeasureEnqueue(t int, s isa.Stream, cb func(measured float64)) {
+	c.checkThread(t)
 	c.queue[t] = append(c.queue[t], &Task{Stream: s, measCb: cb})
 }
 

@@ -81,8 +81,7 @@ func (f *Frontend) CloneWith(l1i *cache.Cache) *Frontend {
 		t := t
 		g.BPU[t] = f.BPU[t].Clone()
 		g.lsd[t] = f.lsd[t].cloneWith(g.align)
-		g.idq[t] = f.idq[t]
-		g.idq[t].buf = append([]isa.Inst(nil), f.idq[t].buf...)
+		g.idq[t] = f.idq[t].Clone()
 		g.thr[t].stream = cloneStream(f.thr[t].stream)
 		g.dsbRes[t] = func(w uint64) bool { return g.DSB.Contains(t, w) }
 	}

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"repro/internal/backend"
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -26,7 +27,7 @@ type Frontend struct {
 	align *AlignTracker
 	sw    *switchBuffer
 	thr   [2]fthread
-	idq   [2]idqRing
+	idq   [2]backend.IDQ
 
 	// dsbRes are the per-thread DSB-residency probes handed to the LSDs,
 	// built once so the per-instruction advance path does not reconstruct
@@ -35,43 +36,6 @@ type Frontend struct {
 
 	// Ctr holds per-thread event counters.
 	Ctr [2]ThreadCounters
-}
-
-// idqRing is the per-thread Instruction Decode Queue: the micro-op buffer
-// between frontend delivery and backend retirement (Figure 1). The buffer
-// is sized to the next power of two above the IDQ capacity so the ring
-// arithmetic is a mask instead of a modulo.
-type idqRing struct {
-	buf  []isa.Inst
-	mask int
-	head int
-	size int // micro-ops buffered
-}
-
-func newIDQRing(capacity int) idqRing {
-	n := 1
-	for n <= capacity {
-		n <<= 1
-	}
-	return idqRing{buf: make([]isa.Inst, n), mask: n - 1}
-}
-
-func (q *idqRing) free(cap int) int { return cap - q.size }
-
-func (q *idqRing) push(in isa.Inst) {
-	i := (q.head + q.size) & q.mask
-	q.buf[i] = in
-	q.size += int(in.UOps)
-}
-
-func (q *idqRing) pop() (isa.Inst, bool) {
-	if q.size == 0 {
-		return isa.Inst{}, false
-	}
-	in := q.buf[q.head]
-	q.head = (q.head + 1) & q.mask
-	q.size -= int(in.UOps)
-	return in, true
 }
 
 type fthread struct {
@@ -107,7 +71,7 @@ func New(p Params, l1i *cache.Cache, lsdEnabled bool) *Frontend {
 		t := t
 		f.BPU[t] = branch.New()
 		f.lsd[t] = NewLSD(p, lsdEnabled, f.align)
-		f.idq[t] = newIDQRing(p.IDQCapacity)
+		f.idq[t] = backend.NewIDQ(p.IDQCapacity)
 		f.dsbRes[t] = func(w uint64) bool { return f.DSB.Contains(t, w) }
 	}
 	return f
@@ -140,10 +104,13 @@ func (f *Frontend) DrainTransients(t int) {
 func (f *Frontend) SwitchBufferStats() SwitchStats { return f.sw.stats }
 
 // IDQLen returns the micro-ops buffered for thread t.
-func (f *Frontend) IDQLen(t int) int { return f.idq[t].size }
+func (f *Frontend) IDQLen(t int) int { return f.idq[t].Len() }
 
 // PopUOp removes one micro-op from thread t's IDQ for retirement.
-func (f *Frontend) PopUOp(t int) (isa.Inst, bool) { return f.idq[t].pop() }
+func (f *Frontend) PopUOp(t int) (isa.Inst, bool) { return f.idq[t].Pop() }
+
+// IDQs returns both threads' IDQs, the queues the backend retires from.
+func (f *Frontend) IDQs() *[2]backend.IDQ { return &f.idq }
 
 // LSDFor exposes a thread's loop stream detector (tests, experiments).
 func (f *Frontend) LSDFor(t int) *LSD { return f.lsd[t] }
@@ -213,7 +180,7 @@ func (f *Frontend) DeliverCycle(t int) (int, Source) {
 		f.Ctr[t].StallCycles++
 		return 0, SrcNone
 	}
-	budget := f.idq[t].free(f.P.IDQCapacity)
+	budget := f.idq[t].Free()
 	if budget <= 0 {
 		return 0, SrcNone
 	}
@@ -265,7 +232,7 @@ func (f *Frontend) advance(t int) isa.Inst {
 	in := th.cur
 	th.hasCur = false
 	th.prevLCP = in.HasLCP()
-	f.idq[t].push(in)
+	f.idq[t].Push(in)
 	f.lsd[t].Observe(in, f.dsbRes[t])
 	if in.Kind == isa.Pause {
 		th.stall += f.P.PauseCycles
@@ -323,7 +290,7 @@ func (f *Frontend) deliverLSD(t, budget int) (int, Source) {
 		}
 		th.hasCur = false
 		th.prevLCP = in.HasLCP()
-		f.idq[t].push(in)
+		f.idq[t].Push(in)
 		n += int(in.UOps)
 		if in.Kind == isa.Pause {
 			th.stall += f.P.PauseCycles

@@ -53,33 +53,6 @@ func TestDSBLookupAfterFill(t *testing.T) {
 	}
 }
 
-// TestIDQRingFIFO: the IDQ preserves order and never loses micro-ops.
-func TestIDQRingFIFO(t *testing.T) {
-	f := func(addrs []uint16) bool {
-		if len(addrs) > 64 {
-			addrs = addrs[:64]
-		}
-		q := newIDQRing(64)
-		for _, a := range addrs {
-			q.push(isa.Inst{Addr: uint64(a), UOps: 1})
-		}
-		if q.size != len(addrs) {
-			return false
-		}
-		for _, a := range addrs {
-			in, ok := q.pop()
-			if !ok || in.Addr != uint64(a) {
-				return false
-			}
-		}
-		_, ok := q.pop()
-		return !ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestDeliveryConservation: every micro-op fetched is either in the IDQ
 // or has been popped — none are lost or duplicated across arbitrary
 // delivery/drain interleavings.

@@ -11,8 +11,6 @@
 // ~0.6 Kbps in Table V.
 package power
 
-import "repro/internal/frontend"
-
 // Params calibrates the energy model. Energy is accounted in watt-cycles
 // (average watts times cycles), so dividing by elapsed cycles yields
 // watts directly, independent of clock frequency.
@@ -65,15 +63,9 @@ type Meter struct {
 // NewMeter builds a meter.
 func NewMeter(p Params) *Meter { return &Meter{P: p} }
 
-// AddCycle accrues one cycle of energy given the frontend delta counters
-// for that cycle and the number of micro-ops retired.
-func (m *Meter) AddCycle(d frontend.ThreadCounters, retired int) {
-	m.AddCycleDelta(d.UOpsLSD, d.UOpsDSB, d.UOpsMITE, d.StallCycles, retired)
-}
-
-// AddCycleDelta is AddCycle taking just the four counters the energy
-// model reads, so the per-cycle caller need not assemble a full
-// ThreadCounters struct.
+// AddCycleDelta accrues one cycle of energy given that cycle's frontend
+// activity, micro-ops delivered by each path and stall cycles, and the
+// number of micro-ops retired.
 func (m *Meter) AddCycleDelta(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, retired int) {
 	m.cycles++
 	e := m.P.StaticWatts
@@ -86,6 +78,32 @@ func (m *Meter) AddCycleDelta(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, re
 
 	if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
 		m.publish()
+	}
+}
+
+// AddIdleCycles accrues k cycles with no frontend or backend activity,
+// exactly as k calls of AddCycleDelta with all-zero activity would: each
+// such cycle costs StaticWatts, added once per cycle in order (one
+// k*StaticWatts add can round differently), and RAPL publishes on the
+// same cycles.
+func (m *Meter) AddIdleCycles(k uint64) {
+	for k > 0 {
+		// Cycles up to and including the next publication.
+		n := uint64(1)
+		if since := m.cycles - m.raplCycle; since < m.P.RAPLIntervalCycles {
+			n = m.P.RAPLIntervalCycles - since
+		}
+		n = min(n, k)
+		e, w := m.energy, m.P.StaticWatts
+		for range n {
+			e += w
+		}
+		m.energy = e
+		m.cycles += n
+		k -= n
+		if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
+			m.publish()
+		}
 	}
 }
 

@@ -1,9 +1,8 @@
 package power
 
 import (
+	"math"
 	"testing"
-
-	"repro/internal/frontend"
 )
 
 func params() Params {
@@ -15,7 +14,7 @@ func params() Params {
 
 func TestEnergyAccrual(t *testing.T) {
 	m := NewMeter(params())
-	m.AddCycle(frontend.ThreadCounters{UOpsDSB: 4}, 4)
+	m.AddCycleDelta(0, 4, 0, 0, 4)
 	want := m.P.StaticWatts + 4*m.P.EnergyDSBUOp + 4*m.P.EnergyRetireUOp
 	if got := m.TrueEnergy(); got != want {
 		t.Errorf("energy = %v, want %v", got, want)
@@ -24,16 +23,16 @@ func TestEnergyAccrual(t *testing.T) {
 
 func TestPathEnergyOrdering(t *testing.T) {
 	// Figure 9: at equal delivery rates, LSD < DSB < MITE power.
-	mk := func(d frontend.ThreadCounters) float64 {
+	mk := func(lsd, dsb, mite uint64) float64 {
 		m := NewMeter(params())
 		for i := 0; i < 1000; i++ {
-			m.AddCycle(d, 4)
+			m.AddCycleDelta(lsd, dsb, mite, 0, 4)
 		}
 		return AvgWatts(m.TrueEnergy(), m.Cycles())
 	}
-	lsd := mk(frontend.ThreadCounters{UOpsLSD: 4})
-	dsb := mk(frontend.ThreadCounters{UOpsDSB: 4})
-	mite := mk(frontend.ThreadCounters{UOpsMITE: 4})
+	lsd := mk(4, 0, 0)
+	dsb := mk(0, 4, 0)
+	mite := mk(0, 0, 4)
 	if !(lsd < dsb && dsb < mite) {
 		t.Errorf("power ordering violated: LSD=%.1f DSB=%.1f MITE=%.1f", lsd, dsb, mite)
 	}
@@ -41,15 +40,14 @@ func TestPathEnergyOrdering(t *testing.T) {
 
 func TestRAPLUpdateInterval(t *testing.T) {
 	m := NewMeter(params())
-	d := frontend.ThreadCounters{UOpsDSB: 4}
 	for i := 0; i < 50; i++ {
-		m.AddCycle(d, 4)
+		m.AddCycleDelta(0, 4, 0, 0, 4)
 	}
 	if got := m.RAPLRead(); got != 0 {
 		t.Errorf("counter published before interval elapsed: %v", got)
 	}
 	for i := 0; i < 60; i++ {
-		m.AddCycle(d, 4)
+		m.AddCycleDelta(0, 4, 0, 0, 4)
 	}
 	if got := m.RAPLRead(); got == 0 {
 		t.Error("counter not published after interval")
@@ -58,9 +56,8 @@ func TestRAPLUpdateInterval(t *testing.T) {
 
 func TestRAPLQuantization(t *testing.T) {
 	m := NewMeter(params())
-	d := frontend.ThreadCounters{UOpsDSB: 4}
 	for i := 0; i < 200; i++ {
-		m.AddCycle(d, 4)
+		m.AddCycleDelta(0, 4, 0, 0, 4)
 	}
 	v := m.RAPLRead()
 	if q := m.P.RAPLQuantum; v != float64(uint64(v/q))*q {
@@ -88,9 +85,34 @@ func TestAvgWattsZeroCycles(t *testing.T) {
 
 func TestStallEnergy(t *testing.T) {
 	m := NewMeter(params())
-	m.AddCycle(frontend.ThreadCounters{StallCycles: 1}, 0)
+	m.AddCycleDelta(0, 0, 0, 1, 0)
 	want := m.P.StaticWatts + m.P.EnergyStallCycle
 	if got := m.TrueEnergy(); got != want {
 		t.Errorf("stall energy = %v, want %v", got, want)
+	}
+}
+
+// TestAddIdleCyclesMatchesPerCycle: k idle cycles accrued in bulk leave
+// the meter bit-identical to k all-zero AddCycleDelta calls, across RAPL
+// publications and from a publication phase left by busy cycles.
+func TestAddIdleCyclesMatchesPerCycle(t *testing.T) {
+	p := params()
+	p.StaticWatts = 45.3 // inexact in binary, so per-cycle rounding shows
+	for _, k := range []uint64{0, 1, 37, 99, 100, 101, 250, 1001} {
+		stepped, bulk := NewMeter(p), NewMeter(p)
+		for _, m := range []*Meter{stepped, bulk} {
+			for range 33 {
+				m.AddCycleDelta(1, 4, 3, 1, 4)
+			}
+		}
+		for range k {
+			stepped.AddCycleDelta(0, 0, 0, 0, 0)
+		}
+		bulk.AddIdleCycles(k)
+		if stepped.Cycles() != bulk.Cycles() || stepped.raplCycle != bulk.raplCycle ||
+			math.Float64bits(stepped.TrueEnergy()) != math.Float64bits(bulk.TrueEnergy()) ||
+			math.Float64bits(stepped.RAPLRead()) != math.Float64bits(bulk.RAPLRead()) {
+			t.Errorf("k=%d: bulk meter %+v, per-cycle meter %+v", k, *bulk, *stepped)
+		}
 	}
 }
