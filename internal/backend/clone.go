@@ -1,16 +1,9 @@
 package backend
 
-import "repro/internal/isa"
-
-// Clone returns a deep copy of the execution engine's retirement state.
-func (b *Backend) Clone() *Backend {
-	c := *b
-	return &c
-}
-
-// Clone returns a deep copy of the queue.
-func (q *IDQ) Clone() IDQ {
-	c := *q
-	c.buf = append([]isa.Inst(nil), q.buf...)
-	return c
+// CopyFrom overwrites q with a deep copy of src, reusing q's ring
+// buffer when it has room.
+func (q *IDQ) CopyFrom(src *IDQ) {
+	buf := q.buf
+	*q = *src
+	q.buf = append(buf[:0], src.buf...)
 }

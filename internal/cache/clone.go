@@ -1,9 +1,10 @@
 package cache
 
-// Clone returns a deep copy of the cache: identical contents, recency
-// state, and statistics.
-func (c *Cache) Clone() *Cache {
-	d := *c
-	d.lines = append([]line(nil), c.lines...)
-	return &d
+// CopyFrom overwrites c with a deep copy of src: identical geometry,
+// contents, recency state and statistics. c's line array is reused, so
+// copying between caches of one geometry allocates nothing.
+func (c *Cache) CopyFrom(src *Cache) {
+	lines := c.lines
+	*c = *src
+	c.lines = append(lines[:0], src.lines...)
 }

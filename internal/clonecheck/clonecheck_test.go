@@ -1,6 +1,7 @@
 package clonecheck
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -124,4 +125,68 @@ func TestSharedHandlesUnexportedFields(t *testing.T) {
 	if got := Shared(a, c); len(got) != 0 {
 		t.Fatalf("distinct maps flagged: %v", got)
 	}
+}
+
+func TestDiffComparesValues(t *testing.T) {
+	build := func() *outer {
+		n := 7
+		o := &outer{
+			p:   &inner{data: []int{1, 2}, m: map[string]int{"k": 1}},
+			s:   []byte("abc"),
+			arr: [2]*int{&n, nil},
+		}
+		o.next = o
+		return o
+	}
+	a := build()
+
+	t.Run("equal copy is clean", func(t *testing.T) {
+		if got := Diff(a, build()); len(got) != 0 {
+			t.Fatalf("equal graphs differ: %v", got)
+		}
+	})
+
+	t.Run("nil equals empty, closures skipped", func(t *testing.T) {
+		x, y := build(), build()
+		x.p.data, y.p.data = nil, make([]int, 0, 8)
+		x.fn, y.fn = func() {}, nil
+		if got := Diff(x, y); len(got) != 0 {
+			t.Fatalf("nil vs empty slice or a func flagged: %v", got)
+		}
+	})
+
+	for _, tc := range []struct {
+		name, path string
+		edit       func(o *outer)
+	}{
+		{"slice element", "p.data[1]", func(o *outer) { o.p.data[1] = 3 }},
+		{"slice length", "s", func(o *outer) { o.s = o.s[:2] }},
+		{"map value", "p.m[k]", func(o *outer) { o.p.m["k"] = 2 }},
+		{"map key", "p.m", func(o *outer) { o.p.m = map[string]int{"j": 1} }},
+		{"pointee", "arr[0]", func(o *outer) { *o.arr[0] = 8 }},
+		{"nil pointer", "arr[1]", func(o *outer) { o.arr[1] = new(int) }},
+		{"sharing", "next", func(o *outer) { o.next = build() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := build()
+			tc.edit(b)
+			got := Diff(a, b)
+			if len(got) == 0 || !strings.HasPrefix(got[0], tc.path+":") {
+				t.Fatalf("want a difference at %s, got %v", tc.path, got)
+			}
+		})
+	}
+
+	t.Run("floats bit for bit", func(t *testing.T) {
+		if got := Diff([]float64{0}, []float64{math.Copysign(0, -1)}); len(got) != 1 {
+			t.Fatalf("+0 vs -0 not flagged: %v", got)
+		}
+	})
+
+	t.Run("interface types", func(t *testing.T) {
+		type boxed struct{ v any }
+		if got := Diff(boxed{v: 1}, boxed{v: uint(1)}); len(got) != 1 {
+			t.Fatalf("different dynamic types not flagged: %v", got)
+		}
+	})
 }

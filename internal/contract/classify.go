@@ -1,5 +1,7 @@
 package contract
 
+import "slices"
+
 // Mechanism labels which known channel family a divergence belongs to,
 // in the vocabulary of the ChannelSpec scenario space. A counterexample
 // outside the known families is Unknown — a candidate new mechanism.
@@ -35,21 +37,32 @@ const (
 // also perturb fill patterns), occupancy last.
 var families = []struct {
 	mech   Mechanism
-	fields map[string]bool
+	fields uint32 // one bit per index into fields
 }{
-	{Misalignment, map[string]bool{"uops_lsd": true, "lsd_locked": true}},
-	{SlowSwitch, map[string]bool{
-		"switches": true, "switch_cycles": true, "lcp_stall_cycles": true,
-		"sw_hits": true, "sw_conflicts": true, "sw_inserts": true,
-	}},
-	{Eviction, map[string]bool{
-		"uops_dsb": true, "uops_mite": true, "dsb_lines": true, "l1i_misses": true,
-	}},
+	{Misalignment, fieldSet("uops_lsd", "lsd_locked")},
+	{SlowSwitch, fieldSet(
+		"switches", "switch_cycles", "lcp_stall_cycles",
+		"sw_hits", "sw_conflicts", "sw_inserts",
+	)},
+	{Eviction, fieldSet("uops_dsb", "uops_mite", "dsb_lines", "l1i_misses")},
 	// Last on purpose: trained-predictor divergences ride along with
 	// every eviction-style pair (the warmed arm predicts the probe's
 	// first traversal), so BPU only wins when mispredicts diverge in
 	// strictly more windows than any structural family.
-	{BPU, map[string]bool{"mispredicts": true}},
+	{BPU, fieldSet("mispredicts")},
+}
+
+// fieldSet returns the bit set of the named fields.
+func fieldSet(names ...string) uint32 {
+	var m uint32
+	for _, name := range names {
+		i := slices.IndexFunc(fields, func(f field) bool { return f.name == name })
+		if i < 0 {
+			panic("contract: unknown field " + name)
+		}
+		m |= 1 << i
+	}
+	return m
 }
 
 // Classify attributes a leak between two probe traces to a mechanism:
@@ -60,12 +73,10 @@ func Classify(a, b Trace) Mechanism {
 	n := min(len(a), len(b))
 	counts := make([]int, len(families))
 	for i := 0; i < n; i++ {
+		m := differing(&a[i], &b[i])
 		for fi, fam := range families {
-			for _, f := range fields {
-				if fam.fields[f.name] && f.get(a[i]) != f.get(b[i]) {
-					counts[fi]++
-					break
-				}
+			if m&fam.fields != 0 {
+				counts[fi]++
 			}
 		}
 	}

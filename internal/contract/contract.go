@@ -13,6 +13,8 @@ package contract
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"strconv"
 
 	"repro/internal/cpu"
 	"repro/internal/frontend"
@@ -92,31 +94,74 @@ func (d Divergence) String() string {
 	return fmt.Sprintf("window %d %s: %s vs %s", d.Window, d.Field, d.A, d.B)
 }
 
+// kind is how an observable's comparison key formats in a Divergence.
+type kind uint8
+
+const (
+	kindUint  kind = iota // uint64
+	kindInt               // int, stored two's complement
+	kindBool              // bool, stored 0/1
+	kindFloat             // quantized float64, stored as its bits
+)
+
+// field is one observable: its name, its kind, and its comparison key,
+// a uint64 that two windows share exactly when the observable's values
+// would print the same. Comparing keys instead of printed values keeps
+// formatting out of the per-window loop; only a reported divergence is
+// printed.
+type field struct {
+	name string
+	kind kind
+	key  func(o *Observation) uint64
+}
+
+// show prints a key the way fmt.Sprint prints the observable.
+func (f field) show(o *Observation) string {
+	k := f.key(o)
+	switch f.kind {
+	case kindInt:
+		return strconv.FormatInt(int64(k), 10)
+	case kindBool:
+		return strconv.FormatBool(k != 0)
+	case kindFloat:
+		return fmt.Sprint(math.Float64frombits(k))
+	}
+	return strconv.FormatUint(k, 10)
+}
+
 // fields enumerates every observable in comparison order. The order is
 // mechanism-specific first (LSD, DSB, switch) so the first diverging
 // field names the leaking structure rather than the downstream timing
 // symptom.
-var fields = []struct {
-	name string
-	get  func(o Observation) string
-}{
-	{"uops_lsd", func(o Observation) string { return fmt.Sprint(o.UOpsLSD) }},
-	{"lsd_locked", func(o Observation) string { return fmt.Sprint(o.LSDLocked) }},
-	{"uops_dsb", func(o Observation) string { return fmt.Sprint(o.UOpsDSB) }},
-	{"uops_mite", func(o Observation) string { return fmt.Sprint(o.UOpsMITE) }},
-	{"dsb_lines", func(o Observation) string { return fmt.Sprint(o.DSBLines) }},
-	{"switches", func(o Observation) string { return fmt.Sprint(o.Switches) }},
-	{"switch_cycles", func(o Observation) string { return fmt.Sprint(quantize(o.SwitchCycles)) }},
-	{"sw_hits", func(o Observation) string { return fmt.Sprint(o.SwHits) }},
-	{"sw_conflicts", func(o Observation) string { return fmt.Sprint(o.SwConflicts) }},
-	{"sw_inserts", func(o Observation) string { return fmt.Sprint(o.SwInserts) }},
-	{"lcp_stall_cycles", func(o Observation) string { return fmt.Sprint(quantize(o.LCPStallCycles)) }},
-	{"l1i_misses", func(o Observation) string { return fmt.Sprint(o.L1IMisses) }},
-	{"mispredicts", func(o Observation) string { return fmt.Sprint(o.Mispredicts) }},
-	{"stall_cycles", func(o Observation) string { return fmt.Sprint(o.StallCycles) }},
-	{"cycles", func(o Observation) string { return fmt.Sprint(o.Cycles) }},
-	{"energy", func(o Observation) string { return fmt.Sprint(quantize(o.Energy)) }},
+var fields = []field{
+	{"uops_lsd", kindUint, func(o *Observation) uint64 { return o.UOpsLSD }},
+	{"lsd_locked", kindBool, func(o *Observation) uint64 { return b2u(o.LSDLocked) }},
+	{"uops_dsb", kindUint, func(o *Observation) uint64 { return o.UOpsDSB }},
+	{"uops_mite", kindUint, func(o *Observation) uint64 { return o.UOpsMITE }},
+	{"dsb_lines", kindInt, func(o *Observation) uint64 { return uint64(o.DSBLines) }},
+	{"switches", kindUint, func(o *Observation) uint64 { return o.Switches }},
+	{"switch_cycles", kindFloat, func(o *Observation) uint64 { return qbits(o.SwitchCycles) }},
+	{"sw_hits", kindUint, func(o *Observation) uint64 { return o.SwHits }},
+	{"sw_conflicts", kindUint, func(o *Observation) uint64 { return o.SwConflicts }},
+	{"sw_inserts", kindUint, func(o *Observation) uint64 { return o.SwInserts }},
+	{"lcp_stall_cycles", kindFloat, func(o *Observation) uint64 { return qbits(o.LCPStallCycles) }},
+	{"l1i_misses", kindUint, func(o *Observation) uint64 { return o.L1IMisses }},
+	{"mispredicts", kindUint, func(o *Observation) uint64 { return o.Mispredicts }},
+	{"stall_cycles", kindUint, func(o *Observation) uint64 { return o.StallCycles }},
+	{"cycles", kindUint, func(o *Observation) uint64 { return o.Cycles }},
+	{"energy", kindFloat, func(o *Observation) uint64 { return qbits(o.Energy) }},
 }
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// qbits is the comparison key of a float observable: the bits of its
+// quantized value.
+func qbits(v float64) uint64 { return math.Float64bits(quantize(v)) }
 
 // quantize rounds a float observable to millicycle precision before
 // comparison. The float observables are deltas of cumulative sums, so
@@ -132,18 +177,29 @@ func quantize(v float64) float64 {
 	return q
 }
 
+// differing returns the set of fields, one bit per index into fields,
+// whose values differ between two windows.
+func differing(a, b *Observation) uint32 {
+	var m uint32
+	for i, f := range fields {
+		if f.key(a) != f.key(b) {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
 // Compare returns the first divergence between two traces, if any.
 func Compare(a, b Trace) (Divergence, bool) {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
-		for _, f := range fields {
-			if va, vb := f.get(a[i]), f.get(b[i]); va != vb {
-				return Divergence{Window: i, Field: f.name, A: va, B: vb}, true
-			}
+		if m := differing(&a[i], &b[i]); m != 0 {
+			f := fields[bits.TrailingZeros32(m)]
+			return Divergence{Window: i, Field: f.name, A: f.show(&a[i]), B: f.show(&b[i])}, true
 		}
 	}
 	if len(a) != len(b) {
-		return Divergence{Window: -1, Field: "windows", A: fmt.Sprint(len(a)), B: fmt.Sprint(len(b))}, true
+		return Divergence{Window: -1, Field: "windows", A: strconv.Itoa(len(a)), B: strconv.Itoa(len(b))}, true
 	}
 	return Divergence{}, false
 }
@@ -156,6 +212,10 @@ func Compare(a, b Trace) (Divergence, bool) {
 type Executor struct {
 	core *cpu.Core
 	p    Params
+	seed uint64
+	// pristine is a core as NewExecutorWith built it, which Reset copies
+	// over core; built on the first Reset.
+	pristine *cpu.Core
 
 	// Baselines for the open observation window.
 	winRetired uint64
@@ -181,7 +241,20 @@ func NewExecutorWith(m cpu.Model, seed uint64, p Params) *Executor {
 	if p.MaxCycles == 0 {
 		p.MaxCycles = DefaultParams().MaxCycles
 	}
-	return &Executor{core: cpu.NewCore(m, seed), p: p}
+	return &Executor{core: cpu.NewCore(m, seed), p: p, seed: seed}
+}
+
+// Reset restores the executor to its state at construction, in place:
+// the core's state is overwritten with a pristine core's, reusing its
+// buffers, so a sequence of programs can each run from the same machine
+// state as on a fresh executor, without building one. The next
+// observations are byte-identical to a fresh executor's.
+func (e *Executor) Reset() {
+	if e.pristine == nil {
+		e.pristine = cpu.NewCore(e.core.Model, e.seed)
+	}
+	e.core.CopyFrom(e.pristine)
+	*e = Executor{core: e.core, p: e.p, seed: e.seed, pristine: e.pristine}
 }
 
 // Core exposes the underlying core (tests, coverage features).
@@ -192,6 +265,7 @@ func (e *Executor) Core() *cpu.Core { return e.core }
 func (e *Executor) Clone() *Executor {
 	c := *e
 	c.core = e.core.Clone()
+	c.pristine = nil
 	return &c
 }
 

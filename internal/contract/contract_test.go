@@ -8,7 +8,7 @@ import (
 )
 
 func loop(blocks []*isa.Block, iters int) []isa.Inst {
-	return isa.Collect(isa.NewLoopStream(blocks, iters))
+	return isa.NewLoopStream(blocks, iters).Append(nil)
 }
 
 func model() cpu.Model { return cpu.Gold6226() }

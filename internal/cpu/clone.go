@@ -2,48 +2,57 @@ package cpu
 
 import "repro/internal/isa"
 
-// Clone returns a deep copy of the core: stepping the clone produces
-// exactly the cycle counts, counter values, and RNG draws the original
-// would have produced from this point. In-flight and queued tasks are
+// CopyFrom overwrites c with a deep copy of src, reusing c's own
+// structures: afterwards stepping c produces exactly the cycle counts,
+// counter values, and RNG draws src would produce from this point, and
+// c shares no mutable state with src. src may be of another model; c
+// takes its model along with its state. Copying an idle core of the
+// same model allocates nothing, which is how the leakage-contract
+// executor restores a pristine core before every secret arm. In-flight and queued tasks are
 // snapshotted too, as long as they carry no callbacks — a closure cannot
-// be deep-copied, so Clone panics on a task with OnStart/OnDone or a
-// measurement callback still pending. The sweep engine clones cores at
-// the quiescent point after a calibration preamble (always callback-free);
-// the leakage-contract executor clones mid-stream.
-func (c *Core) Clone() *Core {
-	d := &Core{
-		Model:      c.Model,
-		BE:         c.BE.Clone(),
-		L1I:        c.L1I.Clone(),
-		L1D:        c.L1D.Clone(),
-		PM:         c.PM.Clone(),
-		TSC:        c.TSC.Clone(),
-		R:          c.R.Clone(),
-		cycle:      c.cycle,
-		lastActive: c.lastActive,
-		lastBoth:   c.lastBoth,
-		miteHold:   c.miteHold,
-		prevLSD:    c.prevLSD,
-		prevDSB:    c.prevDSB,
-		prevMITE:   c.prevMITE,
-		prevStall:  c.prevStall,
-	}
-	d.FE = c.FE.CloneWith(d.L1I)
+// be deep-copied, so CopyFrom panics on a task with OnStart/OnDone or a
+// measurement callback still pending, leaving c partly copied.
+func (c *Core) CopyFrom(src *Core) {
+	c.Model = src.Model
+	c.FE.CopyFrom(src.FE) // also copies the L1I, which the frontend shares
+	*c.BE = *src.BE
+	c.L1D.CopyFrom(src.L1D)
+	*c.PM = *src.PM
+	c.TSC.CopyFrom(src.TSC)
+	*c.R = *src.R
+	c.cycle = src.cycle
+	c.lastActive = src.lastActive
+	c.lastBoth = src.lastBoth
+	c.miteHold = src.miteHold
+	c.prevLSD, c.prevDSB, c.prevMITE, c.prevStall = src.prevLSD, src.prevDSB, src.prevMITE, src.prevStall
 	for t := 0; t < 2; t++ {
 		// The dispatched task's stream was installed in the frontend; the
-		// frontend clone already snapshotted it, so point the cloned task
+		// frontend copy already snapshotted it, so point the copied task
 		// at that same snapshot rather than cloning the stream twice.
-		if c.cur[t] != nil {
-			d.cur[t] = cloneTask(c.cur[t])
-			d.cur[t].Stream = d.FE.Stream(t)
+		c.cur[t] = nil
+		if src.cur[t] != nil {
+			c.cur[t] = cloneTask(src.cur[t])
+			c.cur[t].Stream = c.FE.Stream(t)
 		}
-		for _, task := range c.queue[t][c.qhead[t]:] {
-			q := cloneTask(task)
-			q.Stream = cloneTaskStream(task.Stream)
-			d.queue[t] = append(d.queue[t], q)
+		// Dispatched entries ahead of qhead are nil.
+		c.queue[t], c.qhead[t] = c.queue[t][:0], src.qhead[t]
+		for _, task := range src.queue[t] {
+			if task != nil {
+				task = cloneTask(task)
+				task.Stream = cloneTaskStream(task.Stream)
+			}
+			c.queue[t] = append(c.queue[t], task)
 		}
 	}
-	d.memHook = func(t int, in isa.Inst) { d.L1D.Access(in.MemAddr) }
+}
+
+// Clone returns a deep copy of the core: a new core of the same model
+// with c's state copied in (see CopyFrom). The sweep engine clones cores
+// at the quiescent point after a calibration preamble (always
+// callback-free); the leakage-contract executor clones mid-stream.
+func (c *Core) Clone() *Core {
+	d := NewCore(c.Model, 0)
+	d.CopyFrom(c)
 	return d
 }
 

@@ -1,10 +1,13 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/clonecheck"
 	"repro/internal/isa"
+	"repro/internal/power"
 )
 
 // allowShared lists the data that is immutable after construction and
@@ -14,11 +17,23 @@ func allowShared() clonecheck.Option {
 	return clonecheck.AllowType(isa.Inst{}, isa.Block{})
 }
 
+// requireFaithfulCopy fails unless dup holds exactly orig's state and
+// shares none of its mutable memory.
+func requireFaithfulCopy(t *testing.T, orig, dup *Core) {
+	t.Helper()
+	if diff := clonecheck.Diff(orig, dup); len(diff) != 0 {
+		t.Fatalf("copy differs from its original:\n%s", strings.Join(diff, "\n"))
+	}
+	if shared := clonecheck.Shared(orig, dup, allowShared()); len(shared) != 0 {
+		t.Fatalf("copy shares mutable state:\n%s", strings.Join(shared, "\n"))
+	}
+}
+
 // TestCloneSharesNoMutableState walks the full object graphs of a core
-// and its clone with reflection. Any pointer, slice backing array, map,
-// or channel reachable from both is a field some clone.go forgot — the
-// kind of staleness that silently corrupts calibration memoization when
-// a struct grows a field.
+// and its clone with reflection. The clone must hold equal state, and
+// any pointer, slice backing array, map, or channel reachable from both
+// is a field some clone.go forgot — the kind of staleness that silently
+// corrupts calibration memoization when a struct grows a field.
 func TestCloneSharesNoMutableState(t *testing.T) {
 	t.Run("idle", func(t *testing.T) {
 		c := NewCore(Gold6226(), 1)
@@ -26,10 +41,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 		blocks := isa.MixChain(3, 4, true)
 		c.Enqueue(0, isa.NewLoopStream(blocks, 50), nil)
 		c.RunUntilIdle(1_000_000)
-		d := c.Clone()
-		if shared := clonecheck.Shared(c, d, allowShared()); len(shared) != 0 {
-			t.Fatalf("idle clone shares mutable state:\n%v", shared)
-		}
+		requireFaithfulCopy(t, c, c.Clone())
 	})
 
 	t.Run("mid-stream", func(t *testing.T) {
@@ -41,11 +53,102 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 		if c.Idle() {
 			t.Fatal("core drained before the mid-stream snapshot")
 		}
-		d := c.Clone()
-		if shared := clonecheck.Shared(c, d, allowShared()); len(shared) != 0 {
-			t.Fatalf("mid-stream clone shares mutable state:\n%v", shared)
-		}
+		requireFaithfulCopy(t, c, c.Clone())
 	})
+
+	t.Run("dirty", func(t *testing.T) {
+		c := dirtyCore(t, Gold6226())
+		requireFaithfulCopy(t, c, c.Clone())
+	})
+}
+
+// dirtyCore returns a core of model m that has been through every kind
+// of state the simulator keeps, left mid-run: a DSB that evicted and
+// that partitioned while both threads ran, LSD locks, a trained branch
+// predictor, a filled switch buffer, L1I and L1D lines, TSC and RNG
+// draws, accrued energy and RAPL reads, misalignment poison, a MITE
+// fetch-slot hold, a half-dispatched task queue on thread 0 and
+// micro-ops left in thread 1's IDQ by AbortThread(1).
+func dirtyCore(t *testing.T, m Model) *Core {
+	t.Helper()
+	c := NewCore(m, 7)
+	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(3, 2, true), 40))
+	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(5, 6, false), 20))
+	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(12, 10, true), 4)) // overflows a DSB set
+	lcp := []*isa.Block{isa.LCPBlock(isa.AddrForSet(6, 4), 14, true)}
+	isa.ChainLoop(lcp)
+	c.RunTimed(0, isa.NewLoopStream(lcp, 10))
+	loads := []*isa.Block{isa.LoadBlock(isa.AddrForSet(11, 1), []uint64{0x10000, 0x20040, 0x30080})}
+	isa.ChainLoop(loads)
+	c.RunTimed(0, isa.NewLoopStream(loads, 5))
+	c.PM.RAPLRead()
+
+	// Thread 1 decodes dense nops through MITE, which holds the fetch
+	// slot and outpaces retirement; thread 0 works through a queue.
+	nops := []*isa.Block{isa.NopBlockLen(isa.AddrForSet(20, 2), 24, 1)}
+	isa.ChainLoop(nops)
+	c.Enqueue(1, isa.NewLoopStream(nops, 1000), nil)
+	for i := 0; i < 3; i++ {
+		c.Enqueue(0, isa.NewLoopStream(isa.MixChain(9, 4, i%2 == 0), 300), nil)
+	}
+	for i := 0; i < 20_000 && (c.qhead[0] == 0 || c.miteHold < 0 || c.FE.IDQLen(1) == 0); i++ {
+		c.Step()
+	}
+	c.AbortThread(1)
+
+	switch {
+	case c.FE.DSB.Stats().Partitions == 0 || c.FE.DSB.Stats().Evictions == 0:
+		t.Fatal("DSB never partitioned or evicted")
+	case c.FE.LSDFor(0).Locks() == 0:
+		t.Fatal("LSD never locked")
+	case c.FE.BPU[0].Stats().Lookups == 0:
+		t.Fatal("branch predictor untrained")
+	case c.FE.SwitchBufferStats().Inserts == 0:
+		t.Fatal("switch buffer empty")
+	case c.L1I.Stats() == (cache.Stats{}) || c.L1D.Stats() == (cache.Stats{}):
+		t.Fatal("an L1 cache was never accessed")
+	case c.FE.Align().Level() == 0:
+		t.Fatal("no misalignment poison")
+	case c.qhead[0] == 0 || c.miteHold < 0 || c.FE.IDQLen(1) == 0:
+		t.Fatalf("qhead %d, miteHold %d, thread 1 IDQ %d", c.qhead[0], c.miteHold, c.FE.IDQLen(1))
+	}
+	return c
+}
+
+// TestCopyFromRestoresFreshCore copies a new core over a dirty one, in
+// place, and requires the dirty core's whole reachable state to equal
+// the new core's: every field some CopyFrom forgets keeps its dirt and
+// fails here. The leakage-contract executor relies on this to restore a
+// pristine core before every secret arm. One dirty core is of a variant
+// model, so the model and its parameters must be copied too.
+func TestCopyFromRestoresFreshCore(t *testing.T) {
+	variant := Gold6226()
+	variant.Name = "variant"
+	variant.FE.DSBSets = 16
+	variant.FE.SwitchBufSize = 4
+	variant.FE.IDQCapacity = 48
+	variant.BE.Ports = 6
+	variant.PW = power.DefaultParams(3.1)
+	variant.TimerSigmaAbs = 9
+	for _, m := range []Model{Gold6226(), variant} {
+		t.Run(m.Name, func(t *testing.T) {
+			c := dirtyCore(t, m)
+			fresh := NewCore(Gold6226(), 1)
+			c.CopyFrom(fresh)
+			requireFaithfulCopy(t, fresh, c)
+			// Running the copy must leave its source pristine, which also
+			// catches buffers the allow-list lets Shared overlook (the IDQs
+			// hold isa.Inst values too).
+			c.RunTimed(0, isa.NewLoopStream(isa.MixChain(4, 6, true), 20))
+			if diff := clonecheck.Diff(NewCore(Gold6226(), 1), fresh); len(diff) != 0 {
+				t.Fatalf("running the copy changed its source:\n%s", strings.Join(diff, "\n"))
+			}
+			// Restoring an idle core of the same model reuses every buffer.
+			if allocs := testing.AllocsPerRun(5, func() { c.CopyFrom(fresh) }); allocs != 0 {
+				t.Fatalf("CopyFrom of an idle core allocates %.0f times", allocs)
+			}
+		})
+	}
 }
 
 // TestCloneMidStreamReplaysIdentically pins that a core cloned with

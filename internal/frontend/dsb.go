@@ -45,6 +45,8 @@ type DSB struct {
 	// evictScratch backs the Evicted slices Fill and SetPartitioned
 	// return; eviction-heavy channels call Fill every few cycles and the
 	// result is consumed before the next call, so one buffer is reused.
+	// Both scratch buffers are kept at length zero between calls: they
+	// carry no state.
 	evictScratch []Evicted
 	survScratch  []dsbEntry
 }
@@ -131,7 +133,7 @@ func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
 	for d.usedLines(set)+lines > d.p.DSBWays {
 		v := d.lruVictim(set)
 		if v < 0 {
-			d.evictScratch = evicted
+			d.evictScratch = evicted[:0]
 			return evicted // cannot make room (shouldn't happen)
 		}
 		evicted = append(evicted, Evicted{Thread: set[v].thread, Window: set[v].window})
@@ -153,7 +155,7 @@ func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
 	}
 	d.sets[idx] = set
 	d.stats.Fills++
-	d.evictScratch = evicted
+	d.evictScratch = evicted[:0]
 	return evicted
 }
 
@@ -222,8 +224,8 @@ func (d *DSB) SetPartitioned(on bool) []Evicted {
 	for _, e := range surviving {
 		d.sets[d.SetIndex(e.thread, e.window)] = append(d.sets[d.SetIndex(e.thread, e.window)], e)
 	}
-	d.survScratch = surviving
-	d.evictScratch = evicted
+	d.survScratch = surviving[:0]
+	d.evictScratch = evicted[:0]
 	return evicted
 }
 

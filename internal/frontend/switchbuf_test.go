@@ -19,9 +19,10 @@ func TestSwitchBufferSizeZeroIsDisabled(t *testing.T) {
 			t.Fatalf("size %d: disabled buffer recorded events: %+v", size, b.stats)
 		}
 		b.reset() // must not panic on the empty buffer
-		c := b.clone()
+		c := newSwitchBuffer(8)
+		c.copyFrom(b)
 		if c.cost(addr) {
-			t.Fatalf("size %d: cloned disabled buffer learned", size)
+			t.Fatalf("size %d: copied disabled buffer learned", size)
 		}
 	}
 }
@@ -85,14 +86,15 @@ func TestSwitchBufferStatsSurviveCloneAndReset(t *testing.T) {
 	b.cost(0x1000)
 	b.cost(0x1000)
 	b.cost(0x1000)
-	c := b.clone()
+	c := newSwitchBuffer(2)
+	c.copyFrom(b)
 	if c.stats != b.stats {
-		t.Fatalf("clone stats %+v != original %+v", c.stats, b.stats)
+		t.Fatalf("copied stats %+v != original %+v", c.stats, b.stats)
 	}
-	// The clone's counters advance independently.
+	// The copy's counters advance independently.
 	c.cost(0x1000)
 	if c.stats == b.stats {
-		t.Fatal("clone stats still coupled to the original")
+		t.Fatal("copied stats still coupled to the original")
 	}
 	b.reset()
 	if b.stats != (SwitchStats{}) {

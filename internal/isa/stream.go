@@ -1,5 +1,7 @@
 package isa
 
+import "slices"
+
 // Stream is a dynamic instruction stream: the sequence of instruction
 // instances a hardware thread executes, in program order. The frontend
 // simulator pulls from a Stream as it fetches.
@@ -75,6 +77,27 @@ func (s *LoopStream) Next() (Inst, bool) {
 		}
 	}
 	return in, true
+}
+
+// Append appends the instructions the stream has left to dst and
+// returns the extended slice, consuming the stream: exactly what draining
+// it with Next would yield, loop back-edges resolved, but copied a whole
+// loop body at a time. The contract executor and the leakage fuzzer
+// materialize program phases this way.
+func (s *LoopStream) Append(dst []Inst) []Inst {
+	if s.iter >= s.iters {
+		return dst
+	}
+	dst = slices.Grow(dst, len(s.flat)-s.pos+(s.iters-s.iter-1)*len(s.flat))
+	dst = append(dst, s.flat[s.pos:]...)
+	for s.iter++; s.iter < s.iters; s.iter++ {
+		dst = append(dst, s.flat...)
+	}
+	s.pos = 0
+	if last := &dst[len(dst)-1]; last.Kind == Jmp {
+		last.Taken = false // loop exit: final back-edge not taken
+	}
+	return dst
 }
 
 // SeqStream yields a fixed instruction slice once.
@@ -163,21 +186,6 @@ type FuncStream func() (Inst, bool)
 
 // Next implements Stream.
 func (f FuncStream) Next() (Inst, bool) { return f() }
-
-// Collect drains a finite stream into a flat instruction slice — the
-// dynamic instruction sequence it would deliver, loop back-edges
-// resolved. The contract executor and the leakage fuzzer materialize
-// program phases this way. It consumes the stream.
-func Collect(s Stream) []Inst {
-	var insts []Inst
-	for {
-		in, ok := s.Next()
-		if !ok {
-			return insts
-		}
-		insts = append(insts, in)
-	}
-}
 
 // CountUOps drains a copy-free count of the total micro-ops a finite
 // stream would deliver. Intended for tests; it consumes the stream.

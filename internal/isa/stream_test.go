@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestLoopStreamCount(t *testing.T) {
 	blocks := MixChain(0, 4, true)
@@ -63,6 +66,43 @@ func TestLoopStreamPanics(t *testing.T) {
 		}
 	}()
 	NewLoopStream(nil, 1)
+}
+
+// TestLoopStreamAppendMatchesNext pins Append to the stream it
+// materializes: from any position, Append yields exactly the
+// instructions Next would, the final back-edge included, and leaves the
+// stream exhausted.
+func TestLoopStreamAppendMatchesNext(t *testing.T) {
+	pause := []*Block{PauseBlock(AddrForSet(7, 1), 4)}
+	ChainLoop(pause)
+	for _, blocks := range [][]*Block{MixChain(3, 4, true), MixChain(5, 2, false), pause} {
+		body := len(Flatten(blocks))
+		for _, iters := range []int{1, 2, 5} {
+			for _, consumed := range []int{0, 1, body - 1, body, body + 2, body * iters} {
+				if consumed > body*iters {
+					continue
+				}
+				s := NewLoopStream(blocks, iters)
+				for i := 0; i < consumed; i++ {
+					s.Next()
+				}
+				ref := s.CloneStream()
+				var want []Inst
+				for in, ok := ref.Next(); ok; in, ok = ref.Next() {
+					want = append(want, in)
+				}
+				prefix := []Inst{{Kind: Nop}}
+				got := s.Append(prefix)
+				if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
+					t.Fatalf("blocks %d, iters %d, after %d: Append differs from Next (%d vs %d insts)",
+						len(blocks), iters, consumed, len(got)-1, len(want))
+				}
+				if _, ok := s.Next(); ok {
+					t.Fatalf("blocks %d, iters %d, after %d: stream not exhausted by Append", len(blocks), iters, consumed)
+				}
+			}
+		}
+	}
 }
 
 func TestSeqStream(t *testing.T) {

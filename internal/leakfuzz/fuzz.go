@@ -1,6 +1,7 @@
 package leakfuzz
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/contract"
@@ -20,8 +21,8 @@ type Options struct {
 	// Budget is the number of mutated candidates to evaluate. Execution
 	// count, not wall time, so CI budgets are deterministic.
 	Budget int
-	// Params are the contract recording parameters; zero means
-	// contract.DefaultParams.
+	// Params are the contract recording parameters; a zero field takes
+	// its contract.DefaultParams value.
 	Params contract.Params
 	// Extra seeds the corpus with additional genomes (a persisted
 	// corpus directory, or regression genomes) besides the built-ins.
@@ -37,9 +38,6 @@ func (o Options) normalize() Options {
 	}
 	if o.Budget <= 0 {
 		o.Budget = 2000
-	}
-	if o.Params.WindowUOps <= 0 || o.Params.MaxCycles == 0 {
-		o.Params = contract.DefaultParams()
 	}
 	return o
 }
@@ -97,6 +95,7 @@ const minimizeBudget = 400
 type fuzzer struct {
 	o       Options
 	r       *rng.RNG
+	ex      *contract.Executor // reset before every secret arm
 	corpus  []Genome
 	keys    map[string]bool
 	cov     coverage
@@ -111,6 +110,7 @@ func Run(o Options) Report {
 	f := &fuzzer{
 		o:       o,
 		r:       rng.New(rng.SplitSeed(o.Seed, "leakfuzz")),
+		ex:      contract.NewExecutorWith(o.Model, o.Seed, o.Params),
 		keys:    map[string]bool{},
 		cov:     coverage{},
 		found:   map[contract.Mechanism]bool{},
@@ -156,17 +156,23 @@ type evalResult struct {
 	leak         bool
 }
 
-// exec evaluates a normalized genome on two fresh cores: prep phases are
-// observed too (their traces feed coverage; an attacker does not see
-// them, so only the probe traces are compared).
+// exec evaluates a normalized genome, each secret arm on the campaign's
+// executor reset to a fresh core: prep phases are observed too (their
+// traces feed coverage; an attacker does not see them, so only the probe
+// traces are compared). When both arms compile to the same instructions,
+// arm 1 would replay arm 0 exactly on the deterministic executor, so
+// arm 0's traces stand for both and the arms cannot diverge.
 func (f *fuzzer) exec(g Genome) evalResult {
 	pair := g.BuildPair()
-	e0 := contract.NewExecutorWith(f.o.Model, f.o.Seed, f.o.Params)
-	p0 := e0.Observe(pair.Prep0)
-	t0 := e0.Observe(pair.Probe)
-	e1 := contract.NewExecutorWith(f.o.Model, f.o.Seed, f.o.Params)
-	p1 := e1.Observe(pair.Prep1)
-	t1 := e1.Observe(pair.Probe)
+	f.ex.Reset()
+	p0 := f.ex.Observe(pair.Prep0)
+	t0 := f.ex.Observe(pair.Probe)
+	if slices.Equal(pair.Prep0, pair.Prep1) {
+		return evalResult{prep0: p0, prep1: p0, t0: t0, t1: t0}
+	}
+	f.ex.Reset()
+	p1 := f.ex.Observe(pair.Prep1)
+	t1 := f.ex.Observe(pair.Probe)
 	d, leak := contract.Compare(t0, t1)
 	return evalResult{prep0: p0, prep1: p1, t0: t0, t1: t1, d: d, leak: leak}
 }

@@ -1,10 +1,12 @@
 package leakfuzz
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/contract"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 )
 
 // FuzzFrontendContract is the native harness: `go test -fuzz
@@ -18,8 +20,11 @@ import (
 //  2. No false positives — forcing every prep gene public (AltNone)
 //     makes the arms byte-identical, so the contract must stay silent.
 //  3. Clone soundness — an executor cloned mid-probe finishes with
-//     byte-identical observations (the PR's clone-completeness fix,
-//     exercised from arbitrary machine states).
+//     byte-identical observations (clone completeness, exercised from
+//     arbitrary machine states).
+//  4. Reset soundness — one executor reset before each arm, the way the
+//     fuzzer runs a pair, records exactly the prep and probe traces two
+//     fresh executors do.
 func FuzzFrontendContract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 20, 6, 1, 4, 0, 20, 6, 2, 1})     // eviction-shaped: prep AltSet over probe's set
@@ -75,6 +80,18 @@ func FuzzFrontendContract(f *testing.F) {
 		if d, diff := contract.Compare(orig, t0a); diff {
 			// The stepwise trace must also equal the one-shot arm-0 trace.
 			t.Fatalf("stepwise trace diverged from one-shot: %s (%s)", d, g.key())
+		}
+
+		reused := contract.NewExecutorWith(m, 1, p)
+		reused.Observe(pair.Prep1) // leave state behind for the first Reset
+		for arm, prep := range [][]isa.Inst{pair.Prep0, pair.Prep1} {
+			fresh := contract.NewExecutorWith(m, 1, p)
+			wantPrep, wantProbe := fresh.Observe(prep), fresh.Observe(pair.Probe)
+			reused.Reset()
+			gotPrep, gotProbe := reused.Observe(prep), reused.Observe(pair.Probe)
+			if !slices.Equal(gotPrep, wantPrep) || !slices.Equal(gotProbe, wantProbe) {
+				t.Fatalf("arm %d on a reset executor differs from a fresh one (%s)", arm, g.key())
+			}
 		}
 	})
 }

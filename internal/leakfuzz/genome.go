@@ -188,21 +188,14 @@ func (g Gene) blocks() []*isa.Block {
 	}
 }
 
-// insts materializes the gene's dynamic instruction sequence for one
-// secret arm, or nil when the arm skips it.
-func (g Gene) insts(secret bool) []isa.Inst {
-	a, ok := g.arm(secret)
-	if !ok {
-		return nil
-	}
-	return isa.Collect(isa.NewLoopStream(a.blocks(), a.Iters))
-}
-
-// prep materializes one secret arm's preparation program.
-func (g Genome) prep(secret bool) []isa.Inst {
+// build materializes the dynamic instruction sequence of the genes'
+// loops as one secret arm runs them, a whole loop body at a time.
+func build(genes []Gene, secret bool) []isa.Inst {
 	var insts []isa.Inst
-	for _, gene := range g.Prep {
-		insts = append(insts, gene.insts(secret)...)
+	for _, gene := range genes {
+		if a, ok := gene.arm(secret); ok {
+			insts = isa.NewLoopStream(a.blocks(), a.Iters).Append(insts)
+		}
 	}
 	return insts
 }
@@ -211,14 +204,10 @@ func (g Genome) prep(secret bool) []isa.Inst {
 // genome must be normalized; the probe is identical in both arms by
 // construction (probe genes carry no Alt).
 func (g Genome) BuildPair() contract.Pair {
-	var probe []isa.Inst
-	for _, gene := range g.Probe {
-		probe = append(probe, gene.insts(false)...)
-	}
 	return contract.Pair{
-		Prep0: g.prep(false),
-		Prep1: g.prep(true),
-		Probe: probe,
+		Prep0: build(g.Prep, false),
+		Prep1: build(g.Prep, true),
+		Probe: build(g.Probe, false),
 	}
 }
 

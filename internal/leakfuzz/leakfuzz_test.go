@@ -23,7 +23,7 @@ const (
 // families — DSB eviction, LSD misalignment, decode slow-switch — and
 // produce no unclassified counterexamples on the default model.
 func TestRediscoversKnownChannels(t *testing.T) {
-	r := Run(Options{Seed: ciSeed, Budget: ciBudget})
+	r := ciCampaign()
 	got := map[contract.Mechanism]Finding{}
 	for _, f := range r.Findings {
 		got[f.Mechanism] = f
@@ -68,6 +68,32 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if Run(Options{Seed: 8, Budget: 300}).Executions != 300 {
 		t.Fatal("budget not spent exactly")
+	}
+}
+
+// TestPartialParamsKeepTheirFields pins that a partly set
+// Options.Params keeps the fields it sets: only a zero field takes its
+// default, so 8-micro-op windows stay 8 micro-ops wide instead of
+// silently reverting to the default 16.
+func TestPartialParamsKeepTheirFields(t *testing.T) {
+	run := func(p contract.Params) Report { return Run(Options{Seed: 3, Budget: 100, Params: p}) }
+	def := contract.DefaultParams()
+	cases := []struct {
+		name      string
+		got, want contract.Params
+	}{
+		{"zero", contract.Params{}, def},
+		{"window only", contract.Params{WindowUOps: 8}, contract.Params{WindowUOps: 8, MaxCycles: def.MaxCycles}},
+		{"cycles only", contract.Params{MaxCycles: 2_000_000}, contract.Params{WindowUOps: def.WindowUOps, MaxCycles: 2_000_000}},
+	}
+	for _, tc := range cases {
+		if got, want := run(tc.got), run(tc.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Params %+v ran differently from %+v: %d vs %d features",
+				tc.name, tc.got, tc.want, got.Features, want.Features)
+		}
+	}
+	if reflect.DeepEqual(run(contract.Params{WindowUOps: 8}), run(def)) {
+		t.Error("8-micro-op windows ran exactly like the default 16")
 	}
 }
 
@@ -138,7 +164,7 @@ func TestDecodeGenomeTotal(t *testing.T) {
 // finding from the CI campaign must not shrink further by dropping a
 // gene while keeping its mechanism.
 func TestMinimizedGenomesAreMinimal(t *testing.T) {
-	r := Run(Options{Seed: ciSeed, Budget: ciBudget})
+	r := ciCampaign()
 	m := cpu.Gold6226()
 	for _, f := range r.Findings {
 		g := f.Genome
