@@ -16,49 +16,67 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/cmdutil"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
+// config is one fesim run: the chain layout, the model and the seed.
+type config struct {
+	model      string
+	set        int
+	blocks     int
+	misaligned int
+	iters      int
+	lsd        bool
+	seed       uint64
+}
+
 func main() {
-	var (
-		model      = flag.String("model", "Gold 6226", "CPU model (Table I name)")
-		set        = flag.Int("set", 3, "target DSB set (0-31)")
-		blocks     = flag.Int("blocks", 8, "aligned instruction mix blocks in the chain")
-		misaligned = flag.Int("misaligned", 0, "misaligned blocks appended to the chain")
-		iters      = flag.Int("iters", 200, "loop iterations")
-		lsd        = flag.Bool("lsd", true, "LSD enabled (microcode patch1)")
-		seed       = flag.Uint64("seed", 1, "deterministic seed")
-	)
+	var c config
+	flag.StringVar(&c.model, "model", "Gold 6226", "CPU model (Table I name)")
+	flag.IntVar(&c.set, "set", 3, "target DSB set (0-31)")
+	flag.IntVar(&c.blocks, "blocks", 8, "aligned instruction mix blocks in the chain")
+	flag.IntVar(&c.misaligned, "misaligned", 0, "misaligned blocks appended to the chain")
+	flag.IntVar(&c.iters, "iters", 200, "loop iterations")
+	flag.BoolVar(&c.lsd, "lsd", true, "LSD enabled (microcode patch1)")
+	flag.Uint64Var(&c.seed, "seed", 1, "deterministic seed")
 	flag.Parse()
+	run(os.Stdout, c)
+}
 
-	m := cmdutil.MustModel(*model).WithLSD(*lsd)
-	core := cpu.NewCore(m, *seed)
+// run simulates the chain c describes on thread 0 and writes the
+// delivery report to w.
+func run(w io.Writer, c config) {
+	m := cmdutil.MustModel(c.model).WithLSD(c.lsd)
+	core := cpu.NewCore(m, c.seed)
 
-	chain := isa.MixChainMixed(*set, *blocks, *misaligned)
-	total := *blocks + *misaligned
-	fmt.Printf("chain: %d aligned + %d misaligned mix blocks -> DSB set %d (%d uops/iteration)\n",
-		*blocks, *misaligned, *set, total*5)
-	fmt.Printf("model: %s, LSD %v\n\n", m.Name, *lsd)
+	chain := isa.MixChainMixed(c.set, c.blocks, c.misaligned)
+	total := c.blocks + c.misaligned
+	fmt.Fprintf(w, "chain: %d aligned + %d misaligned mix blocks -> DSB set %d (%d uops/iteration)\n",
+		c.blocks, c.misaligned, c.set, total*5)
+	fmt.Fprintf(w, "model: %s, LSD %v\n\n", m.Name, c.lsd)
 
 	start := core.Cycle()
-	core.Enqueue(0, isa.NewLoopStream(chain, *iters), nil)
+	core.Enqueue(0, isa.NewLoopStream(chain, c.iters), nil)
 	core.RunUntilIdle(500_000_000)
 	cycles := core.Cycle() - start
 
-	c := core.Counters(0)
-	uops := float64(c.UOps())
-	fmt.Printf("cycles            %d  (%.2f cycles/block)\n", cycles, float64(cycles)/float64(total**iters))
-	fmt.Printf("IPC               %.2f\n", uops/float64(cycles))
-	fmt.Printf("uops via LSD      %8d  (%5.1f%%)\n", c.UOpsLSD, 100*float64(c.UOpsLSD)/uops)
-	fmt.Printf("uops via DSB      %8d  (%5.1f%%)\n", c.UOpsDSB, 100*float64(c.UOpsDSB)/uops)
-	fmt.Printf("uops via MITE     %8d  (%5.1f%%)\n", c.UOpsMITE, 100*float64(c.UOpsMITE)/uops)
-	fmt.Printf("LSD locks/flushes %d/%d\n", c.LSDLocks, c.LSDFlushes)
-	fmt.Printf("switch penalties  %.0f cycles over %d switches\n", c.SwitchCycles, c.SwitchCount)
-	fmt.Printf("L1I misses        %d\n", c.L1IMisses)
-	fmt.Printf("DSB hits/misses   %d/%d (evictions %d)\n",
+	ctr := core.Counters(0)
+	uops := float64(ctr.UOps())
+	lsd := core.FE.LSDFor(0)
+	fmt.Fprintf(w, "cycles            %d  (%.2f cycles/block)\n", cycles, float64(cycles)/float64(total*c.iters))
+	fmt.Fprintf(w, "IPC               %.2f\n", uops/float64(cycles))
+	fmt.Fprintf(w, "uops via LSD      %8d  (%5.1f%%)\n", ctr.UOpsLSD, 100*float64(ctr.UOpsLSD)/uops)
+	fmt.Fprintf(w, "uops via DSB      %8d  (%5.1f%%)\n", ctr.UOpsDSB, 100*float64(ctr.UOpsDSB)/uops)
+	fmt.Fprintf(w, "uops via MITE     %8d  (%5.1f%%)\n", ctr.UOpsMITE, 100*float64(ctr.UOpsMITE)/uops)
+	fmt.Fprintf(w, "LSD locks/flushes %d/%d\n", lsd.Locks(), lsd.Flushes())
+	fmt.Fprintf(w, "switch penalties  %.0f cycles over %d switches\n", ctr.SwitchCycles, ctr.SwitchCount)
+	fmt.Fprintf(w, "L1I misses        %d\n", ctr.L1IMisses)
+	fmt.Fprintf(w, "DSB hits/misses   %d/%d (evictions %d)\n",
 		core.FE.DSB.Stats().Hits, core.FE.DSB.Stats().Misses, core.FE.DSB.Stats().Evictions)
-	fmt.Printf("alignment tracker %d stale entries\n", core.FE.Align().Level())
+	fmt.Fprintf(w, "alignment tracker %d stale entries\n", core.FE.Align().Level())
 }

@@ -157,7 +157,8 @@ func (b *Backend) Cycle(idq *[2]IDQ, mem MemHook) int {
 
 // SkipIdle accounts for k cycles on which both IDQs are empty: such a
 // cycle retires nothing and only flips the alternating priority, so k
-// of them flip it by the parity of k.
+// of them flip it by the parity of k. Every other cycle flips it too,
+// which Advance relies on.
 func (b *Backend) SkipIdle(k uint64) {
 	if k&1 == 1 {
 		b.prio = 1 - b.prio

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -137,5 +138,85 @@ func TestIDQRingFIFO(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIDQRecursAndAdvance pins the steady-loop skip's queue helpers on
+// a queue that pushes three micro-ops and pops three every period: the
+// whole ring, read from the head, recurs each period, any changed slot
+// or occupancy breaks the recurrence, and Advance turns the ring exactly
+// as running the skipped periods would.
+func TestIDQRecursAndAdvance(t *testing.T) {
+	period := func(q *IDQ) {
+		for i := range 3 {
+			q.Push(isa.Inst{Addr: uint64(0x40 + i), UOps: 1, Kind: isa.Mov})
+		}
+		q.Pop()
+		q.Pop()
+		q.Pop()
+	}
+	q := NewIDQ(8)
+	q.Push(isa.Inst{Addr: 1, UOps: 1, Kind: isa.Mov})
+	for range 20 {
+		period(&q)
+	}
+	var prev IDQ
+	prev.CopyFrom(&q)
+	period(&q)
+	if !q.Recurs(&prev) {
+		t.Fatal("the ring does not recur after one period")
+	}
+	for name, change := range map[string]func(x *IDQ){
+		"occupancy": func(x *IDQ) { x.size++ },
+		"live slot": func(x *IDQ) { x.buf[x.head].Addr++ },
+		"dead slot": func(x *IDQ) { x.buf[(x.head+x.mask)&x.mask].Addr++ },
+	} {
+		var x IDQ
+		x.CopyFrom(&q)
+		change(&x)
+		if x.Recurs(&prev) {
+			t.Errorf("%s: ring still recurs", name)
+		}
+	}
+	var want IDQ
+	want.CopyFrom(&q)
+	for range 7 {
+		period(&want)
+	}
+	q.Advance(&prev, 7)
+	if !reflect.DeepEqual(q, want) {
+		t.Fatalf("advanced ring %+v, stepping gives %+v", q, want)
+	}
+}
+
+// TestBackendAdvance pins that Advance repeats a period's retirement:
+// retire and port-conflict counts and the alternating priority end
+// where running the periods does.
+func TestBackendAdvance(t *testing.T) {
+	var idq [2]IDQ
+	idq[0], idq[1] = NewIDQ(64), NewIDQ(64)
+	b := New(DefaultParams())
+	cycles := uint64(0)
+	period := func(b *Backend) {
+		for range 7 {
+			idq[0].Push(isa.Inst{Kind: isa.Load, UOps: 1})
+		}
+		for idq[0].Len() > 0 {
+			b.Cycle(&idq, nil)
+			cycles++
+		}
+	}
+	period(b)
+	prev := *b
+	cycles = 0
+	period(b)
+	per := cycles
+	want := *b
+	for range 4 {
+		period(&want)
+	}
+	b.Advance(&prev, 4, per)
+	if *b != want || b.PortConflicts == prev.PortConflicts || per&1 == 0 {
+		t.Fatalf("advanced %+v, stepping gives %+v (period %d cycles)", *b, want, per)
 	}
 }

@@ -123,3 +123,17 @@ func (p *Predictor) Stats() Stats { return p.stats }
 
 // ResetStats clears the counters without clearing learned state.
 func (p *Predictor) ResetStats() { p.stats = Stats{} }
+
+// Recurs reports whether p, a copy of prev some branches later, has
+// prev's counters, targets and history: every later prediction is then
+// the one prev would make.
+func (p *Predictor) Recurs(prev *Predictor) bool {
+	return p.ghr == prev.ghr && p.pht == prev.pht && p.btb == prev.btb
+}
+
+// Advance moves a predictor that Recurs from prev forward by k more
+// repetitions of the branches since prev: only the statistics move.
+func (p *Predictor) Advance(prev *Predictor, k uint64) {
+	p.stats.Lookups += k * (p.stats.Lookups - prev.stats.Lookups)
+	p.stats.Mispredicts += k * (p.stats.Mispredicts - prev.stats.Mispredicts)
+}

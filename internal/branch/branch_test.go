@@ -125,3 +125,48 @@ func TestTargetMismatchIsMispredict(t *testing.T) {
 		t.Error("target change should count as mispredict")
 	}
 }
+
+// TestRecursAndAdvance pins the steady-loop skip's predictor helpers on
+// two taken branches that share a BTB entry, so each mispredicts every
+// period: the tables recur, any changed history, counter or target
+// breaks the recurrence, and Advance lands where resolving the branches
+// does.
+func TestRecursAndAdvance(t *testing.T) {
+	p := New()
+	a := uint64(0x41_8040)
+	b := a + 1
+	for p.btbIndex(b) != p.btbIndex(a) {
+		b++
+	}
+	period := func(p *Predictor) {
+		p.Resolve(a, true, 0x41_9000)
+		p.Resolve(b, true, 0x41_a000)
+	}
+	for range 10 {
+		period(p)
+	}
+	prev := *p
+	period(p)
+	if !p.Recurs(&prev) || p.stats.Mispredicts-prev.stats.Mispredicts != 2 {
+		t.Fatalf("recurs %v, %d mispredicts per period", p.Recurs(&prev), p.stats.Mispredicts-prev.stats.Mispredicts)
+	}
+	for name, change := range map[string]func(x *Predictor){
+		"history": func(x *Predictor) { x.ghr ^= 1 },
+		"counter": func(x *Predictor) { x.pht[7]-- },
+		"target":  func(x *Predictor) { x.btb[x.btbIndex(a)].target++ },
+	} {
+		x := *p
+		change(&x)
+		if x.Recurs(&prev) {
+			t.Errorf("%s: still recurs", name)
+		}
+	}
+	want := *p
+	for range 5 {
+		period(&want)
+	}
+	p.Advance(&prev, 5)
+	if *p != want {
+		t.Fatalf("advanced stats %+v, resolving gives %+v", p.stats, want.stats)
+	}
+}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -250,5 +251,66 @@ func TestInvariantOccupancyBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecursAndAdvance pins the steady-loop skip's cache helpers on a
+// period that cycles nine lines through one 8-way set, so a line moves
+// to the next way every period and the ways return to their tags only
+// every eighth period; it also flushes and refills one line. Recency
+// compares by order, any changed tag, valid bit or order breaks the
+// recurrence, and Advance lands where running the periods does.
+func TestRecursAndAdvance(t *testing.T) {
+	c := l1()
+	stride := uint64(c.cfg.Sets * c.cfg.LineSize)
+	period := func(c *Cache) {
+		for i := range uint64(9) {
+			c.Access(0x1000 + i*stride)
+		}
+		c.FlushLine(0x2040)
+		c.Access(0x2040)
+		c.Access(0x3080)
+	}
+	octave := func(c *Cache) {
+		for range 8 {
+			period(c)
+		}
+	}
+	octave(c)
+	var prev Cache
+	prev.CopyFrom(c)
+	period(c)
+	if c.Recurs(&prev) {
+		t.Fatal("recurs after one period, with every line in the thrashed set moved")
+	}
+	c.CopyFrom(&prev)
+	octave(c)
+	if !c.Recurs(&prev) {
+		t.Fatal("does not recur after eight periods")
+	}
+	lines := func(x *Cache) []line { return x.set(x.Set(0x1000)) }
+	for name, change := range map[string]func(x *Cache){
+		"tag":   func(x *Cache) { lines(x)[0].tag++ },
+		"valid": func(x *Cache) { x.set(x.Set(0x2040))[0].valid = false },
+		"order": func(x *Cache) {
+			l := lines(x)
+			l[0].lru, l[1].lru = l[1].lru, l[0].lru
+		},
+	} {
+		var x Cache
+		x.CopyFrom(c)
+		change(&x)
+		if x.Recurs(&prev) {
+			t.Errorf("%s: still recurs", name)
+		}
+	}
+	var want Cache
+	want.CopyFrom(c)
+	for range 3 {
+		octave(&want)
+	}
+	c.Advance(&prev, 3)
+	if !reflect.DeepEqual(*c, want) {
+		t.Fatalf("advanced %+v\nstepping gives %+v", c.stats, want.stats)
 	}
 }

@@ -21,7 +21,6 @@ func (c *Core) CopyFrom(src *Core) {
 	c.TSC.CopyFrom(src.TSC)
 	*c.R = *src.R
 	c.cycle = src.cycle
-	c.lastActive = src.lastActive
 	c.lastBoth = src.lastBoth
 	c.miteHold = src.miteHold
 	c.prevLSD, c.prevDSB, c.prevMITE, c.prevStall = src.prevLSD, src.prevDSB, src.prevMITE, src.prevStall

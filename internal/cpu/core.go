@@ -44,13 +44,12 @@ type Core struct {
 	TSC   *timer.TSC
 	R     *rng.RNG
 
-	cycle      uint64
-	queue      [2][]*Task
-	qhead      [2]int // next undispatched index into queue[t]
-	cur        [2]*Task
-	lastActive [2]uint64
-	lastBoth   uint64
-	miteHold   int // thread holding the fetch slot an extra cycle, or -1
+	cycle    uint64
+	queue    [2][]*Task
+	qhead    [2]int // next undispatched index into queue[t]
+	cur      [2]*Task
+	lastBoth uint64
+	miteHold int // thread holding the fetch slot an extra cycle, or -1
 
 	// memHook is the L1D wiring passed to the backend every cycle, built
 	// once so Step does not rebuild the closure.
@@ -60,6 +59,11 @@ type Core struct {
 	// Step tracks per-cycle deltas of just these four scalars instead of
 	// diffing two full ThreadCounters structs every cycle.
 	prevLSD, prevDSB, prevMITE, prevStall uint64
+
+	// snap is the steady-loop skip's snapshot buffer, reused across run
+	// loop calls. It holds a snapshot only inside a call and is kept at
+	// length zero between calls, so it carries no state.
+	snap []loopSnap
 }
 
 // NewCore builds a core for the given model, seeded deterministically.
@@ -141,9 +145,6 @@ func (c *Core) Step() {
 			if task.measCb != nil {
 				task.miteBefore = c.FE.Ctr[t].UOpsMITE
 			}
-		}
-		if c.cur[t] != nil {
-			c.lastActive[t] = c.cycle
 		}
 	}
 
@@ -250,17 +251,20 @@ func (c *Core) AbortThread(t int) {
 // or queued task on either thread and both IDQs empty, are skipped in
 // bulk: on such a cycle Step changes only the cycle count, the backend's
 // retire priority and the meter's static energy, so skipIdle applies
-// exactly those changes. Every simulated value matches n calls of Step.
+// exactly those changes. A lone thread's loop whose state recurs is
+// fast-forwarded by whole periods (see steady.go). Every simulated value
+// matches n calls of Step.
 func (c *Core) RunCycles(n uint64) {
-	for n > 0 {
-		k := c.idleSpan(n)
-		if k == 0 {
-			c.Step()
-			k = 1
-		} else {
+	end := c.cycle + min(n, ^uint64(0)-c.cycle)
+	var d loopDetector
+	defer d.disarm(c)
+	for c.cycle < end {
+		if k := c.idleSpan(end - c.cycle); k > 0 {
 			c.skipIdle(k)
+			continue
 		}
-		n -= k
+		c.Step()
+		d.step(c, end)
 	}
 }
 
@@ -290,14 +294,20 @@ func (c *Core) skipIdle(k uint64) {
 }
 
 // RunUntilIdle steps until both threads drain, or panics after maxCycles
-// as a runaway guard.
+// as a runaway guard. Like RunCycles it fast-forwards a recurring loop,
+// never past the guard, so it panics at the cycle and in the state
+// stepping would.
 func (c *Core) RunUntilIdle(maxCycles uint64) {
 	start := c.cycle
+	limit := start + min(maxCycles, ^uint64(0)-start)
+	var d loopDetector
+	defer d.disarm(c)
 	for !c.Idle() {
 		c.Step()
 		if c.cycle-start > maxCycles {
 			panic(fmt.Sprintf("cpu: RunUntilIdle exceeded %d cycles", maxCycles))
 		}
+		d.step(c, limit)
 	}
 }
 

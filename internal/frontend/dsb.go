@@ -36,8 +36,13 @@ type dsbEntry struct {
 // index changes, the eviction mechanism behind the MT attacks (Section
 // V-A).
 type DSB struct {
-	p           Params
-	sets        [][]dsbEntry // [set][entries]; line occupancy tracked per entry
+	p Params
+	// sets holds DSBWays entry slots per set, set after set (set i is
+	// sets[i*DSBWays:(i+1)*DSBWays]), so the whole array is one buffer.
+	// A set's entries occupy a prefix of its slots, used[i] long; line
+	// occupancy is tracked per entry.
+	sets        []dsbEntry
+	used        []uint8
 	tick        uint64
 	partitioned bool
 	stats       DSBStats
@@ -53,11 +58,27 @@ type DSB struct {
 
 // NewDSB builds an empty DSB from p.
 func NewDSB(p Params) *DSB {
-	d := &DSB{p: p, sets: make([][]dsbEntry, p.DSBSets)}
-	for i := range d.sets {
-		d.sets[i] = make([]dsbEntry, 0, p.DSBWays)
+	return &DSB{p: p, sets: make([]dsbEntry, p.DSBSets*p.DSBWays), used: make([]uint8, p.DSBSets)}
+}
+
+// set returns the entries of set i: the slots in use.
+func (d *DSB) set(i int) []dsbEntry {
+	w := d.p.DSBWays
+	return d.sets[i*w : i*w+int(d.used[i])]
+}
+
+// place stores e in the first invalid entry of set i, or in its next
+// unused slot.
+func (d *DSB) place(i int, e dsbEntry) {
+	set := d.set(i)
+	for j := range set {
+		if !set[j].valid {
+			set[j] = e
+			return
+		}
 	}
-	return d
+	d.sets[i*d.p.DSBWays+len(set)] = e
+	d.used[i]++
 }
 
 // Partitioned reports whether the DSB is currently set-partitioned.
@@ -85,7 +106,7 @@ func (d *DSB) SetIndex(thread int, window uint64) int {
 // refreshes its recency on a hit.
 func (d *DSB) Lookup(thread int, window uint64) bool {
 	d.tick++
-	set := d.sets[d.SetIndex(thread, window)]
+	set := d.set(d.SetIndex(thread, window))
 	for i := range set {
 		if set[i].valid && set[i].thread == thread && set[i].window == window {
 			set[i].lru = d.tick
@@ -99,7 +120,7 @@ func (d *DSB) Lookup(thread int, window uint64) bool {
 
 // Contains reports residency without updating recency or counters.
 func (d *DSB) Contains(thread int, window uint64) bool {
-	set := d.sets[d.SetIndex(thread, window)]
+	set := d.set(d.SetIndex(thread, window))
 	for i := range set {
 		if set[i].valid && set[i].thread == thread && set[i].window == window {
 			return true
@@ -128,7 +149,7 @@ func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
 	}
 	d.tick++
 	idx := d.SetIndex(thread, window)
-	set := d.sets[idx]
+	set := d.set(idx)
 	evicted := d.evictScratch[:0]
 	for d.usedLines(set)+lines > d.p.DSBWays {
 		v := d.lruVictim(set)
@@ -140,20 +161,9 @@ func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
 		set[v].valid = false
 		d.stats.Evictions++
 	}
-	// Reuse an invalid slot or append.
-	e := dsbEntry{window: window, thread: thread, lines: lines, uops: uops, lru: d.tick, valid: true}
-	placed := false
-	for i := range set {
-		if !set[i].valid {
-			set[i] = e
-			placed = true
-			break
-		}
-	}
-	if !placed {
-		set = append(set, e)
-	}
-	d.sets[idx] = set
+	// Eviction left an invalid entry or an unused slot, since every
+	// valid entry holds at least one line.
+	d.place(idx, dsbEntry{window: window, thread: thread, lines: lines, uops: uops, lru: d.tick, valid: true})
 	d.stats.Fills++
 	d.evictScratch = evicted[:0]
 	return evicted
@@ -163,8 +173,8 @@ func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
 // every set — the occupancy observable of the leakage contract.
 func (d *DSB) TotalLines() int {
 	n := 0
-	for _, set := range d.sets {
-		n += d.usedLines(set)
+	for si := 0; si < d.p.DSBSets; si++ {
+		n += d.usedLines(d.set(si))
 	}
 	return n
 }
@@ -202,8 +212,9 @@ func (d *DSB) SetPartitioned(on bool) []Evicted {
 	}
 	surviving := d.survScratch[:0]
 	evicted := d.evictScratch[:0]
-	for si := range d.sets {
-		for _, e := range d.sets[si] {
+	for si := 0; si < d.p.DSBSets; si++ {
+		set := d.set(si)
+		for _, e := range set {
 			if !e.valid {
 				continue
 			}
@@ -217,12 +228,13 @@ func (d *DSB) SetPartitioned(on bool) []Evicted {
 				d.stats.Evictions++
 			}
 		}
-		d.sets[si] = d.sets[si][:0]
+		clear(set)
+		d.used[si] = 0
 	}
 	d.partitioned = on
 	d.stats.Partitions++
 	for _, e := range surviving {
-		d.sets[d.SetIndex(e.thread, e.window)] = append(d.sets[d.SetIndex(e.thread, e.window)], e)
+		d.place(d.SetIndex(e.thread, e.window), e)
 	}
 	d.survScratch = surviving[:0]
 	d.evictScratch = evicted[:0]
@@ -235,13 +247,11 @@ func (d *DSB) SetPartitioned(on bool) []Evicted {
 func (d *DSB) InvalidateWindowRange(thread int, addr uint64, bytes uint64) {
 	first := isa.Window(addr)
 	last := isa.Window(addr + bytes - 1)
-	for si := range d.sets {
-		for i := range d.sets[si] {
-			e := &d.sets[si][i]
-			if e.valid && e.thread == thread && e.window >= first && e.window <= last {
-				e.valid = false
-				d.stats.Evictions++
-			}
+	for i := range d.sets {
+		e := &d.sets[i]
+		if e.valid && e.thread == thread && e.window >= first && e.window <= last {
+			e.valid = false
+			d.stats.Evictions++
 		}
 	}
 }
@@ -249,12 +259,10 @@ func (d *DSB) InvalidateWindowRange(thread int, addr uint64, bytes uint64) {
 // InvalidateThread drops every window owned by a thread (used by enclave
 // exit modelling and tests).
 func (d *DSB) InvalidateThread(thread int) {
-	for si := range d.sets {
-		for i := range d.sets[si] {
-			if d.sets[si][i].valid && d.sets[si][i].thread == thread {
-				d.sets[si][i].valid = false
-				d.stats.Evictions++
-			}
+	for i := range d.sets {
+		if e := &d.sets[i]; e.valid && e.thread == thread {
+			e.valid = false
+			d.stats.Evictions++
 		}
 	}
 }
@@ -262,7 +270,7 @@ func (d *DSB) InvalidateThread(thread int) {
 // OccupiedLines returns how many of a set's 8 ways hold valid lines under
 // the current mode, for the set that window would map to for thread.
 func (d *DSB) OccupiedLines(thread int, window uint64) int {
-	return d.usedLines(d.sets[d.SetIndex(thread, window)])
+	return d.usedLines(d.set(d.SetIndex(thread, window)))
 }
 
 // WindowOf is a convenience re-export of the ISA window function.

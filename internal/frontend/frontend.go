@@ -36,6 +36,10 @@ type Frontend struct {
 
 	// Ctr holds per-thread event counters.
 	Ctr [2]ThreadCounters
+
+	// log, while non-nil, records the float counter addends of a loop
+	// period being verified (see Snapshot).
+	log *LoopSnap
 }
 
 type fthread struct {
@@ -265,6 +269,9 @@ func (f *Frontend) switchTo(t int, src Source, addr uint64) {
 		th.stall += pen * f.P.SwitchOverlapCharge
 		f.Ctr[t].SwitchCycles += pen
 		f.Ctr[t].SwitchCount++
+		if f.log != nil {
+			f.log.swAdds = append(f.log.swAdds, pen)
+		}
 	}
 }
 
@@ -383,6 +390,9 @@ func (f *Frontend) deliverMITE(t, budget int) (int, Source) {
 			}
 			th.stall += charge
 			f.Ctr[t].LCPStallCycles += count
+			if f.log != nil {
+				f.log.lcpAdds = append(f.log.lcpAdds, count)
+			}
 		}
 		n += int(in.UOps)
 		f.trackFill(t, in)

@@ -165,8 +165,6 @@ type ThreadCounters struct {
 	SwitchCount    uint64
 	Mispredicts    uint64
 	L1IMisses      uint64
-	LSDLocks       uint64
-	LSDFlushes     uint64
 }
 
 // UOps returns total micro-ops delivered on this thread.
@@ -187,8 +185,6 @@ func (c ThreadCounters) Add(o ThreadCounters) ThreadCounters {
 		SwitchCount:    c.SwitchCount + o.SwitchCount,
 		Mispredicts:    c.Mispredicts + o.Mispredicts,
 		L1IMisses:      c.L1IMisses + o.L1IMisses,
-		LSDLocks:       c.LSDLocks + o.LSDLocks,
-		LSDFlushes:     c.LSDFlushes + o.LSDFlushes,
 	}
 }
 
@@ -206,7 +202,29 @@ func (c ThreadCounters) Sub(o ThreadCounters) ThreadCounters {
 		SwitchCount:    c.SwitchCount - o.SwitchCount,
 		Mispredicts:    c.Mispredicts - o.Mispredicts,
 		L1IMisses:      c.L1IMisses - o.L1IMisses,
-		LSDLocks:       c.LSDLocks - o.LSDLocks,
-		LSDFlushes:     c.LSDFlushes - o.LSDFlushes,
+	}
+}
+
+// advance moves c forward by k more repetitions of its change since
+// prev: each integer counter grows by k more times its growth, and the
+// float counters, whose sums round, receive the logged addends lcp and
+// sw again, in order, k times over.
+func (c *ThreadCounters) advance(prev *ThreadCounters, k uint64, lcp, sw []float64) {
+	c.UOpsLSD += k * (c.UOpsLSD - prev.UOpsLSD)
+	c.UOpsDSB += k * (c.UOpsDSB - prev.UOpsDSB)
+	c.UOpsMITE += k * (c.UOpsMITE - prev.UOpsMITE)
+	c.StallCycles += k * (c.StallCycles - prev.StallCycles)
+	c.IdleCycles += k * (c.IdleCycles - prev.IdleCycles)
+	c.DeliveryCycles += k * (c.DeliveryCycles - prev.DeliveryCycles)
+	c.SwitchCount += k * (c.SwitchCount - prev.SwitchCount)
+	c.Mispredicts += k * (c.Mispredicts - prev.Mispredicts)
+	c.L1IMisses += k * (c.L1IMisses - prev.L1IMisses)
+	for range k {
+		for _, a := range lcp {
+			c.LCPStallCycles += a
+		}
+		for _, a := range sw {
+			c.SwitchCycles += a
+		}
 	}
 }

@@ -159,6 +159,21 @@ func (s *LoopStream) CloneStream() Stream {
 	return &c
 }
 
+// Progress returns how many iterations the stream has started past,
+// counting from zero, and how many it runs in all.
+func (s *LoopStream) Progress() (iter, iters int) { return s.iter, s.iters }
+
+// Recurs reports whether s, a copy of prev some whole iterations later,
+// is at prev's position in the same loop.
+func (s *LoopStream) Recurs(prev *LoopStream) bool {
+	return s.pos == prev.pos && s.iters == prev.iters && s.iter > prev.iter &&
+		len(s.flat) == len(prev.flat) && &s.flat[0] == &prev.flat[0]
+}
+
+// Advance moves a stream that Recurs from prev forward by k more times
+// the iterations it ran since prev.
+func (s *LoopStream) Advance(prev *LoopStream, k int) { s.iter += k * (s.iter - prev.iter) }
+
 // CloneStream implements CloneableStream. The instruction slice is
 // immutable and shared; the position is copied.
 func (s *SeqStream) CloneStream() Stream {

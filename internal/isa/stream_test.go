@@ -159,3 +159,43 @@ func TestFuncStream(t *testing.T) {
 		t.Errorf("FuncStream uops = %d, want 3", got)
 	}
 }
+
+// TestLoopStreamRecursAndAdvance pins the steady-loop skip's stream
+// helpers: a stream whole iterations past its copy recurs, every other
+// difference breaks the recurrence, and Advance lands exactly where
+// drawing the skipped instructions would.
+func TestLoopStreamRecursAndAdvance(t *testing.T) {
+	flat := Flatten(MixChain(3, 2, true))
+	s := NewFlatLoopStream(flat, 100)
+	for range 3 {
+		s.Next()
+	}
+	prev := *s
+	for range 2 * len(flat) {
+		s.Next()
+	}
+	if !s.Recurs(&prev) {
+		t.Fatal("two iterations later the stream does not recur")
+	}
+	for name, change := range map[string]func(x *LoopStream){
+		"position":     func(x *LoopStream) { x.pos++ },
+		"total":        func(x *LoopStream) { x.iters++ },
+		"no iteration": func(x *LoopStream) { x.iter = prev.iter },
+		"shorter body": func(x *LoopStream) { x.flat = x.flat[:len(x.flat)-1] },
+		"other body":   func(x *LoopStream) { x.flat = slices.Clone(x.flat) },
+	} {
+		x := *s
+		change(&x)
+		if x.Recurs(&prev) {
+			t.Errorf("%s: stream still recurs", name)
+		}
+	}
+	want := *s
+	for range 3 * 2 * len(flat) {
+		want.Next()
+	}
+	s.Advance(&prev, 3)
+	if s.pos != want.pos || s.iter != want.iter {
+		t.Fatalf("advanced to pos %d iter %d, drawing reaches pos %d iter %d", s.pos, s.iter, want.pos, want.iter)
+	}
+}

@@ -67,15 +67,25 @@ func NewMeter(p Params) *Meter { return &Meter{P: p} }
 // activity, micro-ops delivered by each path and stall cycles, and the
 // number of micro-ops retired.
 func (m *Meter) AddCycleDelta(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, retired int) {
-	m.cycles++
+	m.addCycle(m.CycleEnergy(uopsLSD, uopsDSB, uopsMITE, stallCycles, retired))
+}
+
+// CycleEnergy returns the energy AddCycleDelta accrues for one cycle of
+// the given activity.
+func (m *Meter) CycleEnergy(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, retired int) float64 {
 	e := m.P.StaticWatts
 	e += float64(uopsLSD) * m.P.EnergyLSDUOp
 	e += float64(uopsDSB) * m.P.EnergyDSBUOp
 	e += float64(uopsMITE) * m.P.EnergyMITEUOp
 	e += float64(retired) * m.P.EnergyRetireUOp
 	e += float64(stallCycles) * m.P.EnergyStallCycle
-	m.energy += e
+	return e
+}
 
+// addCycle accrues one cycle costing e and publishes RAPL when due.
+func (m *Meter) addCycle(e float64) {
+	m.cycles++
+	m.energy += e
 	if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
 		m.publish()
 	}
@@ -88,12 +98,7 @@ func (m *Meter) AddCycleDelta(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, re
 // same cycles.
 func (m *Meter) AddIdleCycles(k uint64) {
 	for k > 0 {
-		// Cycles up to and including the next publication.
-		n := uint64(1)
-		if since := m.cycles - m.raplCycle; since < m.P.RAPLIntervalCycles {
-			n = m.P.RAPLIntervalCycles - since
-		}
-		n = min(n, k)
+		n := min(m.untilPublish(), k)
 		e, w := m.energy, m.P.StaticWatts
 		for range n {
 			e += w
@@ -105,6 +110,37 @@ func (m *Meter) AddIdleCycles(k uint64) {
 			m.publish()
 		}
 	}
+}
+
+// Replay accrues k repetitions of the recorded cycles whose CycleEnergy
+// values es holds, exactly as calling AddCycleDelta for each of them in
+// order, k times over, would: the energy is added one cycle at a time
+// and RAPL publishes on the same cycles.
+func (m *Meter) Replay(es []float64, k uint64) {
+	for range k {
+		for rest := es; len(rest) > 0; {
+			n := min(m.untilPublish(), uint64(len(rest)))
+			e := m.energy
+			for _, x := range rest[:n] {
+				e += x
+			}
+			m.energy = e
+			m.cycles += n
+			rest = rest[n:]
+			if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
+				m.publish()
+			}
+		}
+	}
+}
+
+// untilPublish returns how many cycles to accrue up to and including
+// the next RAPL publication.
+func (m *Meter) untilPublish() uint64 {
+	if since := m.cycles - m.raplCycle; since < m.P.RAPLIntervalCycles {
+		return m.P.RAPLIntervalCycles - since
+	}
+	return 1
 }
 
 func (m *Meter) publish() {
