@@ -11,9 +11,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenOpts is the committed golden scale: small enough that the
-// whole matrix regenerates in about a minute, fixed forever so the
-// files never legitimately change. (The power and SGX tables dominate
-// the cost through their per-bit iteration floors, not Bits.)
+// whole matrix regenerates in seconds, fixed forever so the files never
+// legitimately change. (Figure 12's fingerprint study dominates the
+// cost.)
 var goldenOpts = Opts{Bits: 24, Samples: 25}
 
 // goldenSeeds are the two committed seeds; asserting both catches a
@@ -21,30 +21,34 @@ var goldenOpts = Opts{Bits: 24, Samples: 25}
 // would miss.
 var goldenSeeds = []uint64{1, 2}
 
-// goldenArtifacts are the channel tables and the d-sweep — the paper
-// numbers a sweep-engine refactor is most likely to perturb. The cheap
-// set runs under -short too; the expensive set (multi-second power,
-// SGX, and MT renders) only in full mode, which is the repository's
-// tier-1 gate.
+// goldenArtifacts are the channel tables, the d-sweep, the defense
+// ablation and its advisory, and the fingerprinting figures — the paper
+// numbers a refactor of the simulator, the sweep engine or the
+// fingerprint loop is most likely to perturb. Every case runs under
+// -short too except Figure 12, which takes seconds per seed; full mode
+// is the repository's tier-1 gate.
 var goldenArtifacts = []struct {
 	name      string
 	expensive bool
 }{
-	{"tableII", true},
+	{"tableII", false},
 	{"tableIII", false},
 	{"tableIV", false},
-	{"tableV", true},
-	{"tableVI", true},
-	{"figure8", true},
-	{"tableXII", true},
-	{"advisoryXII", true},
+	{"tableV", false},
+	{"tableVI", false},
+	{"figure8", false},
+	{"tableXII", false},
+	{"advisoryXII", false},
+	{"figure11", false},
+	{"figure12", true},
 }
 
-// TestGoldenRenderings pins the rendered bytes of Tables II-VI and
-// Figure 8 at two fixed seeds against committed files: a refactor of
-// the channel stack (spec, sweep, attack layers) that drifts any
-// paper number by even one formatting unit fails here instead of
-// landing silently. Regenerate intentionally with
+// TestGoldenRenderings pins the rendered bytes of Tables II-VI, Figure
+// 8, the Table XII ablation and its advisory, and Figures 11 and 12 at
+// two fixed seeds against committed files: a refactor of the channel
+// stack (spec, sweep, attack layers) or of the fingerprint loop that
+// drifts any paper number by even one formatting unit fails here
+// instead of landing silently. Regenerate intentionally with
 //
 //	go test ./internal/experiments -run TestGoldenRenderings -update
 //
