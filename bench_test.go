@@ -13,10 +13,12 @@ import (
 	"testing"
 
 	leaky "repro"
+	"repro/internal/defense"
+	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
-func opts() leaky.ExperimentOpts { return leaky.ExperimentOpts{Bits: 120, Seed: 1} }
+func opts() experiments.Opts { return experiments.Opts{Bits: 120, Seed: 1} }
 
 func BenchmarkTableI_Models(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -28,7 +30,7 @@ func BenchmarkTableI_Models(b *testing.B) {
 
 func BenchmarkFigure2_PathHistogram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		data, _ := leaky.Figure2(opts())
+		data, _, _ := experiments.Figure2(experiments.RunCtx{}, opts())
 		b.ReportMetric(stats.Mean(data.DSB), "DSB-cycles")
 		b.ReportMetric(stats.Mean(data.LSD), "LSD-cycles")
 		b.ReportMetric(stats.Mean(data.MITE), "MITE-cycles")
@@ -37,7 +39,7 @@ func BenchmarkFigure2_PathHistogram(b *testing.B) {
 
 func BenchmarkFigure4_LCPIssue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _ := leaky.Figure4(opts())
+		rows, _, _ := experiments.Figure4(experiments.RunCtx{}, opts())
 		b.ReportMetric(rows[0].IPC, "mixed-IPC")
 		b.ReportMetric(rows[1].IPC, "ordered-IPC")
 	}
@@ -47,7 +49,7 @@ func BenchmarkTableII_MTEvictionPatterns(b *testing.B) {
 	o := opts()
 	o.Bits = 60
 	for i := 0; i < b.N; i++ {
-		res, _ := leaky.TableII(o)
+		res, _, _ := experiments.TableII(experiments.RunCtx{}, o)
 		var worst float64
 		for _, r := range res {
 			if r.ErrorRate > worst {
@@ -62,7 +64,7 @@ func BenchmarkTableIII_CovertMatrix(b *testing.B) {
 	o := opts()
 	o.Bits = 80
 	for i := 0; i < b.N; i++ {
-		res, _ := leaky.TableIII(o)
+		res, _, _ := experiments.TableIII(experiments.RunCtx{}, o)
 		var maxRate float64
 		for _, r := range res {
 			if r.RateKbps > maxRate {
@@ -75,7 +77,7 @@ func BenchmarkTableIII_CovertMatrix(b *testing.B) {
 
 func BenchmarkTableIV_SlowSwitch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, _ := leaky.TableIV(opts())
+		res, _, _ := experiments.TableIV(experiments.RunCtx{}, opts())
 		b.ReportMetric(res[0].RateKbps, "G6226-Kbps")
 		b.ReportMetric(res[1].RateKbps, "E2288G-Kbps")
 	}
@@ -85,7 +87,7 @@ func BenchmarkTableV_PowerChannels(b *testing.B) {
 	o := opts()
 	o.Bits = 60 // 5 power bits after scaling
 	for i := 0; i < b.N; i++ {
-		res, _ := leaky.TableV(o)
+		res, _, _ := experiments.TableV(experiments.RunCtx{}, o)
 		b.ReportMetric(res[0].RateKbps, "evict-Kbps")
 		b.ReportMetric(res[1].RateKbps, "misalign-Kbps")
 	}
@@ -95,7 +97,7 @@ func BenchmarkTableVI_SGX(b *testing.B) {
 	o := opts()
 	o.Bits = 48
 	for i := 0; i < b.N; i++ {
-		res, _ := leaky.TableVI(o)
+		res, _, _ := experiments.TableVI(experiments.RunCtx{}, o)
 		var maxRate float64
 		for _, r := range res {
 			if r.RateKbps > maxRate {
@@ -108,7 +110,7 @@ func BenchmarkTableVI_SGX(b *testing.B) {
 
 func BenchmarkTableVII_SpectreMissRates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, _ := leaky.TableVII(opts())
+		res, _, _ := experiments.TableVII(experiments.RunCtx{}, opts())
 		for _, r := range res {
 			if r.Channel == leaky.SpectreFrontend {
 				b.ReportMetric(r.L1MissRate*100, "frontend-miss-%")
@@ -122,7 +124,7 @@ func BenchmarkFigure8_DSweep(b *testing.B) {
 	o := opts()
 	o.Bits = 40
 	for i := 0; i < b.N; i++ {
-		pts, _ := leaky.Figure8(o)
+		pts, _, _ := experiments.Figure8(experiments.RunCtx{}, o)
 		b.ReportMetric(pts[0].RateKbps, "G6226-d1-Kbps")
 		b.ReportMetric(pts[5].RateKbps, "G6226-d6-Kbps")
 	}
@@ -130,7 +132,7 @@ func BenchmarkFigure8_DSweep(b *testing.B) {
 
 func BenchmarkFigure9_PowerHistogram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		d, _ := leaky.Figure9(opts())
+		d, _, _ := experiments.Figure9(experiments.RunCtx{}, opts())
 		b.ReportMetric(stats.Mean(d.LSD), "LSD-W")
 		b.ReportMetric(stats.Mean(d.DSB), "DSB-W")
 		b.ReportMetric(stats.Mean(d.MITE), "MITE-W")
@@ -139,7 +141,7 @@ func BenchmarkFigure9_PowerHistogram(b *testing.B) {
 
 func BenchmarkFigure10_Microcode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		obs, _ := leaky.Figure10(opts())
+		obs, _, _ := experiments.Figure10(experiments.RunCtx{}, opts())
 		b.ReportMetric(obs[0].Ratio(), "patch1-ratio")
 		b.ReportMetric(obs[1].Ratio(), "patch2-ratio")
 	}
@@ -147,14 +149,14 @@ func BenchmarkFigure10_Microcode(b *testing.B) {
 
 func BenchmarkFigure11_CNNTraces(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		traces, _ := leaky.Figure11(opts())
+		traces, _, _ := experiments.Figure11(experiments.RunCtx{}, opts())
 		b.ReportMetric(float64(len(traces)), "victims")
 	}
 }
 
 func BenchmarkFigure12_Distances(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cnn, gb, _ := leaky.Figure12(opts())
+		cnn, gb, _, _ := experiments.Figure12(experiments.RunCtx{}, opts())
 		b.ReportMetric(cnn.Intra, "cnn-intra")
 		b.ReportMetric(cnn.Inter, "cnn-inter")
 		b.ReportMetric(gb.Inter, "geekbench-inter")
@@ -216,12 +218,26 @@ func BenchmarkServe_ArtifactCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkAblation_Defenses measures the stealthy eviction channel —
+// whose bits differ only in which frontend path serves them — with and
+// without the eqpaths defense, and that defense's throughput price.
 func BenchmarkAblation_Defenses(b *testing.B) {
+	eq, ok := defense.Lookup(defense.DefenseEqualizePaths)
+	if !ok {
+		b.Fatal("eqpaths is not registered")
+	}
+	residual := func(def string) float64 {
+		cs := leaky.ChannelSpec{Model: "Xeon E-2288G", Stealthy: true, CalibBits: 30, Seed: 1, Defense: def}
+		res, err := cs.Transmit(leaky.Alternating(60))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.ErrorRate
+	}
 	for i := 0; i < b.N; i++ {
-		base := leaky.XeonE2288G()
-		baseErr := leaky.DefenseResidualError(base, 60, 1)
-		defErr := leaky.DefenseResidualError(leaky.EqualizePaths(base), 60, 1)
-		cost := leaky.DefenseCost(leaky.Gold6226(), leaky.EqualizePaths(leaky.Gold6226()), 1)
+		baseErr := residual(defense.DefenseNone)
+		defErr := residual(defense.DefenseEqualizePaths)
+		cost := defense.PerformanceCost(leaky.Gold6226(), eq.Apply(leaky.Gold6226()), 1)
 		b.ReportMetric(baseErr*100, "baseline-err-%")
 		b.ReportMetric(defErr*100, "defended-err-%")
 		b.ReportMetric(cost, "slowdown-x")

@@ -9,9 +9,6 @@
 //	covertchan -model "Xeon E-2174G" -sgx -stealthy -text SECRET
 //	covertchan -threading mt -defense partition -text HI
 //	covertchan -list          # print the valid scenario space for -model
-//
-// The historical -attack and -variant flags remain as deprecated
-// aliases for the spec flags.
 package main
 
 import (
@@ -20,7 +17,7 @@ import (
 	"os"
 	"strings"
 
-	leaky "repro"
+	"repro/internal/spec"
 )
 
 // toBits encodes text as a bit string, MSB first.
@@ -62,18 +59,14 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "channel seed (0 means the default 1)")
 		text      = flag.String("text", "LEAKY", "message to transmit")
 		list      = flag.Bool("list", false, "print the valid scenario space for -model and exit")
-
-		// Deprecated aliases, kept one release.
-		attack  = flag.String("attack", "", "deprecated: eviction | misalignment | slowswitch | power (use -mechanism/-sink)")
-		variant = flag.String("variant", "", "deprecated: fast | stealthy | mt | sgx (use -stealthy/-threading/-sgx)")
 	)
 	flag.Parse()
 
-	cs := leaky.ChannelSpec{
+	cs := spec.ChannelSpec{
 		Model:     *model,
-		Mechanism: leaky.Mechanism(*mechanism),
-		Threading: leaky.Threading(*threading),
-		Sink:      leaky.ChannelSink(*sink),
+		Mechanism: spec.Mechanism(*mechanism),
+		Threading: spec.Threading(*threading),
+		Sink:      spec.Sink(*sink),
 		SGX:       *sgxOn,
 		Stealthy:  *stealthy,
 		Defense:   *def,
@@ -81,34 +74,6 @@ func main() {
 		P:         *p,
 		CalibBits: *calib,
 		Seed:      *seed,
-	}
-
-	// Fold the deprecated flags into the spec with the old precedence:
-	// "-attack power" meant the power sink over the eviction mechanism,
-	// and -attack slowswitch/power always ignored -variant.
-	variantApplies := true
-	switch {
-	case *attack == "":
-	case strings.HasPrefix(*attack, "mis"):
-		cs.Mechanism = leaky.MechanismMisalignment
-	case *attack == "slowswitch":
-		cs.Mechanism = leaky.MechanismSlowSwitch
-		variantApplies = false
-	case *attack == "power":
-		cs.Sink = leaky.SinkPower
-		variantApplies = false
-	default:
-		cs.Mechanism = leaky.MechanismEviction
-	}
-	if variantApplies {
-		switch *variant {
-		case "stealthy":
-			cs.Stealthy = true
-		case "mt":
-			cs.Threading = leaky.ThreadingMT
-		case "sgx":
-			cs.SGX = true
-		}
 	}
 
 	m, err := cs.ResolveModel()
@@ -119,7 +84,7 @@ func main() {
 
 	if *list {
 		fmt.Printf("valid covert-channel scenarios on %s:\n", m.Name)
-		for _, s := range leaky.EnumerateSpecs(m) {
+		for _, s := range spec.Enumerate(m) {
 			fmt.Printf("  %s\n", s)
 		}
 		return

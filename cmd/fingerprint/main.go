@@ -9,8 +9,9 @@ import (
 	"io"
 	"os"
 
-	leaky "repro"
 	"repro/internal/cmdutil"
+	"repro/internal/fingerprint"
+	"repro/internal/victim"
 )
 
 func main() {
@@ -38,20 +39,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fingerprint: %s has hyper-threading disabled; the side channel needs a victim on the sibling hardware thread\n", m.Name)
 		return 1
 	}
-	suite := leaky.CNNWorkloads()
+	suite := victim.CNNs()
 
 	fmt.Fprintln(stdout, "recording reference traces (attacker nop-loop IPC at 10 Hz)...")
+	cfg := fingerprint.DefaultConfig(m)
 	refs := make([][]float64, len(suite))
 	for i, w := range suite {
-		refs[i] = leaky.FingerprintTrace(m, w, *seed+uint64(i))
+		cfg.Seed = *seed + uint64(i)
+		refs[i] = fingerprint.Trace(cfg, w)
 		fmt.Fprintf(stdout, "  %-12s %d samples\n", w.Name, len(refs[i]))
 	}
 
 	fmt.Fprintln(stdout, "\nclassifying fresh victim runs:")
 	correct := 0
 	for i, w := range suite {
-		obs := leaky.FingerprintTrace(m, w, *seed+1000+uint64(i))
-		got := leaky.ClassifyTrace(obs, refs)
+		cfg.Seed = *seed + 1000 + uint64(i)
+		obs := fingerprint.Trace(cfg, w)
+		got := fingerprint.Classify(obs, refs)
 		status := "MISS"
 		if got == i {
 			status = "ok"

@@ -34,8 +34,9 @@ import (
 	"sort"
 	"strings"
 
-	leaky "repro"
 	"repro/internal/cmdutil"
+	"repro/internal/contract"
+	"repro/internal/leakfuzz"
 )
 
 func main() {
@@ -55,7 +56,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := leaky.LeakFuzzOptions{Model: m, Seed: *seed, Budget: *budget}
+	opts := leakfuzz.Options{Model: m, Seed: *seed, Budget: *budget}
 	if *corpus != "" {
 		opts.Extra, err = loadCorpus(*corpus)
 		if err != nil {
@@ -64,7 +65,7 @@ func main() {
 		}
 	}
 
-	report := leaky.LeakFuzz(opts)
+	report := leakfuzz.Run(opts)
 
 	if *corpus != "" {
 		if err := saveCorpus(*corpus, report.Corpus); err != nil {
@@ -92,12 +93,12 @@ func main() {
 // verdict decides the exit status: every expected mechanism present,
 // and no unclassified counterexamples. Problems print to stderr so the
 // JSON report stays clean on stdout.
-func verdict(r leaky.LeakFuzzReport, expect string) bool {
+func verdict(r leakfuzz.Report, expect string) bool {
 	found := map[string]bool{}
 	ok := true
 	for _, f := range r.Findings {
 		found[string(f.Mechanism)] = true
-		if f.Mechanism == leaky.LeakMechanism("unknown") {
+		if f.Mechanism == contract.Unknown {
 			fmt.Fprintf(os.Stderr, "leakfuzz: unclassified counterexample at execution %d: %s\n",
 				f.Executions, f.Divergence)
 			ok = false
@@ -119,7 +120,7 @@ func verdict(r leaky.LeakFuzzReport, expect string) bool {
 	return ok
 }
 
-func render(r leaky.LeakFuzzReport) {
+func render(r leakfuzz.Report) {
 	fmt.Printf("leakfuzz: model %q seed %d budget %d\n", r.Model, r.Seed, r.Budget)
 	fmt.Printf("  executions %d, corpus %d, coverage features %d\n",
 		r.Executions, r.CorpusSize, r.Features)
@@ -142,19 +143,19 @@ func render(r leaky.LeakFuzzReport) {
 
 // loadCorpus reads every *.json genome in dir as extra campaign seeds,
 // in sorted name order so the campaign stays deterministic.
-func loadCorpus(dir string) ([]leaky.LeakGenome, error) {
+func loadCorpus(dir string) ([]leakfuzz.Genome, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(names)
-	var out []leaky.LeakGenome
+	var out []leakfuzz.Genome
 	for _, name := range names {
 		b, err := os.ReadFile(name)
 		if err != nil {
 			return nil, err
 		}
-		var g leaky.LeakGenome
+		var g leakfuzz.Genome
 		if err := json.Unmarshal(b, &g); err != nil {
 			return nil, fmt.Errorf("corpus %s: %w", name, err)
 		}
@@ -165,7 +166,7 @@ func loadCorpus(dir string) ([]leaky.LeakGenome, error) {
 
 // saveCorpus writes the final corpus back to dir, one content-addressed
 // file per genome, creating the directory if needed.
-func saveCorpus(dir string, corpus []leaky.LeakGenome) error {
+func saveCorpus(dir string, corpus []leakfuzz.Genome) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

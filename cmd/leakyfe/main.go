@@ -40,8 +40,8 @@ import (
 	"syscall"
 	"time"
 
-	leaky "repro"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/runctx"
 )
 
@@ -62,13 +62,13 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, a := range leaky.Experiments() {
+		for _, a := range experiments.Default().Artifacts() {
 			fmt.Printf("%-10s %-10s %s\n", a.Name, a.Ref, a.Desc)
 		}
 		return
 	}
 
-	o := leaky.ExperimentOpts{Bits: *bits, Seed: *seed, Samples: *samples}
+	o := experiments.Opts{Bits: *bits, Seed: *seed, Samples: *samples}
 	arts, err := experiments.Default().Select(strings.Split(*run, ",")...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -94,7 +94,7 @@ func main() {
 	// every exit path (exitCancelled bypasses defers via os.Exit).
 	flushTrace := func() {}
 	if *traceOut != "" {
-		tr := leaky.NewTrace("leakyfe")
+		tr := obs.NewTrace("", "leakyfe")
 		ctx = tr.Context(ctx)
 		flushTrace = func() {
 			tr.Finish()
@@ -122,7 +122,7 @@ func main() {
 	// Stream each table as soon as its catalog-order prefix completes;
 	// the concatenation is byte-identical to a buffered RenderText over
 	// the completed artifacts.
-	results := rn.RunEmitCtx(rc, arts, func(r leaky.ExperimentResult) {
+	results := rn.RunEmitCtx(rc, arts, func(r experiments.Result) {
 		fmt.Print(experiments.RenderText([]experiments.Result{r}, false))
 	})
 	flushTrace()
@@ -133,12 +133,12 @@ func main() {
 }
 
 // writeTrace exports the finished trace as Chrome trace_event JSON.
-func writeTrace(path string, tr *leaky.Trace) error {
+func writeTrace(path string, tr *obs.Trace) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("leakyfe: %v", err)
 	}
-	if err := leaky.WriteChromeTrace(f, tr); err != nil {
+	if err := obs.WriteChromeTrace(f, tr); err != nil {
 		f.Close()
 		return fmt.Errorf("leakyfe: writing trace: %v", err)
 	}
@@ -173,7 +173,7 @@ func progressSink(enabled bool) runctx.Sink {
 
 // exitCancelled reports artifacts the run did not complete and exits
 // non-zero if there were any.
-func exitCancelled(results []leaky.ExperimentResult) {
+func exitCancelled(results []experiments.Result) {
 	var cancelled []string
 	for _, r := range results {
 		if r.Err != "" {

@@ -71,7 +71,10 @@ import (
 	"syscall"
 	"time"
 
-	leaky "repro"
+	"repro/internal/experiments"
+	"repro/internal/fleet"
+	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func main() {
@@ -109,25 +112,25 @@ func main() {
 	}
 	logger := slog.New(handler)
 
-	var st *leaky.ResultStore
+	var st *store.Store
 	if *cacheDir != "" {
 		var err error
-		if st, err = leaky.OpenResultStore(*cacheDir); err != nil {
+		if st, err = store.Open(*cacheDir); err != nil {
 			fmt.Fprintf(os.Stderr, "leakyfed: %v\n", err)
 			os.Exit(2)
 		}
 	}
-	var coord *leaky.FleetCoordinator
+	var coord *fleet.Coordinator
 	if *fleetURLs != "" {
 		var err error
-		if coord, err = leaky.NewFleetCoordinator(strings.Split(*fleetURLs, ","), nil); err != nil {
+		if coord, err = fleet.New(strings.Split(*fleetURLs, ","), nil); err != nil {
 			fmt.Fprintf(os.Stderr, "leakyfed: %v\n", err)
 			os.Exit(2)
 		}
 	}
 
-	srv := leaky.NewServer(leaky.ServeConfig{
-		Opts:            leaky.ExperimentOpts{Bits: *bits, Seed: *seed, Samples: *samples},
+	srv := serve.NewServer(serve.Config{
+		Opts:            experiments.Opts{Bits: *bits, Seed: *seed, Samples: *samples},
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		CacheSize:       *cacheSize,

@@ -48,7 +48,10 @@ import (
 	"runtime"
 	"syscall"
 
-	leaky "repro"
+	"repro/internal/cpu"
+	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -68,23 +71,23 @@ func main() {
 	)
 	flag.Parse()
 
-	f, err := leaky.ParseSweepFilter(*filter)
+	f, err := sweep.ParseFilter(*filter)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var advModel leaky.Model
+	var advModel cpu.Model
 	if *advisory != "" {
-		m, ok := leaky.ModelByName(*advisory)
+		m, ok := cpu.ModelByName(*advisory)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "leakysweep: unknown model %q (Table I names)\n", *advisory)
 			os.Exit(2)
 		}
-		advModel, f = m, leaky.AdvisorySweepFilter(m)
+		advModel, f = m, sweep.AdvisoryFilter(m.Name)
 	}
-	o := leaky.SweepOptions{Bits: *bits, Seed: *seed, CalibBits: *calib, MaxP: *maxp, Workers: *workers}
+	o := sweep.Options{Bits: *bits, Seed: *seed, CalibBits: *calib, MaxP: *maxp, Workers: *workers}
 	if *list {
-		specs, err := leaky.ExpandSweep(f, o)
+		specs, err := sweep.Expand(f, o)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -100,15 +103,15 @@ func main() {
 	defer stop()
 	// The trace records per-spec and per-stage wall-clock spans; it never
 	// changes the report bytes (tracing is timing-only by design).
-	var tr *leaky.Trace
+	var tr *obs.Trace
 	if *traceOut != "" {
-		tr = leaky.NewTrace("leakysweep")
+		tr = obs.NewTrace("", "leakysweep")
 		ctx = tr.Context(ctx)
 	}
-	var emit func(leaky.SweepRow)
+	var emit func(sweep.Row)
 	done := 0
 	if *progress {
-		emit = func(row leaky.SweepRow) {
+		emit = func(row sweep.Row) {
 			done++
 			status := fmt.Sprintf("rate=%.2f Kbps err=%.2f%%", row.RateKbps, 100*row.ErrorRate)
 			if row.Err != "" {
@@ -117,16 +120,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "[%d] %s  %s\n", done, row.Canonical, status)
 		}
 	}
-	var run leaky.SweepRunFunc
+	var run sweep.RunFunc
 	if *storeDir != "" {
-		st, err := leaky.OpenResultStore(*storeDir)
+		st, err := store.Open(*storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		run = leaky.StoreSweepRunFunc(st)
+		run = store.SweepRunFunc(st)
 	}
-	report, err := leaky.SweepRunCtx(ctx, f, o, run, emit)
+	report, err := sweep.Run(ctx, f, o, run, emit)
 	// Latch the interrupt before rendering anything: a SIGINT that lands
 	// after the last spec finishes (or during the render itself) must
 	// still turn into exit status 1, and the NotifyContext registration
@@ -150,7 +153,7 @@ func main() {
 				report.Specs-report.Completed, report.Specs)
 			os.Exit(1)
 		}
-		adv, err := leaky.NewAdvisory(report, advModel)
+		adv, err := sweep.NewAdvisory(report, advModel)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -200,12 +203,12 @@ func exitInterrupted() {
 }
 
 // writeTrace exports the finished trace as Chrome trace_event JSON.
-func writeTrace(path string, tr *leaky.Trace) error {
+func writeTrace(path string, tr *obs.Trace) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("leakysweep: %v", err)
 	}
-	if err := leaky.WriteChromeTrace(f, tr); err != nil {
+	if err := obs.WriteChromeTrace(f, tr); err != nil {
 		f.Close()
 		return fmt.Errorf("leakysweep: writing trace: %v", err)
 	}

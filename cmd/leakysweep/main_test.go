@@ -14,7 +14,9 @@ import (
 	"testing"
 	"time"
 
-	leaky "repro"
+	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 // TestTraceOutputIsValidChromeTrace exercises the -trace path end to
@@ -24,19 +26,19 @@ import (
 // discipline at the CLI level: the traced report is byte-identical to
 // an untraced one.
 func TestTraceOutputIsValidChromeTrace(t *testing.T) {
-	f, err := leaky.ParseSweepFilter("mech=eviction,thread=nonmt,sink=timing,sgx=false,model=Xeon E-2174G")
+	f, err := sweep.ParseFilter("mech=eviction,thread=nonmt,sink=timing,sgx=false,model=Xeon E-2174G")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := leaky.SweepOptions{Bits: 8, Seed: 1, MaxP: 2000, Workers: 2}
+	o := sweep.Options{Bits: 8, Seed: 1, MaxP: 2000, Workers: 2}
 
-	plain, err := leaky.SweepCtx(context.Background(), f, o, nil)
+	plain, err := sweep.Run(context.Background(), f, o, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tr := leaky.NewTrace("leakysweep")
-	report, err := leaky.SweepCtx(tr.Context(context.Background()), f, o, nil)
+	tr := obs.NewTrace("", "leakysweep")
+	report, err := sweep.Run(tr.Context(context.Background()), f, o, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestTraceOutputIsValidChromeTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if problems := leaky.ValidateChromeTrace(blob); len(problems) > 0 {
+	if problems := obs.ValidateChromeTrace(blob); len(problems) > 0 {
 		t.Errorf("-trace output is not a valid Chrome trace: %v", problems)
 	}
 	// The profile must contain the simulation's own stages, not just a
@@ -131,18 +133,18 @@ func TestSIGINTPrintsOneReportAndExitsNonzero(t *testing.T) {
 // from disk — zero store misses, byte-identical report — and the store
 // layout is the one leakyfed -cache-dir serves from.
 func TestStoreShareableAcrossRuns(t *testing.T) {
-	f, err := leaky.ParseSweepFilter("mech=eviction,thread=nonmt,sink=timing,sgx=false,model=Xeon E-2174G")
+	f, err := sweep.ParseFilter("mech=eviction,thread=nonmt,sink=timing,sgx=false,model=Xeon E-2174G")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := leaky.SweepOptions{Bits: 8, Seed: 1, MaxP: 2000, Workers: 2}
+	o := sweep.Options{Bits: 8, Seed: 1, MaxP: 2000, Workers: 2}
 	dir := t.TempDir()
 
-	st1, err := leaky.OpenResultStore(dir)
+	st1, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := leaky.SweepRunCtx(context.Background(), f, o, leaky.StoreSweepRunFunc(st1), nil)
+	first, err := sweep.Run(context.Background(), f, o, store.SweepRunFunc(st1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +155,11 @@ func TestStoreShareableAcrossRuns(t *testing.T) {
 		t.Fatalf("store holds %d entries, want %d (one per spec)", n, first.Specs)
 	}
 
-	st2, err := leaky.OpenResultStore(dir)
+	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := leaky.SweepRunCtx(context.Background(), f, o, leaky.StoreSweepRunFunc(st2), nil)
+	second, err := sweep.Run(context.Background(), f, o, store.SweepRunFunc(st2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestStoreShareableAcrossRuns(t *testing.T) {
 
 	// And without the store the report is byte-identical too: -store is
 	// a pure optimization, never a semantic change.
-	plain, err := leaky.SweepCtx(context.Background(), f, o, nil)
+	plain, err := sweep.Run(context.Background(), f, o, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"flag"
 	"fmt"
 
-	leaky "repro"
 	"repro/internal/cmdutil"
+	"repro/internal/ucode"
 )
 
 func main() {
@@ -18,11 +18,14 @@ func main() {
 	flag.Parse()
 
 	m := cmdutil.MustModel(*model)
-	for _, actual := range []leaky.MicrocodePatch{leaky.Patch1, leaky.Patch2} {
-		detected := leaky.DetectMicrocode(m, actual, *seed)
+	if *seed == 0 {
+		*seed = 1
+	}
+	for _, actual := range []ucode.Patch{ucode.Patch1, ucode.Patch2} {
+		detected := ucode.DetectByTiming(m, actual, *seed)
 		fmt.Printf("machine running %v\n", actual)
 		fmt.Printf("  attacker detects: %v\n", detected)
-		if detected == leaky.Patch1 {
+		if detected == ucode.Patch1 {
 			fmt.Println("  => VT-d escalation CVE-2021-24489 likely UNPATCHED on this host")
 		} else {
 			fmt.Println("  => newer microcode present; CVE-2021-24489 patched")

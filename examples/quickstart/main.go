@@ -6,16 +6,20 @@ import (
 	"fmt"
 
 	leaky "repro"
+	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
 func main() {
 	fmt.Println("Leaky Frontends quickstart: frontend path timing on the simulated Gold 6226")
 	fmt.Println()
-	fmt.Print(leaky.TableI())
+	fmt.Print(experiments.TableI())
 	fmt.Println()
 
-	data, rendered := leaky.Figure2(leaky.ExperimentOpts{Bits: 50, Seed: 7})
+	data, rendered, err := experiments.Figure2(experiments.RunCtx{}, experiments.Opts{Bits: 50, Seed: 7})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(rendered)
 	fmt.Printf("mean cycles per 8 chain passes: DSB=%.0f  LSD=%.0f  MITE+DSB=%.0f\n",
 		stats.Mean(data.DSB), stats.Mean(data.LSD), stats.Mean(data.MITE))

@@ -14,8 +14,8 @@ func main() {
 	m := leaky.XeonE2174G()
 	secretBits := leaky.Alternating(48)
 
-	plain := leaky.Transmit(leaky.NewFastCovertChannel(m, leaky.Eviction), m.Name, secretBits)
-	enclave := leaky.Transmit(leaky.NewSGXChannel(m, leaky.Eviction, false), m.Name, secretBits)
+	plain := leaky.Transmit(leaky.ChannelSpec{Mechanism: leaky.MechanismEviction}.Build(m), m.Name, secretBits)
+	enclave := leaky.Transmit(leaky.ChannelSpec{Mechanism: leaky.MechanismEviction, SGX: true}.Build(m), m.Name, secretBits)
 
 	fmt.Printf("platform: %s (SGX-capable)\n\n", m.Name)
 	fmt.Printf("%-42s %10.1f Kbps   err %5.2f%%\n", plain.Channel, plain.RateKbps, 100*plain.ErrorRate)

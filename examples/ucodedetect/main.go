@@ -5,11 +5,14 @@ package main
 import (
 	"fmt"
 
-	leaky "repro"
+	"repro/internal/experiments"
 )
 
 func main() {
-	_, rendered := leaky.Figure10(leaky.ExperimentOpts{Seed: 5})
+	_, rendered, err := experiments.Figure10(experiments.RunCtx{}, experiments.Opts{Seed: 5})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(rendered)
 	fmt.Println("a small loop that fits the LSD behaves differently only when the")
 	fmt.Println("LSD-enabled microcode is loaded; the patch level is not a secret.")

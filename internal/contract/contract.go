@@ -269,18 +269,6 @@ func (e *Executor) Clone() *Executor {
 	return &c
 }
 
-// Run executes insts on thread 0 to completion without recording —
-// state preparation (a sender phase whose own timing the attacker does
-// not see).
-func (e *Executor) Run(insts []isa.Inst) {
-	if len(insts) == 0 {
-		return
-	}
-	e.core.FE.DrainTransients(0)
-	e.core.Enqueue(0, isa.NewSeqStream(insts), nil)
-	e.core.RunUntilIdle(e.p.MaxCycles)
-}
-
 // Observe executes insts on thread 0 and returns its contract trace.
 func (e *Executor) Observe(insts []isa.Inst) Trace {
 	e.Start(insts)
@@ -387,13 +375,15 @@ func Check(m cpu.Model, seed uint64, p Params, pair Pair) (Divergence, bool) {
 }
 
 // CheckTraces is Check returning both probe traces as well, for
-// coverage extraction and reporting.
+// coverage extraction and reporting. Each arm's prep phase runs through
+// Observe, like every other phase, and its trace is discarded: the
+// attacker does not see the victim's own timing.
 func CheckTraces(m cpu.Model, seed uint64, p Params, pair Pair) (t0, t1 Trace, d Divergence, leak bool) {
 	e0 := NewExecutorWith(m, seed, p)
-	e0.Run(pair.Prep0)
+	e0.Observe(pair.Prep0)
 	t0 = e0.Observe(pair.Probe)
 	e1 := NewExecutorWith(m, seed, p)
-	e1.Run(pair.Prep1)
+	e1.Observe(pair.Prep1)
 	t1 = e1.Observe(pair.Probe)
 	d, leak = Compare(t0, t1)
 	return t0, t1, d, leak

@@ -129,7 +129,7 @@ func TestAnchorSlowSwitchChannel(t *testing.T) {
 func TestMidStreamCloneReplaysIdentically(t *testing.T) {
 	prog := loop(isa.MixChain(20, 6, true), 12)
 	e := NewExecutor(model(), 1)
-	e.Run(loop(isa.MixChain(9, 4, false), 5)) // dirty the machine first
+	e.Observe(loop(isa.MixChain(9, 4, false), 5)) // dirty the machine first
 
 	full := e.Clone().Observe(prog)
 

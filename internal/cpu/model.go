@@ -77,7 +77,7 @@ type Model struct {
 	// from reset, removing the dynamic partition/revert transitions the
 	// MT eviction channel's signal rides on. It is the frontend-path
 	// partitioning defense of Section XII, not a Table I machine
-	// configuration; defense.Partition sets it.
+	// configuration; the registered "partition" defense sets it.
 	StaticDSBPartition bool
 
 	// EnclaveTransitionCycles is the cost of one SGX enclave entry or

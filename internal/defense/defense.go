@@ -19,8 +19,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/attack"
-	"repro/internal/channel"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/spectre"
@@ -258,69 +256,6 @@ func Resolve(name string) (Defense, error) {
 	return Defense{}, fmt.Errorf("defense: unknown defense %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
-// DisableSMT returns the model with hyper-threading off.
-//
-// Deprecated: use Lookup(DefenseNoSMT).Apply, or set Defense on a
-// ChannelSpec. Kept as a byte-identical shim over the registry entry.
-func DisableSMT(m cpu.Model) cpu.Model {
-	d, _ := Lookup(DefenseNoSMT)
-	return d.Apply(m)
-}
-
-// EqualizePaths returns the model with every frontend path forced to
-// the same effective timing and power.
-//
-// Deprecated: use Lookup(DefenseEqualizePaths).Apply, or set Defense on
-// a ChannelSpec. Kept as a byte-identical shim over the registry entry.
-func EqualizePaths(m cpu.Model) cpu.Model {
-	d, _ := Lookup(DefenseEqualizePaths)
-	return d.Apply(m)
-}
-
-// DisableRAPL returns the model with the RAPL update interval pushed
-// beyond any attack window.
-//
-// Deprecated: use Lookup(DefenseNoRAPL).Apply, or set Defense on a
-// ChannelSpec. Kept as a byte-identical shim over the registry entry.
-func DisableRAPL(m cpu.Model) cpu.Model {
-	d, _ := Lookup(DefenseNoRAPL)
-	return d.Apply(m)
-}
-
-// Partition returns the model with the DSB statically partitioned
-// between the two hardware threads.
-func Partition(m cpu.Model) cpu.Model {
-	d, _ := Lookup(DefensePartition)
-	return d.Apply(m)
-}
-
-// ChannelErrorRate transmits an alternating message over ch and returns
-// the residual error rate — ~0.5 means the channel is dead.
-func ChannelErrorRate(ch channel.BitChannel, bits int) float64 {
-	return channel.Transmit(ch, "defense", channel.Alternating(bits), 30).ErrorRate
-}
-
-// NonMTResidualError re-runs the stealthy eviction channel — the variant
-// whose bits execute the *same instruction count* and differ only in
-// which frontend path serves them — against a defended model. (The
-// "fast" variants leak through execution length and survive any
-// path-timing defense, which is exactly the paper's point that code must
-// also be written constant-work; see Section XII.)
-func NonMTResidualError(m cpu.Model, bits int, seed uint64) float64 {
-	cfg := attack.DefaultNonMT(m, attack.Eviction, true)
-	cfg.Seed = seed
-	return ChannelErrorRate(attack.NewNonMT(cfg), bits)
-}
-
-// PowerResidualError re-runs the power eviction channel against a
-// defended model (reduced iterations keep the ablation fast).
-func PowerResidualError(m cpu.Model, bits int, seed uint64) float64 {
-	cfg := attack.DefaultPower(m, attack.Eviction)
-	cfg.Iters = 4000
-	cfg.Seed = seed
-	return ChannelErrorRate(attack.NewPower(cfg), bits)
-}
-
 // SpectreBufferedDSB evaluates the Section XII Spectre defense
 // ("buffering cache updates could be applied to the DSB"): the transient
 // gadget's decoded window is not installed architecturally, so the
@@ -336,7 +271,7 @@ func SpectreBufferedDSB(seed uint64) float64 {
 
 // PerformanceCost measures the throughput price of a defended frontend:
 // cycles per mix-block pass on the defended model divided by the
-// baseline's. EqualizePaths trades exactly the DSB/LSD win away.
+// baseline's. The eqpaths defense trades exactly the DSB/LSD win away.
 func PerformanceCost(base, defended cpu.Model, seed uint64) float64 {
 	measure := func(m cpu.Model) float64 {
 		core := cpu.NewCore(m, seed)

@@ -8,19 +8,22 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/serve"
+	"repro/internal/sweep"
 )
 
 // fleetFilter is the cheap shard the fleet tests sweep: the plain
-// non-MT timing eviction channels on every model (8 specs,
-// milliseconds each at bits=16).
+// non-MT timing eviction channels on every model under every defense
+// that applies to them (28 specs, milliseconds each at bits=16).
 const fleetFilter = "mech=eviction,thread=nonmt,sink=timing,sgx=false"
 
 // newWorker boots one in-process worker node.
@@ -93,17 +96,18 @@ func TestFleetSweepByteIdentity(t *testing.T) {
 	if st.WorkerFailures != 0 {
 		t.Errorf("healthy fleet recorded %d worker failures", st.WorkerFailures)
 	}
-	// Consistent hashing should have spread the shard: with 8 specs and
+	// Consistent hashing should have spread the shard: with 28 specs and
 	// 64 virtual nodes per worker, both workers own part of the space.
 	if st.Workers != 2 || st.LiveWorkers != 2 {
 		t.Errorf("want 2 live workers, got %+v", st)
 	}
 }
 
-// truncatingWorker proxies a healthy worker but kills every shard
-// response partway through the stream: it forwards at most one NDJSON
-// line, then aborts the connection — a worker dying mid-sweep.
-func truncatingWorker(t *testing.T, backend *httptest.Server) *httptest.Server {
+// truncatingWorker proxies a healthy worker. Once armed, it kills every
+// shard response partway through the stream: it forwards at most one
+// NDJSON line, then aborts the connection — a worker dying mid-sweep.
+// Unarmed, it forwards responses whole.
+func truncatingWorker(t *testing.T, backend *httptest.Server, armed *atomic.Bool) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		resp, err := backend.Client().Post(backend.URL+r.URL.Path, r.Header.Get("Content-Type"), r.Body)
@@ -113,6 +117,10 @@ func truncatingWorker(t *testing.T, backend *httptest.Server) *httptest.Server {
 		defer resp.Body.Close()
 		if resp.StatusCode != 200 {
 			w.WriteHeader(resp.StatusCode)
+			return
+		}
+		if !armed.Load() {
+			io.Copy(w, resp.Body)
 			return
 		}
 		sc := bufio.NewScanner(resp.Body)
@@ -144,9 +152,38 @@ func TestFleetSurvivesWorkerDeath(t *testing.T) {
 	defer singleTS.Close()
 	want := postSweep(t, singleTS, 1)
 
-	healthy := newWorker(t)
-	dying := truncatingWorker(t, newWorker(t))
-	coordTS, coord := newCoordinator(t, healthy.URL, dying.URL)
+	// Both workers sit behind the proxy; arm the one owning more of the
+	// shard. It owns at least half of the 28 specs whatever ports the
+	// workers drew, so it dies with specs still to re-hash. The ring
+	// hashes the URLs, so a fixed choice owns one spec or none in about
+	// 2% of port draws, and then delivers everything or is never
+	// contacted.
+	var armed [2]atomic.Bool
+	urls := make([]string, 2)
+	for i := range urls {
+		urls[i] = truncatingWorker(t, newWorker(t), &armed[i]).URL
+	}
+	f, err := sweep.ParseFilter(fleetFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := sweep.Expand(f, sweep.Options{Bits: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := fleet.NewRing(urls)
+	owned := 0
+	for _, cs := range specs {
+		if ring.Owner(cs.CacheKey()) == urls[0] {
+			owned++
+		}
+	}
+	if 2*owned >= len(specs) {
+		armed[0].Store(true)
+	} else {
+		armed[1].Store(true)
+	}
+	coordTS, coord := newCoordinator(t, urls...)
 
 	got := postSweep(t, coordTS, 1)
 	if !bytes.Equal(got, want) {

@@ -52,7 +52,7 @@ func FuzzFrontendContract(f *testing.F) {
 		}
 
 		e := contract.NewExecutorWith(m, 1, p)
-		e.Run(pair.Prep0)
+		e.Observe(pair.Prep0)
 		e.Start(pair.Probe)
 		var head contract.Trace
 		for i := 0; i < 2; i++ {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/rng"
 )
 
@@ -117,6 +118,40 @@ func TestIdenticalArmsNeverLeak(t *testing.T) {
 		}
 		if d, leak := contract.Check(m, 1, contract.DefaultParams(), g.BuildPair()); leak {
 			t.Fatalf("identical arms diverged: %s (genome %s)", d, g.key())
+		}
+	}
+}
+
+// TestCheckTracesRunsPrepLikeTheFuzzer pins one way to run a phase:
+// CheckTraces runs each arm's prep through Observe, as the fuzzer's exec
+// does, so its probe traces equal an executor's Observe(prep) then
+// Observe(probe) exactly — raw energy included. Prep-less genomes are
+// the sharp case: an empty prep phase still drains transients and steps
+// a cycle, and skipping it changes every window's energy after the
+// first.
+func TestCheckTracesRunsPrepLikeTheFuzzer(t *testing.T) {
+	r := rng.New(5)
+	m := cpu.Gold6226()
+	p := contract.DefaultParams()
+	for i := 0; i < 30; i++ {
+		data := make([]byte, 1+geneBytes*(1+r.Intn(maxProbeGenes)))
+		for j := range data {
+			data[j] = byte(r.Uint64())
+		}
+		data[0] = 0 // no prep genes
+		g := DecodeGenome(data)
+		if len(g.Prep) != 0 {
+			t.Fatalf("genome decoded with prep genes: %s", g.key())
+		}
+		pair := g.BuildPair()
+		t0, t1, _, _ := contract.CheckTraces(m, 1, p, pair)
+		probes := []contract.Trace{t0, t1}
+		for arm, prep := range [][]isa.Inst{pair.Prep0, pair.Prep1} {
+			e := contract.NewExecutorWith(m, 1, p)
+			e.Observe(prep)
+			if want := e.Observe(pair.Probe); !reflect.DeepEqual(probes[arm], want) {
+				t.Fatalf("arm %d: CheckTraces probe trace differs from Observe(prep), Observe(probe) (%s)", arm, g.key())
+			}
 		}
 	}
 }

@@ -14,9 +14,9 @@
 // defaults so equal scenarios compare equal, Validate rejects the
 // impossible combinations (MT on an SMT-disabled model, power+SGX,
 // anything but plain non-MT timing for slow-switch), and Build
-// constructs the simulated channel exactly as the historical
-// constructors did — a spec-built channel transmits byte-identically to
-// its constructor-built twin.
+// constructs the simulated channel from the attack and sgx packages'
+// default configurations — a default spec transmits byte-identically to
+// the paper's channel built by hand from those defaults.
 package spec
 
 import (
@@ -368,12 +368,12 @@ func (s ChannelSpec) ValidateFor(m cpu.Model) error {
 }
 
 // Build constructs the simulated channel for this scenario on m,
-// ignoring the spec's Model name. It starts from the same Default*
-// configurations the historical constructors used and overrides only
-// what the spec sets, so a default spec builds a channel that transmits
-// byte-identically to its constructor twin. Build panics on a spec
-// ValidateFor rejects — matching the historical constructors' contract
-// — so callers taking untrusted specs must Validate first.
+// ignoring the spec's Model name. It starts from the attack package's
+// Default* configurations and overrides only what the spec sets, so a
+// default spec builds a channel that transmits byte-identically to one
+// built by hand from those defaults. Build panics on a spec ValidateFor
+// rejects — matching the attack constructors' contract — so callers
+// taking untrusted specs must Validate first.
 func (s ChannelSpec) Build(m cpu.Model) channel.BitChannel {
 	if err := s.ValidateFor(m); err != nil {
 		panic(err.Error())

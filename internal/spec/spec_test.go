@@ -14,9 +14,9 @@ import (
 )
 
 func TestNormalizeMatchesPaperDefaults(t *testing.T) {
-	// The zero spec must normalize to exactly the configuration the
-	// historical NewFastCovertChannel wired: the constructors' defaults
-	// and the spec defaults are one source of truth.
+	// The zero spec must normalize to exactly the paper's fast non-MT
+	// eviction configuration: attack.DefaultNonMT's defaults and the
+	// spec defaults are one source of truth.
 	s := ChannelSpec{}.Normalize()
 	def := attack.DefaultNonMT(cpu.Gold6226(), attack.Eviction, false)
 	if s.Model != "Gold 6226" || s.Mechanism != MechanismEviction ||
@@ -24,7 +24,7 @@ func TestNormalizeMatchesPaperDefaults(t *testing.T) {
 		t.Fatalf("zero spec normalized to %s", s)
 	}
 	if s.D != def.D || s.P != def.P || s.Seed != def.Seed {
-		t.Errorf("normalized d=%d p=%d seed=%d; constructor default d=%d p=%d seed=%d",
+		t.Errorf("normalized d=%d p=%d seed=%d; attack default d=%d p=%d seed=%d",
 			s.D, s.P, s.Seed, def.D, def.P, def.Seed)
 	}
 	if s.CalibBits != DefaultCalibBits {
@@ -116,7 +116,7 @@ func TestValidateAcceptsDefaultsAndBuildPanicsOnInvalid(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Build of an invalid spec must panic, like the constructors did")
+			t.Error("Build of an invalid spec must panic, as the attack constructors do")
 		}
 	}()
 	ChannelSpec{Threading: ThreadingMT}.Build(cpu.XeonE2288G())
@@ -267,10 +267,12 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 // TestBuildEquivalence is the redesign's headline proof: for each of
-// the seven deprecated constructors, the same scenario expressed as a
-// ChannelSpec builds a channel whose Transmit result — rate, error
-// rate, received bits, rendered row — is byte-identical to the
-// constructor-built channel's for the same seed.
+// the paper's seven named channels, built by hand from the attack and
+// sgx packages' default configurations, the same scenario expressed as
+// a ChannelSpec builds a channel whose Transmit result — rate, error
+// rate, received bits, rendered row — is byte-identical for the same
+// seed. Each case is named after the constructor the public package
+// once had for it.
 func TestBuildEquivalence(t *testing.T) {
 	ht := cpu.XeonE2174G() // HT + SGX: every variant exists here or on Gold
 	gold := cpu.Gold6226()
@@ -319,15 +321,16 @@ func TestBuildEquivalence(t *testing.T) {
 			func(m cpu.Model) channel.BitChannel { return sgx.NewMT(attack.DefaultMT(m, attack.Misalignment)) },
 			ChannelSpec{Mechanism: MechanismMisalignment, Threading: ThreadingMT, SGX: true}},
 		// Defended specs: Build must apply the defense transform before
-		// constructing, matching a hand-defended constructor build.
+		// constructing, matching a build on a model defended by hand
+		// with the registry's transform.
 		{"EqualizePathsSpec", gold,
 			func(m cpu.Model) channel.BitChannel {
-				return attack.NewNonMT(attack.DefaultNonMT(defense.EqualizePaths(m), attack.Eviction, true))
+				return attack.NewNonMT(attack.DefaultNonMT(defended(t, defense.DefenseEqualizePaths, m), attack.Eviction, true))
 			},
 			ChannelSpec{Mechanism: MechanismEviction, Stealthy: true, Defense: "eqpaths"}},
 		{"PartitionSpec", ht,
 			func(m cpu.Model) channel.BitChannel {
-				return attack.NewMT(attack.DefaultMT(defense.Partition(m), attack.Eviction))
+				return attack.NewMT(attack.DefaultMT(defended(t, defense.DefensePartition, m), attack.Eviction))
 			},
 			ChannelSpec{Mechanism: MechanismEviction, Threading: ThreadingMT, Defense: "partition"}},
 	}
@@ -344,6 +347,16 @@ func TestBuildEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// defended returns m under the registered defense's transform.
+func defended(t *testing.T, name string, m cpu.Model) cpu.Model {
+	t.Helper()
+	d, ok := defense.Lookup(name)
+	if !ok {
+		t.Fatalf("defense %q is not registered", name)
+	}
+	return d.Apply(m)
 }
 
 func TestTransmitUsesSpecCalibration(t *testing.T) {

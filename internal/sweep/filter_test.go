@@ -10,30 +10,33 @@ import (
 	"repro/internal/spec"
 )
 
+// roundTripQueries are well-formed queries and the filters they parse
+// to; they also seed FuzzParseFilter's corpus.
+var roundTripQueries = []struct {
+	query string
+	want  Filter
+}{
+	{"", Filter{}},
+	{"mech=eviction", Filter{Mechanism: "eviction"}},
+	{"model=xeon*,d=2..6,sgx=true", Filter{Model: "xeon*", D: Range{2, 6, true}, SGX: TriTrue}},
+	{"thread=mt,stealthy=false,p=10", Filter{Threading: "mt", Stealthy: TriFalse, P: Range{10, 10, true}}},
+	{"sink=power,contended=false,m=8", Filter{Sink: "power", Contended: TriFalse, M: Range{8, 8, true}}},
+	// Whitespace and empty clauses are tolerated and canonicalized
+	// away; a point range "3..3" canonicalizes to "3".
+	{" mech=eviction ,, d=3..3 ", Filter{Mechanism: "eviction", D: Range{3, 3, true}}},
+	// Clause order in the input does not matter; String renders the
+	// fixed canonical order.
+	{"d=1..4,mech=misalignment", Filter{Mechanism: "misalignment", D: Range{1, 4, true}}},
+	// A zero point range is a real constraint, distinct from the
+	// unconstrained zero Filter.
+	{"m=0", Filter{M: Range{0, 0, true}}},
+	// The defense axis: literals and open globs both round-trip.
+	{"defense=nosmt", Filter{Defense: "nosmt"}},
+	{"mech=eviction,defense=no*", Filter{Mechanism: "eviction", Defense: "no*"}},
+}
+
 func TestParseFilterRoundTrip(t *testing.T) {
-	cases := []struct {
-		query string
-		want  Filter
-	}{
-		{"", Filter{}},
-		{"mech=eviction", Filter{Mechanism: "eviction"}},
-		{"model=xeon*,d=2..6,sgx=true", Filter{Model: "xeon*", D: Range{2, 6, true}, SGX: TriTrue}},
-		{"thread=mt,stealthy=false,p=10", Filter{Threading: "mt", Stealthy: TriFalse, P: Range{10, 10, true}}},
-		{"sink=power,contended=false,m=8", Filter{Sink: "power", Contended: TriFalse, M: Range{8, 8, true}}},
-		// Whitespace and empty clauses are tolerated and canonicalized
-		// away; a point range "3..3" canonicalizes to "3".
-		{" mech=eviction ,, d=3..3 ", Filter{Mechanism: "eviction", D: Range{3, 3, true}}},
-		// Clause order in the input does not matter; String renders the
-		// fixed canonical order.
-		{"d=1..4,mech=misalignment", Filter{Mechanism: "misalignment", D: Range{1, 4, true}}},
-		// A zero point range is a real constraint, distinct from the
-		// unconstrained zero Filter.
-		{"m=0", Filter{M: Range{0, 0, true}}},
-		// The defense axis: literals and open globs both round-trip.
-		{"defense=nosmt", Filter{Defense: "nosmt"}},
-		{"mech=eviction,defense=no*", Filter{Mechanism: "eviction", Defense: "no*"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range roundTripQueries {
 		f, err := ParseFilter(tc.query)
 		if err != nil {
 			t.Errorf("ParseFilter(%q): %v", tc.query, err)
@@ -135,26 +138,29 @@ func TestFilterStringRoundTripProperty(t *testing.T) {
 	}
 }
 
+// malformedQueries are queries ParseFilter must reject, with a phrase
+// the error must carry; they also seed FuzzParseFilter's corpus.
+var malformedQueries = []struct {
+	name, query, want string
+}{
+	{"unknown key", "color=red", "unknown key"},
+	{"duplicate key", "d=1,d=2", "duplicate key"},
+	{"missing value", "mech=", "want key=value"},
+	{"missing equals", "eviction", "want key=value"},
+	{"bad boolean", "sgx=maybe", "bad boolean"},
+	{"bad glob", "model=[", "bad pattern"},
+	{"inverted range", "d=6..2", "bad range"},
+	{"negative range", "d=-1", "bad range"},
+	{"non-numeric range", "p=ten", "bad bound"},
+	{"half range", "p=1..", "bad bound"},
+	// The defense catalog is closed: a literal that names no
+	// registered defense is a typo, not an empty shard.
+	{"unknown defense literal", "defense=nosnt", "unknown defense"},
+	{"bad defense glob", "defense=[", "bad pattern"},
+}
+
 func TestParseFilterRejectsMalformedQueries(t *testing.T) {
-	cases := []struct {
-		name, query, want string
-	}{
-		{"unknown key", "color=red", "unknown key"},
-		{"duplicate key", "d=1,d=2", "duplicate key"},
-		{"missing value", "mech=", "want key=value"},
-		{"missing equals", "eviction", "want key=value"},
-		{"bad boolean", "sgx=maybe", "bad boolean"},
-		{"bad glob", "model=[", "bad pattern"},
-		{"inverted range", "d=6..2", "bad range"},
-		{"negative range", "d=-1", "bad range"},
-		{"non-numeric range", "p=ten", "bad bound"},
-		{"half range", "p=1..", "bad bound"},
-		// The defense catalog is closed: a literal that names no
-		// registered defense is a typo, not an empty shard.
-		{"unknown defense literal", "defense=nosnt", "unknown defense"},
-		{"bad defense glob", "defense=[", "bad pattern"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedQueries {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseFilter(tc.query)
 			if err == nil {
@@ -165,6 +171,36 @@ func TestParseFilterRejectsMalformedQueries(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseFilter fuzzes the filter grammar, an untrusted input that
+// reaches the daemon through /v1/channels?filter= and /v1/sweeps. The
+// property: whatever ParseFilter accepts, its String parses back to an
+// equal Filter, and String is a fixed point of that round trip.
+func FuzzParseFilter(f *testing.F) {
+	for _, tc := range roundTripQueries {
+		f.Add(tc.query)
+	}
+	for _, tc := range malformedQueries {
+		f.Add(tc.query)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		flt, err := ParseFilter(query)
+		if err != nil {
+			return
+		}
+		canon := flt.String()
+		back, err := ParseFilter(canon)
+		if err != nil {
+			t.Fatalf("ParseFilter(%q) accepted, but its String %q does not parse: %v", query, canon, err)
+		}
+		if back != flt {
+			t.Fatalf("round trip changed the filter: %q -> %#v -> %q -> %#v", query, flt, canon, back)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("String is not a fixed point: %q -> %q", canon, again)
+		}
+	})
 }
 
 func TestFilterMatch(t *testing.T) {

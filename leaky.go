@@ -9,39 +9,34 @@
 // Quick start:
 //
 //	m := leaky.Gold6226()
-//	ch := leaky.NewFastCovertChannel(m, leaky.Misalignment)
+//	ch := leaky.ChannelSpec{Mechanism: leaky.MechanismMisalignment}.Build(m)
 //	res := leaky.Transmit(ch, m.Name, "010110")
 //	fmt.Println(res.RateKbps, res.ErrorRate)
 //
 // The full evaluation (every table and figure of the paper) is exposed
-// through the Experiments type; see cmd/leakyfe for a command-line
-// driver.
+// through Experiments and RunExperiments; see cmd/leakyfe for a
+// command-line driver. The package holds only the library surface that
+// README.md lists; the cmd/ tools import the internal packages
+// directly.
 package leaky
 
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/channel"
 	"repro/internal/contract"
 	"repro/internal/cpu"
-	"repro/internal/defense"
 	"repro/internal/experiments"
 	"repro/internal/fingerprint"
-	"repro/internal/fleet"
 	"repro/internal/leakfuzz"
-	"repro/internal/obs"
 	"repro/internal/runctx"
 	"repro/internal/serve"
 	"repro/internal/spec"
 	"repro/internal/spectre"
-	"repro/internal/store"
 	"repro/internal/sweep"
-	"repro/internal/ucode"
 	"repro/internal/victim"
 )
 
@@ -51,29 +46,11 @@ type Model = cpu.Model
 // Models returns the Table I catalog.
 func Models() []Model { return cpu.Models() }
 
-// ModelByName looks a model up by its Table I name.
-func ModelByName(name string) (Model, bool) { return cpu.ModelByName(name) }
-
 // Gold6226 returns the Intel Xeon Gold 6226 model.
 func Gold6226() Model { return cpu.Gold6226() }
 
 // XeonE2174G returns the Intel Xeon E-2174G model.
 func XeonE2174G() Model { return cpu.XeonE2174G() }
-
-// XeonE2286G returns the Intel Xeon E-2286G model.
-func XeonE2286G() Model { return cpu.XeonE2286G() }
-
-// XeonE2288G returns the Intel Xeon E-2288G model.
-func XeonE2288G() Model { return cpu.XeonE2288G() }
-
-// AttackKind selects the frontend mechanism a covert channel modulates.
-type AttackKind = attack.Kind
-
-// Attack kinds.
-const (
-	Eviction     = attack.Eviction
-	Misalignment = attack.Misalignment
-)
 
 // Channel is a covert channel that transmits one bit at a time.
 type Channel = channel.BitChannel
@@ -132,6 +109,9 @@ func EnumerateSpecs(m Model) []ChannelSpec { return spec.Enumerate(m) }
 // Table I catalog.
 func AllChannelSpecs() []ChannelSpec { return spec.Enumerate(cpu.Models()...) }
 
+// Alternating returns an n-bit 0101... test message.
+func Alternating(n int) string { return channel.Alternating(n) }
+
 // SweepFilter selects a slice of the enumerated scenario space with the
 // sweep query grammar — comma-separated clauses like
 // "model=xeon*,mech=eviction,thread=mt,d=1..4" (globs for
@@ -148,11 +128,6 @@ type SweepOptions = sweep.Options
 
 // SweepRow is one spec's result in a sweep report.
 type SweepRow = sweep.Row
-
-// SweepGroup aggregates one channel variant's completed rows
-// (min/mean/max of rate and error); its Key is a filter query
-// selecting exactly that variant.
-type SweepGroup = sweep.Group
 
 // SweepReport is a sweep's aggregate: per-spec rows plus per-variant
 // matrices, in canonical enumeration order, byte-identical for every
@@ -193,126 +168,13 @@ func SweepCtx(ctx context.Context, f SweepFilter, o SweepOptions, emit func(Swee
 	return sweep.Run(ctx, f, o, nil, emit)
 }
 
-// SweepRunFunc executes one scenario of a sweep; nil means the default
-// memoized in-process runner. StoreSweepRunFunc layers a persistent
-// store on top of it.
-type SweepRunFunc = sweep.RunFunc
-
-// SweepRunCtx is SweepCtx with an explicit per-spec runner, for sweeps
-// that read and warm a persistent ResultStore (or any other caching
-// layer). run nil is exactly SweepCtx.
-func SweepRunCtx(ctx context.Context, f SweepFilter, o SweepOptions, run SweepRunFunc, emit func(SweepRow)) (SweepReport, error) {
-	return sweep.Run(ctx, f, o, run, emit)
-}
-
-// ResultStore is the disk-backed content-addressed result store the
-// daemon persists into under -cache-dir: one file per canonical cache
-// key, atomic writes, versioned checksummed envelopes, and corrupt
-// entries quarantined into a miss rather than an error. A nil
-// *ResultStore is a valid no-op store.
-type ResultStore = store.Store
-
-// ResultStoreStats is a snapshot of a store's hit/miss/put counters and
-// its on-disk size.
-type ResultStoreStats = store.Stats
-
-// OpenResultStore opens (creating if needed) the store rooted at dir.
-// Share one dir between leakyfed (-cache-dir), leakysweep (-store), and
-// precompute runs: every result is a pure function of its key, so
-// concurrent writers at worst duplicate a byte-identical file.
-func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) }
-
-// StoreSweepRunFunc returns a sweep runner layered on st: read-through
-// (a stored spec costs one disk read, no simulation) and write-through
-// (every simulated spec persists for the next process). The rows are
-// byte-identical to the default runner's.
-func StoreSweepRunFunc(st *ResultStore) SweepRunFunc { return store.SweepRunFunc(st) }
-
-// FleetCoordinator scatters sweep shards across a fleet of leakyfed
-// worker nodes by consistent-hashing spec cache keys, and merges the
-// rows back into reports byte-identical to a single-node run; a dead
-// worker's shard re-hashes to the survivors. Set it on ServeConfig.Fleet
-// to make a daemon a coordinator.
-type FleetCoordinator = fleet.Coordinator
-
-// FleetStats is a snapshot of a coordinator's scatter/merge counters.
-type FleetStats = fleet.Stats
-
-// NewFleetCoordinator builds a coordinator over the workers' base URLs
-// (http[s]://host[:port]); client nil means a default http.Client.
-func NewFleetCoordinator(workers []string, client *http.Client) (*FleetCoordinator, error) {
-	return fleet.New(workers, client)
-}
-
-// mechanismFor maps the legacy constructor kind onto a spec mechanism.
-func mechanismFor(kind AttackKind) Mechanism {
-	if kind == Misalignment {
-		return MechanismMisalignment
-	}
-	return MechanismEviction
-}
-
-// NewFastCovertChannel builds the paper's fastest configuration: the
-// non-MT "fast" channel (bit 0 sends nothing) for the given mechanism.
-//
-// Deprecated: the seven New*Channel constructors are frozen points in
-// the scenario space; build any point with ChannelSpec{...}.Build(m).
-// They remain as one-line shims for one release.
-func NewFastCovertChannel(m Model, kind AttackKind) Channel {
-	return ChannelSpec{Mechanism: mechanismFor(kind)}.Build(m)
-}
-
-// NewStealthyCovertChannel builds the non-MT "stealthy" variant (bit 0
-// executes decoy blocks).
-//
-// Deprecated: use ChannelSpec{Mechanism: ..., Stealthy: true}.Build(m).
-func NewStealthyCovertChannel(m Model, kind AttackKind) Channel {
-	return ChannelSpec{Mechanism: mechanismFor(kind), Stealthy: true}.Build(m)
-}
-
-// NewMTCovertChannel builds the cross-hyper-thread channel. It panics if
-// the model has hyper-threading disabled.
-//
-// Deprecated: use ChannelSpec{Mechanism: ..., Threading: ThreadingMT}.Build(m).
-func NewMTCovertChannel(m Model, kind AttackKind) Channel {
-	return ChannelSpec{Mechanism: mechanismFor(kind), Threading: ThreadingMT}.Build(m)
-}
-
-// NewSlowSwitchChannel builds the LCP slow-switch channel.
-//
-// Deprecated: use ChannelSpec{Mechanism: MechanismSlowSwitch}.Build(m).
-func NewSlowSwitchChannel(m Model) Channel {
-	return ChannelSpec{Mechanism: MechanismSlowSwitch}.Build(m)
-}
-
-// NewPowerChannel builds the RAPL power covert channel.
-//
-// Deprecated: use ChannelSpec{Mechanism: ..., Sink: SinkPower}.Build(m).
-func NewPowerChannel(m Model, kind AttackKind) Channel {
-	return ChannelSpec{Mechanism: mechanismFor(kind), Sink: SinkPower}.Build(m)
-}
-
-// NewSGXChannel builds the non-MT SGX covert channel (sender inside an
-// enclave). It panics if the model lacks SGX.
-//
-// Deprecated: use ChannelSpec{Mechanism: ..., SGX: true, Stealthy: ...}.Build(m).
-func NewSGXChannel(m Model, kind AttackKind, stealthy bool) Channel {
-	return ChannelSpec{Mechanism: mechanismFor(kind), SGX: true, Stealthy: stealthy}.Build(m)
-}
-
-// NewSGXMTChannel builds the MT SGX covert channel.
-//
-// Deprecated: use ChannelSpec{Mechanism: ..., Threading: ThreadingMT, SGX: true}.Build(m).
-func NewSGXMTChannel(m Model, kind AttackKind) Channel {
-	return ChannelSpec{Mechanism: mechanismFor(kind), Threading: ThreadingMT, SGX: true}.Build(m)
-}
-
-// Alternating, AllZeros, AllOnes build test messages.
-var (
-	Alternating = channel.Alternating
-	AllZeros    = channel.AllZeros
-	AllOnes     = channel.AllOnes
-)
+// Advisory is a machine-readable per-CPU-model security advisory: the
+// model's live channel variants, each registered mitigation's residual
+// capacity and performance cost, and the recommended fix, rendered from
+// a defense-spanning sweep. It is the JSON the daemon's
+// /v1/advisories/{model} serves and leakysweep -advisory prints; Render
+// gives the vendor-advisory text form.
+type Advisory = sweep.Advisory
 
 // SpectreChannel selects the Spectre exfiltration channel.
 type SpectreChannel = spectre.Channel
@@ -336,39 +198,11 @@ func RunSpectre(ch SpectreChannel, secret []byte) SpectreResult {
 	return spectre.NewLab(spectre.DefaultConfig(ch)).Leak(secret)
 }
 
-// MicrocodePatch identifies a microcode level (Section X).
-type MicrocodePatch = ucode.Patch
-
-// Microcode patches of the paper's Gold 6226.
-const (
-	Patch1 = ucode.Patch1 // LSD enabled
-	Patch2 = ucode.Patch2 // LSD disabled
-)
-
-// DetectMicrocode fingerprints the running patch through frontend
-// timing. Seed 0 means the default seed 1, so sweeps over seeds are
-// reproducible instead of pinned to one buried constant.
-func DetectMicrocode(m Model, actual MicrocodePatch, seed uint64) MicrocodePatch {
-	return ucode.DetectByTiming(m, actual, defaultSeed(seed))
-}
-
-// defaultSeed maps the "unset" seed 0 to the repository-wide default 1,
-// the same convention ExperimentOpts.Normalize uses.
-func defaultSeed(seed uint64) uint64 {
-	if seed == 0 {
-		return 1
-	}
-	return seed
-}
-
 // Workload is a fingerprintable victim workload.
 type Workload = victim.Workload
 
 // CNNWorkloads returns the four CNN victims of Figure 11.
 func CNNWorkloads() []Workload { return victim.CNNs() }
-
-// GeekbenchWorkloads returns the ten mobile workloads of Section XI-B.
-func GeekbenchWorkloads() []Workload { return victim.Geekbench() }
 
 // FingerprintTrace records the attacker's IPC trace while the victim
 // runs on the sibling hardware thread.
@@ -376,114 +210,6 @@ func FingerprintTrace(m Model, w Workload, seed uint64) []float64 {
 	cfg := fingerprint.DefaultConfig(m)
 	cfg.Seed = seed
 	return fingerprint.Trace(cfg, w)
-}
-
-// ClassifyTrace matches an observed IPC trace against references.
-func ClassifyTrace(observed []float64, refs [][]float64) int {
-	return fingerprint.Classify(observed, refs)
-}
-
-// Defense is one registered countermeasure (Section XII): a pure model
-// transform plus the applicability predicate and advisory prose the
-// spec layer and the advisory renderer use. Set a spec's Defense field
-// to a registered name and the defended scenario becomes enumerable,
-// sweepable, and cacheable like any other.
-type Defense = defense.Defense
-
-// Canonical defense names, in registry order.
-const (
-	DefenseNone          = defense.DefenseNone
-	DefenseNoSMT         = defense.DefenseNoSMT
-	DefenseEqualizePaths = defense.DefenseEqualizePaths
-	DefenseNoRAPL        = defense.DefenseNoRAPL
-	DefensePartition     = defense.DefensePartition
-)
-
-// Defenses returns the registered defense catalog in canonical order
-// (the order Enumerate spans the defense axis).
-func Defenses() []Defense { return defense.All() }
-
-// ResolveDefense resolves a defense by name, case-insensitively; the
-// error lists the valid names.
-func ResolveDefense(name string) (Defense, error) { return defense.Resolve(name) }
-
-// Defense ablations (Section XII): apply a countermeasure to a model and
-// re-run the attacks against it.
-//
-// Deprecated: these free-function transforms are frozen aliases of the
-// registry entries; resolve a Defense and Apply it, or set Defense on a
-// ChannelSpec so the ablation is enumerable and sweepable.
-var (
-	// DisableSMT turns hyper-threading off, eliminating all MT attacks.
-	DisableSMT = defense.DisableSMT
-	// EqualizePaths removes the frontend's timing signatures by slowing
-	// the fast paths to MITE's pace — closing the same-work channels at
-	// a throughput cost.
-	EqualizePaths = defense.EqualizePaths
-	// DisableRAPL removes the power channel's measurement surface.
-	DisableRAPL = defense.DisableRAPL
-)
-
-// DefenseResidualError re-runs the stealthy eviction channel against a
-// (possibly defended) model and returns the residual error rate; ~0.5
-// means the channel is closed. Seed 0 means the default seed 1.
-//
-// Deprecated: transmit through the spec path instead —
-// ChannelSpec{Stealthy: true, Defense: ..., Seed: ...}.Transmit — which
-// covers every mechanism and defense, not just the stealthy eviction
-// probe. Kept as a byte-identical shim.
-func DefenseResidualError(m Model, bits int, seed uint64) float64 {
-	return defense.NonMTResidualError(m, bits, defaultSeed(seed))
-}
-
-// DefenseCost returns the relative slowdown of a defended model on a
-// DSB-friendly workload. Seed 0 means the default seed 1.
-//
-// Deprecated: use DefensePerformanceCost with a registered defense, or
-// read the PerformanceCost field off an Advisory mitigation. Kept as a
-// byte-identical shim.
-func DefenseCost(base, defended Model, seed uint64) float64 {
-	return defense.PerformanceCost(base, defended, defaultSeed(seed))
-}
-
-// DefensePerformanceCost measures the throughput price of a registered
-// defense on a model: defended cycles over baseline cycles on a
-// DSB-friendly workload (1.0 is free). Seed 0 means the default seed 1.
-func DefensePerformanceCost(m Model, d Defense, seed uint64) float64 {
-	return defense.PerformanceCost(m, d.Apply(m), defaultSeed(seed))
-}
-
-// Advisory is a machine-readable per-CPU-model security advisory: the
-// model's live channel variants, each registered mitigation's residual
-// capacity and performance cost, and the recommended fix, rendered from
-// a defense-spanning sweep. Render gives the vendor-advisory text form.
-type Advisory = sweep.Advisory
-
-// AdvisoryFinding is one live channel variant in an advisory.
-type AdvisoryFinding = sweep.AdvisoryFinding
-
-// AdvisoryMitigation scores one defense in an advisory.
-type AdvisoryMitigation = sweep.AdvisoryMitigation
-
-// AdvisorySweepFilter is the filter a model's advisory sweep uses: the
-// model's whole scenario space across every defense.
-func AdvisorySweepFilter(m Model) SweepFilter { return sweep.AdvisoryFilter(m.Name) }
-
-// NewAdvisory renders a model-scoped, defense-spanning sweep report
-// (swept with AdvisorySweepFilter) into the model's advisory. The
-// report must contain completed defense=none rows — the baseline the
-// residual accounting is anchored to.
-func NewAdvisory(rep SweepReport, m Model) (Advisory, error) { return sweep.NewAdvisory(rep, m) }
-
-// ModelAdvisory sweeps the model's whole scenario space across every
-// registered defense at the given scale and renders the advisory in one
-// call. Like Sweep, the result is a pure function of (model, options).
-func ModelAdvisory(m Model, o SweepOptions) (Advisory, error) {
-	rep, err := sweep.Run(context.Background(), sweep.AdvisoryFilter(m.Name), o, nil, nil)
-	if err != nil {
-		return Advisory{}, err
-	}
-	return sweep.NewAdvisory(rep, m)
 }
 
 // ExperimentOpts scales the paper-reproduction experiments.
@@ -590,149 +316,6 @@ func ServeCtx(ctx context.Context, addr string, cfg ServeConfig) error {
 	return err
 }
 
-// Trace is a hierarchical span trace of one run: the run is the root
-// span, stages (calibration preambles, per-bit transmit loops,
-// fingerprint sampling, sweep shards) nest under it with monotonic
-// wall-clock timings. Tracing never perturbs a simulation — spans record
-// timing only, so a traced run's result bytes are identical to an
-// untraced run's.
-type Trace = obs.Trace
-
-// TraceSpan is one completed span of a Trace.
-type TraceSpan = obs.SpanData
-
-// NewTrace opens a trace (and its root span) named name. Attach it to a
-// context with Trace.Context and pass that context to SweepCtx,
-// RunExperimentsCtx, or TransmitCtx-driven work to record stage spans;
-// call Finish when the run is over, then export with WriteChromeTrace
-// or WriteTraceNDJSON.
-func NewTrace(name string) *Trace { return obs.NewTrace("", name) }
-
-// WriteChromeTrace exports t as Chrome trace_event JSON, loadable
-// directly in about:tracing or https://ui.perfetto.dev.
-func WriteChromeTrace(w io.Writer, t *Trace) error { return obs.WriteChromeTrace(w, t) }
-
-// WriteTraceNDJSON exports t as an NDJSON stream of spans, one per line.
-func WriteTraceNDJSON(w io.Writer, t *Trace) error { return obs.WriteNDJSON(w, t) }
-
-// ValidateChromeTrace checks blob against the subset of the Chrome
-// trace_event schema the exporter emits and returns the violations
-// found (empty means loadable).
-func ValidateChromeTrace(blob []byte) []string { return obs.ValidateChromeTrace(blob) }
-
-// runArtifact dispatches one named artifact through the registry with the
-// caller's options applied verbatim (no seed splitting), preserving the
-// behavior of the historical direct-call API. It runs under the
-// never-cancelled background context, so the registry's error return is
-// unreachable here.
-func runArtifact(name string, o ExperimentOpts) (any, string) {
-	a, ok := experiments.Default().Get(name)
-	if !ok {
-		panic("leaky: unknown experiment " + name)
-	}
-	d, s, err := a.Run(experiments.RunCtx{}, o)
-	if err != nil {
-		panic("leaky: uncancellable run reported " + err.Error())
-	}
-	return d, s
-}
-
-// Experiment runners: each regenerates one table or figure of the paper
-// and returns its formatted rendering. They are thin lookups into the
-// artifact registry; RunExperiments is the batched, parallel entry point.
-
-// TableI renders the CPU model catalog (Table I).
-func TableI() string {
-	_, s := runArtifact("tableI", ExperimentOpts{})
-	return s
-}
-
-// Figure2 reproduces the per-path timing histogram (Figure 2).
-func Figure2(o ExperimentOpts) (experiments.Figure2Data, string) {
-	d, s := runArtifact("figure2", o)
-	return d.(experiments.Figure2Data), s
-}
-
-// Figure4 reproduces the mixed- vs ordered-issue LCP experiment (Figure 4).
-func Figure4(o ExperimentOpts) ([2]experiments.Figure4Row, string) {
-	d, s := runArtifact("figure4", o)
-	return d.([2]experiments.Figure4Row), s
-}
-
-// TableII reproduces the message-pattern study (Table II).
-func TableII(o ExperimentOpts) ([]Result, string) {
-	d, s := runArtifact("tableII", o)
-	return d.([]channel.Result), s
-}
-
-// TableIII reproduces the main covert-channel matrix (Table III).
-func TableIII(o ExperimentOpts) ([]Result, string) {
-	d, s := runArtifact("tableIII", o)
-	return d.([]channel.Result), s
-}
-
-// TableIV reproduces the slow-switch channel rows (Table IV).
-func TableIV(o ExperimentOpts) ([]Result, string) {
-	d, s := runArtifact("tableIV", o)
-	return d.([]channel.Result), s
-}
-
-// TableV reproduces the power channels (Table V).
-func TableV(o ExperimentOpts) ([]Result, string) {
-	d, s := runArtifact("tableV", o)
-	return d.([]channel.Result), s
-}
-
-// TableVI reproduces the SGX channel matrix (Table VI).
-func TableVI(o ExperimentOpts) ([]Result, string) {
-	d, s := runArtifact("tableVI", o)
-	return d.([]channel.Result), s
-}
-
-// TableVII reproduces the Spectre v1 L1 miss-rate comparison (Table VII).
-func TableVII(o ExperimentOpts) ([]SpectreResult, string) {
-	d, s := runArtifact("tableVII", o)
-	return d.([]spectre.Result), s
-}
-
-// Figure8 reproduces the MT eviction d-sweep (Figure 8).
-func Figure8(o ExperimentOpts) ([]experiments.Figure8Point, string) {
-	d, s := runArtifact("figure8", o)
-	return d.([]experiments.Figure8Point), s
-}
-
-// Figure9 reproduces the per-path power histogram (Figure 9).
-func Figure9(o ExperimentOpts) (experiments.Figure9Data, string) {
-	d, s := runArtifact("figure9", o)
-	return d.(experiments.Figure9Data), s
-}
-
-// Figure10 reproduces the microcode patch fingerprinting measurements.
-func Figure10(o ExperimentOpts) ([2]ucode.Observation, string) {
-	d, s := runArtifact("figure10", o)
-	return d.([2]ucode.Observation), s
-}
-
-// Figure11 reproduces the attacker IPC traces against the CNN victims.
-func Figure11(o ExperimentOpts) (map[string][]float64, string) {
-	d, s := runArtifact("figure11", o)
-	return d.(map[string][]float64), s
-}
-
-// Figure12 reproduces the fingerprinting distance study (Figure 12 and
-// Section XI-B).
-func Figure12(o ExperimentOpts) (cnn, gb fingerprint.Distances, rendered string) {
-	d, s := runArtifact("figure12", o)
-	fd := d.(experiments.Figure12Data)
-	return fd.CNN, fd.Geekbench, s
-}
-
-// LeakObservation is one retired-instruction window of the frontend
-// leakage contract: every observable an attacker can in principle
-// resolve about it (delivery-path micro-op counts, switch and stall
-// events, occupancy deltas, timing, energy).
-type LeakObservation = contract.Observation
-
 // LeakTrace is a program's contract trace: its observation windows in
 // order. Two executions of the same public code with different secrets
 // must produce equal traces, or the secret leaks.
@@ -763,14 +346,6 @@ type LeakFuzzOptions = leakfuzz.Options
 // LeakFuzzReport summarizes a campaign: executions, coverage, and the
 // minimized, classified counterexamples it found.
 type LeakFuzzReport = leakfuzz.Report
-
-// LeakFuzzFinding is one minimized leakage counterexample with its
-// mechanism classification and candidate ChannelSpec.
-type LeakFuzzFinding = leakfuzz.Finding
-
-// LeakGenome is one fuzzing candidate: a secret-dependent preparation
-// program plus a public probe, as loop-phase genes.
-type LeakGenome = leakfuzz.Genome
 
 // LeakFuzz runs one deterministic leakage-fuzzing campaign: same
 // options, same report, findings and all.

@@ -3,32 +3,48 @@ package leaky_test
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	leaky "repro"
+	"repro/internal/defense"
 )
 
 func TestFacadeModels(t *testing.T) {
-	if len(leaky.Models()) != 4 {
+	names := map[string]bool{}
+	for _, m := range leaky.Models() {
+		names[m.Name] = true
+	}
+	if len(names) != 4 {
 		t.Fatal("want 4 models")
 	}
-	if _, ok := leaky.ModelByName("Gold 6226"); !ok {
-		t.Error("Gold 6226 missing")
+	for _, m := range []leaky.Model{leaky.Gold6226(), leaky.XeonE2174G()} {
+		if !names[m.Name] {
+			t.Errorf("%s missing from the catalog", m.Name)
+		}
 	}
-	if !strings.Contains(leaky.TableI(), "Cascade Lake") {
-		t.Error("TableI incomplete")
+	if arts := leaky.Experiments(); len(arts) == 0 || arts[0].Name != "tableI" {
+		t.Error("the experiment catalog must open with Table I")
 	}
 }
 
 func TestFacadeChannelRoundTrip(t *testing.T) {
-	m := leaky.XeonE2288G()
-	ch := leaky.NewFastCovertChannel(m, leaky.Eviction)
-	res := leaky.Transmit(ch, m.Name, leaky.Alternating(80))
+	cs := leaky.ChannelSpec{Model: "Xeon E-2288G", Mechanism: leaky.MechanismEviction}
+	m, err := cs.ResolveModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := leaky.Transmit(cs.Build(m), m.Name, leaky.Alternating(80))
 	if res.ErrorRate > 0.1 {
 		t.Errorf("fast channel error %.1f%%", 100*res.ErrorRate)
 	}
@@ -44,56 +60,38 @@ func TestFacadeSpectre(t *testing.T) {
 	}
 }
 
-func TestFacadeMicrocode(t *testing.T) {
-	m := leaky.Gold6226()
-	if leaky.DetectMicrocode(m, leaky.Patch1, 0) != leaky.Patch1 {
-		t.Error("patch1 not detected")
-	}
-	if leaky.DetectMicrocode(m, leaky.Patch2, 4) != leaky.Patch2 {
-		t.Error("patch2 not detected")
-	}
-}
-
-// TestFacadeSpecEquivalence asserts the deprecated constructors and
-// their ChannelSpec twins transmit byte-identically through the public
-// API. The power constructor's twin is proven in internal/spec at
-// reduced iteration scale (its default 120k iterations/bit are too slow
-// for this tier); the complete per-config proof lives there too.
+// TestFacadeSpecEquivalence asserts the package's two transmit paths
+// agree: leaky.Transmit over a spec-built Channel is byte-identical to
+// the spec's own Transmit, which resolves the model by name and
+// calibrates on the spec's preamble (DefaultCalibBits when unset). The
+// per-configuration proof that a spec builds the paper's channels lives
+// in internal/spec's TestBuildEquivalence.
 func TestFacadeSpecEquivalence(t *testing.T) {
-	ht := leaky.XeonE2174G()
-	plain := leaky.XeonE2288G()
 	cases := []struct {
-		name  string
-		model leaky.Model
-		ctor  func() leaky.Channel
-		spec  leaky.ChannelSpec
+		name string
+		spec leaky.ChannelSpec
 	}{
-		{"fast", plain,
-			func() leaky.Channel { return leaky.NewFastCovertChannel(plain, leaky.Eviction) },
-			leaky.ChannelSpec{Mechanism: leaky.MechanismEviction}},
-		{"stealthy", plain,
-			func() leaky.Channel { return leaky.NewStealthyCovertChannel(plain, leaky.Misalignment) },
-			leaky.ChannelSpec{Mechanism: leaky.MechanismMisalignment, Stealthy: true}},
-		{"mt", ht,
-			func() leaky.Channel { return leaky.NewMTCovertChannel(ht, leaky.Eviction) },
-			leaky.ChannelSpec{Mechanism: leaky.MechanismEviction, Threading: leaky.ThreadingMT}},
-		{"slowswitch", plain,
-			func() leaky.Channel { return leaky.NewSlowSwitchChannel(plain) },
-			leaky.ChannelSpec{Mechanism: leaky.MechanismSlowSwitch}},
-		{"sgx", ht,
-			func() leaky.Channel { return leaky.NewSGXChannel(ht, leaky.Eviction, true) },
-			leaky.ChannelSpec{Mechanism: leaky.MechanismEviction, SGX: true, Stealthy: true}},
-		{"sgxmt", ht,
-			func() leaky.Channel { return leaky.NewSGXMTChannel(ht, leaky.Misalignment) },
-			leaky.ChannelSpec{Mechanism: leaky.MechanismMisalignment, Threading: leaky.ThreadingMT, SGX: true}},
+		{"fast", leaky.ChannelSpec{Model: "Xeon E-2288G", Mechanism: leaky.MechanismEviction}},
+		{"stealthy", leaky.ChannelSpec{Model: "Xeon E-2288G", Mechanism: leaky.MechanismMisalignment, Stealthy: true}},
+		{"mt", leaky.ChannelSpec{Model: "Xeon E-2174G", Mechanism: leaky.MechanismEviction, Threading: leaky.ThreadingMT}},
+		{"slowswitch", leaky.ChannelSpec{Model: "Xeon E-2288G", Mechanism: leaky.MechanismSlowSwitch}},
+		{"sgx", leaky.ChannelSpec{Model: "Xeon E-2174G", Mechanism: leaky.MechanismEviction, SGX: true, Stealthy: true}},
+		{"sgxmt", leaky.ChannelSpec{Model: "Xeon E-2174G", Mechanism: leaky.MechanismMisalignment, Threading: leaky.ThreadingMT, SGX: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			msg := leaky.Alternating(24)
-			want := leaky.Transmit(tc.ctor(), tc.model.Name, msg)
-			got := leaky.Transmit(tc.spec.Build(tc.model), tc.model.Name, msg)
+			m, err := tc.spec.ResolveModel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := leaky.Transmit(tc.spec.Build(m), m.Name, msg)
+			got, err := tc.spec.Transmit(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("spec twin diverges:\nctor: %#v\nspec: %#v", want, got)
+				t.Errorf("transmit paths diverge:\nTransmit(Build): %#v\nspec Transmit:   %#v", want, got)
 			}
 		})
 	}
@@ -113,35 +111,43 @@ func TestFacadeEnumerateSpecs(t *testing.T) {
 }
 
 // TestFacadeDefenseAblations exercises the Section XII countermeasures
-// through the public API alone: each defense must close its channel
-// (residual error near the 0.5 coin-flip) and EqualizePaths must cost
-// throughput.
+// through the spec's Defense field: each defense must close its channel
+// (residual error near the 0.5 coin-flip), nosmt must forbid MT specs,
+// and eqpaths must cost throughput.
 func TestFacadeDefenseAblations(t *testing.T) {
 	bits := 100
 	if testing.Short() {
 		bits = 40
 	}
-	base := leaky.XeonE2288G() // cleanest machine: strongest baseline channel
-	if baseErr := leaky.DefenseResidualError(base, bits, 1); baseErr > 0.1 {
+	// The stealthy eviction channel on the cleanest machine: its bits
+	// execute the same instruction count and differ only in which
+	// frontend path serves them.
+	stealthy := leaky.ChannelSpec{Model: "Xeon E-2288G", Stealthy: true, CalibBits: 30, Seed: 1}
+	eqpaths := stealthy
+	eqpaths.Defense = "eqpaths"
+	errorRate := func(t *testing.T, cs leaky.ChannelSpec, bits int) float64 {
+		t.Helper()
+		res, err := cs.Transmit(leaky.Alternating(bits))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ErrorRate
+	}
+	if baseErr := errorRate(t, stealthy, bits); baseErr > 0.1 {
 		t.Fatalf("baseline stealthy eviction error %.2f; channel broken before any defense", baseErr)
 	}
 
 	cases := []struct {
-		name     string
-		residual func() float64
+		name string
+		spec leaky.ChannelSpec
+		bits int
 	}{
-		{"EqualizePaths closes the timing channel", func() float64 {
-			return leaky.DefenseResidualError(leaky.EqualizePaths(base), bits, 1)
-		}},
-		{"DisableRAPL closes the power channel", func() float64 {
-			m := leaky.DisableRAPL(leaky.Gold6226())
-			ch := leaky.ChannelSpec{Sink: leaky.SinkPower, P: 3000, Seed: 1}.Build(m)
-			return leaky.Transmit(ch, m.Name, leaky.Alternating(16)).ErrorRate
-		}},
+		{"EqualizePaths closes the timing channel", eqpaths, bits},
+		{"DisableRAPL closes the power channel", leaky.ChannelSpec{Sink: leaky.SinkPower, P: 3000, Seed: 1, Defense: "norapl"}, 16},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.residual(); err < 0.25 {
+			if err := errorRate(t, tc.spec, tc.bits); err < 0.25 {
 				t.Errorf("residual error %.2f; a closed channel should approach the 0.5 coin-flip", err)
 			} else {
 				t.Logf("residual error %.2f", err)
@@ -150,16 +156,18 @@ func TestFacadeDefenseAblations(t *testing.T) {
 	}
 
 	t.Run("DisableSMT forbids MT specs", func(t *testing.T) {
-		m := leaky.DisableSMT(leaky.Gold6226())
-		err := leaky.ChannelSpec{Threading: leaky.ThreadingMT}.ValidateFor(m)
-		if err == nil {
-			t.Error("MT spec validated against an SMT-disabled model")
+		if err := (leaky.ChannelSpec{Threading: leaky.ThreadingMT, Defense: "nosmt"}).Validate(); err == nil {
+			t.Error("MT spec validated under nosmt")
 		}
 	})
 
 	t.Run("EqualizePaths costs throughput", func(t *testing.T) {
-		cost := leaky.DefenseCost(leaky.Gold6226(), leaky.EqualizePaths(leaky.Gold6226()), 2)
-		if cost <= 1.0 {
+		eq, ok := defense.Lookup("eqpaths")
+		if !ok {
+			t.Fatal("eqpaths is not registered")
+		}
+		m := leaky.Gold6226()
+		if cost := defense.PerformanceCost(m, eq.Apply(m), 2); cost <= 1.0 {
 			t.Errorf("defense cost %.2fx; equalizing paths should not be free", cost)
 		} else {
 			t.Logf("slowdown %.2fx", cost)
@@ -213,9 +221,6 @@ func TestFacadeFingerprint(t *testing.T) {
 	if len(tr) != 100 {
 		t.Errorf("trace length %d", len(tr))
 	}
-	if len(leaky.GeekbenchWorkloads()) != 10 {
-		t.Error("want 10 Geekbench workloads")
-	}
 }
 
 func TestFacadeSweep(t *testing.T) {
@@ -266,4 +271,59 @@ func TestFacadeSweep(t *testing.T) {
 	if _, err := leaky.ParseSweepFilter("color=red"); err == nil {
 		t.Error("ParseSweepFilter accepted a malformed query")
 	}
+}
+
+// TestFacadeIsDocumented holds the public package to its documented
+// library surface: every exported package-level name declared in the
+// package's non-test files must appear in README.md as the whole word
+// leaky.<Name>. Exporting a name means documenting it there first.
+func TestFacadeIsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					exported = append(exported, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						exported = append(exported, s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							exported = append(exported, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	n := 0
+	for _, name := range exported {
+		if !ast.IsExported(name) {
+			continue
+		}
+		n++
+		if !regexp.MustCompile(`\bleaky\.` + name + `\b`).Match(readme) {
+			t.Errorf("leaky.%s is exported but README.md does not document it", name)
+		}
+	}
+	t.Logf("%d exported names", n)
 }
