@@ -13,11 +13,14 @@
 //	leakfuzz -corpus ./corpus                      # persist/reload the corpus
 //
 // -expect names the mechanisms the campaign must rediscover,
-// comma-separated. The exit status is 1 if any expected mechanism is
-// missing from the findings, or if any finding is unclassified
-// ("unknown") — an unknown counterexample on the default model is
-// either a simulator regression or a new channel, and both deserve a
-// red build. Without -expect only unclassified findings fail the run.
+// comma-separated, from eviction, misalignment, slowswitch and bpu. The
+// exit status is 1 if any expected mechanism is missing from the
+// findings, or if any finding is unclassified ("unknown") — an unknown
+// counterexample on the default model is either a simulator regression
+// or a new channel, and both deserve a red build. Without -expect only
+// unclassified findings fail the run. A bad flag value (an -expect name
+// outside that list, a -budget below 1, an unknown -model) exits 2
+// before the campaign runs.
 //
 // -corpus points at a directory of genome JSON files: every *.json in
 // it seeds the campaign, and the final coverage-increasing corpus is
@@ -29,8 +32,10 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,28 +45,52 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// mechanisms are the families -expect may name: the ones Classify can
+// attribute a counterexample to.
+var mechanisms = []contract.Mechanism{contract.Eviction, contract.Misalignment, contract.SlowSwitch, contract.BPU}
+
+// run parses args, runs the campaign, writes the report to stdout and
+// returns the exit status. A bad flag value is refused with status 2
+// before any output; status 1 means an expected mechanism went missing
+// or a finding is unclassified.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("leakfuzz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		model   = flag.String("model", "Gold 6226", "simulated CPU (Table I name)")
-		seed    = flag.Uint64("seed", 1, "campaign seed; same seed and budget reproduce the same report")
-		budget  = flag.Int("budget", 2000, "candidate evaluations to spend (execution count, not wall time)")
-		corpus  = flag.String("corpus", "", "directory of genome JSON files to seed from and write the final corpus to")
-		jsonOut = flag.Bool("json", false, "print the report as JSON instead of text")
-		expect  = flag.String("expect", "", "comma-separated mechanisms that must be rediscovered (exit 1 otherwise)")
+		model   = fs.String("model", "Gold 6226", "simulated CPU (Table I name)")
+		seed    = fs.Uint64("seed", 1, "campaign seed; same seed and budget reproduce the same report")
+		budget  = fs.Int("budget", 2000, "candidate evaluations to spend (execution count, not wall time)")
+		corpus  = fs.String("corpus", "", "directory of genome JSON files to seed from and write the final corpus to")
+		jsonOut = fs.Bool("json", false, "print the report as JSON instead of text")
+		expect  = fs.String("expect", "", "comma-separated mechanisms that must be rediscovered (exit 1 otherwise)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "leakfuzz:", err)
+		return 2
+	}
 
 	m, err := cmdutil.ResolveModel(*model)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "leakfuzz:", err)
-		os.Exit(2)
+		return fail(err)
+	}
+	if *budget < 1 {
+		return fail(fmt.Errorf("-budget %d: a campaign needs at least 1 evaluation", *budget))
+	}
+	want, err := parseExpect(*expect)
+	if err != nil {
+		return fail(err)
 	}
 
 	opts := leakfuzz.Options{Model: m, Seed: *seed, Budget: *budget}
 	if *corpus != "" {
-		opts.Extra, err = loadCorpus(*corpus)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "leakfuzz:", err)
-			os.Exit(2)
+		if opts.Extra, err = loadCorpus(*corpus); err != nil {
+			return fail(err)
 		}
 	}
 
@@ -69,74 +98,85 @@ func main() {
 
 	if *corpus != "" {
 		if err := saveCorpus(*corpus, report.Corpus); err != nil {
-			fmt.Fprintln(os.Stderr, "leakfuzz:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	}
 
 	if *jsonOut {
 		b, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "leakfuzz:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Println(string(b))
+		fmt.Fprintln(stdout, string(b))
 	} else {
-		render(report)
+		render(stdout, report)
 	}
 
-	if !verdict(report, *expect) {
-		os.Exit(1)
+	if !verdict(stderr, report, want) {
+		return 1
 	}
+	return 0
+}
+
+// parseExpect splits the -expect list, refusing a name that is not a
+// mechanism: a misspelled family would otherwise run the whole campaign
+// and then fail like a real regression.
+func parseExpect(list string) ([]string, error) {
+	var want []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if !slices.Contains(mechanisms, contract.Mechanism(name)) {
+			return nil, fmt.Errorf("-expect: unknown mechanism %q (want one of %v)", name, mechanisms)
+		}
+		want = append(want, name)
+	}
+	return want, nil
 }
 
 // verdict decides the exit status: every expected mechanism present,
 // and no unclassified counterexamples. Problems print to stderr so the
 // JSON report stays clean on stdout.
-func verdict(r leakfuzz.Report, expect string) bool {
+func verdict(stderr io.Writer, r leakfuzz.Report, want []string) bool {
 	found := map[string]bool{}
 	ok := true
 	for _, f := range r.Findings {
 		found[string(f.Mechanism)] = true
 		if f.Mechanism == contract.Unknown {
-			fmt.Fprintf(os.Stderr, "leakfuzz: unclassified counterexample at execution %d: %s\n",
+			fmt.Fprintf(stderr, "leakfuzz: unclassified counterexample at execution %d: %s\n",
 				f.Executions, f.Divergence)
 			ok = false
 		}
 	}
-	if expect != "" {
-		for _, want := range strings.Split(expect, ",") {
-			want = strings.TrimSpace(want)
-			if want == "" {
-				continue
-			}
-			if !found[want] {
-				fmt.Fprintf(os.Stderr, "leakfuzz: expected mechanism %q not rediscovered (found: %s)\n",
-					want, strings.Join(r.Mechanisms(), ", "))
-				ok = false
-			}
+	for _, w := range want {
+		if !found[w] {
+			fmt.Fprintf(stderr, "leakfuzz: expected mechanism %q not rediscovered (found: %s)\n",
+				w, strings.Join(r.Mechanisms(), ", "))
+			ok = false
 		}
 	}
 	return ok
 }
 
-func render(r leakfuzz.Report) {
-	fmt.Printf("leakfuzz: model %q seed %d budget %d\n", r.Model, r.Seed, r.Budget)
-	fmt.Printf("  executions %d, corpus %d, coverage features %d\n",
+func render(w io.Writer, r leakfuzz.Report) {
+	fmt.Fprintf(w, "leakfuzz: model %q seed %d budget %d\n", r.Model, r.Seed, r.Budget)
+	fmt.Fprintf(w, "  executions %d, corpus %d, coverage features %d\n",
 		r.Executions, r.CorpusSize, r.Features)
 	if len(r.Findings) == 0 {
-		fmt.Println("  no leakage counterexamples")
+		fmt.Fprintln(w, "  no leakage counterexamples")
 		return
 	}
 	for _, f := range r.Findings {
-		fmt.Printf("  [%s] at execution %d: %s\n", f.Mechanism, f.Executions, f.Divergence)
+		fmt.Fprintf(w, "  [%s] at execution %d: %s\n", f.Mechanism, f.Executions, f.Divergence)
 		g, err := json.Marshal(f.Genome)
 		if err != nil {
 			g = []byte(fmt.Sprintf("marshal: %v", err))
 		}
-		fmt.Printf("    genome %s\n", g)
+		fmt.Fprintf(w, "    genome %s\n", g)
 		if f.Spec != nil {
-			fmt.Printf("    spec   %s\n", f.Spec)
+			fmt.Fprintf(w, "    spec   %s\n", f.Spec)
 		}
 	}
 }

@@ -3,7 +3,9 @@
 // (calibration memoization, contract snapshots) silently go stale when a
 // struct grows a pointer, slice, or map field; walking both object
 // graphs with reflection and flagging any aliased mutable memory turns
-// that silent corruption into a failing test.
+// that silent corruption into a failing test. Size walks one graph the
+// same way to measure what a clone costs; the leakage-contract
+// executor's snapshots report it to the fuzzer's bounded snapshot store.
 package clonecheck
 
 import (

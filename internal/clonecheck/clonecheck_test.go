@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 type inner struct {
@@ -189,4 +190,28 @@ func TestDiffComparesValues(t *testing.T) {
 			t.Fatalf("different dynamic types not flagged: %v", got)
 		}
 	})
+}
+
+// TestSizeCountsEachAllocationOnce pins Size's accounting: a value's own
+// bytes, every slice backing array at its capacity, every pointer target
+// and boxed interface value once however often it is reached, and
+// nothing for functions.
+func TestSizeCountsEachAllocationOnce(t *testing.T) {
+	type leaf struct{ a, b uint64 }
+	type node struct {
+		vals  []uint32
+		left  *leaf
+		right *leaf
+		any   any
+		fn    func()
+	}
+	shared := &leaf{}
+	n := &node{vals: make([]uint32, 3, 10), left: shared, right: shared, any: leaf{}, fn: func() {}}
+	want := int(unsafe.Sizeof(node{})) + 10*4 + int(unsafe.Sizeof(leaf{}))*2
+	if got := Size(n); got != want {
+		t.Errorf("Size = %d, want %d", got, want)
+	}
+	if got, want := Size(node{}), int(unsafe.Sizeof(node{})); got != want {
+		t.Errorf("Size of a zero value = %d, want its own %d bytes", got, want)
+	}
 }

@@ -15,7 +15,9 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
+	"unsafe"
 
+	"repro/internal/clonecheck"
 	"repro/internal/cpu"
 	"repro/internal/frontend"
 	"repro/internal/isa"
@@ -213,17 +215,34 @@ type Executor struct {
 	core *cpu.Core
 	p    Params
 	seed uint64
-	// pristine is a core as NewExecutorWith built it, which Reset copies
-	// over core; built on the first Reset.
-	pristine *cpu.Core
+	// pristine is the state NewExecutorWith built, which Reset restores;
+	// taken on the first Reset.
+	pristine *Snapshot
 
-	// Baselines for the open observation window.
-	winRetired uint64
-	baseCycle  uint64
-	baseEnergy float64
-	baseCtr    frontend.ThreadCounters
-	baseSw     frontend.SwitchStats
-	baseLines  int
+	win window // the open observation window's baselines
+	tr  Trace  // the windows the phase in flight has closed
+	// seq caches the phase's program stream once the frontend holds it;
+	// nil until read looks it up.
+	seq *isa.SeqStream
+
+	// While FinishNoting runs, reads are the instruction indices still to
+	// note and cycles their slots; while FinishTaking runs, takes are the
+	// cycles still to snapshot at and snaps their slots.
+	reads  []int
+	cycles []uint64
+	takes  []uint64
+	snaps  []*Snapshot
+}
+
+// window is an observation window's baselines: the counters the core
+// showed when it opened.
+type window struct {
+	retired uint64
+	cycle   uint64
+	energy  float64
+	ctr     frontend.ThreadCounters
+	sw      frontend.SwitchStats
+	lines   int
 }
 
 // NewExecutor builds an executor for the model. The seed feeds the
@@ -244,6 +263,51 @@ func NewExecutorWith(m cpu.Model, seed uint64, p Params) *Executor {
 	return &Executor{core: cpu.NewCore(m, seed), p: p, seed: seed}
 }
 
+// Snapshot is an executor's state frozen at a cycle boundary: a deep
+// copy of its core, with the open window's baselines and the windows its
+// phase has closed. A snapshot taken mid-phase keeps the frontend's
+// position in the phase's program but not the program itself, which
+// Restore supplies. Snapshots are immutable: Restore copies out of one,
+// so any number of executors may restore the same snapshot.
+type Snapshot struct {
+	core  *cpu.Core
+	win   window
+	tr    Trace // capacity clipped, so no append writes into it
+	bytes int
+}
+
+// Bytes returns the memory the snapshot holds: its core and its trace's
+// backing array.
+func (s *Snapshot) Bytes() int { return s.bytes }
+
+// Snapshot freezes the executor's state. Take it between phases, or
+// mid-phase once the phase has stepped; a phase just started has its
+// program still queued, where the snapshot cannot detach it.
+func (e *Executor) Snapshot() *Snapshot {
+	c := e.core.Clone()
+	if s, ok := c.FE.Stream(0).(*isa.SeqStream); ok {
+		s.Retarget(nil) // Restore supplies the program
+	}
+	return &Snapshot{
+		core:  c,
+		win:   e.win,
+		tr:    e.tr[:len(e.tr):len(e.tr)],
+		bytes: clonecheck.Size(c) + cap(e.tr)*int(unsafe.Sizeof(Observation{})),
+	}
+}
+
+// Restore puts the executor in the state s froze. For a snapshot taken
+// mid-phase, insts is the phase's program: it must begin with the
+// instructions the frontend had read, and the phase goes on with the
+// rest of it. Between phases insts is unused.
+func (e *Executor) Restore(s *Snapshot, insts []isa.Inst) {
+	e.core.CopyFrom(s.core)
+	e.win, e.tr, e.seq = s.win, s.tr, nil
+	if st, ok := e.core.FE.Stream(0).(*isa.SeqStream); ok {
+		st.Retarget(insts)
+	}
+}
+
 // Reset restores the executor to its state at construction, in place:
 // the core's state is overwritten with a pristine core's, reusing its
 // buffers, so a sequence of programs can each run from the same machine
@@ -251,10 +315,9 @@ func NewExecutorWith(m cpu.Model, seed uint64, p Params) *Executor {
 // observations are byte-identical to a fresh executor's.
 func (e *Executor) Reset() {
 	if e.pristine == nil {
-		e.pristine = cpu.NewCore(e.core.Model, e.seed)
+		e.pristine = &Snapshot{core: cpu.NewCore(e.core.Model, e.seed)}
 	}
-	e.core.CopyFrom(e.pristine)
-	*e = Executor{core: e.core, p: e.p, seed: e.seed, pristine: e.pristine}
+	e.Restore(e.pristine, nil)
 }
 
 // Core exposes the underlying core (tests, coverage features).
@@ -265,25 +328,18 @@ func (e *Executor) Core() *cpu.Core { return e.core }
 func (e *Executor) Clone() *Executor {
 	c := *e
 	c.core = e.core.Clone()
-	c.pristine = nil
+	c.tr, c.seq = e.tr[:len(e.tr):len(e.tr)], nil
 	return &c
 }
 
 // Observe executes insts on thread 0 and returns its contract trace.
 func (e *Executor) Observe(insts []isa.Inst) Trace {
 	e.Start(insts)
-	var tr Trace
-	for {
-		o, ok := e.StepWindow()
-		if !ok {
-			return tr
-		}
-		tr = append(tr, o)
-	}
+	return e.Finish()
 }
 
 // Start enqueues insts on thread 0 and opens the first observation
-// window. Drive it with StepWindow.
+// window. Drive it with StepWindow, or run it out with Finish.
 func (e *Executor) Start(insts []isa.Inst) {
 	if !e.core.Idle() {
 		panic("contract: Start on a busy executor")
@@ -294,18 +350,95 @@ func (e *Executor) Start(insts []isa.Inst) {
 	// genuinely survives in a frontend structure.
 	e.core.FE.DrainTransients(0)
 	e.core.Enqueue(0, isa.NewSeqStream(insts), nil)
-	e.openWindow()
+	e.win, e.tr, e.seq = e.now(), nil, nil
 }
 
-// openWindow snapshots the baselines the next observation is a delta
-// against.
-func (e *Executor) openWindow() {
-	e.winRetired = e.core.Retired(0)
-	e.baseCycle = e.core.Cycle()
-	e.baseEnergy = e.core.PM.TrueEnergy()
-	e.baseCtr = e.core.FE.Ctr[0]
-	e.baseSw = e.core.FE.SwitchBufferStats()
-	e.baseLines = e.core.FE.DSB.TotalLines()
+// Finish steps the phase in flight to its end and returns its trace:
+// every window the phase closed, those before a snapshot it was
+// restored from included.
+func (e *Executor) Finish() Trace {
+	for {
+		if _, ok := e.StepWindow(); !ok {
+			return e.tr
+		}
+	}
+}
+
+// FinishNoting is Finish that also notes where the frontend reads the
+// phase's program: for each index reads[i], ascending, cycles[i] is set
+// to the cycle of the last state before the frontend read that
+// instruction — for the index one past the program's end, before it
+// tried to read past it. That state depends only on the instructions
+// before the index, so a snapshot of it, which FinishTaking takes on a
+// rerun of the phase, resumes any program that begins with them.
+func (e *Executor) FinishNoting(reads []int, cycles []uint64) Trace {
+	e.reads, e.cycles = reads, cycles
+	defer func() { e.reads, e.cycles = nil, nil }()
+	return e.Finish()
+}
+
+// FinishTaking is Finish that also snapshots the executor at each
+// cycle in cycles, ascending, into snaps: cycles FinishNoting noted on
+// an identical run of the phase. A cycle no step reaches, the one the
+// phase was started or restored at, gets no snapshot.
+func (e *Executor) FinishTaking(cycles []uint64, snaps []*Snapshot) Trace {
+	for len(cycles) > 0 && cycles[0] <= e.core.Cycle() {
+		snaps[0] = nil
+		cycles, snaps = cycles[1:], snaps[1:]
+	}
+	e.takes, e.snaps = cycles, snaps
+	defer func() { e.takes, e.snaps = nil, nil }()
+	return e.Finish()
+}
+
+// read returns how many instructions of the phase's program the
+// frontend has read. It runs after a step, once the program has left
+// the queue. If the frontend read the whole program and dropped it
+// before read first looked it up, every index counts as read.
+func (e *Executor) read() int {
+	if e.seq == nil {
+		s, ok := e.core.FE.Stream(0).(*isa.SeqStream)
+		if !ok {
+			return math.MaxInt
+		}
+		e.seq = s
+	}
+	return e.seq.Pos()
+}
+
+// noteReads notes the cycle the last step began at, one before the
+// current, for each noted instruction the step read, and for the end of
+// the program once the step tried to read past it.
+func (e *Executor) noteReads() {
+	for len(e.reads) > 0 {
+		if r, n := e.reads[0], e.read(); n < r || n == r && e.core.FE.Stream(0) != nil {
+			return
+		}
+		e.cycles[0] = e.core.Cycle() - 1
+		e.reads, e.cycles = e.reads[1:], e.cycles[1:]
+	}
+}
+
+// takeSnapshots snapshots the executor for every noted cycle equal to
+// the current one.
+func (e *Executor) takeSnapshots() {
+	s := e.Snapshot()
+	for len(e.takes) > 0 && e.takes[0] == e.core.Cycle() {
+		e.snaps[0] = s
+		e.takes, e.snaps = e.takes[1:], e.snaps[1:]
+	}
+}
+
+// now reads the counters an observation window is a delta of.
+func (e *Executor) now() window {
+	return window{
+		retired: e.core.Retired(0),
+		cycle:   e.core.Cycle(),
+		energy:  e.core.PM.TrueEnergy(),
+		ctr:     e.core.FE.Ctr[0],
+		sw:      e.core.FE.SwitchBufferStats(),
+		lines:   e.core.FE.DSB.TotalLines(),
+	}
 }
 
 // StepWindow advances the program until WindowUOps micro-ops retire or
@@ -313,48 +446,58 @@ func (e *Executor) openWindow() {
 // ok=false once the program is done and every retired micro-op has been
 // attributed to a window.
 func (e *Executor) StepWindow() (Observation, bool) {
-	start := e.core.Cycle()
-	target := e.winRetired + uint64(e.p.WindowUOps)
+	target := e.win.retired + uint64(e.p.WindowUOps)
 	for e.core.Retired(0) < target {
 		if e.core.Idle() {
 			// Program complete: flush the partial window, if any.
-			if e.core.Retired(0) == e.winRetired {
+			if e.core.Retired(0) == e.win.retired {
 				return Observation{}, false
 			}
 			break
 		}
 		e.core.Step()
-		if e.core.Cycle()-start > e.p.MaxCycles {
+		// Counted from the window's first cycle, so a window resumed
+		// from a snapshot is guarded exactly like one stepped whole.
+		if e.core.Cycle()-e.win.cycle > e.p.MaxCycles {
 			panic(fmt.Sprintf("contract: window exceeded %d cycles", e.p.MaxCycles))
 		}
+		if len(e.reads) > 0 && e.read() >= e.reads[0] {
+			e.noteReads()
+		}
+		if len(e.takes) > 0 && e.takes[0] == e.core.Cycle() {
+			e.takeSnapshots()
+		}
 	}
-	o := e.observe()
-	e.openWindow()
+	o := e.closeWindow()
+	e.tr = append(e.tr, o)
 	return o, true
 }
 
-// observe closes the current window against its baselines.
-func (e *Executor) observe() Observation {
-	ctr := e.core.FE.Ctr[0]
-	sw := e.core.FE.SwitchBufferStats()
-	return Observation{
-		Cycles:         e.core.Cycle() - e.baseCycle,
-		Energy:         e.core.PM.TrueEnergy() - e.baseEnergy,
-		UOpsLSD:        ctr.UOpsLSD - e.baseCtr.UOpsLSD,
-		UOpsDSB:        ctr.UOpsDSB - e.baseCtr.UOpsDSB,
-		UOpsMITE:       ctr.UOpsMITE - e.baseCtr.UOpsMITE,
-		Switches:       ctr.SwitchCount - e.baseCtr.SwitchCount,
-		SwitchCycles:   ctr.SwitchCycles - e.baseCtr.SwitchCycles,
-		SwHits:         sw.Hits - e.baseSw.Hits,
-		SwConflicts:    sw.Conflicts - e.baseSw.Conflicts,
-		SwInserts:      sw.Inserts - e.baseSw.Inserts,
-		StallCycles:    ctr.StallCycles - e.baseCtr.StallCycles,
-		LCPStallCycles: ctr.LCPStallCycles - e.baseCtr.LCPStallCycles,
-		L1IMisses:      ctr.L1IMisses - e.baseCtr.L1IMisses,
-		Mispredicts:    ctr.Mispredicts - e.baseCtr.Mispredicts,
-		DSBLines:       e.core.FE.DSB.TotalLines() - e.baseLines,
+// closeWindow observes the open window against its baselines and opens
+// the next one on the counters it just read, so each counter — the DSB
+// line count walks every set — is read once per window.
+func (e *Executor) closeWindow() Observation {
+	now, b := e.now(), &e.win
+	o := Observation{
+		Cycles:         now.cycle - b.cycle,
+		Energy:         now.energy - b.energy,
+		UOpsLSD:        now.ctr.UOpsLSD - b.ctr.UOpsLSD,
+		UOpsDSB:        now.ctr.UOpsDSB - b.ctr.UOpsDSB,
+		UOpsMITE:       now.ctr.UOpsMITE - b.ctr.UOpsMITE,
+		Switches:       now.ctr.SwitchCount - b.ctr.SwitchCount,
+		SwitchCycles:   now.ctr.SwitchCycles - b.ctr.SwitchCycles,
+		SwHits:         now.sw.Hits - b.sw.Hits,
+		SwConflicts:    now.sw.Conflicts - b.sw.Conflicts,
+		SwInserts:      now.sw.Inserts - b.sw.Inserts,
+		StallCycles:    now.ctr.StallCycles - b.ctr.StallCycles,
+		LCPStallCycles: now.ctr.LCPStallCycles - b.ctr.LCPStallCycles,
+		L1IMisses:      now.ctr.L1IMisses - b.ctr.L1IMisses,
+		Mispredicts:    now.ctr.Mispredicts - b.ctr.Mispredicts,
+		DSBLines:       now.lines - b.lines,
 		LSDLocked:      e.core.FE.LSDFor(0).Locked(),
 	}
+	e.win = now
+	return o
 }
 
 // Pair is a secret-pair: one public program whose execution follows

@@ -1,6 +1,8 @@
 package contract
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
@@ -178,5 +180,109 @@ func TestCompareFindsFirstDivergence(t *testing.T) {
 	}
 	if d, leak := Compare(a, a[:1]); !leak || d.Window != -1 {
 		t.Fatalf("length mismatch not reported: %+v %v", d, leak)
+	}
+}
+
+// TestSnapshotResumesAnyProgramSharingItsPrefix pins the snapshot
+// path the fuzzer resumes children on. A phase runs program A = head +
+// tail once noting where the frontend reads the first instruction of
+// tail and where it tries to read past A, then again taking snapshots
+// there. Restored with another program that shares A's instructions up
+// to the snapshot, the executor must record exactly the trace a fresh
+// executor records for that program, after the same preceding phase.
+func TestSnapshotResumesAnyProgramSharingItsPrefix(t *testing.T) {
+	prior := loop(isa.MixChain(9, 4, false), 5)
+	head := loop(isa.MixChain(20, 6, true), 4)
+	a := append(append([]isa.Inst(nil), head...), loop(isa.MixChain(5, 3, false), 6)...)
+	lcp := []*isa.Block{isa.LCPBlock(isa.AddrForSet(6, 2), 14, false)}
+	isa.ChainLoop(lcp)
+	other := loop(lcp, 3)
+	reads := []int{len(head), len(a)}
+
+	run := func() *Executor {
+		e := NewExecutor(model(), 1)
+		e.Observe(prior)
+		e.Start(a)
+		return e
+	}
+	cycles := make([]uint64, len(reads))
+	noted := run().FinishNoting(reads, cycles)
+	snaps := make([]*Snapshot, len(reads))
+	taken := run().FinishTaking(cycles, snaps)
+	if d, diff := Compare(noted, taken); diff {
+		t.Fatalf("the snapshotting rerun diverged from the noting run: %s", d)
+	}
+	checked := 0
+	for i, prog := range [][]isa.Inst{
+		append(append([]isa.Inst(nil), head...), other...), // differs after snapshot 0
+		append(append([]isa.Inst(nil), a...), other...),    // extends A past snapshot 1
+		head, // ends where snapshot 0 sits
+	} {
+		fresh := NewExecutor(model(), 1)
+		fresh.Observe(prior)
+		want := fresh.Observe(prog)
+		for j, s := range snaps {
+			if s == nil || len(prog) < reads[j] || !slices.Equal(prog[:reads[j]], a[:reads[j]]) {
+				continue
+			}
+			e := NewExecutor(model(), 7)
+			e.Observe(loop(isa.MixChain(30, 2, true), 9)) // leave other state behind
+			e.Restore(s, prog)
+			if got := e.Finish(); !reflect.DeepEqual(got, want) {
+				t.Errorf("program %d resumed from snapshot %d: trace differs from a fresh executor's", i, j)
+			}
+			checked++
+		}
+	}
+	if checked != 4 {
+		t.Fatalf("%d resumed runs checked, want 4", checked)
+	}
+}
+
+// TestWindowGuardCountsFromWindowStart pins that the runaway guard
+// counts a window's cycles from its first, so a window resumed from a
+// snapshot in its middle trips it exactly as the window stepped whole
+// does.
+func TestWindowGuardCountsFromWindowStart(t *testing.T) {
+	pause := []*isa.Block{isa.PauseBlock(isa.AddrForSet(4, 0), 4)}
+	isa.ChainLoop(pause)
+	prog := loop(pause, 3)
+	// Find the longest window and the cycles strictly inside it.
+	var start, longest uint64
+	var at uint64
+	for _, o := range NewExecutor(model(), 1).Observe(prog) {
+		if o.Cycles > longest {
+			start, longest = at, o.Cycles
+		}
+		at += o.Cycles
+	}
+	if longest < 3 {
+		t.Fatalf("longest window only %d cycles", longest)
+	}
+	p := Params{WindowUOps: DefaultParams().WindowUOps, MaxCycles: longest - 1}
+	tripped := func(e *Executor) (ok bool) {
+		defer func() { ok = recover() != nil }()
+		e.Finish()
+		return false
+	}
+	e := NewExecutorWith(model(), 1, p)
+	e.Start(prog)
+	if !tripped(e) {
+		t.Fatalf("a %d-cycle window passed a %d-cycle guard", longest, p.MaxCycles)
+	}
+	var cycles []uint64
+	for c := start + 1; c < start+longest; c += max(1, longest/16) {
+		cycles = append(cycles, c)
+	}
+	snaps := make([]*Snapshot, len(cycles))
+	e = NewExecutor(model(), 1)
+	e.Start(prog)
+	e.FinishTaking(cycles, snaps)
+	for i, s := range snaps {
+		r := NewExecutorWith(model(), 1, p)
+		r.Restore(s, prog)
+		if !tripped(r) {
+			t.Fatalf("resumed at cycle %d, the %d-cycle window passed the guard", cycles[i], longest)
+		}
 	}
 }

@@ -119,6 +119,15 @@ func (s *SeqStream) Next() (Inst, bool) {
 	return in, true
 }
 
+// Pos returns how many instructions the stream has yielded.
+func (s *SeqStream) Pos() int { return s.pos }
+
+// Retarget makes s continue over insts from its position: the
+// instructions s has yielded are taken to be insts' first ones, and Next
+// goes on with the rest of insts. The contract executor resumes a
+// snapshot's phase over a new program this way.
+func (s *SeqStream) Retarget(insts []Inst) { s.insts = insts }
+
 // ConcatStream chains multiple streams end to end.
 type ConcatStream struct {
 	streams []Stream

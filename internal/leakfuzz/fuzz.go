@@ -95,34 +95,49 @@ const minimizeBudget = 400
 type fuzzer struct {
 	o       Options
 	r       *rng.RNG
-	ex      *contract.Executor // reset before every secret arm
+	ex      *contract.Executor // restored before every secret arm
 	corpus  []Genome
+	sets    []*snapSet // corpus genomes' snapshots, by corpus index
+	store   *store     // nil: every evaluation runs from a fresh core
 	keys    map[string]bool
 	cov     coverage
 	found   map[contract.Mechanism]bool
 	report  Report
 	minLeft int
+
+	// onEval, if set, sees every budget and seed evaluation (tests).
+	onEval func(Genome, evalResult)
 }
 
 // Run executes one deterministic fuzzing campaign.
-func Run(o Options) Report {
+func Run(o Options) Report { return newFuzzer(o, storeBudget).run() }
+
+// newFuzzer sets up a campaign whose snapshot store holds at most
+// budget bytes; a zero budget keeps no snapshots at all.
+func newFuzzer(o Options, budget int) *fuzzer {
 	o = o.normalize()
 	f := &fuzzer{
-		o:       o,
-		r:       rng.New(rng.SplitSeed(o.Seed, "leakfuzz")),
-		ex:      contract.NewExecutorWith(o.Model, o.Seed, o.Params),
-		keys:    map[string]bool{},
-		cov:     coverage{},
-		found:   map[contract.Mechanism]bool{},
-		minLeft: 0,
+		o:     o,
+		r:     rng.New(rng.SplitSeed(o.Seed, "leakfuzz")),
+		ex:    contract.NewExecutorWith(o.Model, o.Seed, o.Params),
+		keys:  map[string]bool{},
+		cov:   coverage{},
+		found: map[contract.Mechanism]bool{},
+	}
+	if budget > 0 {
+		f.store = newStore(budget)
 	}
 	f.report = Report{Model: o.Model.Name, Seed: o.Seed, Budget: o.Budget}
-	for _, g := range append(seedCorpus(), o.Extra...) {
-		f.consider(g.Normalize())
+	return f
+}
+
+func (f *fuzzer) run() Report {
+	for _, g := range append(seedCorpus(), f.o.Extra...) {
+		f.consider(g.Normalize(), nil)
 	}
-	for f.report.Executions < o.Budget && len(f.corpus) > 0 {
-		parent := f.corpus[f.r.Intn(len(f.corpus))]
-		f.consider(f.mutate(parent))
+	for f.report.Executions < f.o.Budget && len(f.corpus) > 0 {
+		i := f.r.Intn(len(f.corpus))
+		f.consider(f.mutate(f.corpus[i]), f.sets[i])
 	}
 	f.report.CorpusSize = len(f.corpus)
 	f.report.Features = len(f.cov)
@@ -161,7 +176,8 @@ type evalResult struct {
 // traces feed coverage; an attacker does not see them, so only the probe
 // traces are compared). When both arms compile to the same instructions,
 // arm 1 would replay arm 0 exactly on the deterministic executor, so
-// arm 0's traces stand for both and the arms cannot diverge.
+// arm 0's traces stand for both and the arms cannot diverge. Minimization
+// runs here; budget candidates go through evaluate.
 func (f *fuzzer) exec(g Genome) evalResult {
 	pair := g.BuildPair()
 	f.ex.Reset()
@@ -177,17 +193,21 @@ func (f *fuzzer) exec(g Genome) evalResult {
 	return evalResult{prep0: p0, prep1: p1, t0: t0, t1: t1, d: d, leak: leak}
 }
 
-// consider evaluates one candidate, admits it to the corpus on new
-// coverage, and records a finding when it leaks through a family not
-// yet seen.
-func (f *fuzzer) consider(g Genome) {
+// consider evaluates one candidate, a child of parent's genome or, for
+// a nil parent, a seed; admits it to the corpus on new coverage, with
+// snapshots for its own children; and records a finding when it leaks
+// through a family not yet seen.
+func (f *fuzzer) consider(g Genome, parent *snapSet) {
 	k := g.key()
 	if f.keys[k] {
 		return
 	}
 	f.keys[k] = true
 	f.report.Executions++
-	res := f.exec(g)
+	res, runs := f.evaluate(g, parent)
+	if f.onEval != nil {
+		f.onEval(g, res)
+	}
 	mech := contract.Unknown
 	if res.leak {
 		mech = contract.Classify(res.t0, res.t1)
@@ -198,6 +218,7 @@ func (f *fuzzer) consider(g Genome) {
 	)
 	if fresh > 0 {
 		f.corpus = append(f.corpus, g)
+		f.sets = append(f.sets, f.keep(runs, parent))
 	}
 	if res.leak && !f.found[mech] {
 		f.found[mech] = true

@@ -1,12 +1,15 @@
 package leakfuzz
 
 import (
+	"hash/fnv"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/contract"
 	"repro/internal/cpu"
 	"repro/internal/isa"
+	"repro/internal/rng"
 )
 
 // FuzzFrontendContract is the native harness: `go test -fuzz
@@ -25,6 +28,10 @@ import (
 //  4. Reset soundness — one executor reset before each arm, the way the
 //     fuzzer runs a pair, records exactly the prep and probe traces two
 //     fresh executors do.
+//  5. Resume soundness — a child derived from the genome by a mutation
+//     the input selects, its arms resumed from the genome's gene-boundary
+//     snapshots the way a campaign evaluates children, records exactly
+//     the traces, divergence and verdict fresh executors do.
 func FuzzFrontendContract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 20, 6, 1, 4, 0, 20, 6, 2, 1})     // eviction-shaped: prep AltSet over probe's set
@@ -92,6 +99,17 @@ func FuzzFrontendContract(f *testing.F) {
 			if !slices.Equal(gotPrep, wantPrep) || !slices.Equal(gotProbe, wantProbe) {
 				t.Fatalf("arm %d on a reset executor differs from a fresh one (%s)", arm, g.key())
 			}
+		}
+
+		fz := newFuzzer(Options{Model: m, Seed: 1, Params: p}, storeBudget)
+		_, runs := fz.evaluate(g, nil)
+		parent := fz.keep(runs, nil)
+		h := fnv.New64a()
+		h.Write(data)
+		fz.r = rng.New(h.Sum64())
+		child := fz.mutate(g)
+		if got, _ := fz.evaluate(child, parent); !reflect.DeepEqual(got, freshEval(m, 1, p, child)) {
+			t.Fatalf("child %s resumed from the snapshots of %s differs from fresh executors", child.key(), g.key())
 		}
 	})
 }

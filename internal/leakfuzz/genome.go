@@ -11,6 +11,14 @@
 // Everything is deterministic: mutation randomness comes from
 // internal/rng seeded once, and the simulator's contract path draws no
 // noise, so a (seed, budget) pair always reproduces the same findings.
+//
+// Every mutated child comes from a corpus genome and differs from it in
+// a gene or two, so each of its arms starts with genes one of its
+// parent's arms ran. A campaign keeps executor snapshots of every corpus
+// genome's arms at each gene boundary, within a fixed byte budget, and
+// resumes a child's arm from the deepest snapshot whose genes it shares
+// instead of re-simulating that prefix (snap.go). The resumed traces are
+// bit for bit those of a fresh executor.
 package leakfuzz
 
 import (
@@ -188,16 +196,28 @@ func (g Gene) blocks() []*isa.Block {
 	}
 }
 
-// build materializes the dynamic instruction sequence of the genes'
-// loops as one secret arm runs them, a whole loop body at a time.
-func build(genes []Gene, secret bool) []isa.Inst {
-	var insts []isa.Inst
+// phase is one phase of a secret arm, built: the genes the arm runs,
+// altered for its secret, their dynamic instruction sequence, and where
+// each gene's instructions end.
+type phase struct {
+	genes []Gene
+	insts []isa.Inst
+	ends  []int
+}
+
+// build materializes the genes' loops as one secret arm runs them, a
+// whole loop body at a time. A gene's instructions depend on that armed
+// gene alone.
+func build(genes []Gene, secret bool) phase {
+	var ph phase
 	for _, gene := range genes {
 		if a, ok := gene.arm(secret); ok {
-			insts = isa.NewLoopStream(a.blocks(), a.Iters).Append(insts)
+			ph.insts = isa.NewLoopStream(a.blocks(), a.Iters).Append(ph.insts)
+			ph.genes = append(ph.genes, a)
+			ph.ends = append(ph.ends, len(ph.insts))
 		}
 	}
-	return insts
+	return ph
 }
 
 // BuildPair materializes the genome as a contract secret-pair. The
@@ -205,9 +225,9 @@ func build(genes []Gene, secret bool) []isa.Inst {
 // construction (probe genes carry no Alt).
 func (g Genome) BuildPair() contract.Pair {
 	return contract.Pair{
-		Prep0: build(g.Prep, false),
-		Prep1: build(g.Prep, true),
-		Probe: build(g.Probe, false),
+		Prep0: build(g.Prep, false).insts,
+		Prep1: build(g.Prep, true).insts,
+		Probe: build(g.Probe, false).insts,
 	}
 }
 
