@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/runctx"
 )
 
 // Result records one artifact run: the derived per-artifact seed, the
@@ -70,65 +71,39 @@ func (rn Runner) RunEmit(arts []Artifact, emit func(Result)) []Result {
 // instantly once rc is cancelled, so a caller holding scarce simulation
 // slots gets them back within one checkpoint interval.
 func (rn Runner) RunEmitCtx(rc RunCtx, arts []Artifact, emit func(Result)) []Result {
-	workers := rn.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(arts) {
-		workers = len(arts)
-	}
 	results := make([]Result, len(arts))
-	jobs := make(chan int)
-	completions := make(chan int)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				a := arts[i]
-				ao := rn.ArtifactOpts(a.Name)
-				res := Result{Name: a.Name, Ref: a.Ref, Desc: a.Desc, Seed: ao.Seed}
-				if err := rc.Err(); err != nil {
-					res.Err = err.Error()
-				} else {
-					// Per-artifact span (no-op when rc is untraced); seed
-					// and name tie a profile track to the exact rerunnable
-					// artifact invocation.
-					arc, span := rc.WithArtifact(a.Name).StartSpan("artifact",
-						obs.String("artifact", a.Name),
-						obs.String("ref", a.Ref),
-						obs.String("seed", fmt.Sprint(ao.Seed)))
-					start := time.Now()
-					data, rendered, err := a.Run(arc, ao)
-					res.Elapsed = time.Since(start)
-					if err != nil {
-						res.Err = err.Error()
-						span.SetAttr("err", res.Err)
-					} else {
-						res.Rendered, res.Data = rendered, data
-					}
-					span.End()
-				}
-				results[i] = res
-				completions <- i
+	run := func(i int) {
+		a := arts[i]
+		ao := rn.ArtifactOpts(a.Name)
+		res := Result{Name: a.Name, Ref: a.Ref, Desc: a.Desc, Seed: ao.Seed}
+		if err := rc.Err(); err != nil {
+			res.Err = err.Error()
+		} else {
+			// Per-artifact span (no-op when rc is untraced); seed and name
+			// tie a profile track to the exact rerunnable artifact
+			// invocation.
+			arc, span := rc.WithArtifact(a.Name).StartSpan("artifact",
+				obs.String("artifact", a.Name),
+				obs.String("ref", a.Ref),
+				obs.String("seed", fmt.Sprint(ao.Seed)))
+			start := time.Now()
+			data, rendered, err := a.Run(arc, ao)
+			res.Elapsed = time.Since(start)
+			if err != nil {
+				res.Err = err.Error()
+				span.SetAttr("err", res.Err)
+			} else {
+				res.Rendered, res.Data = rendered, data
 			}
-		}()
-	}
-	go func() {
-		for i := range arts {
-			jobs <- i
+			span.End()
 		}
-		close(jobs)
-	}()
-	done := make([]bool, len(arts))
-	next := 0
-	for finished := 0; finished < len(arts); finished++ {
-		done[<-completions] = true
-		for next < len(arts) && done[next] {
-			if emit != nil {
-				emit(results[next])
-			}
-			next++
-		}
+		results[i] = res
 	}
+	runctx.Ordered(len(arts), rn.Workers, run, func(i int) {
+		if emit != nil {
+			emit(results[i])
+		}
+	})
 	return results
 }
 

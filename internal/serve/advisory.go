@@ -2,12 +2,10 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
-	"repro/internal/channel"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/spec"
@@ -51,12 +49,9 @@ func (s *Server) handleAdvisory(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if format != "json" && format != "text" {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (json|text)", format))
+	text, err := textFormat(r)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	calib, err := advisoryScale(r, "calib", advisoryCalibDefault)
@@ -82,68 +77,32 @@ func (s *Server) handleAdvisory(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-
 	key := advisoryKey(m.Name, o.Bits, o.Seed, calib, maxp)
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	res, err := retryBusy(ctx, func() (experiments.Result, error) {
-		return s.advisoryResult(ctx, key, f, so, specs, m)
+	s.respond(w, r, text, func(ctx context.Context) (experiments.Result, error) {
+		// The sweep is one job, claimed by the flight leader, so joiners
+		// may see ErrBusy.
+		return retryBusy(ctx, func() (experiments.Result, error) {
+			if res, hit := s.cached(ctx, key); hit {
+				return res, nil
+			}
+			return s.resolve(ctx, key, true, s.advisoryRun(f, so, specs, m))
+		})
 	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) && r.Context().Err() == nil {
-			s.fail(w, http.StatusServiceUnavailable, errors.New("run cancelled (server shutting down)"))
-			return
-		}
-		s.failErr(w, err)
-		return
-	}
-	if format == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, res.Rendered)
-		return
-	}
-	s.writeJSON(w, res)
 }
 
-// advisoryResult is the cache-aware core of the advisory endpoint:
-// cache probe, flight group, then a defense-spanning sweep whose rows
-// go through the same per-spec channel cache as POST /v1/sweeps and
+// advisoryRun is the advisory body: a defense-spanning sweep whose rows
+// go through the same per-spec channel path as POST /v1/sweeps and
 // /v1/channels/run — identical rows collapse across all three
-// endpoints. The sweep counts as one job against the queue, claimed by
-// the flight leader (so joiners may see ErrBusy; callers retryBusy).
-func (s *Server) advisoryResult(ctx context.Context, key string, f sweep.Filter, so sweep.Options, specs []spec.ChannelSpec, m cpu.Model) (experiments.Result, error) {
-	if res, hit := s.cacheGet(ctx, key); hit {
-		s.metrics.CacheHits.Add(1)
-		return res, nil
-	}
-	res, shared, err := s.flights.Do(ctx, key, func(fctx context.Context) (experiments.Result, error) {
-		if res, hit := s.cacheGet(fctx, key); hit {
-			s.metrics.CacheHits.Add(1)
-			return res, nil
-		}
-		if !s.admit(1) {
-			return experiments.Result{}, ErrBusy
-		}
-		defer s.release(1)
-		run := func(ctx context.Context, cs spec.ChannelSpec, bits int) (channel.Result, error) {
-			res, err := retryBusy(ctx, func() (experiments.Result, error) {
-				return s.channelResult(ctx, cs, bits, false)
-			})
-			if err != nil {
-				return channel.Result{}, err
-			}
-			tres, ok := res.Data.(channel.Result)
-			if !ok {
-				return channel.Result{}, fmt.Errorf("serve: cached %q is not a channel result", res.Name)
-			}
-			return tres, nil
-		}
-		rep := sweep.RunSpecs(fctx, f, so, specs, run, nil)
+// endpoints. It holds no simulation slot itself: each row takes its
+// own.
+func (s *Server) advisoryRun(f sweep.Filter, so sweep.Options, specs []spec.ChannelSpec, m cpu.Model) computeFunc {
+	return func(ctx context.Context) (experiments.Result, error) {
+		rep := sweep.RunSpecs(ctx, f, so, specs, s.probedRun(nil), nil)
 		if rep.Completed != rep.Specs {
 			// The sweep was cut short (shutdown, or abandonment under
 			// CancelAbandoned): an advisory over a partial baseline would
 			// be misleading, so surface the cancellation instead.
-			if err := fctx.Err(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return experiments.Result{}, err
 			}
 			for _, row := range rep.Rows {
@@ -156,7 +115,7 @@ func (s *Server) advisoryResult(ctx context.Context, key string, f sweep.Filter,
 		if err != nil {
 			return experiments.Result{}, err
 		}
-		res := experiments.Result{
+		return experiments.Result{
 			Name:     "advisory-" + m.Name,
 			Ref:      "Section XII",
 			Desc:     adv.Title,
@@ -165,14 +124,8 @@ func (s *Server) advisoryResult(ctx context.Context, key string, f sweep.Filter,
 			Data:     adv,
 			// Elapsed stays zero: advisories are pure functions of
 			// (model, bits, seed, calib, maxp).
-		}
-		s.cacheAdd(fctx, key, res)
-		return res, nil
-	})
-	if shared && err == nil {
-		s.metrics.Deduplicated.Add(1)
+		}, nil
 	}
-	return res, err
 }
 
 // advisoryScale parses a non-negative integer scale override (?calib=,

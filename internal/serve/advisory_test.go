@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
@@ -27,10 +28,31 @@ func TestAdvisoryEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, body1 := get(t, ts, advisoryPath)
-	if code != 200 {
-		t.Fatalf("cold advisory: status %d: %s", code, body1)
+	// Three concurrent identical cold requests collapse into one sweep,
+	// whatever the interleaving: the same bytes for all three, each spec
+	// of the shard simulated once, and the other two requests served by
+	// the first one's flight or from its cached result.
+	const n = 3
+	codes := make([]int, n)
+	bodies := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i], bodies[i] = tryGet(ts, advisoryPath)
+		}()
 	}
+	wg.Wait()
+	for i := range n {
+		if codes[i] != 200 {
+			t.Fatalf("cold advisory %d: status %d: %s", i, codes[i], bodies[i])
+		}
+		if !bytes.Equal(bodies[i], bodies[0]) {
+			t.Fatalf("concurrent cold advisories %d and 0 differ", i)
+		}
+	}
+	body1 := bodies[0]
 	var res experiments.Result
 	if err := json.Unmarshal(body1, &res); err != nil {
 		t.Fatal(err)
@@ -50,9 +72,17 @@ func TestAdvisoryEndToEnd(t *testing.T) {
 		t.Errorf("advisory empty: %d affected, %d mitigations, recommended %q",
 			len(adv.Affected), len(adv.Mitigations), adv.Recommended)
 	}
+	specs, err := sweep.Expand(sweep.AdvisoryFilter("Gold 6226"), sweep.Options{
+		Bits: s.opts.Bits, Seed: s.opts.Seed, CalibBits: 4, MaxP: advisoryMaxPDefault})
+	if err != nil {
+		t.Fatal(err)
+	}
 	misses := s.Metrics().CacheMisses.Load()
-	if misses == 0 {
-		t.Fatal("cold advisory simulated nothing")
+	if misses != uint64(len(specs)) {
+		t.Fatalf("%d concurrent cold advisories simulated %d specs, want the shard's %d once each", n, misses, len(specs))
+	}
+	if served := s.Metrics().Deduplicated.Load() + s.Metrics().CacheHits.Load(); served != n-1 {
+		t.Fatalf("%d concurrent cold advisories: %d served by another's sweep, want %d", n, served, n-1)
 	}
 
 	// The acceptance criterion: a repeat is byte-identical and performs

@@ -59,15 +59,6 @@ func retryBusy(ctx context.Context, fn func() (experiments.Result, error)) (expe
 	}
 }
 
-// channelRunKey is the cache/singleflight identity of one channel run:
-// the spec's own versioned canonical key plus the message length. The
-// key is shared with the persistent store (and through it with
-// leakysweep's -store and the fleet's consistent-hash ring), so it
-// lives in internal/store as the single definition.
-func channelRunKey(cs spec.ChannelSpec, bits int) string {
-	return store.ChannelKey(cs, bits)
-}
-
 // ChannelRun transmits an alternating message of o.Bits bits over the
 // scenario cs describes and returns the run as a Result (Data is the
 // channel.Result, Rendered its table row). Like artifacts, channel
@@ -96,91 +87,29 @@ func (s *Server) ChannelRun(ctx context.Context, cs spec.ChannelSpec, o experime
 	return s.channelResult(ctx, cs, o.Bits, true)
 }
 
-// channelResult is the cache-aware core every channel execution goes
-// through — single POST /v1/channels/run requests and sweep shards
-// alike: a cache probe, then the flight group (keyed by the spec's
-// canonical key plus the message length, so concurrent identical
-// requests from either endpoint collapse into one simulation), then a
-// cached run. With admitJob set the flight leader claims one job-queue
-// slot per spec (the single-request admission unit); sweeps admit once
-// per request instead and pass admitJob false. cs must be normalized
-// and valid.
+// channelResult resolves one channel run — a single POST
+// /v1/channels/run or a sweep row — under store.ChannelKey, the spec's
+// versioned canonical key plus the message length, so concurrent
+// identical runs from any endpoint collapse into one simulation. The
+// key is shared with the persistent store, leakysweep's -store and the
+// fleet's consistent-hash ring. With admitJob set the flight leader
+// claims one job-queue slot (the single-request admission unit); sweeps
+// admit once per request instead and pass admitJob false. cs must be
+// normalized and valid.
 func (s *Server) channelResult(ctx context.Context, cs spec.ChannelSpec, bits int, admitJob bool) (experiments.Result, error) {
-	key := channelRunKey(cs, bits)
-	cctx, span := obs.Start(ctx, "compute", obs.String("cachekey", key))
-	defer span.End()
-	ctx = cctx
-	if res, hit := s.cacheGet(ctx, key); hit {
-		s.metrics.CacheHits.Add(1)
-		span.SetAttr("cache", "hit")
+	key := store.ChannelKey(cs, bits)
+	if res, hit := s.cached(ctx, key); hit {
 		return res, nil
 	}
-	res, shared, err := s.flights.Do(ctx, key, func(fctx context.Context) (experiments.Result, error) {
-		// Re-attach the leader's trace onto the lifecycle-derived flight
-		// context, as compute does for artifacts.
-		if sp := obs.SpanFrom(ctx); sp != nil {
-			fctx = obs.ContextWithSpan(fctx, sp)
-		}
-		if res, hit := s.cacheGet(fctx, key); hit {
-			s.metrics.CacheHits.Add(1)
-			span.SetAttr("cache", "hit")
-			return res, nil
-		}
-		if admitJob {
-			if !s.admit(1) {
-				return experiments.Result{}, ErrBusy
-			}
-			defer s.release(1)
-		}
-		res, err := s.runChannel(fctx, cs, bits)
+	return s.resolve(ctx, key, admitJob, s.onSlot(obs.String("spec", cs.String()), func(ctx context.Context) (experiments.Result, error) {
+		tres, err := cs.TransmitCtx(runctx.New(ctx, nil), channel.Alternating(bits))
 		if err != nil {
 			return experiments.Result{}, err
 		}
-		s.cacheAdd(fctx, key, res)
-		return res, nil
-	})
-	if shared && err == nil {
-		s.metrics.Deduplicated.Add(1)
-		span.SetAttr("cache", "dedup")
-	}
-	return res, err
-}
-
-// runChannel executes one channel transmission on a simulation slot.
-// Mirroring run, a cancelled transmission unwinds at its next per-bit
-// checkpoint, returns an error, and caches nothing.
-func (s *Server) runChannel(ctx context.Context, cs spec.ChannelSpec, bits int) (experiments.Result, error) {
-	wctx, qspan := obs.Start(ctx, "queue.wait", obs.String("spec", cs.String()))
-	waitStart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		qspan.End()
-		s.metrics.QueueWaitSeconds.Observe(time.Since(waitStart).Seconds())
-		s.metrics.Cancellations.Add(1)
-		return experiments.Result{}, ctx.Err()
-	}
-	qspan.End()
-	s.metrics.QueueWaitSeconds.Observe(time.Since(waitStart).Seconds())
-	s.metrics.InFlight.Add(1)
-	runStart := time.Now()
-	defer func() {
-		s.metrics.RunSeconds.Observe(time.Since(runStart).Seconds())
-		s.metrics.InFlight.Add(-1)
-		<-s.sem
-	}()
-	s.metrics.CacheMisses.Add(1)
-	rctx, rspan := obs.Start(wctx, "run",
-		obs.String("spec", cs.String()), obs.String("cache", "miss"))
-	defer rspan.End()
-	tres, err := cs.TransmitCtx(runctx.New(rctx, nil), channel.Alternating(bits))
-	if err != nil {
-		s.metrics.Cancellations.Add(1)
-		return experiments.Result{}, err
-	}
-	// store.ChannelResult is the shared Result shape (Elapsed stays
-	// zero: responses are pure functions of (spec, bits)), so the
-	// daemon, leakysweep -store, and fleet workers persist identical
-	// bytes for identical runs.
-	return store.ChannelResult(cs, tres), nil
+		// store.ChannelResult is the shared Result shape (Elapsed stays
+		// zero: responses are pure functions of (spec, bits)), so the
+		// daemon, leakysweep -store, and fleet workers persist identical
+		// bytes for identical runs.
+		return store.ChannelResult(cs, tres), nil
+	}))
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -58,11 +57,8 @@ func (s *Server) fleetSweep(ctx context.Context, f sweep.Filter, so sweep.Option
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	// Shards carry the expanded spec list inline; at ~200 bytes per
 	// spec a 1 MiB bound comfortably fits the full enumerable space.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req fleet.ShardRequest
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !s.decodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	if req.Bits <= 0 || req.Bits > maxBits {
@@ -81,27 +77,15 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ShardRequests.Add(1)
 
 	probed, missing := s.probeSpecs(r.Context(), specs, req.Bits)
-	if missing > 0 {
-		if !s.admit(1) {
-			s.fail(w, http.StatusTooManyRequests, fmt.Errorf("%d specs need simulation, queue full", missing))
-			return
-		}
-		defer s.release(1)
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	sw := &streamWriter{enc: json.NewEncoder(w), flusher: flusher}
-	defer sw.close()
-
 	// A coordinator that disconnects mid-shard follows the server's
 	// abandonment policy, like any other streaming client: by default
 	// the shard keeps simulating into the cache (the re-scatter after a
 	// coordinator restart then finds it warm).
-	runCtx := s.lifecycle
-	if s.cancelAbandoned {
-		runCtx = r.Context()
+	sw, runCtx, end := s.openStream(w, r, missing, "specs", false)
+	if sw == nil {
+		return
 	}
+	defer end()
 	// RunSpecs builds rows exactly as a single-node sweep would (same
 	// Row construction, same worker pool, same per-spec spans) and
 	// emits them in slice order, so the k-th emission is req.Specs[k].

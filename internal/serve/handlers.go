@@ -177,33 +177,49 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if format != "json" && format != "text" {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (json|text)", format))
+	text, err := textFormat(r)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	s.respond(w, r, text, func(ctx context.Context) (experiments.Result, error) {
+		return s.Artifact(ctx, r.PathValue("name"), o)
+	})
+}
+
+// textFormat parses ?format=json|text (default json), reporting whether
+// the rendered text was asked for.
+func textFormat(r *http.Request) (bool, error) {
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "json":
+		return false, nil
+	case "text":
+		return true, nil
+	default:
+		return false, fmt.Errorf("unknown format %q (json|text)", format)
+	}
+}
+
+// respond is the tail every single-result endpoint shares: it computes
+// the result under the request timeout and writes it as JSON, or as its
+// rendered text when text is set, mapping errors to statuses.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, text bool, compute computeFunc) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	res, err := s.Artifact(ctx, r.PathValue("name"), o)
-	if err != nil {
-		if errors.Is(err, context.Canceled) && r.Context().Err() == nil {
-			// The run was cancelled server-side (shutdown), not by this
-			// client going away: tell the still-connected caller.
-			s.fail(w, http.StatusServiceUnavailable, errors.New("run cancelled (server shutting down)"))
-			return
-		}
+	res, err := compute(ctx)
+	switch {
+	case errors.Is(err, context.Canceled) && r.Context().Err() == nil:
+		// The run was cancelled server-side (shutdown), not by this
+		// client going away: tell the still-connected caller.
+		s.fail(w, http.StatusServiceUnavailable, errors.New("run cancelled (server shutting down)"))
+	case err != nil:
 		s.failErr(w, err)
-		return
-	}
-	if format == "text" {
+	case text:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, res.Rendered)
-		return
+	default:
+		s.writeJSON(w, res)
 	}
-	s.writeJSON(w, res)
 }
 
 // progressLine is the NDJSON envelope for one progress event; result
@@ -249,28 +265,60 @@ func boolParam(v, name string) (bool, error) {
 	return false, fmt.Errorf("bad %s %q: want 0|1", name, v)
 }
 
-// startTrace opens a request trace named for the endpoint, keyed by the
-// middleware's request id, and returns the run context carrying it. The
-// returned finish interleaves completed spans into sw as they end, and
-// must be called (deferred) to close the root span, write the final
-// {"trace": ...} summary line, and retain the trace for /v1/traces.
-func (s *Server) startTrace(ctx context.Context, runCtx context.Context, name string, sw *streamWriter, attrs ...obs.Attr) (context.Context, func()) {
-	tr := obs.NewTrace(requestIDFrom(ctx), name)
-	for _, a := range attrs {
-		tr.Root().SetAttr(a.Key, a.Value)
+// openStream starts the NDJSON response of a streaming endpoint. A
+// stream with results to simulate (missing > 0; what names them) is one
+// job against the queue, whatever its length — its internal parallelism
+// is already bounded by Workers — and with the queue full it is refused
+// with 429 before a byte is written, returning a nil writer. Otherwise
+// it returns the stream's writer, its run context, and an end func the
+// caller must defer.
+//
+// The run context decides what a disconnect means. With CancelAbandoned
+// it is the request context: a disconnect skips unstarted work and
+// abandons (thereby cancelling, if unshared) the in-flight runs.
+// Otherwise it is the server lifecycle: the stream keeps simulating
+// into the cache, and only Close stops it. With traced set, the run
+// context also carries a request trace named for the route (its root
+// span carrying attrs) whose completed spans interleave into the stream;
+// end closes the root span, writes the final {"trace": ...} summary
+// line, and retains the trace for /v1/traces.
+func (s *Server) openStream(w http.ResponseWriter, r *http.Request, missing int, what string, traced bool, attrs ...obs.Attr) (*streamWriter, context.Context, func()) {
+	if missing > 0 && !s.admit() {
+		s.fail(w, http.StatusTooManyRequests, fmt.Errorf("%d %s need simulation, queue full", missing, what))
+		return nil, nil, nil
 	}
-	tr.OnSpanEnd(func(sd obs.SpanData) {
-		sw.writeLine(spanLine{Span: sd})
-	})
-	finish := func() {
-		tr.Finish()
-		sw.writeLine(traceLine{Trace: traceSummary{
-			ID: tr.ID(), Name: tr.Name(), Start: tr.Start(), Spans: tr.Len(),
-		}})
-		s.traces.Add(tr)
-		s.metrics.Traces.Add(1)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	sw := &streamWriter{enc: json.NewEncoder(w), flusher: flusher}
+	runCtx := s.lifecycle
+	if s.cancelAbandoned {
+		runCtx = r.Context()
 	}
-	return tr.Context(runCtx), finish
+	var tr *obs.Trace
+	if traced {
+		tr = obs.NewTrace(requestIDFrom(r.Context()), r.Pattern)
+		for _, a := range attrs {
+			tr.Root().SetAttr(a.Key, a.Value)
+		}
+		tr.OnSpanEnd(func(sd obs.SpanData) {
+			sw.writeLine(spanLine{Span: sd})
+		})
+		runCtx = tr.Context(runCtx)
+	}
+	return sw, runCtx, func() {
+		if tr != nil {
+			tr.Finish()
+			sw.writeLine(traceLine{Trace: traceSummary{
+				ID: tr.ID(), Name: tr.Name(), Start: tr.Start(), Spans: tr.Len(),
+			}})
+			s.traces.Add(tr)
+			s.metrics.Traces.Add(1)
+		}
+		sw.close()
+		if missing > 0 {
+			s.release()
+		}
+	}
 }
 
 // streamWriter serializes NDJSON result and progress lines onto one
@@ -284,10 +332,6 @@ type streamWriter struct {
 	flusher http.Flusher
 	closed  bool
 	last    time.Time // last progress line, for throttling
-}
-
-func (sw *streamWriter) writeResult(res experiments.Result) {
-	sw.writeLine(res)
 }
 
 // writeLine encodes one NDJSON line of any shape (result rows, sweep
@@ -378,51 +422,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Partition the selection: results already cached versus artifacts
-	// that need a simulation.
+	// that need a simulation. A hit counts when its line is written, so
+	// a stream refused with 429 served nothing and counts nothing.
 	keys := make([]string, len(arts))
 	results := make([]experiments.Result, len(arts))
 	cached := make([]bool, len(arts))
-	var missing []experiments.Artifact
-	var missingIdx []int
+	var missing []int
 	for i, a := range arts {
 		keys[i] = o.CacheKey(a.Name)
 		if res, hit := s.cacheGet(r.Context(), keys[i]); hit {
-			s.metrics.CacheHits.Add(1)
 			results[i], cached[i] = res, true
 		} else {
-			missing = append(missing, a)
-			missingIdx = append(missingIdx, i)
+			missing = append(missing, i)
 		}
 	}
-	if len(missing) > 0 {
-		if !s.admit(1) {
-			s.fail(w, http.StatusTooManyRequests, fmt.Errorf("%d artifacts need simulation, queue full", len(missing)))
-			return
-		}
-		defer s.release(1)
+	sw, runCtx, end := s.openStream(w, r, len(missing), "artifacts", traced,
+		obs.String("sel", strings.Join(patterns, ",")))
+	if sw == nil {
+		return
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	sw := &streamWriter{enc: json.NewEncoder(w), flusher: flusher}
-	defer sw.close()
-
-	// The stream's run context decides what a disconnect means. With
-	// CancelAbandoned it is the request context: a disconnect skips
-	// unstarted artifacts and abandons (thereby cancelling, if unshared)
-	// the in-flight ones. Otherwise it is the server lifecycle: the
-	// stream keeps simulating into the cache exactly as before, and only
-	// Close stops it.
-	runCtx := s.lifecycle
-	if s.cancelAbandoned {
-		runCtx = r.Context()
-	}
-	if traced {
-		var finish func()
-		runCtx, finish = s.startTrace(r.Context(), runCtx, "GET /v1/run", sw,
-			obs.String("sel", strings.Join(patterns, ",")))
-		defer finish()
-	}
+	defer end()
 	var sink runctx.Sink
 	if progress {
 		// The sink is decoupled from the simulation by a bounded buffer:
@@ -435,24 +454,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	next := 0 // next catalog-order index to emit
 	emitReady := func(limit int) {
-		for next <= limit {
+		for ; next <= limit; next++ {
 			src := "miss"
 			if cached[next] {
 				src = "hit"
+				s.metrics.CacheHits.Add(1)
 			}
 			_, rsp := obs.Start(runCtx, "render",
 				obs.String("artifact", arts[next].Name), obs.String("cache", src))
-			sw.writeResult(results[next])
+			sw.writeLine(results[next])
 			rsp.End()
-			next++
 		}
 		sw.flush()
 	}
 	// The cached prefix is available now — stream it before the first
 	// simulation rather than after it.
 	firstMissing := len(arts)
-	if len(missingIdx) > 0 {
-		firstMissing = missingIdx[0]
+	if len(missing) > 0 {
+		firstMissing = missing[0]
 	}
 	if firstMissing > 0 {
 		emitReady(firstMissing - 1)
@@ -461,26 +480,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Each missing artifact resolves through the flight group (which
 	// runs it on a shared simulation slot, or joins a run already in
 	// flight elsewhere); RunEmitCtx calls back in input order (== catalog
-	// order), so the k-th emission is missing[k].
+	// order), so the k-th emission is arts[missing[k]].
 	wrapped := make([]experiments.Artifact, len(missing))
-	for i, a := range missing {
-		orig, key := a, keys[missingIdx[i]]
-		a.Run = func(rc experiments.RunCtx, _ experiments.Opts) (any, string, error) {
+	for k, i := range missing {
+		a, key := arts[i], keys[i]
+		wrapped[k] = a
+		wrapped[k].Run = func(rc experiments.RunCtx, _ experiments.Opts) (any, string, error) {
 			res, err := retryBusy(rc.Context(), func() (experiments.Result, error) {
-				return s.compute(rc.Context(), key, orig, o, false, sink)
+				return s.resolve(rc.Context(), key, false, s.artifactRun(a, o, sink), obs.String("artifact", a.Name))
 			})
 			if err != nil {
 				return nil, "", err
 			}
 			return res.Data, res.Rendered, nil
 		}
-		wrapped[i] = a
 	}
 	emitted := 0
 	experiments.Runner{Opts: o, Workers: s.workers}.RunEmitCtx(
 		runctx.New(runCtx, nil), wrapped, func(res experiments.Result) {
 			res.Elapsed = 0 // determinism: the stream depends only on (sel, Opts)
-			idx := missingIdx[emitted]
+			idx := missing[emitted]
 			emitted++
 			results[idx] = res
 			emitReady(idx)
@@ -540,30 +559,13 @@ type channelRunRequest struct {
 // that does not parse or a spec that fails validation is a 400 before
 // any queue or worker slot is consumed.
 func (s *Server) handleChannelRun(w http.ResponseWriter, r *http.Request) {
-	// Any valid request body is tiny; bound the read so a streamed
-	// giant body cannot balloon memory before validation rejects it.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10))
-	dec.DisallowUnknownFields()
 	var req channelRunRequest
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !s.decodeBody(w, r, 64<<10, &req) {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	res, err := s.ChannelRun(ctx, req.Spec, req.Opts)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrBadSpec):
-			s.fail(w, http.StatusBadRequest, err)
-		case errors.Is(err, context.Canceled) && r.Context().Err() == nil:
-			s.fail(w, http.StatusServiceUnavailable, errors.New("run cancelled (server shutting down)"))
-		default:
-			s.failErr(w, err)
-		}
-		return
-	}
-	s.writeJSON(w, res)
+	s.respond(w, r, false, func(ctx context.Context) (experiments.Result, error) {
+		return s.ChannelRun(ctx, req.Spec, req.Opts)
+	})
 }
 
 // handleTraces lists the retained request traces, newest first.
@@ -668,6 +670,20 @@ const (
 	maxSamples = 1_000
 )
 
+// decodeBody decodes r's JSON body into v, rejecting unknown fields. The
+// read is bounded to limit bytes — any valid body is far smaller — so a
+// streamed giant body cannot balloon memory before validation rejects
+// it. A bad body is answered 400 and reported false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+		return false
+	}
+	return true
+}
+
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
@@ -683,6 +699,8 @@ func (s *Server) failErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		s.fail(w, http.StatusNotFound, err)
+	case errors.Is(err, ErrBadSpec):
+		s.fail(w, http.StatusBadRequest, err)
 	case errors.Is(err, ErrBusy):
 		s.fail(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, context.DeadlineExceeded):

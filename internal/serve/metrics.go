@@ -20,8 +20,8 @@ import (
 // lines.
 type Metrics struct {
 	Requests      atomic.Uint64 // HTTP requests accepted (all endpoints)
-	CacheHits     atomic.Uint64 // artifact results served from the cache
-	CacheMisses   atomic.Uint64 // artifact results that required a run
+	CacheHits     atomic.Uint64 // results served from the cache: artifacts, channel runs, sweep rows, advisories
+	CacheMisses   atomic.Uint64 // simulations run on a slot: artifacts and channel runs (an advisory's are its rows')
 	Deduplicated  atomic.Uint64 // requests collapsed onto an in-flight run
 	Rejected      atomic.Uint64 // requests refused with 429 (queue full)
 	Timeouts      atomic.Uint64 // requests that gave up waiting (504)
@@ -30,7 +30,7 @@ type Metrics struct {
 	Sweeps        atomic.Uint64 // POST /v1/sweeps requests accepted past validation
 	ShardRequests atomic.Uint64 // POST /v1/shards requests accepted past validation
 	Traces        atomic.Uint64 // traced requests (?trace=1) completed
-	InFlight      atomic.Int64  // artifact runs executing right now
+	InFlight      atomic.Int64  // simulations (artifacts, channel runs) on a slot right now
 	Queued        atomic.Int64  // jobs admitted and waiting or running
 
 	// RequestSeconds observes wall-clock request latency across every

@@ -1,13 +1,16 @@
-// Package serve is the artifact-serving layer: a long-running HTTP
-// daemon in front of the experiment registry and Runner. The paper's
-// evaluation is fully deterministic — every table and figure is a pure
-// function of (artifact name, normalized Opts) — so the server caches
-// results forever under a canonical key, collapses concurrent requests
-// for the same uncached artifact into one simulation (singleflight), and
-// bounds the work it accepts with a job queue that rejects with 429 when
-// full. A cache hit returns the stored result without touching the
-// simulator; responses are byte-identical for every spelling of the same
-// request.
+// Package serve is the daemon layer behind leakyfed: an HTTP server in
+// front of the experiment registry, the ChannelSpec scenario space and
+// the Section XII advisories. Every result it serves — a paper artifact,
+// a channel run, a sweep or shard row, an advisory — is a pure function
+// of a canonical cache key. Each is looked up in the layered cache (the
+// LRU, then the optional disk store); a miss goes through one compute
+// path, resolve: a flight group that collapses concurrent requests for
+// the same key into one computation, a re-probe inside the flight,
+// admission against the bounded job queue (429 when full), and the
+// computation itself, written through to both tiers. Simulations run on
+// one of Workers slots through one slot runner, onSlot. A cache hit
+// never touches the simulator, and responses are byte-identical for
+// every spelling of the same request.
 //
 // Simulations run under cooperative cancellation contexts: every run is
 // cancelled on server shutdown (Close), and — with CancelAbandoned — an
@@ -248,47 +251,56 @@ func (s *Server) Artifact(ctx context.Context, name string, o experiments.Opts) 
 	}
 	o = o.Normalize()
 	key := o.CacheKey(a.Name)
-	if res, hit := s.cacheGet(ctx, key); hit {
-		s.metrics.CacheHits.Add(1)
+	if res, hit := s.cached(ctx, key); hit {
 		return res, nil
 	}
-	return s.compute(ctx, key, a, o, true, nil)
+	return s.resolve(ctx, key, true, s.artifactRun(a, o, nil), obs.String("artifact", a.Name))
 }
 
-// compute returns the (possibly in-flight or cached) result for key,
-// collapsing concurrent callers into one simulation. With admitJob set,
-// the flight leader must claim a job-queue slot before simulating —
-// the single-artifact path's admission unit is one artifact. Stream
-// requests admit once per request instead and pass admitJob false.
-// sink, when non-nil, receives the flight's progress ticks (only the
-// leader's sink is wired; joiners share the result, not the progress).
-func (s *Server) compute(ctx context.Context, key string, a experiments.Artifact, o experiments.Opts, admitJob bool, sink runctx.Sink) (experiments.Result, error) {
-	cctx, span := obs.Start(ctx, "compute",
-		obs.String("artifact", a.Name), obs.String("cachekey", key))
+// cached probes the layered cache and counts a hit as a served result.
+func (s *Server) cached(ctx context.Context, key string) (experiments.Result, bool) {
+	res, hit := s.cacheGet(ctx, key)
+	if hit {
+		s.metrics.CacheHits.Add(1)
+	}
+	return res, hit
+}
+
+// computeFunc computes the result for a key no cache holds. It runs
+// under the flight's context, which derives from the server lifecycle.
+type computeFunc func(context.Context) (experiments.Result, error)
+
+// resolve is the one compute path behind every endpoint: it returns the
+// result for key, collapsing concurrent callers into one flight. The
+// flight's leader re-probes the cache (a racing flight may have landed
+// since the caller's own probe), claims a job-queue slot when admitJob
+// is set, runs compute, and writes the result through to the LRU and
+// the store. Single-result requests admit here, one job per request;
+// streams admit once for the whole stream and pass admitJob false.
+// attrs label the "compute" span.
+func (s *Server) resolve(ctx context.Context, key string, admitJob bool, compute computeFunc, attrs ...obs.Attr) (experiments.Result, error) {
+	ctx, span := obs.Start(ctx, "compute", append(attrs, obs.String("cachekey", key))...)
 	defer span.End()
-	ctx = cctx
 	res, shared, err := s.flights.Do(ctx, key, func(fctx context.Context) (experiments.Result, error) {
 		// The flight context derives from the server lifecycle, not this
-		// caller, so the leader re-attaches its own trace — mirroring how
-		// only the leader's sink is wired. Joiners see a dedup span below.
+		// caller, so the leader re-attaches its own trace; joiners see a
+		// dedup span below.
 		if sp := obs.SpanFrom(ctx); sp != nil {
 			fctx = obs.ContextWithSpan(fctx, sp)
 		}
-		// A racing flight may have landed between the caller's cache
-		// probe and taking the flight lead; its result is already cached
-		// and this serve counts as a hit like any other.
-		if res, hit := s.cacheGet(fctx, key); hit {
-			s.metrics.CacheHits.Add(1)
+		// A racing flight may have landed between the caller's probe and
+		// taking the lead; its result is cached, and this is a hit.
+		if res, hit := s.cached(fctx, key); hit {
 			span.SetAttr("cache", "hit")
 			return res, nil
 		}
 		if admitJob {
-			if !s.admit(1) {
+			if !s.admit() {
 				return experiments.Result{}, ErrBusy
 			}
-			defer s.release(1)
+			defer s.release()
 		}
-		res, err := s.run(fctx, a, o, sink)
+		res, err := compute(fctx)
 		if err != nil {
 			return experiments.Result{}, err
 		}
@@ -304,13 +316,13 @@ func (s *Server) compute(ctx context.Context, key string, a experiments.Artifact
 	return res, err
 }
 
-// admit reserves n job-queue slots, or reports the queue is full. The
-// caller owns releasing its slots when its jobs finish. Queue-full
-// episodes are timestamped for the /healthz degradation probe.
-func (s *Server) admit(n int) bool {
-	q := s.metrics.Queued.Add(int64(n))
+// admit reserves a job-queue slot, or reports the queue is full. The
+// caller owns releasing it when its job finishes. Queue-full episodes
+// are timestamped for the /healthz degradation probe.
+func (s *Server) admit() bool {
+	q := s.metrics.Queued.Add(1)
 	if q > s.depth {
-		s.metrics.Queued.Add(int64(-n))
+		s.metrics.Queued.Add(-1)
 		s.queueFull.CompareAndSwap(0, time.Now().UnixNano())
 		return false
 	}
@@ -320,53 +332,67 @@ func (s *Server) admit(n int) bool {
 	return true
 }
 
-// release returns n job-queue slots and, once the queue is below
+// release returns a job-queue slot and, once the queue is below
 // capacity again, ends the current queue-full episode.
-func (s *Server) release(n int) {
-	if s.metrics.Queued.Add(int64(-n)) < s.depth {
+func (s *Server) release() {
+	if s.metrics.Queued.Add(-1) < s.depth {
 		s.queueFull.Store(0)
 	}
 }
 
-// run executes one artifact on a simulation slot through the Runner, so
-// the per-artifact seed split (and hence every byte of the result)
-// matches a direct Runner.Run of the same selection. ctx cancellation
-// unwinds the simulation at its next checkpoint; a cancelled run
-// returns an error and caches nothing.
-func (s *Server) run(ctx context.Context, a experiments.Artifact, o experiments.Opts, sink runctx.Sink) (experiments.Result, error) {
-	wctx, qspan := obs.Start(ctx, "queue.wait", obs.String("artifact", a.Name))
-	waitStart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		// Cancelled while waiting for a slot: never started.
+// onSlot wraps a simulation as a computeFunc that runs on one of the
+// Workers simulation slots; label names it in the "queue.wait" and
+// "run" spans. Every simulation counts as a cache miss once it holds
+// its slot. A run cancelled while waiting or running returns an error
+// (and resolve caches nothing).
+func (s *Server) onSlot(label obs.Attr, run computeFunc) computeFunc {
+	return func(ctx context.Context) (experiments.Result, error) {
+		wctx, qspan := obs.Start(ctx, "queue.wait", label)
+		waitStart := time.Now()
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			// Cancelled while waiting for a slot: never started.
+			qspan.End()
+			s.metrics.QueueWaitSeconds.Observe(time.Since(waitStart).Seconds())
+			s.metrics.Cancellations.Add(1)
+			return experiments.Result{}, ctx.Err()
+		}
 		qspan.End()
 		s.metrics.QueueWaitSeconds.Observe(time.Since(waitStart).Seconds())
-		s.metrics.Cancellations.Add(1)
-		return experiments.Result{}, ctx.Err()
-	}
-	qspan.End()
-	s.metrics.QueueWaitSeconds.Observe(time.Since(waitStart).Seconds())
-	s.metrics.InFlight.Add(1)
-	runStart := time.Now()
-	defer func() {
-		s.metrics.RunSeconds.Observe(time.Since(runStart).Seconds())
-		s.metrics.InFlight.Add(-1)
-		<-s.sem
-	}()
-	s.metrics.CacheMisses.Add(1)
-	rctx, rspan := obs.Start(wctx, "run",
-		obs.String("artifact", a.Name), obs.String("cache", "miss"))
-	defer rspan.End()
-	rc := runctx.New(rctx, sink)
-	res := experiments.Runner{Opts: o, Workers: 1}.RunEmitCtx(rc, []experiments.Artifact{a}, nil)[0]
-	if res.Err != "" {
-		s.metrics.Cancellations.Add(1)
-		if err := ctx.Err(); err != nil {
-			return experiments.Result{}, err
+		s.metrics.InFlight.Add(1)
+		runStart := time.Now()
+		defer func() {
+			s.metrics.RunSeconds.Observe(time.Since(runStart).Seconds())
+			s.metrics.InFlight.Add(-1)
+			<-s.sem
+		}()
+		s.metrics.CacheMisses.Add(1)
+		rctx, rspan := obs.Start(wctx, "run", label, obs.String("cache", "miss"))
+		defer rspan.End()
+		res, err := run(rctx)
+		if err != nil {
+			s.metrics.Cancellations.Add(1)
 		}
-		return experiments.Result{}, errors.New(res.Err)
+		return res, err
 	}
-	res.Elapsed = 0 // determinism: responses depend only on (name, Opts)
-	return res, nil
+}
+
+// artifactRun is the artifact body: one artifact on a slot, through the
+// Runner, so the per-artifact seed split (and hence every byte of the
+// result) matches a direct Runner.Run of the same selection. sink, when
+// non-nil, receives the run's progress ticks (only the flight leader's
+// sink is wired; joiners share the result, not the progress).
+func (s *Server) artifactRun(a experiments.Artifact, o experiments.Opts, sink runctx.Sink) computeFunc {
+	return s.onSlot(obs.String("artifact", a.Name), func(ctx context.Context) (experiments.Result, error) {
+		res := experiments.Runner{Opts: o, Workers: 1}.RunEmitCtx(runctx.New(ctx, sink), []experiments.Artifact{a}, nil)[0]
+		if res.Err != "" {
+			if err := ctx.Err(); err != nil {
+				return experiments.Result{}, err
+			}
+			return experiments.Result{}, errors.New(res.Err)
+		}
+		res.Elapsed = 0 // determinism: responses depend only on (name, Opts)
+		return res, nil
+	})
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -10,6 +9,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/spec"
+	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -51,11 +51,8 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<10))
-	dec.DisallowUnknownFields()
 	var req sweepRequest
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !s.decodeBody(w, r, 64<<10, &req) {
 		return
 	}
 	f, err := sweep.ParseFilter(req.Filter)
@@ -85,45 +82,20 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	// — so the admission decision (a sweep needing any simulation is
 	// one job; a fully cached one bypasses the queue) cannot be
 	// invalidated by an eviction racing in between probe and run.
-	// CacheHits is counted when a probed result is actually served (in
-	// the run callback), not here: a sweep the queue then rejects with
-	// 429 served nothing and must not inflate the hit counter.
 	//
 	// A fleet coordinator skips both probe and admission: its specs run
 	// on the workers' queues, not the local one, so a coordinator never
 	// 429s a sweep for local queue pressure.
 	var probed map[string]channel.Result
+	missing := 0
 	if s.fleet == nil {
-		var missing int
 		probed, missing = s.probeSpecs(r.Context(), specs, so.Bits)
-		if missing > 0 {
-			if !s.admit(1) {
-				s.fail(w, http.StatusTooManyRequests, fmt.Errorf("%d specs need simulation, queue full", missing))
-				return
-			}
-			defer s.release(1)
-		}
 	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	sw := &streamWriter{enc: json.NewEncoder(w), flusher: flusher}
-	defer sw.close()
-
-	// The sweep's run context decides what a disconnect means, exactly
-	// as for /v1/run streams: by default only server shutdown cancels
-	// (an abandoned sweep keeps warming the cache); with
-	// CancelAbandoned the request context governs.
-	runCtx := s.lifecycle
-	if s.cancelAbandoned {
-		runCtx = r.Context()
+	sw, runCtx, end := s.openStream(w, r, missing, "specs", traced, obs.String("filter", req.Filter))
+	if sw == nil {
+		return
 	}
-	if traced {
-		var finish func()
-		runCtx, finish = s.startTrace(r.Context(), runCtx, "POST /v1/sweeps", sw,
-			obs.String("filter", req.Filter))
-		defer finish()
-	}
+	defer end()
 	emit := func(row sweep.Row) {
 		sw.writeLine(row)
 		sw.flush()
@@ -147,7 +119,7 @@ func (s *Server) probeSpecs(ctx context.Context, specs []spec.ChannelSpec, bits 
 	probed := make(map[string]channel.Result, len(specs))
 	missing := 0
 	for _, cs := range specs {
-		key := channelRunKey(cs, bits)
+		key := store.ChannelKey(cs, bits)
 		if res, hit := s.cacheGet(ctx, key); hit {
 			if tres, ok := res.Data.(channel.Result); ok {
 				probed[key] = tres
@@ -166,9 +138,10 @@ func (s *Server) probeSpecs(ctx context.Context, specs []spec.ChannelSpec, bits 
 // the caller already made the shard's one admission decision.
 func (s *Server) probedRun(probed map[string]channel.Result) sweep.RunFunc {
 	return func(ctx context.Context, cs spec.ChannelSpec, bits int) (channel.Result, error) {
-		if tres, ok := probed[channelRunKey(cs, bits)]; ok {
+		key := store.ChannelKey(cs, bits)
+		if tres, ok := probed[key]; ok {
 			s.metrics.CacheHits.Add(1)
-			_, hsp := obs.Start(ctx, "cache.hit", obs.String("cachekey", channelRunKey(cs, bits)))
+			_, hsp := obs.Start(ctx, "cache.hit", obs.String("cachekey", key))
 			hsp.End()
 			return tres, nil
 		}

@@ -228,57 +228,34 @@ func RunSpecs(ctx context.Context, f Filter, o Options, specs []spec.ChannelSpec
 		run = Memoized
 	}
 	rows := make([]Row, len(specs))
-	workers := o.Workers
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	jobs := make(chan int)
-	completions := make(chan int)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				cs := specs[i]
-				row := Row{Spec: cs, Canonical: cs.String()}
-				if err := ctx.Err(); err != nil {
-					row.Err = err.Error()
-				} else {
-					// Per-spec span (a no-op on untraced sweeps): shard
-					// index plus the spec's cache identity, so a profile
-					// ties each track back to a runnable scenario.
-					sctx, span := obs.Start(ctx, "sweep.spec",
-						obs.String("spec", row.Canonical),
-						obs.String("cachekey", cs.CacheKey()),
-						obs.Int("shard_index", i))
-					if res, err := run(sctx, cs, o.Bits); err != nil {
-						row.Err = err.Error()
-						span.SetAttr("err", row.Err)
-					} else {
-						row.RateKbps, row.ErrorRate = res.RateKbps, res.ErrorRate
-					}
-					span.End()
-				}
-				rows[i] = row
-				completions <- i
+	do := func(i int) {
+		cs := specs[i]
+		row := Row{Spec: cs, Canonical: cs.String()}
+		if err := ctx.Err(); err != nil {
+			row.Err = err.Error()
+		} else {
+			// Per-spec span (a no-op on untraced sweeps): shard index plus
+			// the spec's cache identity, so a profile ties each track back
+			// to a runnable scenario.
+			sctx, span := obs.Start(ctx, "sweep.spec",
+				obs.String("spec", row.Canonical),
+				obs.String("cachekey", cs.CacheKey()),
+				obs.Int("shard_index", i))
+			if res, err := run(sctx, cs, o.Bits); err != nil {
+				row.Err = err.Error()
+				span.SetAttr("err", row.Err)
+			} else {
+				row.RateKbps, row.ErrorRate = res.RateKbps, res.ErrorRate
 			}
-		}()
-	}
-	go func() {
-		for i := range specs {
-			jobs <- i
+			span.End()
 		}
-		close(jobs)
-	}()
-	done := make([]bool, len(specs))
-	next := 0
-	for finished := 0; finished < len(specs); finished++ {
-		done[<-completions] = true
-		for next < len(specs) && done[next] {
-			if emit != nil {
-				emit(rows[next])
-			}
-			next++
-		}
+		rows[i] = row
 	}
+	runctx.Ordered(len(specs), o.Workers, do, func(i int) {
+		if emit != nil {
+			emit(rows[i])
+		}
+	})
 	return NewReport(f, o, rows)
 }
 
