@@ -34,7 +34,6 @@ type Cloneable interface {
 type Calibration struct {
 	Threshold stats.Threshold
 	modelName string
-	calibBits int
 	proto     Cloneable
 }
 
@@ -43,16 +42,7 @@ type Calibration struct {
 // transmitted yet; after the call it is owned by the Calibration and
 // must not be used by the caller.
 func NewCalibrationCtx(rc runctx.Ctx, ch Cloneable, modelName string, calibBits int) (*Calibration, error) {
-	if ca, ok := ch.(CtxAware); ok {
-		ca.BindCtx(rc)
-	}
-	if calibBits < 2 {
-		calibBits = 2
-	}
-	stage := ch.Name() + " @ " + modelName
-	crc, cspan := rc.StartSpan("channel.calibrate", obs.Int("calib_bits", calibBits))
-	th, err := calibrate(crc, ch, calibBits, stage, calibBits)
-	cspan.End()
+	th, err := calibrateCtx(rc, ch, modelName, calibBits)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +50,7 @@ func NewCalibrationCtx(rc runctx.Ctx, ch Cloneable, modelName string, calibBits 
 	if !ok {
 		panic("channel: CloneChannel returned a non-Cloneable channel")
 	}
-	return &Calibration{Threshold: th, modelName: modelName, calibBits: calibBits, proto: proto}, nil
+	return &Calibration{Threshold: th, modelName: modelName, proto: proto}, nil
 }
 
 // TransmitCtx transmits message through a fresh clone of the calibrated
@@ -72,8 +62,9 @@ func (c *Calibration) TransmitCtx(rc runctx.Ctx, message string) (Result, error)
 
 // TransmitCalibrated is TransmitCtx with the calibration preamble
 // already performed: th is the decision threshold calibration produced,
-// and ch must be in the exact state calibration left it in (in practice:
-// a clone of a post-calibration snapshot).
+// and ch must be in the exact state calibration left it in (the channel
+// TransmitCtx just calibrated, or a clone of a post-calibration
+// snapshot). It is the one bit loop every transmission runs.
 func TransmitCalibrated(rc runctx.Ctx, ch BitChannel, modelName, message string, th stats.Threshold) (Result, error) {
 	if ca, ok := ch.(CtxAware); ok {
 		ca.BindCtx(rc)
@@ -97,8 +88,10 @@ func TransmitCalibrated(rc runctx.Ctx, ch BitChannel, modelName, message string,
 		received.WriteByte(th.Classify(m))
 	}
 	bspan.End()
-	// Same guard as TransmitCtx: a cancellation landing inside the final
-	// bit has no next checkpoint, so re-check before trusting the bytes.
+	// A CtxAware channel aborts mid-bit with a garbage measurement when
+	// cancelled; the loop above re-checks before each bit, but a
+	// cancellation landing inside the final bit has no next checkpoint,
+	// so re-check here lest a corrupted Result pass as completed.
 	if err := rc.Err(); err != nil {
 		return Result{}, err
 	}

@@ -71,88 +71,38 @@ func Transmit(ch BitChannel, modelName, message string, calibBits int) Result {
 }
 
 // TransmitCtx is Transmit with cooperative cancellation, progress, and
-// tracing: it checkpoints once per calibration and message bit,
-// returning the context's error (and a zero Result) if the run is
-// cancelled mid-transmission. When rc carries a trace, the calibration
-// preamble and the per-bit transmit loop record as nested spans — at
-// stage granularity, not per bit, so tracing costs nothing inside the
+// tracing: it runs the calibration preamble, then transmits message
+// through TransmitCalibrated on the calibrated channel. It checkpoints
+// once per calibration and message bit, returning the context's error
+// (and a zero Result) if the run is cancelled mid-transmission. When rc
+// carries a trace, the preamble and the transmission record as spans —
+// at stage granularity, not per bit, so tracing costs nothing inside the
 // loops. An uncancelled TransmitCtx is byte-identical to Transmit —
 // neither checkpoints nor spans touch the channel or its RNG.
 func TransmitCtx(rc runctx.Ctx, ch BitChannel, modelName, message string, calibBits int) (Result, error) {
-	if ca, ok := ch.(CtxAware); ok {
-		ca.BindCtx(rc)
-	}
-	if calibBits < 2 {
-		calibBits = 2
-	}
-	stage := ch.Name() + " @ " + modelName
-	total := calibBits + len(message)
-	rc, span := rc.StartSpan("channel.transmit",
-		obs.String("channel", ch.Name()),
-		obs.String("model", modelName),
-		obs.Int("bits", len(message)))
-	defer span.End()
-	crc, cspan := rc.StartSpan("channel.calibrate", obs.Int("calib_bits", calibBits))
-	th, err := calibrate(crc, ch, calibBits, stage, total)
-	cspan.End()
+	th, err := calibrateCtx(rc, ch, modelName, calibBits)
 	if err != nil {
 		return Result{}, err
 	}
-	rc, bspan := rc.StartSpan("channel.bits")
-	startCycles := ch.Cycles()
-	var received strings.Builder
-	received.Grow(len(message))
-	for i := 0; i < len(message); i++ {
-		if err := rc.Step(stage, calibBits+i, total); err != nil {
-			bspan.End()
-			return Result{}, err
-		}
-		m := ch.SendBit(message[i])
-		received.WriteByte(th.Classify(m))
-	}
-	bspan.End()
-	// A CtxAware channel aborts mid-bit with a garbage measurement when
-	// cancelled; every loop above re-checks before the next bit, but a
-	// cancellation landing inside the final bit has no next checkpoint,
-	// so re-check here lest a corrupted Result pass as completed.
-	if err := rc.Err(); err != nil {
-		return Result{}, err
-	}
-	cycles := ch.Cycles() - startCycles
-	seconds := float64(cycles) / (ch.FreqGHz() * 1e9)
-	rate := 0.0
-	if seconds > 0 {
-		rate = float64(len(message)) / seconds / 1e3
-	}
-	return Result{
-		Channel:   ch.Name(),
-		Model:     modelName,
-		Sent:      message,
-		Received:  received.String(),
-		Cycles:    cycles,
-		Seconds:   seconds,
-		RateKbps:  rate,
-		ErrorRate: stats.BitErrorRate(message, received.String()),
-	}, nil
+	return TransmitCalibrated(rc, ch, modelName, message, th)
 }
 
-// Calibrate sends an alternating 0/1 preamble through the channel and
-// returns the decision threshold (Section VI-B).
-func Calibrate(ch BitChannel, bits int) stats.Threshold {
-	if bits < 2 {
-		bits = 2
+// calibrateCtx binds rc to ch and sends an alternating 0/1 preamble of
+// calibBits bits (at least 2) through it under a "channel.calibrate"
+// span, with one checkpoint per bit, and returns the decision threshold
+// (Section VI-B).
+func calibrateCtx(rc runctx.Ctx, ch BitChannel, modelName string, calibBits int) (stats.Threshold, error) {
+	if ca, ok := ch.(CtxAware); ok {
+		ca.BindCtx(rc)
 	}
-	th, _ := calibrate(runctx.Background(), ch, bits, "calibrate", bits)
-	return th
-}
-
-// calibrate is Calibrate with a per-preamble-bit checkpoint; done/total
-// progress is reported against the caller's transmission-wide total.
-func calibrate(rc runctx.Ctx, ch BitChannel, bits int, stage string, total int) (stats.Threshold, error) {
+	bits := max(calibBits, 2)
+	stage := ch.Name() + " @ " + modelName
+	rc, span := rc.StartSpan("channel.calibrate", obs.Int("calib_bits", bits))
+	defer span.End()
 	zeros := make([]float64, 0, (bits+1)/2)
 	ones := make([]float64, 0, bits/2)
 	for i := 0; i < bits; i++ {
-		if err := rc.Step(stage, i, total); err != nil {
+		if err := rc.Step(stage, i, bits); err != nil {
 			return stats.Threshold{}, err
 		}
 		if i%2 == 0 {

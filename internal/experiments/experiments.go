@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/cpu"
-	"repro/internal/defense"
 	"repro/internal/fingerprint"
 	"repro/internal/isa"
 	"repro/internal/power"
@@ -191,18 +190,101 @@ func Figure4(rc RunCtx, o Opts) ([2]Figure4Row, string, error) {
 	return rows, b.String(), nil
 }
 
+// A shard declares one of the paper's channel tables as a slice of the
+// undefended scenario space, in the terms leakysweep and POST
+// /v1/sweeps take: the models the table enumerates, a sweep filter
+// over their specs, and the override that sets the table's protocol on
+// each spec. Every override also pins the spec's seed to the
+// artifact's, where a sweep would split one seed per spec.
+type shard struct {
+	models   []cpu.Model
+	filter   string
+	override func(*spec.ChannelSpec)
+}
+
+// expand materializes the shard in canonical enumeration order, the
+// paper's row order. It enumerates the shard's own models only:
+// enumerating the catalog and narrowing by model would cost a
+// one-model table four times its enumeration.
+func (sh shard) expand() (sweep.Filter, []spec.ChannelSpec, error) {
+	f, err := sweep.ParseFilter(sh.filter)
+	if err != nil {
+		return sweep.Filter{}, nil, err
+	}
+	specs, err := sweep.Expand(f, sweep.Options{Models: sh.models})
+	if err != nil {
+		return sweep.Filter{}, nil, err
+	}
+	for i := range specs {
+		sh.override(&specs[i])
+	}
+	return f, specs, nil
+}
+
+// run expands the shard and transmits message over each of its specs
+// through runShard, returning the rows' full results.
+func (sh shard) run(rc RunCtx, stage, message string) ([]channel.Result, error) {
+	f, specs, err := sh.expand()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := runShard(rc, stage, f, sweep.Options{Models: sh.models}, specs, message, nil)
+	res := make([]channel.Result, len(rep.Rows))
+	for i, row := range rep.Rows {
+		res[i] = row.Result
+	}
+	return res, err
+}
+
+// runShard is the one path from a shard of the scenario space to table
+// rows: it runs specs (f's expansion under so) serially through
+// sweep.RunSpecs, transmitting message over each spec inline, or
+// through memo's calibration snapshots when the table sends several
+// messages over one spec. Each row ticks stage's progress and
+// transmits under the row's own context, so the channel's spans nest
+// under the row's sweep.spec span. A report cut short (cancelled, or a
+// failed row) returns its error.
+func runShard(rc RunCtx, stage string, f sweep.Filter, so sweep.Options, specs []spec.ChannelSpec, message string, memo *sweep.Memo) (sweep.Report, error) {
+	so.Workers = 1 // serial, so done counts rows in order
+	done := 0
+	run := func(ctx context.Context, cs spec.ChannelSpec, _ int) (channel.Result, error) {
+		if err := rc.Step(stage, done, len(specs)); err != nil {
+			return channel.Result{}, err
+		}
+		done++
+		if memo != nil {
+			return memo.Transmit(rc.WithContext(ctx), cs, message)
+		}
+		return cs.TransmitCtx(rc.WithContext(ctx), message)
+	}
+	rep := sweep.RunSpecs(rc.Context(), f, so, specs, run, nil)
+	return rep, rep.Err(rc.Context())
+}
+
+// mtEviction is the MT eviction slice of the three hyper-threaded
+// machines, the channel of Table II and Figure 8; each sets its own way
+// count d and a 30-bit calibration preamble.
+var mtEviction = shard{
+	models: []cpu.Model{cpu.Gold6226(), cpu.XeonE2174G(), cpu.XeonE2286G()},
+	filter: "mech=eviction,thread=mt,sgx=false,defense=none",
+}
+
 // TableII reproduces the message-pattern study (Table II): the MT
 // eviction channel at d=1 for all-0s, all-1s, alternating, and random
-// messages on the three hyper-threaded machines. The channel list is
-// the MT eviction slice of the enumerated scenario space, narrowed to
-// the d=1 contended-sender protocol the paper uses here.
+// messages on the three hyper-threaded machines, with the contended-
+// sender protocol the paper uses at d=1.
 func TableII(rc RunCtx, o Opts) ([]channel.Result, string, error) {
 	o = o.Normalize()
-	models := []cpu.Model{cpu.Gold6226(), cpu.XeonE2174G(), cpu.XeonE2286G()}
-	specs := spec.Filter(spec.Enumerate(models...), func(s spec.ChannelSpec) bool {
-		return s.Threading == spec.ThreadingMT && s.Mechanism == spec.MechanismEviction && !s.SGX &&
-			s.Defense == defense.DefenseNone
-	})
+	sh := mtEviction
+	sh.override = func(cs *spec.ChannelSpec) {
+		// A single-way receiver needs the contended-sender protocol:
+		// the eviction signal of one way is too small on its own.
+		cs.D, cs.Contended, cs.CalibBits, cs.Seed = 1, true, 30, o.Seed
+	}
+	f, specs, err := sh.expand()
+	if err != nil {
+		return nil, "", err
+	}
 	patterns := []struct {
 		name string
 		gen  func(int) string
@@ -216,40 +298,18 @@ func TableII(rc RunCtx, o Opts) ([]channel.Result, string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table II: MT Eviction-Based channel, d=1, by message pattern\n")
 	fmt.Fprintf(&b, "%-12s %-14s %12s %10s\n", "Pattern", "Model", "Rate (Kbps)", "Error")
-	done, total := 0, len(patterns)*len(specs)
-	// The calibration preamble (30 bits here — wider than any message in
-	// the small runs) depends only on the spec, never on the message, so
-	// the four patterns share it: calibrate each spec once and transmit
-	// every pattern through a clone of the snapshot. Byte-identical to
-	// calibrating inline per pattern; the golden holds both paths equal.
-	cals := make(map[string]*channel.Calibration, len(specs))
+	// The calibration preamble depends only on the spec, never on the
+	// message, so the four patterns share one calibration per spec.
+	memo := sweep.NewMemo()
 	for _, p := range patterns {
-		for _, cs := range specs {
-			if err := rc.Step("pattern sweep", done, total); err != nil {
-				return nil, "", err
-			}
-			// A single-way receiver needs the contended-sender protocol:
-			// the eviction signal of one way is too small on its own.
-			cs.D, cs.Contended = 1, true
-			cs.Seed = o.Seed
-			cs.CalibBits = 30
-			key := cs.CacheKey()
-			cal := cals[key]
-			if cal == nil {
-				var err error
-				cal, err = cs.CalibrateCtx(rc)
-				if err != nil {
-					return nil, "", err
-				}
-				cals[key] = cal
-			}
-			res, err := cal.TransmitCtx(rc, p.gen(o.Bits))
-			if err != nil {
-				return nil, "", err
-			}
+		rep, err := runShard(rc, "pattern "+p.name, f, sweep.Options{Models: sh.models}, specs, p.gen(o.Bits), memo)
+		if err != nil {
+			return nil, "", err
+		}
+		for _, row := range rep.Rows {
+			res := row.Result
 			res.Channel = p.name
 			results = append(results, res)
-			done++
 			fmt.Fprintf(&b, "%-12s %-14s %12.2f %9.2f%%\n", p.name, res.Model, res.RateKbps, 100*res.ErrorRate)
 		}
 	}
@@ -257,124 +317,95 @@ func TableII(rc RunCtx, o Opts) ([]channel.Result, string, error) {
 }
 
 // TableIII reproduces the main covert-channel matrix (Table III): all
-// eviction- and misalignment-based channels on all four machines.
+// eviction- and misalignment-based channels on all four machines. The
+// canonical enumeration order is the paper's row order (per mechanism:
+// non-MT stealthy, non-MT fast, then MT).
 func TableIII(rc RunCtx, o Opts) ([]channel.Result, string, error) {
 	o = o.Normalize()
-	msg := channel.Alternating(o.Bits)
-	var results []channel.Result
+	res, err := shard{
+		models:   cpu.Models(),
+		filter:   "mech=[em]*,sink=timing,sgx=false,defense=none",
+		override: func(cs *spec.ChannelSpec) { cs.Seed = o.Seed },
+	}.run(rc, "channel matrix", channel.Alternating(o.Bits))
+	if err != nil {
+		return nil, "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table III: covert-channel transmission and error rates (alternating message)\n")
 	fmt.Fprintf(&b, "%-40s %-14s %12s %10s\n", "Channel", "Model", "Rate (Kbps)", "Error")
-	// The matrix is exactly the plain timing slice of the enumerated
-	// scenario space; the canonical enumeration order is the paper's row
-	// order (per mechanism: non-MT stealthy, non-MT fast, then MT).
-	specs := spec.Filter(spec.Enumerate(cpu.Models()...), func(s spec.ChannelSpec) bool {
-		return s.Sink == spec.SinkTiming && !s.SGX && s.Mechanism != spec.MechanismSlowSwitch &&
-			s.Defense == defense.DefenseNone
-	})
-	for _, cs := range specs {
-		if err := rc.Step("channel matrix", len(results), len(specs)); err != nil {
-			return nil, "", err
-		}
-		cs.Seed = o.Seed
-		res, err := cs.TransmitCtx(rc, msg)
-		if err != nil {
-			return nil, "", err
-		}
-		results = append(results, res)
-		fmt.Fprintf(&b, "%-40s %-14s %12.2f %9.2f%%\n", res.Channel, res.Model, res.RateKbps, 100*res.ErrorRate)
+	for _, r := range res {
+		fmt.Fprintf(&b, "%-40s %-14s %12.2f %9.2f%%\n", r.Channel, r.Model, r.RateKbps, 100*r.ErrorRate)
 	}
-	return results, b.String(), nil
+	return res, b.String(), nil
 }
 
 // TableIV reproduces the slow-switch channel rows (Table IV).
 func TableIV(rc RunCtx, o Opts) ([]channel.Result, string, error) {
 	o = o.Normalize()
-	msg := channel.Alternating(o.Bits)
-	var results []channel.Result
+	res, err := shard{
+		models:   []cpu.Model{cpu.Gold6226(), cpu.XeonE2288G()},
+		filter:   "mech=slowswitch,defense=none",
+		override: func(cs *spec.ChannelSpec) { cs.Seed = o.Seed },
+	}.run(rc, "slow-switch channel", channel.Alternating(o.Bits))
+	if err != nil {
+		return nil, "", err
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table IV: Non-MT Slow-Switch-Based channel (alternating message)\n")
 	fmt.Fprintf(&b, "%-14s %12s %10s\n", "Model", "Rate (Kbps)", "Error")
-	specs := spec.Filter(spec.Enumerate(cpu.Gold6226(), cpu.XeonE2288G()), func(s spec.ChannelSpec) bool {
-		return s.Mechanism == spec.MechanismSlowSwitch && s.Defense == defense.DefenseNone
-	})
-	for _, cs := range specs {
-		cs.Seed = o.Seed
-		res, err := cs.TransmitCtx(rc, msg)
-		if err != nil {
-			return nil, "", err
-		}
-		results = append(results, res)
-		fmt.Fprintf(&b, "%-14s %12.2f %9.2f%%\n", res.Model, res.RateKbps, 100*res.ErrorRate)
+	for _, r := range res {
+		fmt.Fprintf(&b, "%-14s %12.2f %9.2f%%\n", r.Model, r.RateKbps, 100*r.ErrorRate)
 	}
-	return results, b.String(), nil
+	return res, b.String(), nil
 }
 
-// TableV reproduces the power channels (Table V) on the Gold 6226. Bits
-// default lower because each power bit needs >100k iterations.
+// TableV reproduces the power channels (Table V) on the Gold 6226, with
+// a 6-bit calibration preamble. Bits default lower because each power
+// bit needs >100k iterations.
 func TableV(rc RunCtx, o Opts) ([]channel.Result, string, error) {
 	o = o.Normalize()
-	bits := o.Bits / 12
-	if bits < 8 {
-		bits = 8
+	res, err := shard{
+		models:   []cpu.Model{cpu.Gold6226()},
+		filter:   "sink=power,defense=none",
+		override: func(cs *spec.ChannelSpec) { cs.CalibBits, cs.Seed = 6, o.Seed },
+	}.run(rc, "power channels", channel.Alternating(max(o.Bits/12, 8)))
+	if err != nil {
+		return nil, "", err
 	}
-	msg := channel.Alternating(bits)
-	var results []channel.Result
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table V: Non-MT power channels, Gold 6226, d=6 (RAPL receiver)\n")
 	fmt.Fprintf(&b, "%-26s %12s %10s\n", "Channel", "Rate (Kbps)", "Error")
-	specs := spec.Filter(spec.Enumerate(cpu.Gold6226()), func(s spec.ChannelSpec) bool {
-		return s.Sink == spec.SinkPower && s.Defense == defense.DefenseNone
-	})
-	for _, cs := range specs {
-		cs.Seed = o.Seed
-		cs.CalibBits = 6
-		res, err := cs.TransmitCtx(rc, msg)
-		if err != nil {
-			return nil, "", err
-		}
-		results = append(results, res)
-		fmt.Fprintf(&b, "%-26s %12.2f %9.2f%%\n", res.Channel, res.RateKbps, 100*res.ErrorRate)
+	for _, r := range res {
+		fmt.Fprintf(&b, "%-26s %12.2f %9.2f%%\n", r.Channel, r.RateKbps, 100*r.ErrorRate)
 	}
-	return results, b.String(), nil
+	return res, b.String(), nil
 }
 
 // TableVI reproduces the SGX channel matrix (Table VI) on the three
-// SGX-capable machines.
+// SGX-capable machines, with the paper's shorter calibration preambles
+// (enclave bits are expensive).
 func TableVI(rc RunCtx, o Opts) ([]channel.Result, string, error) {
 	o = o.Normalize()
-	bits := o.Bits / 4
-	if bits < 12 {
-		bits = 12
+	res, err := shard{
+		models: []cpu.Model{cpu.XeonE2174G(), cpu.XeonE2286G(), cpu.XeonE2288G()},
+		filter: "sgx=true,defense=none",
+		override: func(cs *spec.ChannelSpec) {
+			cs.CalibBits, cs.Seed = 10, o.Seed
+			if cs.Threading == spec.ThreadingMT {
+				cs.CalibBits = 8
+			}
+		},
+	}.run(rc, "SGX matrix", channel.Alternating(max(o.Bits/4, 12)))
+	if err != nil {
+		return nil, "", err
 	}
-	msg := channel.Alternating(bits)
-	models := []cpu.Model{cpu.XeonE2174G(), cpu.XeonE2286G(), cpu.XeonE2288G()}
-	var results []channel.Result
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table VI: SGX covert channels (alternating message)\n")
 	fmt.Fprintf(&b, "%-40s %-14s %12s %10s\n", "Channel", "Model", "Rate (Kbps)", "Error")
-	// The SGX slice of the enumerated scenario space, with the paper's
-	// shorter calibration preambles (enclave bits are expensive).
-	specs := spec.Filter(spec.Enumerate(models...), func(s spec.ChannelSpec) bool {
-		return s.SGX && s.Defense == defense.DefenseNone
-	})
-	for _, cs := range specs {
-		if err := rc.Step("SGX matrix", len(results), len(specs)); err != nil {
-			return nil, "", err
-		}
-		cs.Seed = o.Seed
-		cs.CalibBits = 10
-		if cs.Threading == spec.ThreadingMT {
-			cs.CalibBits = 8
-		}
-		res, err := cs.TransmitCtx(rc, msg)
-		if err != nil {
-			return nil, "", err
-		}
-		results = append(results, res)
-		fmt.Fprintf(&b, "%-40s %-14s %12.2f %9.2f%%\n", res.Channel, res.Model, res.RateKbps, 100*res.ErrorRate)
+	for _, r := range res {
+		fmt.Fprintf(&b, "%-40s %-14s %12.2f %9.2f%%\n", r.Channel, r.Model, r.RateKbps, 100*r.ErrorRate)
 	}
-	return results, b.String(), nil
+	return res, b.String(), nil
 }
 
 // TableVII reproduces the Spectre v1 L1 miss-rate comparison (Table VII).
@@ -415,34 +446,36 @@ type Figure8Point struct {
 }
 
 // Figure8 reproduces the MT eviction d-sweep (Figure 8) on the three
-// hyper-threaded machines.
+// hyper-threaded machines: the Table II shard at every way count d.
 func Figure8(rc RunCtx, o Opts) ([]Figure8Point, string, error) {
 	o = o.Normalize()
-	bits := o.Bits / 2
-	if bits < 40 {
-		bits = 40
+	sh := mtEviction
+	sh.override = func(cs *spec.ChannelSpec) { cs.CalibBits, cs.Seed = 30, o.Seed }
+	f, base, err := sh.expand()
+	if err != nil {
+		return nil, "", err
 	}
-	msg := channel.Alternating(bits)
+	var specs []spec.ChannelSpec
+	for _, cs := range base {
+		for d := 1; d <= 8; d++ {
+			cs.D = d
+			specs = append(specs, cs)
+		}
+	}
+	rep, err := runShard(rc, "d sweep", f, sweep.Options{Models: sh.models}, specs, channel.Alternating(max(o.Bits/2, 40)), nil)
+	if err != nil {
+		return nil, "", err
+	}
 	var pts []Figure8Point
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8: MT Eviction-Based channel vs receiver way count d\n")
 	fmt.Fprintf(&b, "%-14s %3s %12s %10s %12s\n", "Model", "d", "Rate (Kbps)", "Error", "Effective")
-	for _, m := range []cpu.Model{cpu.Gold6226(), cpu.XeonE2174G(), cpu.XeonE2286G()} {
-		for d := 1; d <= 8; d++ {
-			if err := rc.Step("d sweep", len(pts), 3*8); err != nil {
-				return nil, "", err
-			}
-			cs := spec.ChannelSpec{Model: m.Name, Mechanism: spec.MechanismEviction,
-				Threading: spec.ThreadingMT, D: d, CalibBits: 30, Seed: o.Seed}
-			res, err := cs.TransmitCtx(rc, msg)
-			if err != nil {
-				return nil, "", err
-			}
-			p := Figure8Point{Model: m.Name, D: d, RateKbps: res.RateKbps,
-				ErrorRate: res.ErrorRate, Effective: res.RateKbps * (1 - res.ErrorRate)}
-			pts = append(pts, p)
-			fmt.Fprintf(&b, "%-14s %3d %12.2f %9.2f%% %12.2f\n", p.Model, d, p.RateKbps, 100*p.ErrorRate, p.Effective)
-		}
+	for _, row := range rep.Rows {
+		res := row.Result
+		p := Figure8Point{Model: res.Model, D: row.Spec.D, RateKbps: res.RateKbps,
+			ErrorRate: res.ErrorRate, Effective: res.RateKbps * (1 - res.ErrorRate)}
+		pts = append(pts, p)
+		fmt.Fprintf(&b, "%-14s %3d %12.2f %9.2f%% %12.2f\n", p.Model, p.D, p.RateKbps, 100*p.ErrorRate, p.Effective)
 	}
 	return pts, b.String(), nil
 }
@@ -560,37 +593,17 @@ func Figure11(rc RunCtx, o Opts) (map[string][]float64, string, error) {
 // filter query pasteable into leakysweep or POST /v1/sweeps.
 func TableXII(rc RunCtx, o Opts) (sweep.Report, string, error) {
 	o = o.Normalize()
-	bits := o.Bits / 2
-	if bits < 12 {
-		bits = 12
-	}
-	f := sweep.AdvisoryFilter(cpu.Gold6226().Name)
-	so := sweep.Options{Bits: bits, Seed: o.Seed, CalibBits: 6, MaxP: 2000}
+	bits := max(o.Bits/2, 12)
+	g := cpu.Gold6226()
+	f := sweep.AdvisoryFilter(g.Name)
+	so := sweep.Options{Models: []cpu.Model{g}, Bits: bits, Seed: o.Seed, CalibBits: 6, MaxP: 2000}
 	specs, err := sweep.Expand(f, so)
 	if err != nil {
 		return sweep.Report{}, "", err
 	}
-	done := 0
-	run := func(_ context.Context, cs spec.ChannelSpec, b int) (channel.Result, error) {
-		// Serial sweep (Workers unset): done counts monotonically, and rc
-		// threads both the coarse per-spec checkpoint and the channel's
-		// own per-bit progress/cancellation.
-		if err := rc.Step("defense ablation", done, len(specs)); err != nil {
-			return channel.Result{}, err
-		}
-		done++
-		return cs.TransmitCtx(rc, channel.Alternating(b))
-	}
-	rep := sweep.RunSpecs(rc.Context(), f, so, specs, run, nil)
-	if rep.Completed != rep.Specs {
-		if err := rc.Err(); err != nil {
-			return sweep.Report{}, "", err
-		}
-		for _, row := range rep.Rows {
-			if row.Err != "" {
-				return sweep.Report{}, "", fmt.Errorf("defense ablation: %s: %s", row.Canonical, row.Err)
-			}
-		}
+	rep, err := runShard(rc, "defense ablation", f, so, specs, channel.Alternating(bits), nil)
+	if err != nil {
+		return sweep.Report{}, "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Section XII: defense ablation, attack x defense residual matrix (Gold 6226)\n")

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -168,6 +170,51 @@ func TestFigure11Traces(t *testing.T) {
 	for name, tr := range traces {
 		if len(tr) != want {
 			t.Errorf("%s trace length %d, want %d", name, len(tr), want)
+		}
+	}
+}
+
+// TestTableRowsAreTraced: a traced channel table runs each row as a
+// sweep spec — one sweep.spec span per row, carrying the row's cache
+// key, with the row's channel transmission nested under it — and
+// tracing changes no byte of the table.
+func TestTableRowsAreTraced(t *testing.T) {
+	o := Opts{Bits: 8, Seed: 1}
+	_, plain, err := TableIV(RunCtx{}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("", "tableIV")
+	_, traced, err := TableIV(NewRunCtx(tr.Context(context.Background()), nil), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if traced != plain {
+		t.Errorf("traced Table IV differs from untraced:\n%s\nvs\n%s", traced, plain)
+	}
+	spans := tr.Spans()
+	var rows []obs.SpanData
+	for _, sp := range spans {
+		if sp.Name == "sweep.spec" {
+			rows = append(rows, sp)
+		}
+	}
+	if len(rows) != 2 {
+		t.Fatalf("traced Table IV has %d sweep.spec spans, want one per row (2)", len(rows))
+	}
+	for _, row := range rows {
+		if row.Attrs["cachekey"] == "" {
+			t.Errorf("sweep.spec span %d carries no cachekey: %v", row.ID, row.Attrs)
+		}
+		transmits := 0
+		for _, sp := range spans {
+			if sp.Parent == row.ID && sp.Name == "channel.transmit" {
+				transmits++
+			}
+		}
+		if transmits != 1 {
+			t.Errorf("sweep.spec span %s has %d channel.transmit children, want 1", row.Attrs["spec"], transmits)
 		}
 	}
 }

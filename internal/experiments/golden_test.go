@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -26,29 +27,34 @@ var goldenSeeds = []uint64{1, 2}
 // numbers a refactor of the simulator, the sweep engine or the
 // fingerprint loop is most likely to perturb. Every case runs under
 // -short too except Figure 12, which takes seconds per seed; full mode
-// is the repository's tier-1 gate.
+// is the repository's tier-1 gate. The channel artifacts also pin their
+// structured data (data): the JSON the daemon serves and the store
+// persists, which carries fields no rendering shows (sent and received
+// bits, cycles, per-row specs).
 var goldenArtifacts = []struct {
-	name      string
-	expensive bool
+	name            string
+	expensive, data bool
 }{
-	{"tableII", false},
-	{"tableIII", false},
-	{"tableIV", false},
-	{"tableV", false},
-	{"tableVI", false},
-	{"figure8", false},
-	{"tableXII", false},
-	{"advisoryXII", false},
-	{"figure11", false},
-	{"figure12", true},
+	{"tableII", false, true},
+	{"tableIII", false, true},
+	{"tableIV", false, true},
+	{"tableV", false, true},
+	{"tableVI", false, true},
+	{"figure8", false, true},
+	{"tableXII", false, true},
+	{"advisoryXII", false, true},
+	{"figure11", false, false},
+	{"figure12", true, false},
 }
 
 // TestGoldenRenderings pins the rendered bytes of Tables II-VI, Figure
 // 8, the Table XII ablation and its advisory, and Figures 11 and 12 at
-// two fixed seeds against committed files: a refactor of the channel
-// stack (spec, sweep, attack layers) or of the fingerprint loop that
-// drifts any paper number by even one formatting unit fails here
-// instead of landing silently. Regenerate intentionally with
+// two fixed seeds against committed files (and, for the channel
+// artifacts, the indented JSON of their data in <name>_seed<N>.json):
+// a refactor of the channel stack (spec, sweep, attack layers) or of
+// the fingerprint loop that drifts any paper number by even one
+// formatting unit fails here instead of landing silently. Regenerate
+// intentionally with
 //
 //	go test ./internal/experiments -run TestGoldenRenderings -update
 //
@@ -70,26 +76,40 @@ func TestGoldenRenderings(t *testing.T) {
 				t.Parallel()
 				o := goldenOpts
 				o.Seed = seed
-				_, rendered, err := a.Run(RunCtx{}, o)
+				data, rendered, err := a.Run(RunCtx{}, o)
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := filepath.Join("testdata", fmt.Sprintf("%s_seed%d.golden", ga.name, seed))
-				if *update {
-					if err := os.WriteFile(path, []byte(rendered), 0o644); err != nil {
+				base := filepath.Join("testdata", fmt.Sprintf("%s_seed%d", ga.name, seed))
+				checkGolden(t, base+".golden", "rendering", rendered)
+				if ga.data {
+					js, err := json.MarshalIndent(data, "", "  ")
+					if err != nil {
 						t.Fatal(err)
 					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("%v (regenerate with -update)", err)
-				}
-				if rendered != string(want) {
-					t.Errorf("%s at seed %d drifted from its golden rendering (regenerate with -update if intentional):\ngot:\n%s\nwant:\n%s",
-						ga.name, seed, rendered, want)
+					checkGolden(t, base+".json", "data", string(js)+"\n")
 				}
 			})
 		}
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, what, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from its golden %s (regenerate with -update if intentional):\ngot:\n%s\nwant:\n%s",
+			path, what, got, want)
 	}
 }

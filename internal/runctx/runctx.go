@@ -79,6 +79,15 @@ func (c Ctx) WithArtifact(name string) Ctx {
 	return c
 }
 
+// WithContext returns a copy that runs under ctx — its cancellation and
+// its trace — keeping the progress sink and the artifact name. A caller
+// that derived a context from Context (a per-row span, say) binds it
+// back this way, so the work below nests under that span.
+func (c Ctx) WithContext(ctx context.Context) Ctx {
+	c.ctx = ctx
+	return c
+}
+
 // Artifact returns the artifact name progress events are attributed to.
 func (c Ctx) Artifact() string { return c.artifact }
 

@@ -79,14 +79,12 @@ func (s *Server) handleAdvisory(w http.ResponseWriter, r *http.Request) {
 	}
 	key := advisoryKey(m.Name, o.Bits, o.Seed, calib, maxp)
 	s.respond(w, r, text, func(ctx context.Context) (experiments.Result, error) {
-		// The sweep is one job, claimed by the flight leader, so joiners
-		// may see ErrBusy.
-		return retryBusy(ctx, func() (experiments.Result, error) {
-			if res, hit := s.cached(ctx, key); hit {
-				return res, nil
-			}
-			return s.resolve(ctx, key, true, s.advisoryRun(f, so, specs, m))
-		})
+		// The sweep is one job, claimed by the flight leader: with the
+		// queue full the request is refused (429), like an artifact GET.
+		if res, hit := s.cached(ctx, key); hit {
+			return res, nil
+		}
+		return s.resolve(ctx, key, true, s.advisoryRun(f, so, specs, m))
 	})
 }
 
@@ -98,18 +96,11 @@ func (s *Server) handleAdvisory(w http.ResponseWriter, r *http.Request) {
 func (s *Server) advisoryRun(f sweep.Filter, so sweep.Options, specs []spec.ChannelSpec, m cpu.Model) computeFunc {
 	return func(ctx context.Context) (experiments.Result, error) {
 		rep := sweep.RunSpecs(ctx, f, so, specs, s.probedRun(nil), nil)
-		if rep.Completed != rep.Specs {
-			// The sweep was cut short (shutdown, or abandonment under
-			// CancelAbandoned): an advisory over a partial baseline would
-			// be misleading, so surface the cancellation instead.
-			if err := ctx.Err(); err != nil {
-				return experiments.Result{}, err
-			}
-			for _, row := range rep.Rows {
-				if row.Err != "" {
-					return experiments.Result{}, fmt.Errorf("serve: advisory sweep incomplete: %s: %s", row.Canonical, row.Err)
-				}
-			}
+		// A sweep cut short (shutdown, or abandonment under
+		// CancelAbandoned): an advisory over a partial baseline would be
+		// misleading, so surface why instead.
+		if err := rep.Err(ctx); err != nil {
+			return experiments.Result{}, fmt.Errorf("serve: advisory: %w", err)
 		}
 		adv, err := sweep.NewAdvisory(rep, m)
 		if err != nil {

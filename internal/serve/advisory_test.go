@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sweep"
@@ -162,5 +165,37 @@ func TestAdvisoryRejectsBadRequestsBeforeAnyWork(t *testing.T) {
 	}
 	if q := s.Metrics().Queued.Load(); q != 0 {
 		t.Errorf("queue depth %d after rejections", q)
+	}
+}
+
+// TestAdvisoryRefusedUnderFullQueue: with the only queue slot held, an
+// uncached advisory is refused at once with 429, like an artifact GET,
+// instead of leading a new flight every millisecond until the request
+// times out into a 504.
+func TestAdvisoryRefusedUnderFullQueue(t *testing.T) {
+	started := make(chan struct{})
+	reg := experiments.NewRegistry(spinningArtifact("spinner", started))
+	const timeout = 2 * time.Second
+	s := NewServer(Config{Registry: reg, Workers: 1, QueueDepth: 1, Timeout: timeout})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	go s.Artifact(context.Background(), "spinner", s.opts)
+	<-started
+
+	start := time.Now()
+	code, body := get(t, ts, advisoryPath+"&maxp=1000&bits=8")
+	elapsed := time.Since(start)
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("advisory under a full queue: status %d after %v, want 429: %s", code, elapsed, body)
+	}
+	if elapsed > timeout/2 {
+		t.Errorf("advisory refused after %v, want well before the %v timeout", elapsed, timeout)
+	}
+	if got := s.Metrics().Rejected.Load(); got != 1 {
+		t.Errorf("rejected = %d, want 1", got)
+	}
+	if got := s.Metrics().Timeouts.Load(); got != 0 {
+		t.Errorf("timeouts = %d, want 0", got)
 	}
 }

@@ -84,23 +84,25 @@ func (s *Server) ChannelRun(ctx context.Context, cs spec.ChannelSpec, o experime
 	if o.Bits > maxBits {
 		return experiments.Result{}, fmt.Errorf("%w: bits=%d out of range (want 1..%d)", ErrBadSpec, o.Bits, maxBits)
 	}
-	return s.channelResult(ctx, cs, o.Bits, true)
-}
-
-// channelResult resolves one channel run — a single POST
-// /v1/channels/run or a sweep row — under store.ChannelKey, the spec's
-// versioned canonical key plus the message length, so concurrent
-// identical runs from any endpoint collapse into one simulation. The
-// key is shared with the persistent store, leakysweep's -store and the
-// fleet's consistent-hash ring. With admitJob set the flight leader
-// claims one job-queue slot (the single-request admission unit); sweeps
-// admit once per request instead and pass admitJob false. cs must be
-// normalized and valid.
-func (s *Server) channelResult(ctx context.Context, cs spec.ChannelSpec, bits int, admitJob bool) (experiments.Result, error) {
-	key := store.ChannelKey(cs, bits)
+	key := store.ChannelKey(cs, o.Bits)
 	if res, hit := s.cached(ctx, key); hit {
 		return res, nil
 	}
+	return s.channelResult(ctx, key, cs, o.Bits, true)
+}
+
+// channelResult resolves one channel run — a single POST
+// /v1/channels/run or a sweep row — under key, its store.ChannelKey:
+// the spec's versioned canonical key plus the message length, so
+// concurrent identical runs from any endpoint collapse into one
+// simulation. The key is shared with the persistent store, leakysweep's
+// -store and the fleet's consistent-hash ring. The caller has already
+// probed the cache (a sweep probes its whole shard up front), so the
+// only probe left is resolve's re-probe inside the flight. With
+// admitJob set the flight leader claims one job-queue slot (the
+// single-request admission unit); sweeps admit once per request
+// instead and pass admitJob false. cs must be normalized and valid.
+func (s *Server) channelResult(ctx context.Context, key string, cs spec.ChannelSpec, bits int, admitJob bool) (experiments.Result, error) {
 	return s.resolve(ctx, key, admitJob, s.onSlot(obs.String("spec", cs.String()), func(ctx context.Context) (experiments.Result, error) {
 		tres, err := cs.TransmitCtx(runctx.New(ctx, nil), channel.Alternating(bits))
 		if err != nil {

@@ -179,3 +179,24 @@ func TestPrecomputeRequiresStore(t *testing.T) {
 		t.Fatal("Precompute without a store succeeded, want error")
 	}
 }
+
+// TestSweepRowProbesStoreTwice: a simulated sweep row reads the store
+// twice — the shard probe before admission, and resolve's re-probe in
+// the row's flight — and no third time on the way in.
+func TestSweepRowProbesStoreTwice(t *testing.T) {
+	st, _ := newStore(t, "")
+	s := NewServer(Config{Workers: 2, Store: st})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, body := postSweep(t, ts, `{"filter": "mech=slowswitch,defense=none", "opts": {"bits": 8}, "calib": 4}`)
+	if code != 200 {
+		t.Fatalf("sweep: status %d: %s", code, body)
+	}
+	sims := s.Metrics().CacheMisses.Load()
+	if sims != 4 {
+		t.Fatalf("cold slow-switch sweep simulated %d rows, want 4 (one per model)", sims)
+	}
+	if got := st.Stats().Misses; got != 2*sims {
+		t.Errorf("cold sweep of %d simulated rows missed the store %d times, want %d (two probes per row)", sims, got, 2*sims)
+	}
+}

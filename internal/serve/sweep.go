@@ -146,7 +146,7 @@ func (s *Server) probedRun(probed map[string]channel.Result) sweep.RunFunc {
 			return tres, nil
 		}
 		res, err := retryBusy(ctx, func() (experiments.Result, error) {
-			return s.channelResult(ctx, cs, bits, false)
+			return s.channelResult(ctx, key, cs, bits, false)
 		})
 		if err != nil {
 			return channel.Result{}, err

@@ -546,14 +546,3 @@ func Enumerate(models ...cpu.Model) []ChannelSpec {
 	}
 	return specs
 }
-
-// Filter returns the specs keep accepts, preserving order.
-func Filter(specs []ChannelSpec, keep func(ChannelSpec) bool) []ChannelSpec {
-	var out []ChannelSpec
-	for _, s := range specs {
-		if keep(s) {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -165,6 +165,17 @@ func TestEnumerate(t *testing.T) {
 	}
 }
 
+// keep returns the specs pred accepts, preserving order.
+func keep(specs []ChannelSpec, pred func(ChannelSpec) bool) []ChannelSpec {
+	var out []ChannelSpec
+	for _, s := range specs {
+		if pred(s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestEnumerateOrderMatchesChannelTables(t *testing.T) {
 	// Table III's row order must fall out of the canonical enumeration
 	// order: per mechanism, non-MT stealthy rows, then fast, then MT.
@@ -172,11 +183,11 @@ func TestEnumerateOrderMatchesChannelTables(t *testing.T) {
 	// pins defense=none — and because the defense axis is outermost,
 	// those rows keep their exact historical positions.
 	all := Enumerate(cpu.Models()...)
-	specs := Filter(all, func(s ChannelSpec) bool {
+	specs := keep(all, func(s ChannelSpec) bool {
 		return s.Sink == SinkTiming && !s.SGX && s.Mechanism != MechanismSlowSwitch &&
 			s.Defense == defense.DefenseNone
 	})
-	for i, s := range Filter(all, func(s ChannelSpec) bool { return s.Defense == defense.DefenseNone }) {
+	for i, s := range keep(all, func(s ChannelSpec) bool { return s.Defense == defense.DefenseNone }) {
 		if all[i] != s {
 			t.Fatalf("defense=none block is not the leading slice of the enumeration (index %d: %s)", i, all[i])
 		}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/spec"
 )
 
-func testSpec(t *testing.T) spec.ChannelSpec {
+func testSpec(t testing.TB) spec.ChannelSpec {
 	t.Helper()
 	cs := spec.ChannelSpec{Mechanism: spec.MechanismEviction, Seed: 7}.Normalize()
 	if err := cs.Validate(); err != nil {
@@ -22,7 +22,7 @@ func testSpec(t *testing.T) spec.ChannelSpec {
 	return cs
 }
 
-func channelFixture(t *testing.T) (string, experiments.Result) {
+func channelFixture(t testing.TB) (string, experiments.Result) {
 	t.Helper()
 	cs := testSpec(t)
 	tres := channel.Result{

@@ -90,17 +90,24 @@ func (mm *Memo) Len() int {
 	return len(mm.m)
 }
 
+// Transmit sends message over cs through mm's calibration snapshot for
+// cs, calibrating on a miss. It is byte-identical to cs.TransmitCtx(rc,
+// message): the snapshot depends only on the spec, never on the
+// message, so any number of messages can share one calibration.
+func (mm *Memo) Transmit(rc runctx.Ctx, cs spec.ChannelSpec, message string) (channel.Result, error) {
+	cal, err := mm.calibration(rc, cs)
+	if err != nil {
+		return channel.Result{}, err
+	}
+	return cal.TransmitCtx(rc, message)
+}
+
 // RunFunc returns a sweep runner that transmits through mm's calibration
 // snapshots: calibrate-once-per-identity, clone-per-transmission. Its
 // reports are byte-identical to Direct's.
 func (mm *Memo) RunFunc() RunFunc {
 	return func(ctx context.Context, cs spec.ChannelSpec, bits int) (channel.Result, error) {
-		rc := runctx.New(ctx, nil)
-		cal, err := mm.calibration(rc, cs)
-		if err != nil {
-			return channel.Result{}, err
-		}
-		return cal.TransmitCtx(rc, channel.Alternating(bits))
+		return mm.Transmit(runctx.New(ctx, nil), cs, channel.Alternating(bits))
 	}
 }
 

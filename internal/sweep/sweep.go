@@ -66,13 +66,17 @@ func (o Options) normalize() Options {
 // included, so the row can be re-run individually), its canonical
 // string, and the transmission's headline numbers. Err is set instead
 // of the numbers when the sweep was cancelled before the spec
-// completed.
+// completed. Result is the full transmission behind the numbers, for
+// in-process callers that render more than the headline (the paper's
+// channel tables); it is not serialized, so a report's bytes are the
+// headline alone.
 type Row struct {
 	Spec      spec.ChannelSpec `json:"spec"`
 	Canonical string           `json:"canonical"`
 	RateKbps  float64          `json:"rate_kbps"`
 	ErrorRate float64          `json:"error_rate"`
 	Err       string           `json:"err,omitempty"`
+	Result    channel.Result   `json:"-"`
 }
 
 // Group aggregates the completed rows of one channel variant —
@@ -245,7 +249,7 @@ func RunSpecs(ctx context.Context, f Filter, o Options, specs []spec.ChannelSpec
 				row.Err = err.Error()
 				span.SetAttr("err", row.Err)
 			} else {
-				row.RateKbps, row.ErrorRate = res.RateKbps, res.ErrorRate
+				row.RateKbps, row.ErrorRate, row.Result = res.RateKbps, res.ErrorRate, res
 			}
 			span.End()
 		}
@@ -257,6 +261,26 @@ func RunSpecs(ctx context.Context, f Filter, o Options, specs []spec.ChannelSpec
 		}
 	})
 	return NewReport(f, o, rows)
+}
+
+// Err reports why a sweep run under ctx left rows incomplete: nil when
+// every row completed, ctx's own error once ctx is done (so a caller can
+// tell a cancellation from a failure), and otherwise the first failed
+// row's error, naming its spec. A caller that must not publish a partial
+// report — a paper table, an advisory — returns this error instead.
+func (r Report) Err(ctx context.Context) error {
+	if r.Completed == r.Specs {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, row := range r.Rows {
+		if row.Err != "" {
+			return fmt.Errorf("sweep incomplete: %s: %s", row.Canonical, row.Err)
+		}
+	}
+	return nil
 }
 
 // NewReport aggregates rows (in canonical enumeration order) into a
