@@ -192,6 +192,42 @@ func TestDiffComparesValues(t *testing.T) {
 	})
 }
 
+// TestDiffComparesPlainMemory pins the byte comparison Diff makes of
+// slices and arrays of plain values: a difference inside one is still
+// reported at its element, and bytes that differ only in struct padding
+// are no difference.
+func TestDiffComparesPlainMemory(t *testing.T) {
+	type cell struct {
+		ok bool // followed by padding
+		v  float64
+	}
+	type grid struct {
+		rows [3][2]cell
+		list []cell
+	}
+	build := func() *grid { return &grid{list: make([]cell, 4)} }
+	a := build()
+	for _, tc := range []struct {
+		path string
+		edit func(g *grid)
+	}{
+		{"rows[2][1].v", func(g *grid) { g.rows[2][1].v = 0.5 }},
+		{"list[3].ok", func(g *grid) { g.list[3].ok = true }},
+	} {
+		b := build()
+		tc.edit(b)
+		if got := Diff(a, b); len(got) != 1 || !strings.HasPrefix(got[0], tc.path+":") {
+			t.Fatalf("want one difference at %s, got %v", tc.path, got)
+		}
+	}
+	b := build()
+	*(*byte)(unsafe.Add(unsafe.Pointer(&b.rows[1][0]), 1)) = 0xff
+	*(*byte)(unsafe.Add(unsafe.Pointer(&b.list[2]), 3)) = 0xff
+	if got := Diff(a, b); len(got) != 0 {
+		t.Fatalf("padding bytes flagged: %v", got)
+	}
+}
+
 // TestSizeCountsEachAllocationOnce pins Size's accounting: a value's own
 // bytes, every slice backing array at its capacity, every pointer target
 // and boxed interface value once however often it is reached, and

@@ -1,10 +1,12 @@
 package clonecheck
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"unsafe"
 )
 
 // maxDiffs bounds a Diff report; past it the graphs are plainly
@@ -22,7 +24,7 @@ const maxDiffs = 20
 // capacity is ignored. Functions are skipped, as in Shared. An empty
 // result means the two graphs hold equal state.
 func Diff(a, b any) []string {
-	d := &differ{ab: map[loc]uintptr{}, ba: map[loc]uintptr{}}
+	d := &differ{ab: map[loc]uintptr{}, ba: map[loc]uintptr{}, plain: map[reflect.Type]bool{}}
 	d.diff(reflect.ValueOf(a), reflect.ValueOf(b), "")
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(b)
@@ -31,6 +33,7 @@ func Diff(a, b any) []string {
 
 type differ struct {
 	ab, ba map[loc]uintptr // pointer pairing seen so far, both directions
+	plain  map[reflect.Type]bool
 	found  []string
 }
 
@@ -136,6 +139,9 @@ func (d *differ) diff(a, b reflect.Value, path string) {
 			d.report(path, "length %d vs %d", a.Len(), b.Len())
 			return
 		}
+		if d.sameBytes(a, b) {
+			return
+		}
 		for i := 0; i < a.Len(); i++ {
 			d.diff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i))
 		}
@@ -152,4 +158,48 @@ func (d *differ) diff(a, b reflect.Value, path string) {
 
 		// Func: skipped, as in Shared. Chan, UnsafePointer: opaque.
 	}
+}
+
+// sameBytes reports whether a and b, slices or arrays of one length,
+// hold plain elements (see isPlain) with the same bytes, which makes
+// them equal elements. It answers false when it cannot tell, so the
+// caller walks the elements: for an unaddressable array, or bytes that
+// differ only in padding.
+func (d *differ) sameBytes(a, b reflect.Value) bool {
+	t := a.Type().Elem()
+	if !d.isPlain(t) {
+		return false
+	}
+	n := a.Len() * int(t.Size())
+	if a.Kind() == reflect.Array {
+		if !a.CanAddr() || !b.CanAddr() {
+			return false
+		}
+		a, b = a.Addr(), b.Addr()
+	}
+	return bytes.Equal(unsafe.Slice((*byte)(a.UnsafePointer()), n), unsafe.Slice((*byte)(b.UnsafePointer()), n))
+}
+
+// isPlain reports whether values of t are booleans, integers and floats
+// only, so that diff finds two of them equal whenever their bytes are.
+func (d *differ) isPlain(t reflect.Type) bool {
+	if p, ok := d.plain[t]; ok {
+		return p
+	}
+	p := false
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		p = true
+	case reflect.Array:
+		p = d.isPlain(t.Elem())
+	case reflect.Struct:
+		p = true
+		for i := 0; i < t.NumField() && p; i++ {
+			p = d.isPlain(t.Field(i).Type)
+		}
+	}
+	d.plain[t] = p
+	return p
 }

@@ -447,6 +447,11 @@ func (e *Executor) now() window {
 // attributed to a window.
 func (e *Executor) StepWindow() (Observation, bool) {
 	target := e.win.retired + uint64(e.p.WindowUOps)
+	// The cycle the runaway guard trips on; past the end of time, none.
+	guard := ^uint64(0)
+	if e.p.MaxCycles < guard-e.win.cycle {
+		guard = e.win.cycle + e.p.MaxCycles + 1
+	}
 	for e.core.Retired(0) < target {
 		if e.core.Idle() {
 			// Program complete: flush the partial window, if any.
@@ -455,7 +460,13 @@ func (e *Executor) StepWindow() (Observation, bool) {
 			}
 			break
 		}
-		e.core.Step()
+		// A stall is skipped in bulk, but never past the guard or the
+		// next snapshot to take, so both see the state stepping reaches.
+		limit := guard
+		if len(e.takes) > 0 {
+			limit = min(limit, e.takes[0])
+		}
+		e.core.Advance(limit)
 		// Counted from the window's first cycle, so a window resumed
 		// from a snapshot is guarded exactly like one stepped whole.
 		if e.core.Cycle()-e.win.cycle > e.p.MaxCycles {

@@ -247,20 +247,19 @@ func (c *Core) AbortThread(t int) {
 	c.FE.SetStream(t, nil)
 }
 
-// RunCycles advances exactly n cycles. Idle stretches, with no current
-// or queued task on either thread and both IDQs empty, are skipped in
-// bulk: on such a cycle Step changes only the cycle count, the backend's
-// retire priority and the meter's static energy, so skipIdle applies
-// exactly those changes. A lone thread's loop whose state recurs is
-// fast-forwarded by whole periods (see steady.go). Every simulated value
-// matches n calls of Step.
+// RunCycles advances exactly n cycles. Quiet stretches are skipped in
+// bulk (see quietSpan), and a lone thread's loop whose state recurs is
+// fast-forwarded by whole periods (see steady.go). A stall is stepped
+// while the loop detector holds a snapshot, which records the energy of
+// every cycle it is compared over. Every simulated value matches n calls
+// of Step.
 func (c *Core) RunCycles(n uint64) {
 	end := c.cycle + min(n, ^uint64(0)-c.cycle)
 	var d loopDetector
 	defer d.disarm(c)
 	for c.cycle < end {
-		if k := c.idleSpan(end - c.cycle); k > 0 {
-			c.skipIdle(k)
+		if k := c.quietSpan(end-c.cycle, d.snap == nil); k > 0 {
+			c.skipQuiet(k)
 			continue
 		}
 		c.Step()
@@ -268,13 +267,47 @@ func (c *Core) RunCycles(n uint64) {
 	}
 }
 
-// idleSpan returns how many of the next n cycles can be skipped as idle:
-// 0 when the next cycle has work to dispatch, fetch or retire. A span
-// stops short of the cycle on which Step reverts the DSB partition, so
-// Step performs that revert itself.
-func (c *Core) idleSpan(n uint64) uint64 {
-	if c.Busy(0) || c.Busy(1) || c.FE.IDQLen(0) != 0 || c.FE.IDQLen(1) != 0 {
+// Advance runs one Step or, when the next cycles are quiet (see
+// quietSpan), skips as many of them as end at or before limit. The
+// leakage-contract executor drives its programs through it, with limit
+// at the next cycle it must see stepped to: its runaway guard's or its
+// next snapshot's.
+func (c *Core) Advance(limit uint64) {
+	if limit > c.cycle {
+		if k := c.quietSpan(limit-c.cycle, true); k > 0 {
+			c.skipQuiet(k)
+			return
+		}
+	}
+	c.Step()
+}
+
+// quietSpan returns how many of the next n cycles are quiet: 0 when the
+// next cycle has work to dispatch, fetch or retire. A quiet cycle has
+// both IDQs empty and either no task on either thread (idle) or, when
+// stalls is set, one thread whose loaded next instruction waits out a
+// whole cycle of stall debt while its sibling has no task (a lone
+// thread's stall). On such a cycle Step changes only the cycle count,
+// the stalled thread's debt and stall counter, the backend's retire
+// priority and the meter's energy, so skipQuiet applies exactly those
+// changes. A span stops short of the cycle on which Step reverts the DSB
+// partition, so Step performs that revert itself.
+func (c *Core) quietSpan(n uint64, stalls bool) uint64 {
+	if c.FE.IDQLen(0) != 0 || c.FE.IDQLen(1) != 0 {
 		return 0
+	}
+	switch b0, b1 := c.Busy(0), c.Busy(1); {
+	case b0 && b1:
+		return 0
+	case b0 || b1:
+		t := 0
+		if b1 {
+			t = 1
+		}
+		if !stalls || c.cur[t] == nil {
+			return 0 // a queued task dispatches
+		}
+		n = min(n, c.FE.StallSpan(t))
 	}
 	if c.Model.HyperThreading && !c.Model.StaticDSBPartition && c.FE.DSB.Partitioned() {
 		revert := c.lastBoth + c.Model.PartitionHysteresis + 1
@@ -286,23 +319,35 @@ func (c *Core) idleSpan(n uint64) uint64 {
 	return n
 }
 
-// skipIdle advances k idle cycles without stepping them.
-func (c *Core) skipIdle(k uint64) {
+// skipQuiet advances k quiet cycles without stepping them.
+func (c *Core) skipQuiet(k uint64) {
+	var stalls uint64
+	for t, task := range c.cur {
+		if task != nil {
+			c.FE.SkipStall(t, k)
+			stalls = 1
+		}
+	}
 	c.cycle += k
+	c.prevStall += stalls * k
 	c.BE.SkipIdle(k)
-	c.PM.AddIdleCycles(k)
+	c.PM.AddCycles(k, c.PM.CycleEnergy(0, 0, 0, stalls, 0))
 }
 
 // RunUntilIdle steps until both threads drain, or panics after maxCycles
-// as a runaway guard. Like RunCycles it fast-forwards a recurring loop,
-// never past the guard, so it panics at the cycle and in the state
-// stepping would.
+// as a runaway guard. Like RunCycles it skips a lone thread's stalls and
+// fast-forwards a recurring loop, never past the guard, so it panics at
+// the cycle and in the state stepping would.
 func (c *Core) RunUntilIdle(maxCycles uint64) {
 	start := c.cycle
 	limit := start + min(maxCycles, ^uint64(0)-start)
 	var d loopDetector
 	defer d.disarm(c)
 	for !c.Idle() {
+		if k := c.quietSpan(limit-c.cycle, d.snap == nil); k > 0 {
+			c.skipQuiet(k)
+			continue
+		}
 		c.Step()
 		if c.cycle-start > maxCycles {
 			panic(fmt.Sprintf("cpu: RunUntilIdle exceeded %d cycles", maxCycles))

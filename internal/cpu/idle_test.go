@@ -25,7 +25,7 @@ func TestRunCyclesIdleSkipMatchesStep(t *testing.T) {
 	}{
 		{name: "fresh core", n: 1000, core: func() *Core { return NewCore(Gold6226(), 1) },
 			check: func(t *testing.T, c *Core, n uint64) {
-				if got := c.idleSpan(n); got != n {
+				if got := c.quietSpan(n, true); got != n {
 					t.Fatalf("idle span %d, want the whole %d", got, n)
 				}
 			}},
@@ -40,7 +40,7 @@ func TestRunCyclesIdleSkipMatchesStep(t *testing.T) {
 				t.Fatal("DSB not partitioned after the MT pass")
 			}
 			revert := c.lastBoth + c.Model.PartitionHysteresis + 1
-			if got := c.idleSpan(n); got == 0 || c.cycle+got != revert-1 {
+			if got := c.quietSpan(n, true); got == 0 || c.cycle+got != revert-1 {
 				t.Fatalf("idle span %d from cycle %d, want it to end just before the revert at %d", got, c.cycle, revert)
 			}
 		}},
@@ -81,7 +81,7 @@ func TestRunCyclesIdleSkipMatchesStep(t *testing.T) {
 			if c.FE.IDQLen(1) == 0 {
 				t.Fatal("abort left the IDQ empty")
 			}
-			if got := c.idleSpan(n); got != 0 {
+			if got := c.quietSpan(n, true); got != 0 {
 				t.Fatalf("idle span %d with micro-ops still to retire", got)
 			}
 		}},

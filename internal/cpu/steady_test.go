@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -219,14 +220,17 @@ func TestRunUntilIdleGuardMatchesStep(t *testing.T) {
 
 // FuzzSteadySkip builds a loop from the input — block kinds (mix, LCP,
 // nop, pause), DSB set, block count, alignment, iteration count, model,
-// thread and run mode — and requires the run loops to leave the core in
-// exactly the state plain stepping does.
+// thread and run mode — and requires the run loops, or Advance at limits
+// the input sets, to leave the core in exactly the state plain stepping
+// does.
 func FuzzSteadySkip(f *testing.F) {
 	f.Add([]byte{0, 0, 200, 3, 7, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 120, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8})
 	f.Add([]byte{4, 1, 90, 6, 1, 1 | 5<<3})
 	f.Add([]byte{3, 0, 60, 28, 2, 2 | 20<<3, 3})
 	f.Add([]byte{2, 4, 255, 20, 6, 0, 0, 0, 0, 0, 2 | 29<<3})
+	f.Add([]byte{0, 8, 20, 28, 2, 3 | 2<<3, 0, 3 | 17<<3})
+	f.Add([]byte{0, 9, 10, 6, 1, 1 | 5<<3, 3 | 30<<3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -261,16 +265,41 @@ func FuzzSteadySkip(f *testing.F) {
 		}
 		isa.ChainLoop(blocks)
 
+		advance := data[1]&8 != 0
+		if advance {
+			// A static power inexact in binary and frequent RAPL
+			// publications, so that a skip's energy added other than
+			// one cycle at a time shows.
+			m.PW.StaticWatts = 45.3
+			m.PW.RAPLIntervalCycles = 997
+		}
 		skipped := NewCore(m, uint64(data[0]))
 		skipped.Enqueue(thread, isa.NewLoopStream(blocks, iters), nil)
 		stepped := skipped.Clone()
-		if data[1]&2 != 0 {
+		switch {
+		case advance:
+			// Advance at limits read from the block bytes, up to 255
+			// cycles ahead, so stalls are cut short at many points. The
+			// backend's retire priority and the energy are checked after
+			// every call: a wrong priority would even out over a pair of
+			// skips.
+			for i := 0; !skipped.Idle(); i++ {
+				skipped.Advance(skipped.Cycle() + uint64(data[5+i%(len(data)-5)]))
+				for stepped.Cycle() < skipped.Cycle() {
+					stepped.Step()
+				}
+				if *skipped.BE != *stepped.BE || math.Float64bits(skipped.PM.TrueEnergy()) != math.Float64bits(stepped.PM.TrueEnergy()) {
+					t.Fatalf("cycle %d: backend %+v vs %+v, energy %v vs %v", skipped.Cycle(),
+						*skipped.BE, *stepped.BE, skipped.PM.TrueEnergy(), stepped.PM.TrueEnergy())
+				}
+			}
+		case data[1]&2 != 0:
 			cycles := uint64(data[2])*997 + 1
 			skipped.RunCycles(cycles)
 			for range cycles {
 				stepped.Step()
 			}
-		} else {
+		default:
 			runUntilIdle(skipped, true)
 			runUntilIdle(stepped, false)
 		}

@@ -15,6 +15,7 @@
 package defense
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -115,6 +116,16 @@ func (d Defense) Eliminates(sc Scenario) bool {
 	return d.eliminates != nil && d.eliminates(sc)
 }
 
+// The reasons a defense does not apply. Their messages are fixed, so
+// each is built once, not once per candidate spec.Enumerate rejects
+// with it.
+var (
+	errNoSMTEliminatesMT  = errors.New("defense: nosmt eliminates the MT channels outright — there is no residual to measure")
+	errNoSMTWithoutHT     = errors.New("defense: hyper-threading is already disabled on this model (Table I)")
+	errNoRAPLTiming       = errors.New("defense: norapl is a no-op for timing sinks — nothing to measure")
+	errPartitionWithoutHT = errors.New("defense: the DSB never partitions with hyper-threading disabled (Table I)")
+)
+
 // registry is the canonical defense catalog, in the order Enumerate
 // spans the axis: the undefended baseline first, then the Section XII
 // mitigations in paper order, partitioning (this reproduction's
@@ -141,10 +152,10 @@ var registry = []Defense{
 		},
 		applies: func(sc Scenario) error {
 			if sc.MT {
-				return fmt.Errorf("defense: nosmt eliminates the MT channels outright — there is no residual to measure")
+				return errNoSMTEliminatesMT
 			}
 			if !sc.ModelHT {
-				return fmt.Errorf("defense: hyper-threading is already disabled on this model (Table I)")
+				return errNoSMTWithoutHT
 			}
 			return nil
 		},
@@ -190,7 +201,7 @@ var registry = []Defense{
 		},
 		applies: func(sc Scenario) error {
 			if !sc.PowerSink {
-				return fmt.Errorf("defense: norapl is a no-op for timing sinks — nothing to measure")
+				return errNoRAPLTiming
 			}
 			return nil
 		},
@@ -209,7 +220,7 @@ var registry = []Defense{
 		},
 		applies: func(sc Scenario) error {
 			if !sc.ModelHT {
-				return fmt.Errorf("defense: the DSB never partitions with hyper-threading disabled (Table I)")
+				return errPartitionWithoutHT
 			}
 			return nil
 		},

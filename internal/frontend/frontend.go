@@ -139,6 +139,27 @@ func (f *Frontend) StreamDone(t int) bool {
 // Stalled reports whether thread t owes stall cycles.
 func (f *Frontend) Stalled(t int) bool { return f.thr[t].stall >= 1 }
 
+// StallSpan returns how many calls of DeliverCycle(t) in a row would do
+// nothing but burn a cycle of stall debt: the whole cycles thread t
+// owes, or 0 unless its next instruction is already loaded (loading it
+// reads the stream).
+func (f *Frontend) StallSpan(t int) uint64 {
+	th := &f.thr[t]
+	if !th.hasCur || th.stall < 1 {
+		return 0
+	}
+	return uint64(th.stall)
+}
+
+// SkipStall burns k of thread t's stall cycles, k at most StallSpan(t),
+// exactly as k calls of DeliverCycle(t) would. Each of those calls
+// subtracts 1 from a debt of at least 1, which is exact in floating
+// point, so one subtraction of k lands on the same bits.
+func (f *Frontend) SkipStall(t int, k uint64) {
+	f.thr[t].stall -= float64(k)
+	f.Ctr[t].StallCycles += k
+}
+
 // NextAddr returns the address of the next instruction to deliver, used
 // by tests to observe fetch progress.
 func (f *Frontend) NextAddr(t int) (uint64, bool) {

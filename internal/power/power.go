@@ -91,19 +91,18 @@ func (m *Meter) addCycle(e float64) {
 	}
 }
 
-// AddIdleCycles accrues k cycles with no frontend or backend activity,
-// exactly as k calls of AddCycleDelta with all-zero activity would: each
-// such cycle costs StaticWatts, added once per cycle in order (one
-// k*StaticWatts add can round differently), and RAPL publishes on the
-// same cycles.
-func (m *Meter) AddIdleCycles(k uint64) {
+// AddCycles accrues k cycles of one activity whose CycleEnergy is e,
+// exactly as k calls of AddCycleDelta with that activity would: e is
+// added once per cycle in order (one k*e add can round differently), and
+// RAPL publishes on the same cycles.
+func (m *Meter) AddCycles(k uint64, e float64) {
 	for k > 0 {
 		n := min(m.untilPublish(), k)
-		e, w := m.energy, m.P.StaticWatts
+		sum := m.energy
 		for range n {
-			e += w
+			sum += e
 		}
-		m.energy = e
+		m.energy = sum
 		m.cycles += n
 		k -= n
 		if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {

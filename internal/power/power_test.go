@@ -92,27 +92,30 @@ func TestStallEnergy(t *testing.T) {
 	}
 }
 
-// TestAddIdleCyclesMatchesPerCycle: k idle cycles accrued in bulk leave
-// the meter bit-identical to k all-zero AddCycleDelta calls, across RAPL
-// publications and from a publication phase left by busy cycles.
-func TestAddIdleCyclesMatchesPerCycle(t *testing.T) {
+// TestAddCyclesMatchesPerCycle: k idle or stall cycles accrued in bulk
+// leave the meter bit-identical to k AddCycleDelta calls with the same
+// activity, across RAPL publications and from a publication phase left
+// by busy cycles.
+func TestAddCyclesMatchesPerCycle(t *testing.T) {
 	p := params()
 	p.StaticWatts = 45.3 // inexact in binary, so per-cycle rounding shows
-	for _, k := range []uint64{0, 1, 37, 99, 100, 101, 250, 1001} {
-		stepped, bulk := NewMeter(p), NewMeter(p)
-		for _, m := range []*Meter{stepped, bulk} {
-			for range 33 {
-				m.AddCycleDelta(1, 4, 3, 1, 4)
+	for _, stalls := range []uint64{0, 1} {
+		for _, k := range []uint64{0, 1, 37, 99, 100, 101, 250, 1001} {
+			stepped, bulk := NewMeter(p), NewMeter(p)
+			for _, m := range []*Meter{stepped, bulk} {
+				for range 33 {
+					m.AddCycleDelta(1, 4, 3, 1, 4)
+				}
 			}
-		}
-		for range k {
-			stepped.AddCycleDelta(0, 0, 0, 0, 0)
-		}
-		bulk.AddIdleCycles(k)
-		if stepped.Cycles() != bulk.Cycles() || stepped.raplCycle != bulk.raplCycle ||
-			math.Float64bits(stepped.TrueEnergy()) != math.Float64bits(bulk.TrueEnergy()) ||
-			math.Float64bits(stepped.RAPLRead()) != math.Float64bits(bulk.RAPLRead()) {
-			t.Errorf("k=%d: bulk meter %+v, per-cycle meter %+v", k, *bulk, *stepped)
+			for range k {
+				stepped.AddCycleDelta(0, 0, 0, stalls, 0)
+			}
+			bulk.AddCycles(k, bulk.CycleEnergy(0, 0, 0, stalls, 0))
+			if stepped.Cycles() != bulk.Cycles() || stepped.raplCycle != bulk.raplCycle ||
+				math.Float64bits(stepped.TrueEnergy()) != math.Float64bits(bulk.TrueEnergy()) ||
+				math.Float64bits(stepped.RAPLRead()) != math.Float64bits(bulk.RAPLRead()) {
+				t.Errorf("stalls=%d k=%d: bulk meter %+v, per-cycle meter %+v", stalls, k, *bulk, *stepped)
+			}
 		}
 	}
 }

@@ -172,6 +172,12 @@ func (s ChannelSpec) Normalize() ChannelSpec {
 	} else if m, err := cmdutil.ResolveModel(s.Model); err == nil {
 		s.Model = m.Name
 	}
+	return s.withDefaults()
+}
+
+// withDefaults is Normalize without the model name: every other unset
+// field replaced by its default.
+func (s ChannelSpec) withDefaults() ChannelSpec {
 	if s.Mechanism == "" {
 		s.Mechanism = MechanismEviction
 	}
@@ -254,7 +260,11 @@ func (s ChannelSpec) Validate() error {
 // slow-switch variant beyond plain non-MT timing, and out-of-range
 // protocol parameters.
 func (s ChannelSpec) ValidateFor(m cpu.Model) error {
-	s = s.Normalize()
+	return s.withDefaults().validFor(m)
+}
+
+// validFor is ValidateFor of a spec whose fields hold their defaults.
+func (s ChannelSpec) validFor(m cpu.Model) error {
 	switch s.Mechanism {
 	case MechanismEviction, MechanismMisalignment, MechanismSlowSwitch:
 	default:
@@ -517,6 +527,11 @@ func (s ChannelSpec) CalibrateCtx(rc runctx.Ctx) (*channel.Calibration, error) {
 // paper-table row keeps its historical index. Every returned spec is
 // normalized and valid for its model.
 func Enumerate(models ...cpu.Model) []ChannelSpec {
+	// Each model's name resolves once, to what Normalize would make it.
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = ChannelSpec{Model: m.Name}.Normalize().Model
+	}
 	var specs []ChannelSpec
 	for _, d := range defense.Names() {
 		for _, mech := range []Mechanism{MechanismEviction, MechanismMisalignment, MechanismSlowSwitch} {
@@ -524,17 +539,17 @@ func Enumerate(models ...cpu.Model) []ChannelSpec {
 				for _, sink := range []Sink{SinkTiming, SinkPower} {
 					for _, sgxOn := range []bool{false, true} {
 						for _, stealthy := range []bool{true, false} {
-							for _, m := range models {
+							for i, m := range models {
 								s := ChannelSpec{
-									Model:     m.Name,
+									Model:     names[i],
 									Mechanism: mech,
 									Threading: thread,
 									Sink:      sink,
 									SGX:       sgxOn,
 									Stealthy:  stealthy,
 									Defense:   d,
-								}.Normalize()
-								if s.ValidateFor(m) == nil {
+								}.withDefaults()
+								if s.validFor(m) == nil {
 									specs = append(specs, s)
 								}
 							}
