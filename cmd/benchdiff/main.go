@@ -8,6 +8,11 @@
 // the table is sorted worst-regression-first, best-improvement-last, so
 // both ends of the trajectory are visible at a glance.
 //
+// Simulated work is gated exactly, with no flag: a benchmark that
+// reports sim-cycles/op in both files at the same iteration count must
+// report the same value, or its row is marked WORK CHANGED and benchdiff
+// exits 1. A speedup must do the same simulated work faster.
+//
 // Usage:
 //
 //	benchdiff -old .github/bench/BENCH_baseline.json -new BENCH_ci.json
@@ -19,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"regexp"
@@ -39,11 +45,21 @@ type event struct {
 type metrics struct {
 	Ns     float64
 	Allocs float64
+	Work   work
+}
+
+// work is the simulated cycles per op a benchmark reported and the
+// iteration count it ran: a deterministic measure of the work it did.
+// The zero value means it reported none.
+type work struct {
+	SimCycles float64
+	Iters     int64
 }
 
 var (
-	nsPerOp     = regexp.MustCompile(`(?:^|\s)([0-9.]+) ns/op`)
-	allocsPerOp = regexp.MustCompile(`(?:^|\s)([0-9]+) allocs/op`)
+	nsPerOp        = regexp.MustCompile(`(?:^|\s)([0-9]+)\s+([0-9.]+) ns/op`)
+	allocsPerOp    = regexp.MustCompile(`(?:^|\s)([0-9]+) allocs/op`)
+	simCyclesPerOp = regexp.MustCompile(`(?:^|\s)([0-9.]+) sim-cycles/op`)
 )
 
 // load extracts pkg.benchmark -> metrics from one result file. A
@@ -69,7 +85,7 @@ func load(path string) (map[string]metrics, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[1], 64)
+		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			continue
 		}
@@ -77,6 +93,13 @@ func load(path string) (map[string]metrics, error) {
 		if am := allocsPerOp.FindStringSubmatch(ev.Output); am != nil {
 			if av, err := strconv.ParseFloat(am[1], 64); err == nil {
 				cur.Allocs = av
+			}
+		}
+		if wm := simCyclesPerOp.FindStringSubmatch(ev.Output); wm != nil {
+			iters, errI := strconv.ParseInt(m[1], 10, 64)
+			cycles, errC := strconv.ParseFloat(wm[1], 64)
+			if errI == nil && errC == nil && iters > 0 {
+				cur.Work = work{SimCycles: cycles, Iters: iters}
 			}
 		}
 		out[ev.Package+"."+ev.Test] = cur
@@ -93,6 +116,15 @@ func pctDelta(oldV, newV float64) float64 {
 	return (newV - oldV) / oldV * 100
 }
 
+// workChanged reports whether a benchmark did different simulated work
+// in the two runs: both report sim-cycles/op at the same iteration
+// count, and the values differ. Simulated cycles do not depend on the
+// host, so any difference means the code under the benchmark changed
+// what it simulates.
+func workChanged(o, n work) bool {
+	return o.Iters > 0 && o.Iters == n.Iters && o.SimCycles != n.SimCycles
+}
+
 // row is one comparable benchmark, carrying both metric deltas.
 type row struct {
 	name             string
@@ -102,6 +134,7 @@ type row struct {
 	newAllocs        float64
 	allocDelta       float64
 	allocsComparable bool
+	oldWork, newWork work
 }
 
 func fmtAllocs(v float64) string {
@@ -137,6 +170,17 @@ func main() {
 		os.Exit(2)
 	}
 
+	if compare(os.Stdout, oldRes, newRes, *warnOver, *failOver, *failAllocsOver) {
+		os.Exit(1)
+	}
+}
+
+// compare prints the table of benchmarks in both result sets, and those
+// in only one, to w. It reports whether a gate failed: a time regression
+// of failOver percent or more, an allocation regression of
+// failAllocsOver percent or more (either when positive), or a change in
+// simulated work.
+func compare(w io.Writer, oldRes, newRes map[string]metrics, warnOver, failOver, failAllocsOver float64) bool {
 	var rows []row
 	var added []string
 	for name, nv := range newRes {
@@ -154,6 +198,7 @@ func main() {
 			r.allocsComparable = true
 			r.allocDelta = pctDelta(ov.Allocs, nv.Allocs)
 		}
+		r.oldWork, r.newWork = ov.Work, nv.Work
 		rows = append(rows, r)
 	}
 	// Worst time regression first, best improvement last; ties (and the
@@ -166,41 +211,45 @@ func main() {
 	})
 	sort.Strings(added)
 
-	fmt.Printf("%-64s %14s %14s %9s %12s %12s %9s\n",
+	fmt.Fprintf(w, "%-64s %14s %14s %9s %12s %12s %9s\n",
 		"benchmark", "old ns/op", "new ns/op", "ns Δ", "old allocs", "new allocs", "allocs Δ")
 	regressed, improved := 0, 0
 	failed := false
 	for _, r := range rows {
 		mark := ""
 		switch {
-		case *failOver > 0 && r.nsDelta >= *failOver:
+		case failOver > 0 && r.nsDelta >= failOver:
 			mark = "  <-- TIME REGRESSION"
 			failed = true
 			regressed++
-		case r.nsDelta >= *warnOver:
+		case r.nsDelta >= warnOver:
 			mark = "  <-- regressed"
 			regressed++
-		case -r.nsDelta >= *warnOver:
+		case -r.nsDelta >= warnOver:
 			mark = "  <-- improved"
 			improved++
 		}
-		if r.allocsComparable && *failAllocsOver > 0 && r.allocDelta >= *failAllocsOver {
+		if r.allocsComparable && failAllocsOver > 0 && r.allocDelta >= failAllocsOver {
 			mark += "  <-- ALLOC REGRESSION"
 			failed = true
 		}
-		fmt.Printf("%-64s %14.0f %14.0f %+8.1f%% %12s %12s %+8.1f%%%s\n",
+		if workChanged(r.oldWork, r.newWork) {
+			mark += fmt.Sprintf("  <-- WORK CHANGED (%.0f -> %.0f sim-cycles/op)", r.oldWork.SimCycles, r.newWork.SimCycles)
+			failed = true
+		}
+		fmt.Fprintf(w, "%-64s %14.0f %14.0f %+8.1f%% %12s %12s %+8.1f%%%s\n",
 			r.name, r.oldNs, r.newNs, r.nsDelta,
 			fmtAllocs(r.oldAllocs), fmtAllocs(r.newAllocs), r.allocDelta, mark)
 	}
 	for _, name := range added {
 		nv := newRes[name]
-		fmt.Printf("%-64s %14s %14.0f %9s %12s %12s %9s\n",
+		fmt.Fprintf(w, "%-64s %14s %14.0f %9s %12s %12s %9s\n",
 			name, "-", nv.Ns, "new", "-", fmtAllocs(nv.Allocs), "")
 	}
 	removed := 0
 	for name, ov := range oldRes {
 		if _, ok := newRes[name]; !ok {
-			fmt.Printf("%-64s %14.0f %14s %9s %12s %12s %9s\n",
+			fmt.Fprintf(w, "%-64s %14.0f %14s %9s %12s %12s %9s\n",
 				name, ov.Ns, "-", "gone", fmtAllocs(ov.Allocs), "-", "")
 			removed++
 		}
@@ -209,9 +258,7 @@ func main() {
 	for _, r := range rows {
 		best = math.Min(best, r.nsDelta)
 	}
-	fmt.Printf("\n%d benchmarks compared: %d regressed beyond %.0f%%, %d improved beyond %.0f%% (best %+.1f%%), %d new, %d removed\n",
-		len(rows), regressed, *warnOver, improved, *warnOver, best, len(added), removed)
-	if failed {
-		os.Exit(1)
-	}
+	fmt.Fprintf(w, "\n%d benchmarks compared: %d regressed beyond %.0f%%, %d improved beyond %.0f%% (best %+.1f%%), %d new, %d removed\n",
+		len(rows), regressed, warnOver, improved, warnOver, best, len(added), removed)
+	return failed
 }

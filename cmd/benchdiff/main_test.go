@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -66,5 +67,85 @@ func TestLoadOfCommittedBaseline(t *testing.T) {
 	}
 	if withAllocs == 0 {
 		t.Fatal("committed baseline has no allocs/op values; the CI alloc gate would be vacuous")
+	}
+}
+
+func TestLoadExtractsWork(t *testing.T) {
+	blob := `{"Action":"output","Package":"repro/internal/cpu","Test":"BenchmarkCoreRunTimed","Output":"BenchmarkCoreRunTimed-2        \t       1\t     59650 ns/op\t      4467 sim-cycles/op\t    1336 B/op\t      11 allocs/op\n"}
+{"Action":"output","Package":"repro/internal/cpu","Test":"BenchmarkSplit","Output":"     250\t   4718 ns/op\t     30000 sim-cycles/op\t 101.5 retired-uops/op\n"}
+{"Action":"output","Package":"repro","Test":"BenchmarkNoWork","Output":"BenchmarkNoWork-8 \t 100\t 2150 ns/op\t 512 B/op\t 4 allocs/op\n"}
+`
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]work{
+		"repro/internal/cpu.BenchmarkCoreRunTimed": {SimCycles: 4467, Iters: 1},
+		"repro/internal/cpu.BenchmarkSplit":        {SimCycles: 30000, Iters: 250},
+		"repro.BenchmarkNoWork":                    {},
+	}
+	for k, v := range want {
+		if got[k].Work != v {
+			t.Errorf("%s work = %+v, want %+v", k, got[k].Work, v)
+		}
+	}
+}
+
+// TestWorkGate pins when a change in simulated work fails the
+// comparison: only when both runs report sim-cycles/op at the same
+// iteration count.
+func TestWorkGate(t *testing.T) {
+	at := func(cycles float64, iters int64) metrics {
+		return metrics{Ns: 1000, Allocs: 10, Work: work{SimCycles: cycles, Iters: iters}}
+	}
+	none := metrics{Ns: 1000, Allocs: 10}
+	cases := []struct {
+		name     string
+		old, new metrics
+		fail     bool
+	}{
+		{"equal values pass", at(4467, 1), at(4467, 1), false},
+		{"different values fail", at(4467, 1), at(4468, 1), true},
+		{"different iteration counts are not compared", at(4467, 1), at(4468, 1000), false},
+		{"missing in the new run is not compared", at(4467, 1), none, false},
+		{"missing in the old run is not compared", none, at(4467, 1), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out strings.Builder
+			failed := compare(&out, map[string]metrics{"p.B": tc.old}, map[string]metrics{"p.B": tc.new}, 50, 300, 25)
+			if failed != tc.fail || strings.Contains(out.String(), "WORK CHANGED") != tc.fail {
+				t.Fatalf("failed = %v, want %v; output:\n%s", failed, tc.fail, out.String())
+			}
+		})
+	}
+}
+
+// TestCommittedBaselineWork pins the simulated work the CI gate holds
+// every later run to.
+func TestCommittedBaselineWork(t *testing.T) {
+	res, err := load("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"repro/internal/attack.BenchmarkSendBit_NonMTEviction": 4467,
+		"repro/internal/attack.BenchmarkSendBit_NonMTStealthy": 6664,
+		"repro/internal/attack.BenchmarkSendBit_NonMTMisalign": 4396,
+		"repro/internal/attack.BenchmarkSendBit_MTEviction":    23220,
+		"repro/internal/attack.BenchmarkSendBit_SlowSwitch":    4787,
+		"repro/internal/attack.BenchmarkSendBit_Power":         2666,
+		"repro/internal/cpu.BenchmarkCoreRunTimed":             4467,
+		"repro/internal/cpu.BenchmarkCoreRunCyclesIdle":        4045,
+		"repro/internal/cpu.BenchmarkCoreRunCyclesMT":          30000,
+	}
+	for name, cycles := range want {
+		if w := res[name].Work; w.SimCycles != cycles || w.Iters < 1 {
+			t.Errorf("%s work = %+v, want %.0f sim-cycles/op", name, w, cycles)
+		}
 	}
 }

@@ -69,3 +69,39 @@ func BenchmarkCoreRunCyclesIdle(b *testing.B) {
 	}
 	b.ReportMetric(float64(c.Cycle())/float64(b.N), "sim-cycles/op")
 }
+
+// fingerprintAttacker is Figure 12's receiver: a loop of 100 two-byte
+// nops, above the LSD's capacity and inside the DSB.
+func fingerprintAttacker() []*isa.Block {
+	return chained(isa.NopBlockLen(0x0070_0000, 100, 2))
+}
+
+// fingerprintVictim is a victim phase of Figure 12: a chain of mix
+// blocks over the given number of 32-byte windows.
+func fingerprintVictim(windows int) []*isa.Block {
+	blocks := make([]*isa.Block, windows)
+	for j := range blocks {
+		blocks[j] = isa.MixBlock(0x0100_0000 + uint64(j)*isa.WindowBytes)
+	}
+	return chained(blocks...)
+}
+
+// BenchmarkCoreRunCyclesMT times one fingerprint sample of Figure 12:
+// RunCycles(30_000) with the attacker's nop loop on thread 0 and a
+// 300-window victim on thread 1. Both threads are always busy, so no
+// skip applies and each cycle delivers. Beside sim-cycles/op it reports
+// the micro-ops both threads retired per op.
+func BenchmarkCoreRunCyclesMT(b *testing.B) {
+	const sample = 30_000
+	c := NewCore(Gold6226(), 1)
+	// An iteration takes at least a cycle, so neither loop drains.
+	c.Enqueue(0, isa.NewLoopStream(fingerprintAttacker(), b.N*sample+1), nil)
+	c.Enqueue(1, isa.NewLoopStream(fingerprintVictim(300), b.N*sample+1), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.RunCycles(sample)
+	}
+	b.ReportMetric(float64(c.Cycle())/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(c.Retired(0)+c.Retired(1))/float64(b.N), "retired-uops/op")
+}

@@ -218,6 +218,33 @@ func TestRunUntilIdleGuardMatchesStep(t *testing.T) {
 	}
 }
 
+// fuzzLoop chains n blocks in a DSB set into a loop, block i built from
+// kinds[i%len(kinds)]: its low two bits pick a mix, LCP, nop or pause
+// block, bit 2 misaligns it and the high bits size it.
+func fuzzLoop(set, n int, kinds []byte) []*isa.Block {
+	blocks := make([]*isa.Block, n)
+	for i := range blocks {
+		b := kinds[i%len(kinds)]
+		addr := isa.AddrForSet(set, i)
+		if b&4 != 0 {
+			addr = isa.MisalignedAddrForSet(set, i)
+		}
+		arg := int(b >> 3)
+		switch b & 3 {
+		case 0:
+			blocks[i] = isa.MixBlock(addr)
+		case 1:
+			blocks[i] = isa.LCPBlock(addr, 1+arg%8, arg&8 != 0)
+		case 2:
+			blocks[i] = isa.NopBlockLen(addr, 1+arg, 1+arg%2)
+		default:
+			blocks[i] = isa.PauseBlock(addr, 1)
+		}
+	}
+	isa.ChainLoop(blocks)
+	return blocks
+}
+
 // FuzzSteadySkip builds a loop from the input — block kinds (mix, LCP,
 // nop, pause), DSB set, block count, alignment, iteration count, model,
 // thread and run mode — and requires the run loops, or Advance at limits
@@ -242,28 +269,7 @@ func FuzzSteadySkip(f *testing.F) {
 			thread = 0
 		}
 		iters := 10 + int(data[2])*4
-		set := int(data[3]) % isa.DSBSets
-		n := 1 + int(data[4])%10
-		blocks := make([]*isa.Block, n)
-		for i := range blocks {
-			b := data[5+i%(len(data)-5)]
-			addr := isa.AddrForSet(set, i)
-			if b&4 != 0 {
-				addr = isa.MisalignedAddrForSet(set, i)
-			}
-			arg := int(b >> 3)
-			switch b & 3 {
-			case 0:
-				blocks[i] = isa.MixBlock(addr)
-			case 1:
-				blocks[i] = isa.LCPBlock(addr, 1+arg%8, arg&8 != 0)
-			case 2:
-				blocks[i] = isa.NopBlockLen(addr, 1+arg, 1+arg%2)
-			default:
-				blocks[i] = isa.PauseBlock(addr, 1)
-			}
-		}
-		isa.ChainLoop(blocks)
+		blocks := fuzzLoop(int(data[3])%isa.DSBSets, 1+int(data[4])%10, data[5:])
 
 		advance := data[1]&8 != 0
 		if advance {

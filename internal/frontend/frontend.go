@@ -272,6 +272,88 @@ func (f *Frontend) advance(t int) isa.Inst {
 	return in
 }
 
+// plain reports whether in is an instruction DSB and LSD delivery only
+// queue and observe: no jump, pause or LCP instruction, and wholly inside
+// window w.
+func plain(in *isa.Inst, w uint64) bool {
+	return in.Kind != isa.Jmp && in.Kind != isa.Pause && in.Kind != isa.AddLCP &&
+		isa.Window(in.Addr) == w && isa.Window(in.Addr+uint64(in.Len)-1) == w
+}
+
+// run delivers thread t's loaded instruction, just admitted into a DSB
+// or LSD delivery of width micro-ops after n others, in one step with
+// the plain instructions its stream shows next in the same window, as
+// many as still fit: the IDQ pushes in order, one LSD.ObserveRun, one
+// skip of the stream and the load of the successor, which is all
+// advance would do for each of them. It returns the micro-ops delivered
+// so far, or false and delivers nothing when the loaded instruction is
+// not plain or its stream shows nothing ahead (a ConcatStream or a
+// FuncStream has no view).
+func (f *Frontend) run(t, n, width int) (int, bool) {
+	th := &f.thr[t]
+	w := isa.Window(th.cur.Addr)
+	ahead := lookahead(th.stream)
+	if len(ahead) == 0 || !plain(&th.cur, w) {
+		return n, false
+	}
+	start := n
+	n += int(th.cur.UOps)
+	k := 0
+	for ; k < len(ahead); k++ {
+		in := &ahead[k]
+		if n >= width || n > 0 && n+int(in.UOps) > width || !plain(in, w) {
+			break
+		}
+		n += int(in.UOps)
+	}
+	q := &f.idq[t]
+	q.Push(th.cur)
+	for i := range ahead[:k] {
+		q.Push(ahead[i])
+	}
+	f.lsd[t].ObserveRun(w, n-start)
+	th.prevLCP = false
+	if k < len(ahead) {
+		// The successor is in view: load it as Next would yield it.
+		th.cur = ahead[k]
+		skip(th.stream, k+1)
+	} else {
+		skip(th.stream, k)
+		th.hasCur = false
+		if !f.load(t) && k > 0 {
+			// The stream ran out: cur keeps the last instruction
+			// delivered, as it does after advance.
+			th.cur = ahead[k-1]
+		}
+	}
+	return n, true
+}
+
+// lookahead returns the instructions s yields next without consuming
+// them, or nil for a stream that offers no view. It switches on the
+// concrete stream types so that their methods inline on the delivery
+// path.
+func lookahead(s isa.Stream) []isa.Inst {
+	switch s := s.(type) {
+	case *isa.LoopStream:
+		return s.Ahead()
+	case *isa.SeqStream:
+		return s.Ahead()
+	}
+	return nil
+}
+
+// skip consumes the first k instructions of the view lookahead returned
+// for s.
+func skip(s isa.Stream, k int) {
+	switch s := s.(type) {
+	case *isa.LoopStream:
+		s.Skip(k)
+	case *isa.SeqStream:
+		s.Skip(k)
+	}
+}
+
 // switchTo charges the DSB<->MITE switch penalty when the delivery path
 // changes at addr. Transition points the switch buffer has learned pay
 // only the residual (Section IV-H).
@@ -315,6 +397,10 @@ func (f *Frontend) deliverLSD(t, budget int) (int, Source) {
 			// deviation): the LSD cannot supply it.
 			f.lsd[t].LoopExit()
 			break
+		}
+		if m, ok := f.run(t, n, width); ok {
+			n = m
+			continue
 		}
 		th.hasCur = false
 		th.prevLCP = in.HasLCP()
@@ -360,6 +446,10 @@ func (f *Frontend) deliverDSB(t, budget int, w uint64) (int, Source) {
 		}
 		if n > 0 && n+int(in.UOps) > width {
 			break
+		}
+		if m, ok := f.run(t, n, width); ok {
+			n = m
+			continue
 		}
 		n += int(in.UOps)
 		if isa.Window(in.End()-1) != w {

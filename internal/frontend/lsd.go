@@ -114,7 +114,7 @@ func (l *LSD) Flushes() uint64 { return l.flushes }
 // windows are all cached.
 func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
 	wAddr := isa.Window(in.Addr)
-	wEnd := isa.Window(in.End() - 1)
+	wEnd := isa.Window(in.Addr + uint64(in.Len) - 1)
 	crossing := wEnd != wAddr
 	if crossing {
 		// Misaligned instructions poison the shared alignment tracker
@@ -136,7 +136,7 @@ func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
 			l.resetTracking()
 		}
 	}
-	if !in.IsBranch() {
+	if in.Kind != isa.Jmp {
 		return
 	}
 	switch {
@@ -169,6 +169,21 @@ func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
 		l.lastSig = loopSig{}
 		l.uops, l.crossings = 0, 0
 		l.windows = l.windows[:0]
+	}
+}
+
+// ObserveRun is Observe over a run of instructions in window w that
+// hold uops micro-ops in all, none of them a jump and each wholly inside
+// w: such instructions poison nothing, and a candidate loop only grows
+// by their micro-ops and by w, as a whole run or one at a time.
+func (l *LSD) ObserveRun(w uint64, uops int) {
+	if !l.enabled || l.locked || !l.tracking {
+		return
+	}
+	l.uops += uops
+	l.noteWindow(w)
+	if l.uops > l.p.LSDCapacityUOps {
+		l.resetTracking()
 	}
 }
 

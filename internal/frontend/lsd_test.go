@@ -1,9 +1,12 @@
 package frontend
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/clonecheck"
 	"repro/internal/isa"
+	"repro/internal/rng"
 )
 
 // observeLoop feeds the LSD `iters` passes over the chained blocks, as if
@@ -174,5 +177,83 @@ func TestSwitchBufferConflictsDefeatLearning(t *testing.T) {
 	}
 	if learned > 20 {
 		t.Errorf("dense transition pattern learned %d times; conflicts should defeat learning", learned)
+	}
+}
+
+// plainRun returns 1 to 8 instructions that follow one another inside
+// window w, none a jump, pause or LCP instruction, of 1 to 3 micro-ops.
+func plainRun(r *rng.RNG, w uint64) []isa.Inst {
+	kinds := []isa.Kind{isa.Mov, isa.Add, isa.Nop, isa.Load, isa.Store}
+	addr := w*isa.WindowBytes + uint64(r.Intn(8))
+	end := (w + 1) * isa.WindowBytes
+	var run []isa.Inst
+	for n := 1 + r.Intn(8); len(run) < n && addr < end; {
+		l := 1 + uint64(r.Intn(min(6, int(end-addr))))
+		run = append(run, isa.Inst{Addr: addr, Len: uint8(l), UOps: uint8(1 + r.Intn(3)), Kind: kinds[r.Intn(len(kinds))]})
+		addr += l
+	}
+	return run
+}
+
+// TestObserveRunMatchesObserve requires ObserveRun over a run of plain
+// instructions to leave a detector, and its alignment tracker, exactly
+// as Observe over each instruction does. The detectors start from random
+// states: disabled or locked, tracking a candidate or not, its micro-op
+// count far from or near the capacity, the run's window already noted
+// or not.
+func TestObserveRunMatchesObserve(t *testing.T) {
+	p := DefaultParams()
+	r := rng.New(7)
+	resident := func(uint64) bool { return true }
+	states := map[string]int{}
+	for i := range 5000 {
+		w := 100 + uint64(r.Intn(16))
+		a := NewLSD(p, r.Intn(6) != 0, nil)
+		a.locked = r.Intn(5) == 0
+		a.tracking = r.Intn(4) != 0
+		a.head = w * isa.WindowBytes
+		a.uops = r.Intn(p.LSDCapacityUOps + 1)
+		if r.Bool(0.5) {
+			a.uops = p.LSDCapacityUOps - r.Intn(8)
+		}
+		for range r.Intn(p.LSDWindowSlots) {
+			a.noteWindow(100 + uint64(r.Intn(16)))
+		}
+		a.crossings, a.stable = r.Intn(3), r.Intn(3)
+		a.lastSig = loopSig{head: a.head, uops: r.Intn(64), windows: r.Intn(8)}
+		a.align.poison = r.Intn(p.LSDPoisonCap + 1)
+		b := NewLSD(p, a.enabled, nil)
+		b.copyFrom(a)
+		*b.align = *a.align
+
+		run := plainRun(r, w)
+		uops := 0
+		for _, in := range run {
+			uops += int(in.UOps)
+		}
+		switch {
+		case !a.enabled:
+			states["disabled"]++
+		case a.locked:
+			states["locked"]++
+		case !a.tracking:
+			states["idle"]++
+		case a.uops+uops > p.LSDCapacityUOps:
+			states["outgrown"]++
+		default:
+			states["tracking"]++
+		}
+		for _, in := range run {
+			a.Observe(in, resident)
+		}
+		b.ObserveRun(w, uops)
+		if diff := clonecheck.Diff(a, b); len(diff) != 0 {
+			t.Fatalf("case %d, run of %d micro-ops in window %d:\n%s", i, uops, w, strings.Join(diff, "\n"))
+		}
+	}
+	for _, s := range []string{"disabled", "locked", "idle", "outgrown", "tracking"} {
+		if states[s] == 0 {
+			t.Fatalf("no case started %s: %v", s, states)
+		}
 	}
 }

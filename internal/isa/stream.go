@@ -79,6 +79,22 @@ func (s *LoopStream) Next() (Inst, bool) {
 	return in, true
 }
 
+// Ahead returns the instructions Next yields next, up to but not
+// including the current iteration's back-edge, without consuming them.
+// The view is the program itself: read it, do not write or keep it.
+// Ending it before the back-edge leaves the loop exit's Taken flip and
+// the iteration count to Next. Skip consumes a prefix of the view.
+func (s *LoopStream) Ahead() []Inst {
+	if s.iter >= s.iters {
+		return nil
+	}
+	return s.flat[s.pos : len(s.flat)-1]
+}
+
+// Skip consumes the first k instructions of Ahead's view, k at most its
+// length, as k calls of Next would.
+func (s *LoopStream) Skip(k int) { s.pos += k }
+
 // Append appends the instructions the stream has left to dst and
 // returns the extended slice, consuming the stream: exactly what draining
 // it with Next would yield, loop back-edges resolved, but copied a whole
@@ -118,6 +134,15 @@ func (s *SeqStream) Next() (Inst, bool) {
 	s.pos++
 	return in, true
 }
+
+// Ahead returns the instructions Next yields next without consuming
+// them. The view is the program itself: read it, do not write or keep
+// it. Skip consumes a prefix of the view.
+func (s *SeqStream) Ahead() []Inst { return s.insts[s.pos:] }
+
+// Skip consumes the first k instructions of Ahead's view, k at most its
+// length, as k calls of Next would.
+func (s *SeqStream) Skip(k int) { s.pos += k }
 
 // Pos returns how many instructions the stream has yielded.
 func (s *SeqStream) Pos() int { return s.pos }

@@ -199,3 +199,61 @@ func TestLoopStreamRecursAndAdvance(t *testing.T) {
 		t.Fatalf("advanced to pos %d iter %d, drawing reaches pos %d iter %d", s.pos, s.iter, want.pos, want.iter)
 	}
 }
+
+// TestAheadAndSkipFollowNext drains streams by taking, at each step, a
+// prefix of Ahead's view with Skip and then one instruction with Next,
+// and requires exactly the instructions Next alone yields, the final
+// back-edge not taken. A loop's view never holds its back-edge, which
+// only Next yields.
+func TestAheadAndSkipFollowNext(t *testing.T) {
+	blocks := MixChain(2, 3, true)
+	flat := Flatten(blocks)
+	type viewer interface {
+		Stream
+		Ahead() []Inst
+		Skip(k int)
+	}
+	for _, tc := range []struct {
+		name   string
+		mk     func() viewer
+		window int // instructions the view may hold at most
+	}{
+		{"loop", func() viewer { return NewFlatLoopStream(flat, 4) }, len(flat) - 1},
+		{"seq", func() viewer { return NewSeqStream(NewLoopStream(blocks, 4).Append(nil)) }, 4 * len(flat)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []Inst
+			for s := tc.mk(); ; {
+				in, ok := s.Next()
+				if !ok {
+					break
+				}
+				want = append(want, in)
+			}
+			for step := 0; step < 7; step++ {
+				var got []Inst
+				s := tc.mk()
+				for i := 0; ; i++ {
+					ahead := s.Ahead()
+					if len(ahead) > tc.window {
+						t.Fatalf("view of %d instructions, want at most %d", len(ahead), tc.window)
+					}
+					if tc.name == "loop" && len(ahead) > 0 && &ahead[len(ahead)-1] == &flat[len(flat)-1] {
+						t.Fatal("the loop's view holds its back-edge")
+					}
+					k := min(len(ahead), (i*step)%5)
+					got = append(got, ahead[:k]...)
+					s.Skip(k)
+					in, ok := s.Next()
+					if !ok {
+						break
+					}
+					got = append(got, in)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("skip pattern %d yields %d instructions, not the %d Next yields", step, len(got), len(want))
+				}
+			}
+		})
+	}
+}

@@ -20,7 +20,9 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/channel"
@@ -260,36 +262,66 @@ func (s ChannelSpec) Validate() error {
 // slow-switch variant beyond plain non-MT timing, and out-of-range
 // protocol parameters.
 func (s ChannelSpec) ValidateFor(m cpu.Model) error {
-	return s.withDefaults().validFor(m)
+	return s.withDefaults().validFor(m).error()
 }
 
-// validFor is ValidateFor of a spec whose fields hold their defaults.
-func (s ChannelSpec) validFor(m cpu.Model) error {
+// A rejection is the first rule a spec breaks, its message not yet
+// built: Enumerate weighs 960 candidates, drops 784 and reads none of
+// their messages. The format's verbs take, in order, str, both ints or
+// err; a spec that breaks no rule has no format.
+type rejection struct {
+	format string
+	str    string
+	ints   [2]int
+	err    error
+}
+
+// error builds the rejection's message, or returns nil for a spec that
+// breaks no rule.
+func (r rejection) error() error {
+	switch {
+	case r.format == "":
+		return nil
+	case r.err != nil:
+		return fmt.Errorf("spec: "+r.format, r.err)
+	}
+	switch strings.Count(r.format, "%") {
+	case 2:
+		return fmt.Errorf("spec: "+r.format, r.ints[0], r.ints[1])
+	case 1:
+		return fmt.Errorf("spec: "+r.format, r.str)
+	}
+	return errors.New("spec: " + r.format)
+}
+
+// validFor is ValidateFor of a spec whose fields hold their defaults,
+// with the message left unbuilt.
+func (s ChannelSpec) validFor(m cpu.Model) rejection {
 	switch s.Mechanism {
 	case MechanismEviction, MechanismMisalignment, MechanismSlowSwitch:
 	default:
-		return fmt.Errorf("spec: unknown mechanism %q (eviction|misalignment|slowswitch)", s.Mechanism)
+		return rejection{format: "unknown mechanism %q (eviction|misalignment|slowswitch)", str: string(s.Mechanism)}
 	}
 	switch s.Threading {
 	case ThreadingNonMT, ThreadingMT:
 	default:
-		return fmt.Errorf("spec: unknown threading %q (nonmt|mt)", s.Threading)
+		return rejection{format: "unknown threading %q (nonmt|mt)", str: string(s.Threading)}
 	}
 	switch s.Sink {
 	case SinkTiming, SinkPower:
 	default:
-		return fmt.Errorf("spec: unknown sink %q (timing|power)", s.Sink)
+		return rejection{format: "unknown sink %q (timing|power)", str: string(s.Sink)}
 	}
 	d, err := defense.Resolve(s.Defense)
 	if err != nil {
-		return fmt.Errorf("spec: %v", err)
+		return rejection{format: "%v", err: err}
 	}
 	// Applicability is judged against the undefended model: a defense
 	// that removes the scenario's substrate (nosmt x MT) or cannot
 	// interact with its sink (norapl x timing) is a rejection, not a
 	// zero-residual row.
 	if err := d.Applies(s.scenario(m)); err != nil {
-		return fmt.Errorf("spec: %v", err)
+		return rejection{format: "%v", err: err}
 	}
 	maxP := maxIterP
 	switch {
@@ -299,10 +331,10 @@ func (s ChannelSpec) validFor(m cpu.Model) error {
 		maxP = maxMeasureP
 	}
 	if s.P < 1 || s.P > maxP {
-		return fmt.Errorf("spec: p=%d out of range (want 1..%d for this scenario)", s.P, maxP)
+		return rejection{format: "p=%d out of range (want 1..%d for this scenario)", ints: [2]int{s.P, maxP}}
 	}
 	if s.CalibBits < 2 || s.CalibBits > MaxCalibBits {
-		return fmt.Errorf("spec: calib=%d out of range (want 2..%d)", s.CalibBits, MaxCalibBits)
+		return rejection{format: "calib=%d out of range (want 2..%d)", ints: [2]int{s.CalibBits, MaxCalibBits}}
 	}
 	if s.Mechanism == MechanismSlowSwitch {
 		// The slow-switch channel leaks through issue-pattern timing of
@@ -310,71 +342,71 @@ func (s ChannelSpec) validFor(m cpu.Model) error {
 		// variant, no power receiver, and no stealthy encoding.
 		switch {
 		case s.Threading != ThreadingNonMT:
-			return fmt.Errorf("spec: slowswitch is non-MT only (Section V-E)")
+			return rejection{format: "slowswitch is non-MT only (Section V-E)"}
 		case s.Sink != SinkTiming:
-			return fmt.Errorf("spec: slowswitch has no power variant (Section V-E)")
+			return rejection{format: "slowswitch has no power variant (Section V-E)"}
 		case s.SGX:
-			return fmt.Errorf("spec: slowswitch has no SGX variant (Section V-E)")
+			return rejection{format: "slowswitch has no SGX variant (Section V-E)"}
 		case s.Stealthy:
-			return fmt.Errorf("spec: slowswitch has no stealthy variant (both bits execute the same block count)")
+			return rejection{format: "slowswitch has no stealthy variant (both bits execute the same block count)"}
 		case s.Contended:
-			return fmt.Errorf("spec: contended applies only to the MT eviction protocol")
+			return rejection{format: "contended applies only to the MT eviction protocol"}
 		case s.D != 0 || s.M != 0:
-			return fmt.Errorf("spec: slowswitch takes no d/m way counts")
+			return rejection{format: "slowswitch takes no d/m way counts"}
 		}
-		return nil
+		return rejection{}
 	}
 	if s.D < 1 || s.D > attack.DSBWays {
-		return fmt.Errorf("spec: d=%d out of range (want 1..%d)", s.D, attack.DSBWays)
+		return rejection{format: "d=%d out of range (want 1..%d)", ints: [2]int{s.D, attack.DSBWays}}
 	}
 	if s.Mechanism == MechanismMisalignment {
 		if s.M > attack.DSBWays {
-			return fmt.Errorf("spec: m=%d out of range (want <= %d)", s.M, attack.DSBWays)
+			return rejection{format: "m=%d out of range (want <= %d)", ints: [2]int{s.M, attack.DSBWays}}
 		}
 		if s.M <= s.D {
-			return fmt.Errorf("spec: misalignment needs m > d (m-d sender blocks); got d=%d m=%d", s.D, s.M)
+			return rejection{format: "misalignment needs m > d (m-d sender blocks); got d=%d m=%d", ints: [2]int{s.D, s.M}}
 		}
 	} else if s.M != 0 {
-		return fmt.Errorf("spec: m applies only to the misalignment mechanism")
+		return rejection{format: "m applies only to the misalignment mechanism"}
 	}
 	if s.SGX && s.Threading == ThreadingNonMT && s.P < sgx.NonMTIters {
 		// The enclave layer would silently raise a smaller p to its
 		// floor; rejecting instead keeps the canonical encoding equal to
 		// what actually runs.
-		return fmt.Errorf("spec: SGX non-MT needs p >= %d (Section VIII); got p=%d", sgx.NonMTIters, s.P)
+		return rejection{format: "SGX non-MT needs p >= %d (Section VIII); got p=%d", ints: [2]int{sgx.NonMTIters, s.P}}
 	}
 	if s.Sink == SinkPower {
 		// The paper's power receiver polls RAPL from the sender's own
 		// thread, outside any enclave (Section VII).
 		switch {
 		case s.Threading != ThreadingNonMT:
-			return fmt.Errorf("spec: the power sink is non-MT only (Section VII)")
+			return rejection{format: "the power sink is non-MT only (Section VII)"}
 		case s.SGX:
-			return fmt.Errorf("spec: power+SGX is impossible — RAPL is not readable from inside an enclave (Section VII)")
+			return rejection{format: "power+SGX is impossible — RAPL is not readable from inside an enclave (Section VII)"}
 		case s.Stealthy:
-			return fmt.Errorf("spec: the power channel's bit-0 already executes decoy blocks; stealthy does not apply")
+			return rejection{format: "the power channel's bit-0 already executes decoy blocks; stealthy does not apply"}
 		case s.Contended:
-			return fmt.Errorf("spec: contended applies only to the MT eviction protocol")
+			return rejection{format: "contended applies only to the MT eviction protocol"}
 		}
-		return nil
+		return rejection{}
 	}
 	if s.Threading == ThreadingMT {
 		if !m.HyperThreading {
-			return fmt.Errorf("spec: MT on %s is impossible — hyper-threading is disabled (Table I)", m.Name)
+			return rejection{format: "MT on %s is impossible — hyper-threading is disabled (Table I)", str: m.Name}
 		}
 		if s.Stealthy {
-			return fmt.Errorf("spec: the MT channels have no stealthy variant (the sender idles on bit 0)")
+			return rejection{format: "the MT channels have no stealthy variant (the sender idles on bit 0)"}
 		}
 		if s.Contended && s.Mechanism != MechanismEviction {
-			return fmt.Errorf("spec: contended applies only to the MT eviction protocol")
+			return rejection{format: "contended applies only to the MT eviction protocol"}
 		}
 	} else if s.Contended {
-		return fmt.Errorf("spec: contended applies only to the MT eviction protocol")
+		return rejection{format: "contended applies only to the MT eviction protocol"}
 	}
 	if s.SGX && !m.SGX {
-		return fmt.Errorf("spec: %s has no SGX support (Table I)", m.Name)
+		return rejection{format: "%s has no SGX support (Table I)", str: m.Name}
 	}
-	return nil
+	return rejection{}
 }
 
 // Build constructs the simulated channel for this scenario on m,
@@ -549,7 +581,7 @@ func Enumerate(models ...cpu.Model) []ChannelSpec {
 									Stealthy:  stealthy,
 									Defense:   d,
 								}.withDefaults()
-								if s.validFor(m) == nil {
+								if s.validFor(m).format == "" {
 									specs = append(specs, s)
 								}
 							}
