@@ -13,6 +13,12 @@
 // report the same value, or its row is marked WORK CHANGED and benchdiff
 // exits 1. A speedup must do the same simulated work faster.
 //
+// A benchmark reported more than once in a file (go test -count N) is
+// compared by its median ns/op, so one run on a busy host cannot trip
+// the time gate alone. Its rows at one iteration count must report the
+// same allocs/op and sim-cycles/op, which are deterministic; where they
+// do not, its row is marked ROWS DISAGREE and benchdiff exits 1.
+//
 // Usage:
 //
 //	benchdiff -old .github/bench/BENCH_baseline.json -new BENCH_ci.json
@@ -30,6 +36,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // event is the subset of the go-test-json stream benchdiff reads.
@@ -42,10 +49,15 @@ type event struct {
 
 // metrics is one benchmark's measurements. Allocs is -1 when the run
 // lacked -benchmem, so "absent" never compares equal to "zero allocs".
+// Iters is the iteration count it ran. Disagree, when set, says how the
+// rows of a benchmark reported more than once differ in allocs/op or
+// simulated work.
 type metrics struct {
-	Ns     float64
-	Allocs float64
-	Work   work
+	Ns       float64
+	Allocs   float64
+	Work     work
+	Iters    int64
+	Disagree string
 }
 
 // work is the simulated cycles per op a benchmark reported and the
@@ -63,14 +75,14 @@ var (
 )
 
 // load extracts pkg.benchmark -> metrics from one result file. A
-// benchmark reported more than once keeps its last value.
+// benchmark reported more than once is summarized over its rows.
 func load(path string) (map[string]metrics, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := map[string]metrics{}
+	rows := map[string][]metrics{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -89,22 +101,54 @@ func load(path string) (map[string]metrics, error) {
 		if err != nil {
 			continue
 		}
-		cur := metrics{Ns: ns, Allocs: -1}
+		iters, err := strconv.ParseInt(m[1], 10, 64)
+		if err != nil {
+			continue
+		}
+		cur := metrics{Ns: ns, Allocs: -1, Iters: iters}
 		if am := allocsPerOp.FindStringSubmatch(ev.Output); am != nil {
 			if av, err := strconv.ParseFloat(am[1], 64); err == nil {
 				cur.Allocs = av
 			}
 		}
 		if wm := simCyclesPerOp.FindStringSubmatch(ev.Output); wm != nil {
-			iters, errI := strconv.ParseInt(m[1], 10, 64)
-			cycles, errC := strconv.ParseFloat(wm[1], 64)
-			if errI == nil && errC == nil && iters > 0 {
+			if cycles, err := strconv.ParseFloat(wm[1], 64); err == nil && iters > 0 {
 				cur.Work = work{SimCycles: cycles, Iters: iters}
 			}
 		}
-		out[ev.Package+"."+ev.Test] = cur
+		name := ev.Package + "." + ev.Test
+		rows[name] = append(rows[name], cur)
+	}
+	out := make(map[string]metrics, len(rows))
+	for name, rs := range rows {
+		out[name] = summarize(rs)
 	}
 	return out, sc.Err()
+}
+
+// summarize folds a benchmark's rows into one: the median ns/op (the
+// mean of the middle two of an even count), and the first row's
+// allocs/op and simulated work, which every row at the same iteration
+// count must repeat. Disagree names the first row that does not.
+func summarize(rs []metrics) metrics {
+	ns := make([]float64, len(rs))
+	for i, r := range rs {
+		ns[i] = r.Ns
+	}
+	sort.Float64s(ns)
+	m := rs[0]
+	m.Ns = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
+	for i, r := range rs {
+		if r.Iters != m.Iters || m.Disagree != "" {
+			continue
+		}
+		if r.Allocs != m.Allocs {
+			m.Disagree = fmt.Sprintf("%s vs %s allocs/op in rows 1 and %d", fmtAllocs(m.Allocs), fmtAllocs(r.Allocs), i+1)
+		} else if r.Work != m.Work {
+			m.Disagree = fmt.Sprintf("%.0f vs %.0f sim-cycles/op in rows 1 and %d", m.Work.SimCycles, r.Work.SimCycles, i+1)
+		}
+	}
+	return m
 }
 
 // pctDelta is the percentage change from old to new; 0 when old is not
@@ -135,6 +179,20 @@ type row struct {
 	allocDelta       float64
 	allocsComparable bool
 	oldWork, newWork work
+	disagree         string // how a file's rows of the benchmark disagree
+}
+
+// disagreement names the result sets whose rows of one benchmark
+// disagree, and how.
+func disagreement(o, n metrics) string {
+	var ds []string
+	if o.Disagree != "" {
+		ds = append(ds, "old: "+o.Disagree)
+	}
+	if n.Disagree != "" {
+		ds = append(ds, "new: "+n.Disagree)
+	}
+	return strings.Join(ds, "; ")
 }
 
 func fmtAllocs(v float64) string {
@@ -178,8 +236,8 @@ func main() {
 // compare prints the table of benchmarks in both result sets, and those
 // in only one, to w. It reports whether a gate failed: a time regression
 // of failOver percent or more, an allocation regression of
-// failAllocsOver percent or more (either when positive), or a change in
-// simulated work.
+// failAllocsOver percent or more (either when positive), a change in
+// simulated work, or rows of one benchmark that disagree.
 func compare(w io.Writer, oldRes, newRes map[string]metrics, warnOver, failOver, failAllocsOver float64) bool {
 	var rows []row
 	var added []string
@@ -199,6 +257,7 @@ func compare(w io.Writer, oldRes, newRes map[string]metrics, warnOver, failOver,
 			r.allocDelta = pctDelta(ov.Allocs, nv.Allocs)
 		}
 		r.oldWork, r.newWork = ov.Work, nv.Work
+		r.disagree = disagreement(ov, nv)
 		rows = append(rows, r)
 	}
 	// Worst time regression first, best improvement last; ties (and the
@@ -237,14 +296,23 @@ func compare(w io.Writer, oldRes, newRes map[string]metrics, warnOver, failOver,
 			mark += fmt.Sprintf("  <-- WORK CHANGED (%.0f -> %.0f sim-cycles/op)", r.oldWork.SimCycles, r.newWork.SimCycles)
 			failed = true
 		}
+		if r.disagree != "" {
+			mark += "  <-- ROWS DISAGREE (" + r.disagree + ")"
+			failed = true
+		}
 		fmt.Fprintf(w, "%-64s %14.0f %14.0f %+8.1f%% %12s %12s %+8.1f%%%s\n",
 			r.name, r.oldNs, r.newNs, r.nsDelta,
 			fmtAllocs(r.oldAllocs), fmtAllocs(r.newAllocs), r.allocDelta, mark)
 	}
 	for _, name := range added {
 		nv := newRes[name]
-		fmt.Fprintf(w, "%-64s %14s %14.0f %9s %12s %12s %9s\n",
-			name, "-", nv.Ns, "new", "-", fmtAllocs(nv.Allocs), "")
+		mark := ""
+		if d := disagreement(metrics{}, nv); d != "" {
+			mark = "  <-- ROWS DISAGREE (" + d + ")"
+			failed = true
+		}
+		fmt.Fprintf(w, "%-64s %14s %14.0f %9s %12s %12s %9s%s\n",
+			name, "-", nv.Ns, "new", "-", fmtAllocs(nv.Allocs), "", mark)
 	}
 	removed := 0
 	for name, ov := range oldRes {

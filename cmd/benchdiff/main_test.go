@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,9 +26,9 @@ not json at all
 		t.Fatal(err)
 	}
 	want := map[string]metrics{
-		"repro.BenchmarkA": {Ns: 67997, Allocs: -1},
-		"repro.BenchmarkB": {Ns: 49887180, Allocs: -1},
-		"repro.BenchmarkC": {Ns: 2150, Allocs: 4},
+		"repro.BenchmarkA": {Ns: 67997, Allocs: -1, Iters: 1},
+		"repro.BenchmarkB": {Ns: 49887180, Allocs: -1, Iters: 1},
+		"repro.BenchmarkC": {Ns: 2150, Allocs: 4, Iters: 100},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("loaded %v, want %v", got, want)
@@ -142,10 +143,102 @@ func TestCommittedBaselineWork(t *testing.T) {
 		"repro/internal/cpu.BenchmarkCoreRunTimed":             4467,
 		"repro/internal/cpu.BenchmarkCoreRunCyclesIdle":        4045,
 		"repro/internal/cpu.BenchmarkCoreRunCyclesMT":          30000,
+		"repro/internal/contract.BenchmarkExecutorObserve":     2710,
 	}
 	for name, cycles := range want {
 		if w := res[name].Work; w.SimCycles != cycles || w.Iters < 1 {
 			t.Errorf("%s work = %+v, want %.0f sim-cycles/op", name, w, cycles)
+		}
+	}
+}
+
+// writeResults writes go-test-json output lines for benchmark p.B, one
+// per row, and returns the file's path.
+func writeResults(t *testing.T, rows ...string) string {
+	t.Helper()
+	var b []byte
+	for _, r := range rows {
+		line, err := json.Marshal(event{Action: "output", Package: "p", Test: "B", Output: "B-2 \t " + r + "\n"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(append(b, line...), '\n')
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRepeatedRowsCompareByMedian pins how a benchmark run with -count
+// N compares: by its median ns/op, so one outlier row moves nothing,
+// against a baseline of one row or of several.
+func TestRepeatedRowsCompareByMedian(t *testing.T) {
+	three := writeResults(t,
+		"1\t 1100 ns/op\t 5000 sim-cycles/op\t 64 B/op\t 4 allocs/op",
+		"1\t 1000 ns/op\t 5000 sim-cycles/op\t 64 B/op\t 4 allocs/op",
+		"1\t 9000000 ns/op\t 5000 sim-cycles/op\t 64 B/op\t 4 allocs/op", // a busy host
+	)
+	single := writeResults(t, "1\t 1050 ns/op\t 5000 sim-cycles/op\t 64 B/op\t 4 allocs/op")
+	even := writeResults(t, "1\t 1000 ns/op\t 4 allocs/op", "1\t 1200 ns/op\t 4 allocs/op")
+	load := func(path string) map[string]metrics {
+		res, err := load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if got := load(three)["p.B"]; got.Ns != 1100 || got.Allocs != 4 || got.Work.SimCycles != 5000 || got.Disagree != "" {
+		t.Fatalf("three rows summarize to %+v, want the median 1100 ns/op", got)
+	}
+	if got := load(even)["p.B"].Ns; got != 1100 {
+		t.Fatalf("two rows summarize to %v ns/op, want their mean 1100", got)
+	}
+	for _, tc := range []struct{ name, old, new string }{
+		{"single-row baseline", single, three},
+		{"repeated baseline", three, single},
+		{"both repeated", three, three},
+	} {
+		var out strings.Builder
+		if compare(&out, load(tc.old), load(tc.new), 50, 300, 25) {
+			t.Fatalf("%s: the comparison failed:\n%s", tc.name, out.String())
+		}
+		if !strings.Contains(out.String(), "1 benchmarks compared") {
+			t.Fatalf("%s: the benchmark was not compared:\n%s", tc.name, out.String())
+		}
+	}
+}
+
+// TestDisagreeingRowsFail pins that rows of one benchmark at one
+// iteration count must repeat their allocs/op and sim-cycles/op, in
+// either file, or the comparison fails and says so.
+func TestDisagreeingRowsFail(t *testing.T) {
+	base := writeResults(t, "1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op")
+	for _, tc := range []struct {
+		name string
+		rows []string
+		fail bool
+	}{
+		{"allocs", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "1\t 1000 ns/op\t 5000 sim-cycles/op\t 5 allocs/op"}, true},
+		{"work", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "1\t 1000 ns/op\t 5001 sim-cycles/op\t 4 allocs/op"}, true},
+		{"other iteration counts", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "50\t 900 ns/op\t 4900 sim-cycles/op\t 3 allocs/op"}, false},
+	} {
+		rows := writeResults(t, tc.rows...)
+		for _, files := range [][2]string{{base, rows}, {rows, base}} {
+			oldRes, err := load(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			newRes, err := load(files[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			failed := compare(&out, oldRes, newRes, 50, 300, 25)
+			if failed != tc.fail || strings.Contains(out.String(), "ROWS DISAGREE") != tc.fail {
+				t.Fatalf("%s: failed = %v, want %v; output:\n%s", tc.name, failed, tc.fail, out.String())
+			}
 		}
 	}
 }

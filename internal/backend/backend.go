@@ -45,14 +45,17 @@ func portMask(k isa.Kind) uint8 {
 // IDQ is one hardware thread's Instruction Decode Queue: the micro-op
 // buffer between frontend delivery and backend retirement (Figure 1).
 // The frontend pushes into it and the backend pops from it; its length
-// counts micro-ops, not instructions. The buffer is sized to the next
-// power of two above the capacity so the ring arithmetic is a mask
-// instead of a modulo.
+// counts micro-ops, not instructions, and its ring holds one slot per
+// instruction. The buffer is sized to the next power of two above the
+// capacity, which leaves a slot for every instruction the capacity
+// admits, each of at least one micro-op, and makes the ring arithmetic
+// a mask instead of a modulo.
 type IDQ struct {
 	buf      []isa.Inst
 	mask     int
 	head     int
-	size     int // micro-ops buffered
+	n        int // instructions buffered
+	size     int // their micro-ops
 	capacity int // micro-ops the queue may hold
 }
 
@@ -74,19 +77,20 @@ func (q *IDQ) Free() int { return q.capacity - q.size }
 // Push appends an instruction's micro-ops. The caller bounds pushes by
 // Free.
 func (q *IDQ) Push(in isa.Inst) {
-	i := (q.head + q.size) & q.mask
-	q.buf[i] = in
+	q.buf[(q.head+q.n)&q.mask] = in
+	q.n++
 	q.size += int(in.UOps)
 }
 
 // Pop removes the oldest instruction; ok is false when the queue is
 // empty.
 func (q *IDQ) Pop() (isa.Inst, bool) {
-	if q.size == 0 {
+	if q.n == 0 {
 		return isa.Inst{}, false
 	}
 	in := q.buf[q.head]
 	q.head = (q.head + 1) & q.mask
+	q.n--
 	q.size -= int(in.UOps)
 	return in, true
 }

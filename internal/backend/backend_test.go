@@ -167,9 +167,10 @@ func TestIDQRecursAndAdvance(t *testing.T) {
 		t.Fatal("the ring does not recur after one period")
 	}
 	for name, change := range map[string]func(x *IDQ){
-		"occupancy": func(x *IDQ) { x.size++ },
-		"live slot": func(x *IDQ) { x.buf[x.head].Addr++ },
-		"dead slot": func(x *IDQ) { x.buf[(x.head+x.mask)&x.mask].Addr++ },
+		"occupancy":    func(x *IDQ) { x.size++ },
+		"instructions": func(x *IDQ) { x.n++ },
+		"live slot":    func(x *IDQ) { x.buf[x.head].Addr++ },
+		"dead slot":    func(x *IDQ) { x.buf[(x.head+x.mask)&x.mask].Addr++ },
 	} {
 		var x IDQ
 		x.CopyFrom(&q)
@@ -218,5 +219,26 @@ func TestBackendAdvance(t *testing.T) {
 	b.Advance(&prev, 4, per)
 	if *b != want || b.PortConflicts == prev.PortConflicts || per&1 == 0 {
 		t.Fatalf("advanced %+v, stepping gives %+v (period %d cycles)", *b, want, per)
+	}
+}
+
+// TestIDQHoldsInstructionsOfManyMicroOps pushes a two-micro-op
+// instruction and then a one-micro-op one: the queue holds three
+// micro-ops and pops exactly those two instructions, in order.
+func TestIDQHoldsInstructionsOfManyMicroOps(t *testing.T) {
+	q := NewIDQ(8)
+	a := isa.Inst{Addr: 0x100, Kind: isa.Add, UOps: 2, Len: 4}
+	b := isa.Inst{Addr: 0x104, Kind: isa.Nop, UOps: 1, Len: 1}
+	q.Push(a)
+	q.Push(b)
+	if q.Len() != 3 || q.Free() != 5 {
+		t.Fatalf("Len %d, Free %d after pushing 3 micro-ops into 8", q.Len(), q.Free())
+	}
+	var got []isa.Inst
+	for in, ok := q.Pop(); ok; in, ok = q.Pop() {
+		got = append(got, in)
+	}
+	if len(got) != 2 || got[0] != a || got[1] != b || q.Len() != 0 {
+		t.Fatalf("popped %+v, %d micro-ops left; want the two pushed instructions", got, q.Len())
 	}
 }

@@ -12,7 +12,7 @@ func (q *IDQ) CopyFrom(src *IDQ) {
 // same ring read from its head: the same buffered micro-ops and, behind
 // them, the same dead slots.
 func (q *IDQ) Recurs(prev *IDQ) bool {
-	if q.size != prev.size || len(q.buf) != len(prev.buf) {
+	if q.n != prev.n || q.size != prev.size || len(q.buf) != len(prev.buf) {
 		return false
 	}
 	for i := range q.buf {

@@ -192,6 +192,58 @@ func TestDiffComparesValues(t *testing.T) {
 	})
 }
 
+// TestDiffMessages pins Diff's reports byte for byte for graphs that
+// differ in a nested slice element, in a map entry and in sharing, at
+// the root and below it.
+func TestDiffMessages(t *testing.T) {
+	build := func() *outer {
+		n := 7
+		o := &outer{
+			p:   &inner{data: []int{1, 2}, m: map[string]int{"k": 1}},
+			s:   []byte("abc"),
+			arr: [2]*int{&n, nil},
+		}
+		o.next = o
+		return o
+	}
+	a, b := build(), build()
+	b.p.data[1] = 3
+	b.p.m["k"] = 2
+	b.next = build()
+
+	type deep struct {
+		rows [][]*inner
+		byID map[int]*inner
+	}
+	mk := func() deep {
+		x := &inner{data: []int{4}, m: map[string]int{}}
+		return deep{rows: [][]*inner{{x}, {x, {data: []int{5, 6}}}}, byID: map[int]*inner{3: x}}
+	}
+	da, db := mk(), mk()
+	db.rows[1][1].data[1] = 9
+	db.byID[3] = &inner{data: []int{4}, m: map[string]int{"z": 1}}
+
+	for _, tc := range []struct {
+		a, b any
+		want []string
+	}{
+		{a, b, []string{
+			"p.data[1]: 2 vs 3",
+			"p.m[k]: 1 vs 2",
+			"next: *clonecheck.outer shared differently",
+		}},
+		{da, db, []string{
+			"rows[1][1].data[1]: 6 vs 9",
+			"byID[3]: *clonecheck.inner shared differently",
+		}},
+		{1, 2, []string{"(root): 1 vs 2"}},
+	} {
+		if got := Diff(tc.a, tc.b); strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("Diff reports\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
+	}
+}
+
 // TestDiffComparesPlainMemory pins the byte comparison Diff makes of
 // slices and arrays of plain values: a difference inside one is still
 // reported at its element, and bytes that differ only in struct padding

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"unsafe"
 )
 
@@ -25,7 +26,7 @@ const maxDiffs = 20
 // result means the two graphs hold equal state.
 func Diff(a, b any) []string {
 	d := &differ{ab: map[loc]uintptr{}, ba: map[loc]uintptr{}, plain: map[reflect.Type]bool{}}
-	d.diff(reflect.ValueOf(a), reflect.ValueOf(b), "")
+	d.diff(reflect.ValueOf(a), reflect.ValueOf(b))
 	runtime.KeepAlive(a)
 	runtime.KeepAlive(b)
 	return d.found
@@ -35,9 +36,41 @@ type differ struct {
 	ab, ba map[loc]uintptr // pointer pairing seen so far, both directions
 	plain  map[reflect.Type]bool
 	found  []string
+	path   []step // from the root to the values being compared
 }
 
-func (d *differ) report(path, format string, args ...any) {
+// step is one edge of a path from the root: a struct field, a slice or
+// array element, or a map entry. The path is printed only when a
+// difference is reported.
+type step struct {
+	st    reflect.Type  // the struct, for a field; nil otherwise
+	index int           // the field's or the element's index
+	key   reflect.Value // the key, for a map entry
+}
+
+// enter compares a and b one step below the current path.
+func (d *differ) enter(s step, a, b reflect.Value) {
+	d.path = append(d.path, s)
+	d.diff(a, b)
+	d.path = d.path[:len(d.path)-1]
+}
+
+func (d *differ) report(format string, args ...any) {
+	var p strings.Builder
+	for _, s := range d.path {
+		switch {
+		case s.st != nil:
+			if p.Len() > 0 {
+				p.WriteByte('.')
+			}
+			p.WriteString(s.st.Field(s.index).Name)
+		case s.key.IsValid():
+			fmt.Fprintf(&p, "[%v]", s.key)
+		default:
+			fmt.Fprintf(&p, "[%d]", s.index)
+		}
+	}
+	path := p.String()
 	if path == "" {
 		path = "(root)"
 	}
@@ -47,7 +80,7 @@ func (d *differ) report(path, format string, args ...any) {
 // pair records that a's reference pa corresponds to b's pb. It reports
 // whether the walk should stop here: the pair was walked already, or one
 // side was already paired with something else (a sharing mismatch).
-func (d *differ) pair(pa, pb uintptr, t reflect.Type, path string) bool {
+func (d *differ) pair(pa, pb uintptr, t reflect.Type) bool {
 	qb, okA := d.ab[loc{pa, t}]
 	qa, okB := d.ba[loc{pb, t}]
 	if !okA && !okB {
@@ -55,17 +88,17 @@ func (d *differ) pair(pa, pb uintptr, t reflect.Type, path string) bool {
 		return false
 	}
 	if !okA || !okB || qb != pb || qa != pa {
-		d.report(path, "%s shared differently", t)
+		d.report("%s shared differently", t)
 	}
 	return true
 }
 
-func (d *differ) diff(a, b reflect.Value, path string) {
+func (d *differ) diff(a, b reflect.Value) {
 	if len(d.found) >= maxDiffs {
 		return
 	}
 	if a.IsValid() != b.IsValid() || (a.IsValid() && a.Type() != b.Type()) {
-		d.report(path, "%v vs %v", a, b)
+		d.report("%v vs %v", a, b)
 		return
 	}
 	if !a.IsValid() {
@@ -74,86 +107,82 @@ func (d *differ) diff(a, b reflect.Value, path string) {
 	switch a.Kind() {
 	case reflect.Bool:
 		if a.Bool() != b.Bool() {
-			d.report(path, "%v vs %v", a.Bool(), b.Bool())
+			d.report("%v vs %v", a.Bool(), b.Bool())
 		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		if a.Int() != b.Int() {
-			d.report(path, "%d vs %d", a.Int(), b.Int())
+			d.report("%d vs %d", a.Int(), b.Int())
 		}
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
 		if a.Uint() != b.Uint() {
-			d.report(path, "%d vs %d", a.Uint(), b.Uint())
+			d.report("%d vs %d", a.Uint(), b.Uint())
 		}
 	case reflect.Float32, reflect.Float64:
 		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
-			d.report(path, "%v vs %v", a.Float(), b.Float())
+			d.report("%v vs %v", a.Float(), b.Float())
 		}
 	case reflect.Complex64, reflect.Complex128:
 		if a.Complex() != b.Complex() {
-			d.report(path, "%v vs %v", a.Complex(), b.Complex())
+			d.report("%v vs %v", a.Complex(), b.Complex())
 		}
 	case reflect.String:
 		if a.String() != b.String() {
-			d.report(path, "%q vs %q", a.String(), b.String())
+			d.report("%q vs %q", a.String(), b.String())
 		}
 
 	case reflect.Pointer, reflect.Map:
 		if a.IsNil() || b.IsNil() {
 			if a.IsNil() != b.IsNil() {
-				d.report(path, "nil %v vs nil %v", a.IsNil(), b.IsNil())
+				d.report("nil %v vs nil %v", a.IsNil(), b.IsNil())
 			}
 			return
 		}
-		if d.pair(a.Pointer(), b.Pointer(), a.Type(), path) {
+		if d.pair(a.Pointer(), b.Pointer(), a.Type()) {
 			return
 		}
 		if a.Kind() == reflect.Pointer {
-			d.diff(a.Elem(), b.Elem(), path)
+			d.diff(a.Elem(), b.Elem())
 			return
 		}
 		if a.Len() != b.Len() {
-			d.report(path, "%d entries vs %d", a.Len(), b.Len())
+			d.report("%d entries vs %d", a.Len(), b.Len())
 			return
 		}
 		for iter := a.MapRange(); iter.Next(); {
 			k := iter.Key()
 			vb := b.MapIndex(k)
 			if !vb.IsValid() {
-				d.report(path, "key %v missing", k)
+				d.report("key %v missing", k)
 				continue
 			}
-			d.diff(iter.Value(), vb, fmt.Sprintf("%s[%v]", path, k))
+			d.enter(step{key: k}, iter.Value(), vb)
 		}
 
 	case reflect.Interface:
 		if a.IsNil() || b.IsNil() {
 			if a.IsNil() != b.IsNil() {
-				d.report(path, "nil %v vs nil %v", a.IsNil(), b.IsNil())
+				d.report("nil %v vs nil %v", a.IsNil(), b.IsNil())
 			}
 			return
 		}
-		d.diff(a.Elem(), b.Elem(), path)
+		d.diff(a.Elem(), b.Elem())
 
 	case reflect.Slice, reflect.Array:
 		if a.Len() != b.Len() {
-			d.report(path, "length %d vs %d", a.Len(), b.Len())
+			d.report("length %d vs %d", a.Len(), b.Len())
 			return
 		}
 		if d.sameBytes(a, b) {
 			return
 		}
 		for i := 0; i < a.Len(); i++ {
-			d.diff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i))
+			d.enter(step{index: i}, a.Index(i), b.Index(i))
 		}
 
 	case reflect.Struct:
 		t := a.Type()
 		for i := 0; i < t.NumField(); i++ {
-			p := t.Field(i).Name
-			if path != "" {
-				p = path + "." + p
-			}
-			d.diff(a.Field(i), b.Field(i), p)
+			d.enter(step{st: t, index: i}, a.Field(i), b.Field(i))
 		}
 
 		// Func: skipped, as in Shared. Chan, UnsafePointer: opaque.

@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func stallModel() cpu.Model {
 // stallPrep is a prep phase of lone-thread stalls: a mix loop, a pause
 // pad and a walk over 1-byte nop windows, one per 64-byte line, each
 // missing the L1I.
-func stallPrep() []isa.Inst {
+func stallPrep() isa.Program {
 	pause := []*isa.Block{isa.PauseBlock(isa.AddrForSet(28, 3), 4)}
 	isa.ChainLoop(pause)
 	var walk []*isa.Block
@@ -48,17 +49,15 @@ func stallPrep() []isa.Inst {
 		walk = append(walk, isa.NopBlockLen(isa.AddrForSet(2*i, 5), 24, 1))
 	}
 	isa.ChainLoop(walk)
-	prep := loop(isa.MixChain(7, 4, true), 20)
-	prep = append(prep, loop(pause, 3)...)
-	return append(prep, loop(walk, 1)...)
+	return slices.Concat(loopProg(isa.MixChain(7, 4, true), 20), loopProg(pause, 3), loopProg(walk, 1))
 }
 
 // lcpProbe is a probe whose isolated LCPs leave fractional stall debt
 // (0.12 × 2.56 cycles each).
-func lcpProbe() []isa.Inst {
+func lcpProbe() isa.Program {
 	lcp := []*isa.Block{isa.LCPBlock(isa.AddrForSet(6, 4), 14, true)}
 	isa.ChainLoop(lcp)
-	return loop(lcp, 5)
+	return loopProg(lcp, 5)
 }
 
 func requireSame(t *testing.T, what string, a, b any) {
@@ -73,7 +72,7 @@ func requireSame(t *testing.T, what string, a, b any) {
 // same windows, down to float bits, and the same core after each.
 func TestStepWindowMatchesStep(t *testing.T) {
 	skipped, stepped := NewExecutor(stallModel(), 1), NewExecutor(stallModel(), 1)
-	for _, prog := range [][]isa.Inst{stallPrep(), lcpProbe()} {
+	for _, prog := range []isa.Program{stallPrep(), lcpProbe()} {
 		skipped.Start(prog)
 		stepped.Start(prog)
 		for w := 0; ; w++ {

@@ -8,12 +8,19 @@
 // against. The style follows Geier et al.'s leakage-contract fuzzing:
 // the contract is deliberately conservative, so a divergence is a
 // counterexample worth minimizing, not yet a calibrated channel.
+//
+// The executor runs programs (isa.Program): pieces of loop bodies, each
+// repeated a count of times, as the fuzzer writes its arms. A program of
+// loops is read from its bodies and never written out instruction by
+// instruction; Observe wraps a written-out instruction slice as a
+// program of one piece.
 package contract
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -206,8 +213,8 @@ func Compare(a, b Trace) (Divergence, bool) {
 	return Divergence{}, false
 }
 
-// Executor runs instruction sequences on a private simulated core and
-// records contract traces. It is fully deterministic: the TSC/noise
+// Executor runs programs on a private simulated core and records
+// contract traces. It is fully deterministic: the TSC/noise
 // paths are never touched, so two executors built with the same model
 // and seed produce identical traces for identical programs — and a
 // Clone mid-program replays byte-identically.
@@ -221,6 +228,9 @@ type Executor struct {
 
 	win window // the open observation window's baselines
 	tr  Trace  // the windows the phase in flight has closed
+	// room is the most windows the phase in flight can close, which tr
+	// is sized to once it holds any.
+	room int
 	// seq caches the phase's program stream once the frontend holds it;
 	// nil until read looks it up.
 	seq *isa.SeqStream
@@ -297,14 +307,14 @@ func (e *Executor) Snapshot() *Snapshot {
 }
 
 // Restore puts the executor in the state s froze. For a snapshot taken
-// mid-phase, insts is the phase's program: it must begin with the
+// mid-phase, prog is the phase's program: it must begin with the
 // instructions the frontend had read, and the phase goes on with the
-// rest of it. Between phases insts is unused.
-func (e *Executor) Restore(s *Snapshot, insts []isa.Inst) {
+// rest of it. Between phases prog is unused.
+func (e *Executor) Restore(s *Snapshot, prog isa.Program) {
 	e.core.CopyFrom(s.core)
-	e.win, e.tr, e.seq = s.win, s.tr, nil
+	e.win, e.tr, e.seq, e.room = s.win, s.tr, nil, e.windows(prog)
 	if st, ok := e.core.FE.Stream(0).(*isa.SeqStream); ok {
-		st.Retarget(insts)
+		st.Retarget(prog)
 	}
 }
 
@@ -334,13 +344,13 @@ func (e *Executor) Clone() *Executor {
 
 // Observe executes insts on thread 0 and returns its contract trace.
 func (e *Executor) Observe(insts []isa.Inst) Trace {
-	e.Start(insts)
+	e.Start(isa.Program{{Body: insts, Count: 1}})
 	return e.Finish()
 }
 
-// Start enqueues insts on thread 0 and opens the first observation
+// Start enqueues prog on thread 0 and opens the first observation
 // window. Drive it with StepWindow, or run it out with Finish.
-func (e *Executor) Start(insts []isa.Inst) {
+func (e *Executor) Start(prog isa.Program) {
 	if !e.core.Idle() {
 		panic("contract: Start on a busy executor")
 	}
@@ -349,8 +359,15 @@ func (e *Executor) Start(insts []isa.Inst) {
 	// history die here, so a divergence can only come from state that
 	// genuinely survives in a frontend structure.
 	e.core.FE.DrainTransients(0)
-	e.core.Enqueue(0, isa.NewSeqStream(insts), nil)
-	e.win, e.tr, e.seq = e.now(), nil, nil
+	e.core.Enqueue(0, prog.Stream(), nil)
+	e.win, e.tr, e.seq, e.room = e.now(), nil, nil, e.windows(prog)
+}
+
+// windows bounds the observation windows a phase running prog closes:
+// every window but the last retires at least WindowUOps of its
+// instructions, each of which the core counts as one retired micro-op.
+func (e *Executor) windows(prog isa.Program) int {
+	return (prog.Len() + e.p.WindowUOps - 1) / e.p.WindowUOps
 }
 
 // Finish steps the phase in flight to its end and returns its trace:
@@ -480,13 +497,18 @@ func (e *Executor) StepWindow() (Observation, bool) {
 		}
 	}
 	o := e.closeWindow()
+	if len(e.tr) == cap(e.tr) {
+		// Sized once per phase; a phase that closes no window keeps a
+		// nil trace.
+		e.tr = slices.Grow(e.tr, max(1, e.room-len(e.tr)))
+	}
 	e.tr = append(e.tr, o)
 	return o, true
 }
 
 // closeWindow observes the open window against its baselines and opens
-// the next one on the counters it just read, so each counter — the DSB
-// line count walks every set — is read once per window.
+// the next one on the counters it just read, so each counter is read
+// once per window.
 func (e *Executor) closeWindow() Observation {
 	now, b := e.now(), &e.win
 	o := Observation{

@@ -9,9 +9,18 @@ import (
 	"repro/internal/isa"
 )
 
-func loop(blocks []*isa.Block, iters int) []isa.Inst {
-	return isa.NewLoopStream(blocks, iters).Append(nil)
+// loopProg is the program of a loop over blocks, iters times: the two
+// pieces the fuzzer writes a gene as.
+func loopProg(blocks []*isa.Block, iters int) isa.Program {
+	flat := isa.Flatten(blocks)
+	return isa.LoopProgram(flat, isa.ExitBody(flat), iters)
 }
+
+// loop is loopProg written out.
+func loop(blocks []*isa.Block, iters int) []isa.Inst { return loopProg(blocks, iters).Insts() }
+
+// program is the one-piece program of insts.
+func program(insts []isa.Inst) isa.Program { return isa.Program{{Body: insts, Count: 1}} }
 
 func model() cpu.Model { return cpu.Gold6226() }
 
@@ -135,7 +144,7 @@ func TestMidStreamCloneReplaysIdentically(t *testing.T) {
 
 	full := e.Clone().Observe(prog)
 
-	e.Start(prog)
+	e.Start(program(prog))
 	var head Trace
 	for i := 0; i < 3; i++ {
 		o, ok := e.StepWindow()
@@ -185,19 +194,20 @@ func TestCompareFindsFirstDivergence(t *testing.T) {
 
 // TestSnapshotResumesAnyProgramSharingItsPrefix pins the snapshot
 // path the fuzzer resumes children on. A phase runs program A = head +
-// tail once noting where the frontend reads the first instruction of
-// tail and where it tries to read past A, then again taking snapshots
-// there. Restored with another program that shares A's instructions up
-// to the snapshot, the executor must record exactly the trace a fresh
-// executor records for that program, after the same preceding phase.
+// tail, written as loop pieces, once noting where the frontend reads the
+// first instruction of tail and where it tries to read past A, then
+// again taking snapshots there. Restored with another program that
+// shares A's instructions up to the snapshot, however its pieces are
+// laid out, the executor must record exactly the trace a fresh executor
+// records for that program, after the same preceding phase.
 func TestSnapshotResumesAnyProgramSharingItsPrefix(t *testing.T) {
 	prior := loop(isa.MixChain(9, 4, false), 5)
-	head := loop(isa.MixChain(20, 6, true), 4)
-	a := append(append([]isa.Inst(nil), head...), loop(isa.MixChain(5, 3, false), 6)...)
+	head := loopProg(isa.MixChain(20, 6, true), 4)
+	a := slices.Concat(head, loopProg(isa.MixChain(5, 3, false), 6))
 	lcp := []*isa.Block{isa.LCPBlock(isa.AddrForSet(6, 2), 14, false)}
 	isa.ChainLoop(lcp)
-	other := loop(lcp, 3)
-	reads := []int{len(head), len(a)}
+	other := loopProg(lcp, 3)
+	reads := []int{head.Len(), a.Len()}
 
 	run := func() *Executor {
 		e := NewExecutor(model(), 1)
@@ -213,16 +223,19 @@ func TestSnapshotResumesAnyProgramSharingItsPrefix(t *testing.T) {
 		t.Fatalf("the snapshotting rerun diverged from the noting run: %s", d)
 	}
 	checked := 0
-	for i, prog := range [][]isa.Inst{
-		append(append([]isa.Inst(nil), head...), other...), // differs after snapshot 0
-		append(append([]isa.Inst(nil), a...), other...),    // extends A past snapshot 1
-		head, // ends where snapshot 0 sits
+	for i, prog := range []isa.Program{
+		slices.Concat(head, other), // differs after snapshot 0
+		slices.Concat(a, other),    // extends A past snapshot 1
+		head,                       // ends where snapshot 0 sits
+		program(slices.Concat(head, other).Insts()),                          // one piece, differs after snapshot 0
+		slices.Concat(program(a.Insts()[:7]), program(a.Insts()[7:]), other), // other pieces, extends A
 	} {
+		insts := prog.Insts()
 		fresh := NewExecutor(model(), 1)
 		fresh.Observe(prior)
-		want := fresh.Observe(prog)
+		want := fresh.Observe(insts)
 		for j, s := range snaps {
-			if s == nil || len(prog) < reads[j] || !slices.Equal(prog[:reads[j]], a[:reads[j]]) {
+			if s == nil || len(insts) < reads[j] || !slices.Equal(insts[:reads[j]], a.Insts()[:reads[j]]) {
 				continue
 			}
 			e := NewExecutor(model(), 7)
@@ -234,8 +247,8 @@ func TestSnapshotResumesAnyProgramSharingItsPrefix(t *testing.T) {
 			checked++
 		}
 	}
-	if checked != 4 {
-		t.Fatalf("%d resumed runs checked, want 4", checked)
+	if checked != 7 {
+		t.Fatalf("%d resumed runs checked, want 7", checked)
 	}
 }
 
@@ -266,7 +279,7 @@ func TestWindowGuardCountsFromWindowStart(t *testing.T) {
 		return false
 	}
 	e := NewExecutorWith(model(), 1, p)
-	e.Start(prog)
+	e.Start(program(prog))
 	if !tripped(e) {
 		t.Fatalf("a %d-cycle window passed a %d-cycle guard", longest, p.MaxCycles)
 	}
@@ -276,11 +289,11 @@ func TestWindowGuardCountsFromWindowStart(t *testing.T) {
 	}
 	snaps := make([]*Snapshot, len(cycles))
 	e = NewExecutor(model(), 1)
-	e.Start(prog)
+	e.Start(program(prog))
 	e.FinishTaking(cycles, snaps)
 	for i, s := range snaps {
 		r := NewExecutorWith(model(), 1, p)
-		r.Restore(s, prog)
+		r.Restore(s, program(prog))
 		if !tripped(r) {
 			t.Fatalf("resumed at cycle %d, the %d-cycle window passed the guard", cycles[i], longest)
 		}

@@ -45,7 +45,7 @@ func TestAdvanceMatchesStep(t *testing.T) {
 	// first instruction already loaded.
 	var exits []isa.Inst
 	for i := range 3 {
-		exits = isa.NewLoopStream(isa.MixChain(5+i, 3, true), 4).Append(exits)
+		exits = append(exits, isa.Drain(isa.NewLoopStream(isa.MixChain(5+i, 3, true), 4))...)
 	}
 	cases := []struct {
 		name  string

@@ -180,7 +180,7 @@ func TestRunsMatchPerInstruction(t *testing.T) {
 	t.Run("program ends inside a run", func(t *testing.T) {
 		// A warm loop's instructions, dropping the final back-edge, so
 		// the last run takes the program's last instruction.
-		insts := isa.NewLoopStream(isa.MixChain(3, 2, true), 20).Append(nil)
+		insts := isa.Drain(isa.NewLoopStream(isa.MixChain(3, 2, true), 20))
 		insts = insts[:len(insts)-1]
 		p := newDeliveryPair(Gold6226(), 1)
 		p.enqueue(0, func() isa.Stream { return isa.NewSeqStream(insts) })
@@ -196,14 +196,16 @@ func TestRunsMatchPerInstruction(t *testing.T) {
 // when bit 0 of data[1] is set and the model has one, and requires a
 // core delivering in runs to hold, after every cycle, the state of a
 // core built alike that delivers one instruction at a time. Bit 1
-// drives thread 0 through a SeqStream of the loop's instructions
-// instead, and bit 2 also drops that program's final back-edge, so it
-// ends inside a run.
+// drives thread 0 through a SeqStream of the loop instead: the loop's
+// program of two pieces, body and exit body, as the leakage fuzzer runs
+// it, or with bit 2 also set, the loop's instructions written out less
+// the final back-edge, so the program ends inside a run.
 func FuzzRunsMatchPerInstruction(f *testing.F) {
 	f.Add([]byte{0, 0, 6, 3, 7, 0})
 	f.Add([]byte{1, 1, 9, 20, 4, 0, 2 | 30<<3, 4})
 	f.Add([]byte{4, 1, 3, 6, 2, 1 | 5<<3, 2 | 12<<3})
 	f.Add([]byte{2, 6, 12, 9, 3, 0, 4, 2 | 7<<3})
+	f.Add([]byte{1, 2, 7, 4, 5, 0, 2 | 9<<3, 3})
 	f.Add([]byte{3, 1, 2, 28, 2, 3, 2 | 20<<3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
@@ -216,11 +218,12 @@ func FuzzRunsMatchPerInstruction(f *testing.F) {
 		p := newDeliveryPair(m, uint64(data[0]))
 		blocks := fuzzLoop(int(data[3])%isa.DSBSets, 1+int(data[4])%10, kinds)
 		if data[1]&2 != 0 {
-			insts := isa.NewLoopStream(blocks, iters).Append(nil)
-			if data[1]&4 != 0 && len(insts) > 1 {
-				insts = insts[:len(insts)-1]
+			flat := isa.Flatten(blocks)
+			prog := isa.LoopProgram(flat, isa.ExitBody(flat), iters)
+			if insts := prog.Insts(); data[1]&4 != 0 && len(insts) > 1 {
+				prog = isa.Program{{Body: insts[:len(insts)-1], Count: 1}}
 			}
-			p.enqueue(0, func() isa.Stream { return isa.NewSeqStream(insts) })
+			p.enqueue(0, func() isa.Stream { return prog.Stream() })
 		} else {
 			p.loop(0, blocks, iters)
 		}

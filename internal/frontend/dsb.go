@@ -41,8 +41,11 @@ type DSB struct {
 	// sets[i*DSBWays:(i+1)*DSBWays]), so the whole array is one buffer.
 	// A set's entries occupy a prefix of its slots, used[i] long; line
 	// occupancy is tracked per entry.
-	sets        []dsbEntry
-	used        []uint8
+	sets []dsbEntry
+	used []uint8
+	// lines counts the valid entries' lines across every set, kept up
+	// to date as entries are placed and invalidated.
+	lines       int
 	tick        uint64
 	partitioned bool
 	stats       DSBStats
@@ -158,26 +161,27 @@ func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
 			return evicted // cannot make room (shouldn't happen)
 		}
 		evicted = append(evicted, Evicted{Thread: set[v].thread, Window: set[v].window})
-		set[v].valid = false
-		d.stats.Evictions++
+		d.invalidate(&set[v])
 	}
 	// Eviction left an invalid entry or an unused slot, since every
 	// valid entry holds at least one line.
 	d.place(idx, dsbEntry{window: window, thread: thread, lines: lines, uops: uops, lru: d.tick, valid: true})
+	d.lines += lines
 	d.stats.Fills++
 	d.evictScratch = evicted[:0]
 	return evicted
 }
 
+// invalidate drops a valid entry, counting an eviction.
+func (d *DSB) invalidate(e *dsbEntry) {
+	e.valid = false
+	d.lines -= e.lines
+	d.stats.Evictions++
+}
+
 // TotalLines returns the number of valid cache lines resident across
 // every set — the occupancy observable of the leakage contract.
-func (d *DSB) TotalLines() int {
-	n := 0
-	for si := 0; si < d.p.DSBSets; si++ {
-		n += d.usedLines(d.set(si))
-	}
-	return n
-}
+func (d *DSB) TotalLines() int { return d.lines }
 
 func (d *DSB) usedLines(set []dsbEntry) int {
 	n := 0
@@ -225,6 +229,7 @@ func (d *DSB) SetPartitioned(on bool) []Evicted {
 				surviving = append(surviving, e)
 			} else {
 				evicted = append(evicted, Evicted{Thread: e.thread, Window: e.window})
+				d.lines -= e.lines
 				d.stats.Evictions++
 			}
 		}
@@ -250,8 +255,7 @@ func (d *DSB) InvalidateWindowRange(thread int, addr uint64, bytes uint64) {
 	for i := range d.sets {
 		e := &d.sets[i]
 		if e.valid && e.thread == thread && e.window >= first && e.window <= last {
-			e.valid = false
-			d.stats.Evictions++
+			d.invalidate(e)
 		}
 	}
 }
@@ -261,8 +265,7 @@ func (d *DSB) InvalidateWindowRange(thread int, addr uint64, bytes uint64) {
 func (d *DSB) InvalidateThread(thread int) {
 	for i := range d.sets {
 		if e := &d.sets[i]; e.valid && e.thread == thread {
-			e.valid = false
-			d.stats.Evictions++
+			d.invalidate(e)
 		}
 	}
 }

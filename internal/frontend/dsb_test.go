@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/rng"
 )
 
 func newDSB() *DSB { return NewDSB(DefaultParams()) }
@@ -186,5 +187,44 @@ func TestDSBInvalidateThread(t *testing.T) {
 	}
 	if !d.Contains(1, windowForSet(2, 0)) {
 		t.Error("thread 1 window should remain")
+	}
+}
+
+// TestDSBKeepsItsLineCount drives DSBs through random sequences of
+// fills, repartitions, range invalidations and thread invalidations,
+// and requires TotalLines, which the DSB keeps as entries come and go,
+// to equal a recount of the valid lines in every set after each.
+func TestDSBKeepsItsLineCount(t *testing.T) {
+	recount := func(d *DSB) int {
+		n := 0
+		for _, e := range d.sets {
+			if e.valid {
+				n += e.lines
+			}
+		}
+		return n
+	}
+	r := rng.New(11)
+	for seq := 0; seq < 50; seq++ {
+		d := newDSB()
+		for op := 0; op < 400; op++ {
+			thread := r.Intn(2)
+			// Few sets and tags, so fills collide, evict and repeat.
+			w := windowForSet(r.Intn(4)*9%isa.DSBSets, r.Intn(12))
+			switch k := r.Intn(20); {
+			case k < 14:
+				d.Fill(thread, w, 1+r.Intn(20)) // up to four lines; past three, uncacheable
+			case k < 16:
+				d.SetPartitioned(r.Bool(0.5))
+			case k < 19:
+				addr := isa.AddrForSet(r.Intn(isa.DSBSets), r.Intn(12))
+				d.InvalidateWindowRange(thread, addr, uint64(1+r.Intn(4096)))
+			default:
+				d.InvalidateThread(thread)
+			}
+			if got, want := d.TotalLines(), recount(d); got != want {
+				t.Fatalf("sequence %d, operation %d: TotalLines %d, recount %d", seq, op, got, want)
+			}
+		}
 	}
 }

@@ -230,13 +230,16 @@ func (f *Frontend) load(t int) bool {
 	if th.stream == nil {
 		return false
 	}
-	// Devirtualize the overwhelmingly common stream type: every attack
-	// loop is a LoopStream, and the static call inlines.
+	// Devirtualize the two common stream types: every attack loop is a
+	// LoopStream, every contract program a SeqStream.
 	var in isa.Inst
 	var ok bool
-	if ls, isLoop := th.stream.(*isa.LoopStream); isLoop {
-		in, ok = ls.Next()
-	} else {
+	switch s := th.stream.(type) {
+	case *isa.LoopStream:
+		in, ok = s.Next()
+	case *isa.SeqStream:
+		in, ok = s.Next()
+	default:
 		in, ok = th.stream.Next()
 	}
 	if !ok {

@@ -95,63 +95,177 @@ func (s *LoopStream) Ahead() []Inst {
 // length, as k calls of Next would.
 func (s *LoopStream) Skip(k int) { s.pos += k }
 
-// Append appends the instructions the stream has left to dst and
-// returns the extended slice, consuming the stream: exactly what draining
-// it with Next would yield, loop back-edges resolved, but copied a whole
-// loop body at a time. The contract executor and the leakage fuzzer
-// materialize program phases this way.
-func (s *LoopStream) Append(dst []Inst) []Inst {
-	if s.iter >= s.iters {
-		return dst
+// ExitBody returns the body a loop over flat runs on its last
+// iteration: a copy of flat whose final jmp, the back-edge, is not
+// taken.
+func ExitBody(flat []Inst) []Inst {
+	exit := slices.Clone(flat)
+	if last := &exit[len(exit)-1]; last.Kind == Jmp {
+		last.Taken = false
 	}
-	dst = slices.Grow(dst, len(s.flat)-s.pos+(s.iters-s.iter-1)*len(s.flat))
-	dst = append(dst, s.flat[s.pos:]...)
-	for s.iter++; s.iter < s.iters; s.iter++ {
-		dst = append(dst, s.flat...)
-	}
-	s.pos = 0
-	if last := &dst[len(dst)-1]; last.Kind == Jmp {
-		last.Taken = false // loop exit: final back-edge not taken
-	}
-	return dst
+	return exit
 }
 
-// SeqStream yields a fixed instruction slice once.
+// LoopProgram returns the program a LoopStream over flat yields in iters
+// iterations, iters at least 1: flat iters-1 times, then exit, which is
+// ExitBody(flat), once.
+func LoopProgram(flat, exit []Inst, iters int) Program {
+	return Program{{Body: flat, Count: iters - 1}, {Body: exit, Count: 1}}
+}
+
+// Piece is a stretch of a program: Body, yielded Count times over.
+// Count is at least 0.
+type Piece struct {
+	Body  []Inst
+	Count int
+}
+
+// Program is a dynamic instruction sequence written as pieces, yielded
+// in order, each exactly as written. A loop is two pieces
+// (LoopProgram), so a program of loops is never written out
+// instruction by instruction. Its bodies are read, never written, so
+// one body can back any number of programs and streams.
+type Program []Piece
+
+// Len returns how many instructions the program yields.
+func (p Program) Len() int {
+	n := 0
+	for _, pc := range p {
+		n += len(pc.Body) * pc.Count
+	}
+	return n
+}
+
+// Insts writes the program out: every instruction it yields, in order.
+func (p Program) Insts() []Inst {
+	out := make([]Inst, 0, p.Len())
+	for _, pc := range p {
+		for range pc.Count {
+			out = append(out, pc.Body...)
+		}
+	}
+	return out
+}
+
+// Equal reports whether p and q yield the same instructions. It walks
+// the two in lockstep, a stretch of bodies at a time; stretches of the
+// same body compare without reading it.
+func (p Program) Equal(q Program) bool {
+	a, b := SeqStream{prog: p}, SeqStream{prog: q}
+	a.seek()
+	b.seek()
+	for {
+		x, y := a.Ahead(), b.Ahead()
+		n := min(len(x), len(y))
+		if n == 0 {
+			return len(x) == len(y)
+		}
+		if &x[0] != &y[0] && !slices.Equal(x[:n], y[:n]) {
+			return false
+		}
+		a.Skip(n)
+		b.Skip(n)
+	}
+}
+
+// Stream returns a stream that yields the program once.
+func (p Program) Stream() *SeqStream {
+	s := &SeqStream{prog: p}
+	s.seek()
+	return s
+}
+
+// SeqStream yields a program once, piece after piece.
 type SeqStream struct {
-	insts []Inst
-	pos   int
+	prog Program
+	next int    // the piece after the current one
+	body []Inst // the current piece's body; empty once the stream is exhausted
+	left int    // repetitions of body still to come after the current one
+	off  int    // instructions of the current repetition yielded
+	pos  int    // instructions yielded in all
 }
 
-// NewSeqStream wraps insts in a Stream.
-func NewSeqStream(insts []Inst) *SeqStream { return &SeqStream{insts: insts} }
+// NewSeqStream wraps insts in a Stream: the program of one piece,
+// yielded once.
+func NewSeqStream(insts []Inst) *SeqStream { return &SeqStream{body: insts} }
 
 // Next implements Stream.
 func (s *SeqStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
+	if s.off >= len(s.body) {
 		return Inst{}, false
 	}
-	in := s.insts[s.pos]
+	in := s.body[s.off]
+	s.off++
 	s.pos++
+	if s.off == len(s.body) {
+		s.turn()
+	}
 	return in, true
 }
 
+// turn moves past a finished repetition of the current body: to its
+// next repetition, or to the first piece after it that yields anything.
+func (s *SeqStream) turn() {
+	s.off = 0
+	if s.left > 0 {
+		s.left--
+		return
+	}
+	for s.next < len(s.prog) {
+		pc := s.prog[s.next]
+		s.next++
+		if pc.Count > 0 && len(pc.Body) > 0 {
+			s.body, s.left = pc.Body, pc.Count-1
+			return
+		}
+	}
+	s.body = nil
+}
+
+// seek places the stream pos instructions into its program, or past its
+// end.
+func (s *SeqStream) seek() {
+	s.next, s.body, s.left, s.off = 0, nil, 0, 0
+	rest := s.pos
+	for s.next < len(s.prog) {
+		pc := s.prog[s.next]
+		s.next++
+		n := len(pc.Body) * pc.Count
+		if rest < n {
+			s.body, s.left, s.off = pc.Body, pc.Count-1-rest/len(pc.Body), rest%len(pc.Body)
+			return
+		}
+		rest -= n
+	}
+}
+
 // Ahead returns the instructions Next yields next without consuming
-// them. The view is the program itself: read it, do not write or keep
-// it. Skip consumes a prefix of the view.
-func (s *SeqStream) Ahead() []Inst { return s.insts[s.pos:] }
+// them: the rest of the current repetition of a piece's body. The view
+// is the program itself: read it, do not write or keep it. Skip
+// consumes a prefix of the view.
+func (s *SeqStream) Ahead() []Inst { return s.body[s.off:] }
 
 // Skip consumes the first k instructions of Ahead's view, k at most its
 // length, as k calls of Next would.
-func (s *SeqStream) Skip(k int) { s.pos += k }
+func (s *SeqStream) Skip(k int) {
+	s.off += k
+	s.pos += k
+	if s.off == len(s.body) {
+		s.turn()
+	}
+}
 
 // Pos returns how many instructions the stream has yielded.
 func (s *SeqStream) Pos() int { return s.pos }
 
-// Retarget makes s continue over insts from its position: the
-// instructions s has yielded are taken to be insts' first ones, and Next
-// goes on with the rest of insts. The contract executor resumes a
+// Retarget makes s continue over prog from its position: the
+// instructions s has yielded are taken to be prog's first ones, and
+// Next goes on with the rest of prog. The contract executor resumes a
 // snapshot's phase over a new program this way.
-func (s *SeqStream) Retarget(insts []Inst) { s.insts = insts }
+func (s *SeqStream) Retarget(prog Program) {
+	s.prog = prog
+	s.seek()
+}
 
 // ConcatStream chains multiple streams end to end.
 type ConcatStream struct {
@@ -208,8 +322,8 @@ func (s *LoopStream) Recurs(prev *LoopStream) bool {
 // the iterations it ran since prev.
 func (s *LoopStream) Advance(prev *LoopStream, k int) { s.iter += k * (s.iter - prev.iter) }
 
-// CloneStream implements CloneableStream. The instruction slice is
-// immutable and shared; the position is copied.
+// CloneStream implements CloneableStream. The program is immutable and
+// shared; the position is copied.
 func (s *SeqStream) CloneStream() Stream {
 	c := *s
 	return &c
@@ -235,6 +349,16 @@ type FuncStream func() (Inst, bool)
 
 // Next implements Stream.
 func (f FuncStream) Next() (Inst, bool) { return f() }
+
+// Drain returns every instruction a finite stream yields, drawn with
+// Next. Intended for tests; it consumes the stream.
+func Drain(s Stream) []Inst {
+	var out []Inst
+	for in, ok := s.Next(); ok; in, ok = s.Next() {
+		out = append(out, in)
+	}
+	return out
+}
 
 // CountUOps drains a copy-free count of the total micro-ops a finite
 // stream would deliver. Intended for tests; it consumes the stream.

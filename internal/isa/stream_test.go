@@ -68,39 +68,95 @@ func TestLoopStreamPanics(t *testing.T) {
 	NewLoopStream(nil, 1)
 }
 
-// TestLoopStreamAppendMatchesNext pins Append to the stream it
-// materializes: from any position, Append yields exactly the
-// instructions Next would, the final back-edge included, and leaves the
-// stream exhausted.
-func TestLoopStreamAppendMatchesNext(t *testing.T) {
+// TestLoopProgramMatchesLoopStream pins the two pieces a loop is
+// written as to the stream it replaces: LoopProgram over the body and
+// its ExitBody yields exactly what a LoopStream yields, the final
+// back-edge not taken, and writes out the same instructions.
+func TestLoopProgramMatchesLoopStream(t *testing.T) {
 	pause := []*Block{PauseBlock(AddrForSet(7, 1), 4)}
 	ChainLoop(pause)
 	for _, blocks := range [][]*Block{MixChain(3, 4, true), MixChain(5, 2, false), pause} {
-		body := len(Flatten(blocks))
+		flat := Flatten(blocks)
 		for _, iters := range []int{1, 2, 5} {
-			for _, consumed := range []int{0, 1, body - 1, body, body + 2, body * iters} {
-				if consumed > body*iters {
-					continue
-				}
-				s := NewLoopStream(blocks, iters)
-				for i := 0; i < consumed; i++ {
-					s.Next()
-				}
-				ref := s.CloneStream()
-				var want []Inst
-				for in, ok := ref.Next(); ok; in, ok = ref.Next() {
-					want = append(want, in)
-				}
-				prefix := []Inst{{Kind: Nop}}
-				got := s.Append(prefix)
-				if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
-					t.Fatalf("blocks %d, iters %d, after %d: Append differs from Next (%d vs %d insts)",
-						len(blocks), iters, consumed, len(got)-1, len(want))
-				}
-				if _, ok := s.Next(); ok {
-					t.Fatalf("blocks %d, iters %d, after %d: stream not exhausted by Append", len(blocks), iters, consumed)
-				}
+			want := Drain(NewLoopStream(blocks, iters))
+			prog := LoopProgram(flat, ExitBody(flat), iters)
+			if got := Drain(prog.Stream()); !slices.Equal(got, want) {
+				t.Fatalf("blocks %d, iters %d: the program yields %d instructions, not the loop's %d", len(blocks), iters, len(got), len(want))
 			}
+			if !slices.Equal(prog.Insts(), want) || prog.Len() != len(want) {
+				t.Fatalf("blocks %d, iters %d: Insts or Len differ from the loop's instructions", len(blocks), iters)
+			}
+		}
+		if !flat[len(flat)-1].Taken {
+			t.Fatal("ExitBody wrote into the body it copies")
+		}
+	}
+}
+
+// TestSeqStreamWalksPieces drives a program with empty bodies, zero
+// counts and repeated pieces through every entry point: from any
+// position, Next, Pos, a clone, and Retarget (to the same program, and
+// through an empty one as a snapshot detaches it) yield exactly the rest
+// of the program written out.
+func TestSeqStreamWalksPieces(t *testing.T) {
+	a, b := MixBlock(0x100).Insts, MixBlock(0x200).Insts[:3]
+	prog := Program{{Body: nil, Count: 3}, {Body: a, Count: 2}, {Body: b, Count: 0}, {Body: b, Count: 1}, {Body: a[:1], Count: 3}, {Body: a, Count: 0}}
+	want := slices.Concat(a, a, b, a[:1], a[:1], a[:1])
+	if !slices.Equal(prog.Insts(), want) || prog.Len() != len(want) {
+		t.Fatalf("Insts writes %d instructions, Len says %d, want %d", len(prog.Insts()), prog.Len(), len(want))
+	}
+	for at := 0; at <= len(want); at++ {
+		s := prog.Stream()
+		for i := 0; i < at; i++ {
+			s.Next()
+		}
+		if s.Pos() != at {
+			t.Fatalf("after %d instructions Pos is %d", at, s.Pos())
+		}
+		c := s.CloneStream().(*SeqStream)
+		c.Retarget(nil)
+		c.Retarget(prog)
+		for name, x := range map[string]Stream{"stream": s, "clone": s.CloneStream(), "retargeted": c} {
+			if got := Drain(x); !slices.Equal(got, want[at:]) {
+				t.Fatalf("%s at %d yields %d instructions, want %d", name, at, len(got), len(want)-at)
+			}
+		}
+		if s.Pos() != len(want) {
+			t.Fatalf("drained stream's Pos is %d, want %d", s.Pos(), len(want))
+		}
+	}
+	if s := (Program{{Body: nil, Count: 2}}).Stream(); len(s.Ahead()) != 0 || len(Drain(s)) != 0 {
+		t.Fatal("a program of empty pieces yields instructions")
+	}
+}
+
+// TestProgramEqual pins Equal to comparing the written-out instructions,
+// whatever pieces the two programs are written as.
+func TestProgramEqual(t *testing.T) {
+	flat := Flatten(MixChain(3, 2, true))
+	exit := ExitBody(flat)
+	loop := LoopProgram(flat, exit, 3)
+	other := MixBlock(0x300).Insts
+	for _, tc := range []struct {
+		name string
+		p, q Program
+		want bool
+	}{
+		{"same program", loop, loop, true},
+		{"written out", loop, Program{{Body: loop.Insts(), Count: 1}}, true},
+		{"copied bodies", loop, LoopProgram(slices.Clone(flat), ExitBody(flat), 3), true},
+		{"split pieces", loop, Program{{Body: flat, Count: 1}, {Body: flat, Count: 1}, {Body: exit, Count: 1}}, true},
+		{"empty", nil, Program{{Body: flat, Count: 0}}, true},
+		{"prefix", loop, LoopProgram(flat, exit, 2), false},
+		{"longer", loop, append(slices.Clone(loop), Piece{Body: other, Count: 1}), false},
+		{"exit not taken", Program{{Body: flat, Count: 1}}, Program{{Body: exit, Count: 1}}, false},
+		{"empty and not", nil, loop, false},
+	} {
+		if got, rev := tc.p.Equal(tc.q), tc.q.Equal(tc.p); got != tc.want || rev != tc.want {
+			t.Errorf("%s: Equal = %v and %v, want %v", tc.name, got, rev, tc.want)
+		}
+		if got := slices.Equal(tc.p.Insts(), tc.q.Insts()); got != tc.want {
+			t.Errorf("%s: written out, equal = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -219,7 +275,8 @@ func TestAheadAndSkipFollowNext(t *testing.T) {
 		window int // instructions the view may hold at most
 	}{
 		{"loop", func() viewer { return NewFlatLoopStream(flat, 4) }, len(flat) - 1},
-		{"seq", func() viewer { return NewSeqStream(NewLoopStream(blocks, 4).Append(nil)) }, 4 * len(flat)},
+		{"seq", func() viewer { return NewSeqStream(Drain(NewLoopStream(blocks, 4))) }, 4 * len(flat)},
+		{"program", func() viewer { return LoopProgram(flat, ExitBody(flat), 4).Stream() }, len(flat)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []Inst

@@ -1,7 +1,6 @@
 package leakfuzz
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/contract"
@@ -96,6 +95,7 @@ type fuzzer struct {
 	o       Options
 	r       *rng.RNG
 	ex      *contract.Executor // restored before every secret arm
+	loops   loops              // the loop bodies the arms' programs run
 	corpus  []Genome
 	sets    []*snapSet // corpus genomes' snapshots, by corpus index
 	store   *store     // nil: every evaluation runs from a fresh core
@@ -120,6 +120,7 @@ func newFuzzer(o Options, budget int) *fuzzer {
 		o:     o,
 		r:     rng.New(rng.SplitSeed(o.Seed, "leakfuzz")),
 		ex:    contract.NewExecutorWith(o.Model, o.Seed, o.Params),
+		loops: loops{},
 		keys:  map[string]bool{},
 		cov:   coverage{},
 		found: map[contract.Mechanism]bool{},
@@ -171,26 +172,38 @@ type evalResult struct {
 	leak         bool
 }
 
+// arms builds a normalized genome's two secret arms over the campaign's
+// loop bodies; they share the probe phase.
+func (f *fuzzer) arms(g Genome) (a0, a1 *arm) {
+	probe := build(g.Probe, false, f.loops)
+	return &arm{build(g.Prep, false, f.loops), probe}, &arm{build(g.Prep, true, f.loops), probe}
+}
+
 // exec evaluates a normalized genome, each secret arm on the campaign's
 // executor reset to a fresh core: prep phases are observed too (their
 // traces feed coverage; an attacker does not see them, so only the probe
-// traces are compared). When both arms compile to the same instructions,
-// arm 1 would replay arm 0 exactly on the deterministic executor, so
-// arm 0's traces stand for both and the arms cannot diverge. Minimization
-// runs here; budget candidates go through evaluate.
+// traces are compared). When both arms run the same instructions, arm 1
+// would replay arm 0 exactly on the deterministic executor, so arm 0's
+// traces stand for both and the arms cannot diverge. Minimization runs
+// here; budget candidates go through evaluate.
 func (f *fuzzer) exec(g Genome) evalResult {
-	pair := g.BuildPair()
-	f.ex.Reset()
-	p0 := f.ex.Observe(pair.Prep0)
-	t0 := f.ex.Observe(pair.Probe)
-	if slices.Equal(pair.Prep0, pair.Prep1) {
+	a0, a1 := f.arms(g)
+	p0, t0 := f.runArm(a0)
+	if a0[0].prog.Equal(a1[0].prog) {
 		return evalResult{prep0: p0, prep1: p0, t0: t0, t1: t0}
 	}
-	f.ex.Reset()
-	p1 := f.ex.Observe(pair.Prep1)
-	t1 := f.ex.Observe(pair.Probe)
+	p1, t1 := f.runArm(a1)
 	d, leak := contract.Compare(t0, t1)
 	return evalResult{prep0: p0, prep1: p1, t0: t0, t1: t1, d: d, leak: leak}
+}
+
+// runArm runs arm a on the campaign's executor from a fresh core.
+func (f *fuzzer) runArm(a *arm) (prep, probe contract.Trace) {
+	f.ex.Reset()
+	f.ex.Start(a[0].prog)
+	prep = f.ex.Finish()
+	f.ex.Start(a[1].prog)
+	return prep, f.ex.Finish()
 }
 
 // consider evaluates one candidate, a child of parent's genome or, for

@@ -32,6 +32,12 @@ import (
 //     the input selects, its arms resumed from the genome's gene-boundary
 //     snapshots the way a campaign evaluates children, records exactly
 //     the traces, divergence and verdict fresh executors do.
+//  6. Program soundness — each arm's phase programs, drained, yield
+//     BuildPair's instructions, which are each armed gene's LoopStream in
+//     turn; a stream over a phase stands at each gene's end index when it
+//     has yielded that gene; and one retargeted at a gene boundary the
+//     child shares, to the child's program, yields the child's
+//     instructions from there.
 func FuzzFrontendContract(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 20, 6, 1, 4, 0, 20, 6, 2, 1})     // eviction-shaped: prep AltSet over probe's set
@@ -60,7 +66,7 @@ func FuzzFrontendContract(f *testing.F) {
 
 		e := contract.NewExecutorWith(m, 1, p)
 		e.Observe(pair.Prep0)
-		e.Start(pair.Probe)
+		e.Start(isa.Program{{Body: pair.Probe, Count: 1}})
 		var head contract.Trace
 		for i := 0; i < 2; i++ {
 			o, ok := e.StepWindow()
@@ -111,5 +117,64 @@ func FuzzFrontendContract(f *testing.F) {
 		if got, _ := fz.evaluate(child, parent); !reflect.DeepEqual(got, freshEval(m, 1, p, child)) {
 			t.Fatalf("child %s resumed from the snapshots of %s differs from fresh executors", child.key(), g.key())
 		}
+
+		checkPrograms(t, g, child, pair)
 	})
+}
+
+// checkPrograms is FuzzFrontendContract's program invariant for genome
+// g, its child and g's written-out pair.
+func checkPrograms(t *testing.T, g, child Genome, pair contract.Pair) {
+	ls := loops{}
+	phases := func(g Genome) [3]phase {
+		return [3]phase{build(g.Prep, false, ls), build(g.Prep, true, ls), build(g.Probe, false, ls)}
+	}
+	kids := phases(child)
+	for i, ph := range phases(g) {
+		want := [][]isa.Inst{pair.Prep0, pair.Prep1, pair.Probe}[i]
+		var ref []isa.Inst
+		var ends []int
+		for _, gene := range ph.genes {
+			ref = append(ref, isa.Drain(isa.NewLoopStream(gene.blocks(), gene.Iters))...)
+			ends = append(ends, len(ref))
+		}
+		if !slices.Equal(isa.Drain(ph.prog.Stream()), want) || !slices.Equal(ref, want) || !slices.Equal(ph.ends, ends) {
+			t.Fatalf("phase %d of %s: the program, BuildPair and the genes' loops disagree", i, g.key())
+		}
+
+		// Gene by gene through the views the frontend delivers runs from.
+		s := ph.prog.Stream()
+		for _, end := range ph.ends {
+			for k := 1; s.Pos() < end && k > 0; {
+				k = min(len(s.Ahead()), end-s.Pos())
+				s.Skip(k)
+			}
+			if s.Pos() != end {
+				t.Fatalf("phase %d of %s: Pos %d at a gene ending at %d", i, g.key(), s.Pos(), end)
+			}
+		}
+		if len(s.Ahead()) != 0 {
+			t.Fatalf("phase %d of %s: the stream goes on past its last gene", i, g.key())
+		}
+
+		kid := kids[i]
+		kidInsts := kid.prog.Insts()
+		for j := 0; j <= commonPrefix(ph.genes, kid.genes); j++ {
+			at := 0
+			if j > 0 {
+				at = ph.ends[j-1]
+			}
+			s := ph.prog.Stream()
+			for s.Pos() < at {
+				s.Next()
+			}
+			// Detached and resupplied, as a snapshot restores.
+			c := s.CloneStream().(*isa.SeqStream)
+			c.Retarget(nil)
+			c.Retarget(kid.prog)
+			if !slices.Equal(isa.Drain(c), kidInsts[at:]) {
+				t.Fatalf("phase %d of %s retargeted at gene boundary %d to %s: not the child's instructions", i, g.key(), j, child.key())
+			}
+		}
+	}
 }

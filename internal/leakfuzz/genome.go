@@ -12,6 +12,11 @@
 // internal/rng seeded once, and the simulator's contract path draws no
 // noise, so a (seed, budget) pair always reproduces the same findings.
 //
+// An arm runs as a program of its genes' loop bodies (isa.Program): each
+// gene is its body repeated Iters-1 times and then its exit body, the
+// body with its back-edge not taken. A campaign builds each body once, in
+// a table it owns, and no evaluation writes an arm's instructions out.
+//
 // Every mutated child comes from a corpus genome and differs from it in
 // a gene or two, so each of its arms starts with genes one of its
 // parent's arms ran. A campaign keeps executor snapshots of every corpus
@@ -196,38 +201,67 @@ func (g Gene) blocks() []*isa.Block {
 	}
 }
 
+// loop is a gene's loop body, built: the body every iteration but the
+// last runs, and the exit body the last one runs, its back-edge not
+// taken.
+type loop struct{ body, exit []isa.Inst }
+
+// loops holds the loop bodies a campaign has built, by gene with its
+// Iters and Alt cleared: at most 2,048 of them (4 ops, 32 sets, 8 ways,
+// 2 flags). Arms run programs over these bodies and never write their
+// instructions out.
+type loops map[Gene]loop
+
+// of returns the loop body of an armed gene, building it on first use.
+func (ls loops) of(g Gene) loop {
+	k := Gene{Op: g.Op, Set: g.Set, Ways: g.Ways, Flag: g.Flag}
+	l, ok := ls[k]
+	if !ok {
+		flat := isa.Flatten(k.blocks())
+		l = loop{body: flat, exit: isa.ExitBody(flat)}
+		ls[k] = l
+	}
+	return l
+}
+
 // phase is one phase of a secret arm, built: the genes the arm runs,
-// altered for its secret, their dynamic instruction sequence, and where
-// each gene's instructions end.
+// altered for its secret, their program, and where each gene's
+// instructions end.
 type phase struct {
 	genes []Gene
-	insts []isa.Inst
+	prog  isa.Program
 	ends  []int
 }
 
-// build materializes the genes' loops as one secret arm runs them, a
-// whole loop body at a time. A gene's instructions depend on that armed
-// gene alone.
-func build(genes []Gene, secret bool) phase {
-	var ph phase
+// build writes the genes' loops as one secret arm runs them, two pieces
+// per gene over bodies from ls. A gene's instructions depend on that
+// armed gene alone.
+func build(genes []Gene, secret bool, ls loops) phase {
+	ph := phase{
+		genes: make([]Gene, 0, len(genes)),
+		prog:  make(isa.Program, 0, 2*len(genes)),
+		ends:  make([]int, 0, len(genes)),
+	}
 	for _, gene := range genes {
 		if a, ok := gene.arm(secret); ok {
-			ph.insts = isa.NewLoopStream(a.blocks(), a.Iters).Append(ph.insts)
+			l := ls.of(a)
+			ph.prog = append(ph.prog, isa.LoopProgram(l.body, l.exit, a.Iters)...)
 			ph.genes = append(ph.genes, a)
-			ph.ends = append(ph.ends, len(ph.insts))
+			ph.ends = append(ph.ends, ph.prog.Len())
 		}
 	}
 	return ph
 }
 
-// BuildPair materializes the genome as a contract secret-pair. The
+// BuildPair writes the genome out as a contract secret-pair. The
 // genome must be normalized; the probe is identical in both arms by
 // construction (probe genes carry no Alt).
 func (g Genome) BuildPair() contract.Pair {
+	ls := loops{}
 	return contract.Pair{
-		Prep0: build(g.Prep, false).insts,
-		Prep1: build(g.Prep, true).insts,
-		Probe: build(g.Probe, false).insts,
+		Prep0: build(g.Prep, false, ls).prog.Insts(),
+		Prep1: build(g.Prep, true, ls).prog.Insts(),
+		Probe: build(g.Probe, false, ls).prog.Insts(),
 	}
 }
 

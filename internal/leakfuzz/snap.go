@@ -118,10 +118,9 @@ func (f *fuzzer) evaluate(g Genome, parent *snapSet) (evalResult, []*run) {
 	if f.store.use(parent) {
 		arms = parent.arms
 	}
-	probe := build(g.Probe, false)
-	a0, a1 := &arm{build(g.Prep, false), probe}, &arm{build(g.Prep, true), probe}
+	a0, a1 := f.arms(g)
 	r0 := f.observe(a0, arms)
-	if slices.Equal(a0[0].insts, a1[0].insts) {
+	if a0[0].prog.Equal(a1[0].prog) {
 		return evalResult{prep0: r0.prep, prep1: r0.prep, t0: r0.probe, t1: r0.probe}, []*run{r0}
 	}
 	r1 := f.observe(a1, arms)
@@ -200,12 +199,12 @@ func (f *fuzzer) play(a *arm, src *armSnaps, j int, cycles []uint64, snaps []*co
 	switch {
 	case j < 0:
 		f.ex.Reset()
-		f.ex.Start(a[0].insts)
+		f.ex.Start(a[0].prog)
 	case j < np:
-		f.ex.Restore(src.snaps[j], a[0].insts)
+		f.ex.Restore(src.snaps[j], a[0].prog)
 	default:
 		prep = src.prep
-		f.ex.Restore(src.snaps[j], a[1].insts)
+		f.ex.Restore(src.snaps[j], a[1].prog)
 	}
 	if j < np {
 		prep = finish(a[0].ends[j+1:], j+1)
@@ -215,7 +214,7 @@ func (f *fuzzer) play(a *arm, src *armSnaps, j int, cycles []uint64, snaps []*co
 		j = np
 	}
 	if j == np {
-		f.ex.Start(a[1].insts)
+		f.ex.Start(a[1].prog)
 	}
 	return prep, finish(a[1].ends[j-np:], j+1)
 }
