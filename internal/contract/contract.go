@@ -295,7 +295,7 @@ func (s *Snapshot) Bytes() int { return s.bytes }
 // program still queued, where the snapshot cannot detach it.
 func (e *Executor) Snapshot() *Snapshot {
 	c := e.core.Clone()
-	if s, ok := c.FE.Stream(0).(*isa.SeqStream); ok {
+	if s := c.FE.Stream(0); s != nil {
 		s.Retarget(nil) // Restore supplies the program
 	}
 	return &Snapshot{
@@ -313,7 +313,7 @@ func (e *Executor) Snapshot() *Snapshot {
 func (e *Executor) Restore(s *Snapshot, prog isa.Program) {
 	e.core.CopyFrom(s.core)
 	e.win, e.tr, e.seq, e.room = s.win, s.tr, nil, e.windows(prog)
-	if st, ok := e.core.FE.Stream(0).(*isa.SeqStream); ok {
+	if st := e.core.FE.Stream(0); st != nil {
 		st.Retarget(prog)
 	}
 }
@@ -414,8 +414,8 @@ func (e *Executor) FinishTaking(cycles []uint64, snaps []*Snapshot) Trace {
 // before read first looked it up, every index counts as read.
 func (e *Executor) read() int {
 	if e.seq == nil {
-		s, ok := e.core.FE.Stream(0).(*isa.SeqStream)
-		if !ok {
+		s := e.core.FE.Stream(0)
+		if s == nil {
 			return math.MaxInt
 		}
 		e.seq = s

@@ -9,11 +9,10 @@ import (
 	"repro/internal/isa"
 )
 
-// loopProg is the program of a loop over blocks, iters times: the two
-// pieces the fuzzer writes a gene as.
+// loopProg is the program of a loop over blocks, iters times: the loop
+// piece the fuzzer writes a gene as.
 func loopProg(blocks []*isa.Block, iters int) isa.Program {
-	flat := isa.Flatten(blocks)
-	return isa.LoopProgram(flat, isa.ExitBody(flat), iters)
+	return isa.LoopProgram(isa.Flatten(blocks), iters)
 }
 
 // loop is loopProg written out.

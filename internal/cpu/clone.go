@@ -1,7 +1,5 @@
 package cpu
 
-import "repro/internal/isa"
-
 // CopyFrom overwrites c with a deep copy of src, reusing c's own
 // structures: afterwards stepping c produces exactly the cycle counts,
 // counter values, and RNG draws src would produce from this point, and
@@ -25,20 +23,15 @@ func (c *Core) CopyFrom(src *Core) {
 	c.miteHold = src.miteHold
 	c.prevLSD, c.prevDSB, c.prevMITE, c.prevStall = src.prevLSD, src.prevDSB, src.prevMITE, src.prevStall
 	for t := 0; t < 2; t++ {
-		// The dispatched task's stream was installed in the frontend; the
-		// frontend copy already snapshotted it, so point the copied task
-		// at that same snapshot rather than cloning the stream twice.
 		c.cur[t] = nil
 		if src.cur[t] != nil {
 			c.cur[t] = cloneTask(src.cur[t])
-			c.cur[t].Stream = c.FE.Stream(t)
 		}
 		// Dispatched entries ahead of qhead are nil.
 		c.queue[t], c.qhead[t] = c.queue[t][:0], src.qhead[t]
 		for _, task := range src.queue[t] {
 			if task != nil {
 				task = cloneTask(task)
-				task.Stream = cloneTaskStream(task.Stream)
 			}
 			c.queue[t] = append(c.queue[t], task)
 		}
@@ -63,16 +56,4 @@ func cloneTask(t *Task) *Task {
 	}
 	c := *t
 	return &c
-}
-
-// cloneTaskStream snapshots a queued (not yet dispatched) task's stream.
-func cloneTaskStream(s isa.Stream) isa.Stream {
-	if s == nil {
-		return nil
-	}
-	cs, ok := s.(isa.CloneableStream)
-	if !ok {
-		panic("cpu: Clone with a non-cloneable queued stream")
-	}
-	return cs.CloneStream()
 }

@@ -19,7 +19,7 @@ import (
 // retired. Attacks build their Init/Encode/Decode steps out of Tasks and
 // time them through a noisy TSC.
 type Task struct {
-	Stream isa.Stream
+	Stream isa.SeqStream
 	// OnStart fires when the task is dispatched to the frontend.
 	OnStart func()
 	OnDone  func(start, end uint64)
@@ -96,7 +96,7 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 func (c *Core) Retired(t int) uint64 { return c.BE.Retired[t] }
 
 // Enqueue schedules a stream on hardware thread t. onDone may be nil.
-func (c *Core) Enqueue(t int, s isa.Stream, onDone func(start, end uint64)) {
+func (c *Core) Enqueue(t int, s isa.SeqStream, onDone func(start, end uint64)) {
 	c.checkThread(t)
 	c.queue[t] = append(c.queue[t], &Task{Stream: s, OnDone: onDone})
 }
@@ -138,7 +138,9 @@ func (c *Core) Step() {
 			}
 			task.start = c.cycle
 			c.cur[t] = task
+			// The frontend delivers from its own copy of the stream.
 			c.FE.SetStream(t, task.Stream)
+			task.Stream = isa.SeqStream{}
 			if task.OnStart != nil {
 				task.OnStart()
 			}
@@ -244,7 +246,7 @@ func (c *Core) AbortThread(t int) {
 	c.cur[t] = nil
 	c.queue[t] = c.queue[t][:0]
 	c.qhead[t] = 0
-	c.FE.SetStream(t, nil)
+	c.FE.SetStream(t, isa.SeqStream{})
 }
 
 // RunCycles advances exactly n cycles. Quiet stretches are skipped in
@@ -361,7 +363,7 @@ func (c *Core) RunUntilIdle(maxCycles uint64) {
 // fixed protocol overhead — one timed attack step. Steps that decoded
 // through MITE pick up extra jitter proportional to the legacy-decoded
 // micro-op count (see Model.MITEJitterPerUOp).
-func (c *Core) RunTimed(t int, s isa.Stream) float64 {
+func (c *Core) RunTimed(t int, s isa.SeqStream) float64 {
 	var dur float64
 	before := c.FE.Ctr[t].UOpsMITE
 	// The measurement handshake (serializing rdtscp pairs, fences, loop
@@ -383,7 +385,7 @@ func (c *Core) RunTimed(t int, s isa.Stream) float64 {
 // RunTimedTight is RunTimed with only the in-process rdtscp overhead
 // (~60 cycles) instead of the cross-process protocol handshake: the
 // timing mode of a Spectre attacker probing its own structures.
-func (c *Core) RunTimedTight(t int, s isa.Stream) float64 {
+func (c *Core) RunTimedTight(t int, s isa.SeqStream) float64 {
 	const tightOverhead = 60
 	var dur float64
 	before := c.FE.Ctr[t].UOpsMITE
@@ -404,7 +406,7 @@ func (c *Core) RunTimedTight(t int, s isa.Stream) float64 {
 // reported through the same noisy measurement process as RunTimed, but
 // without blocking: the callback fires when the task completes. MT
 // receivers use this to take measurements while the sender thread runs.
-func (c *Core) MeasureEnqueue(t int, s isa.Stream, cb func(measured float64)) {
+func (c *Core) MeasureEnqueue(t int, s isa.SeqStream, cb func(measured float64)) {
 	c.checkThread(t)
 	c.queue[t] = append(c.queue[t], &Task{Stream: s, measCb: cb})
 }

@@ -10,24 +10,12 @@ import (
 	"repro/internal/isa"
 )
 
-// nextOnly hides a stream's lookahead, so the frontend delivers it one
-// instruction at a time: the reference for delivery in runs.
-type nextOnly struct{ isa.Stream }
-
-// CloneStream returns a copy of the wrapped stream itself, so that a
-// copy of a reference core holds streams of the types a core delivering
-// in runs holds, at the same positions.
-func (s nextOnly) CloneStream() isa.Stream {
-	return s.Stream.(isa.CloneableStream).CloneStream()
-}
-
 // deliveryPair is two cores built alike: run delivers its streams in
-// runs, ref the same streams wrapped in nextOnly. runCopy and refCopy
-// receive their copies for each comparison.
+// runs, ref the same streams through isa.NextOnly, which shows no
+// lookahead, so ref delivers one instruction at a time.
 type deliveryPair struct {
-	run, ref         *Core
-	runCopy, refCopy *Core
-	cov              deliveryCoverage
+	run, ref *Core
+	cov      deliveryCoverage
 }
 
 // deliveryCoverage tallies what a pair's steps exercised.
@@ -38,18 +26,17 @@ type deliveryCoverage struct {
 }
 
 func newDeliveryPair(m Model, seed uint64) *deliveryPair {
-	return &deliveryPair{run: NewCore(m, seed), ref: NewCore(m, seed), runCopy: NewCore(m, 0), refCopy: NewCore(m, 0)}
+	return &deliveryPair{run: NewCore(m, seed), ref: NewCore(m, seed)}
 }
 
-// enqueue schedules a stream built by mk on thread t of both cores.
-func (p *deliveryPair) enqueue(t int, mk func() isa.Stream) {
-	p.run.Enqueue(t, mk(), nil)
-	p.ref.Enqueue(t, nextOnly{mk()}, nil)
+// enqueue schedules s on thread t of both cores.
+func (p *deliveryPair) enqueue(t int, s isa.SeqStream) {
+	p.run.Enqueue(t, s, nil)
+	p.ref.Enqueue(t, isa.NextOnly(s), nil)
 }
 
 func (p *deliveryPair) loop(t int, blocks []*isa.Block, iters int) {
-	flat := isa.Flatten(blocks)
-	p.enqueue(t, func() isa.Stream { return isa.NewFlatLoopStream(flat, iters) })
+	p.enqueue(t, isa.NewLoopStream(blocks, iters))
 }
 
 func (p *deliveryPair) abort(t int) {
@@ -58,10 +45,11 @@ func (p *deliveryPair) abort(t int) {
 }
 
 // step steps both cores up to n times, stopping early once they drain,
-// and requires them to hold the same state after every Step. It
-// compares copies of the cores: a copy of ref holds the streams its
-// wrappers wrap, so the diff covers every value, each stream's position
-// included, but not the wrappers themselves.
+// and requires them to hold the same state after every Step: every
+// value, each stream's position included, but the field NextOnly sets on
+// ref's streams. Each stream ref holds reports that field on a line of
+// its own, which leaves room in a Diff report for the first real
+// difference in every case here.
 func (p *deliveryPair) step(t *testing.T, n int) {
 	t.Helper()
 	width := p.run.Model.FE.DeliverWidth
@@ -83,9 +71,10 @@ func (p *deliveryPair) step(t *testing.T, n int) {
 			}
 		}
 		p.cov.partitioned = p.cov.partitioned || p.run.FE.DSB.Partitioned()
-		p.runCopy.CopyFrom(p.run)
-		p.refCopy.CopyFrom(p.ref)
-		if diff := clonecheck.Diff(p.runCopy, p.refCopy); len(diff) != 0 {
+		diff := slices.DeleteFunc(clonecheck.Diff(p.run, p.ref), func(line string) bool {
+			return strings.Contains(line, ".noView: ")
+		})
+		if len(diff) != 0 {
 			t.Fatalf("cycle %d: delivery in runs and one instruction at a time differ:\n%s",
 				p.run.Cycle(), strings.Join(diff, "\n"))
 		}
@@ -183,7 +172,7 @@ func TestRunsMatchPerInstruction(t *testing.T) {
 		insts := isa.Drain(isa.NewLoopStream(isa.MixChain(3, 2, true), 20))
 		insts = insts[:len(insts)-1]
 		p := newDeliveryPair(Gold6226(), 1)
-		p.enqueue(0, func() isa.Stream { return isa.NewSeqStream(insts) })
+		p.enqueue(0, isa.NewSeqStream(insts))
 		p.step(t, 2000)
 		if !p.run.Idle() || p.cov.dsb+p.cov.lsd == 0 {
 			t.Fatalf("the program did not run out from the DSB or LSD: %+v", p.cov)
@@ -196,10 +185,10 @@ func TestRunsMatchPerInstruction(t *testing.T) {
 // when bit 0 of data[1] is set and the model has one, and requires a
 // core delivering in runs to hold, after every cycle, the state of a
 // core built alike that delivers one instruction at a time. Bit 1
-// drives thread 0 through a SeqStream of the loop instead: the loop's
-// program of two pieces, body and exit body, as the leakage fuzzer runs
-// it, or with bit 2 also set, the loop's instructions written out less
-// the final back-edge, so the program ends inside a run.
+// drives thread 0 through the loop's program instead, its one loop
+// piece as the leakage fuzzer runs it, or with bit 2 also set, the
+// loop's instructions written out less the final back-edge, so the
+// program ends inside a run.
 func FuzzRunsMatchPerInstruction(f *testing.F) {
 	f.Add([]byte{0, 0, 6, 3, 7, 0})
 	f.Add([]byte{1, 1, 9, 20, 4, 0, 2 | 30<<3, 4})
@@ -218,12 +207,11 @@ func FuzzRunsMatchPerInstruction(f *testing.F) {
 		p := newDeliveryPair(m, uint64(data[0]))
 		blocks := fuzzLoop(int(data[3])%isa.DSBSets, 1+int(data[4])%10, kinds)
 		if data[1]&2 != 0 {
-			flat := isa.Flatten(blocks)
-			prog := isa.LoopProgram(flat, isa.ExitBody(flat), iters)
+			prog := isa.LoopProgram(isa.Flatten(blocks), iters)
 			if insts := prog.Insts(); data[1]&4 != 0 && len(insts) > 1 {
 				prog = isa.Program{{Body: insts[:len(insts)-1], Count: 1}}
 			}
-			p.enqueue(0, func() isa.Stream { return prog.Stream() })
+			p.enqueue(0, prog.Stream())
 		} else {
 			p.loop(0, blocks, iters)
 		}

@@ -64,12 +64,12 @@ type loopSnap struct {
 
 // loopDetector is one run loop's detection state.
 type loopDetector struct {
-	cur  [2]*Task        // the tasks the state below was derived for
-	loop *isa.LoopStream // the lone thread's loop, or nil
-	t    int             // the lone thread
-	iter int             // loop iteration at the last boundary
-	at   uint64          // cycle of the last boundary
-	seen int             // boundaries seen since the loop started
+	cur  [2]*Task       // the tasks the state below was derived for
+	loop *isa.SeqStream // the lone thread's stream, held by the frontend, or nil
+	t    int            // the lone thread
+	iter int            // repetitions of its piece at the last boundary
+	at   uint64         // cycle of the last boundary
+	seen int            // boundaries seen since the loop started
 
 	snap   *loopSnap // the snapshot under comparison, or nil
 	since  int       // boundaries since the snapshot
@@ -109,9 +109,9 @@ func (d *loopDetector) retarget(c *Core) {
 	default:
 		return
 	}
-	if ls, ok := c.cur[t].Stream.(*isa.LoopStream); ok {
-		d.loop, d.t = ls, t
-		d.iter, _ = ls.Progress()
+	if s := c.FE.Stream(t); s != nil {
+		d.loop, d.t = s, t
+		d.iter, _ = s.Progress()
 	}
 }
 
@@ -170,7 +170,7 @@ func (d *loopDetector) boundary(c *Core, iter int, limit uint64) {
 // cycles before the loop's last two iterations and before limit.
 func (d *loopDetector) worth(c *Core, perIter, limit uint64) bool {
 	o := 1 - d.t
-	if c.Busy(o) || c.FE.IDQLen(o) != 0 || c.FE.Stream(d.t) != isa.Stream(d.loop) {
+	if c.Busy(o) || c.FE.IDQLen(o) != 0 || c.FE.Stream(d.t) != d.loop {
 		return false
 	}
 	if c.Model.HyperThreading && !c.Model.StaticDSBPartition && c.FE.DSB.Partitioned() {

@@ -45,27 +45,10 @@ func (b *switchBuffer) copyFrom(src *switchBuffer) {
 	b.counts = append(counts[:0], src.counts...)
 }
 
-// cloneStream snapshots an in-flight instruction stream. Streams built
-// from decoded instruction slices (LoopStream, SeqStream, Concat of
-// those) are cloneable; an arbitrary FuncStream is not, and a frontend
-// holding one mid-delivery cannot be copied.
-func cloneStream(s isa.Stream) isa.Stream {
-	if s == nil {
-		return nil
-	}
-	cs, ok := s.(isa.CloneableStream)
-	if !ok {
-		panic("frontend: CopyFrom with a non-cloneable in-flight stream")
-	}
-	return cs.CloneStream()
-}
-
 // CopyFrom overwrites f with a deep copy of src, including the contents
 // of src's L1I, reusing f's own structures: f's L1I stays the cache it
-// was built with (the one its core shares), and only in-flight streams
-// are newly allocated. In-flight streams must be isa.CloneableStream
-// (every stream the attack and contract layers build is); CopyFrom
-// panics on a live non-cloneable stream.
+// was built with (the one its core shares). In-flight streams are
+// values, copied with their threads.
 func (f *Frontend) CopyFrom(src *Frontend) {
 	f.P = src.P
 	f.DSB.copyFrom(src.DSB)
@@ -78,14 +61,18 @@ func (f *Frontend) CopyFrom(src *Frontend) {
 		f.lsd[t].copyFrom(src.lsd[t])
 		f.idq[t].CopyFrom(&src.idq[t])
 		f.thr[t] = src.thr[t]
-		f.thr[t].stream = cloneStream(src.thr[t].stream)
 	}
 }
 
-// Stream returns thread t's in-flight instruction stream, or nil when
-// drained. The core uses it after a copy to keep its task bookkeeping
-// pointing at the same snapshot the frontend delivers from.
-func (f *Frontend) Stream(t int) isa.Stream { return f.thr[t].stream }
+// Stream returns thread t's in-flight instruction stream, the cursor the
+// frontend delivers from, or nil once the stream has run out: after the
+// frontend tried to read past its end.
+func (f *Frontend) Stream(t int) *isa.SeqStream {
+	if !f.thr[t].live {
+		return nil
+	}
+	return &f.thr[t].stream
+}
 
 // LoopSnap is a copy of the frontend state one hardware thread's loop
 // reads and writes, taken by Snapshot at an iteration boundary while
@@ -103,8 +90,7 @@ type LoopSnap struct {
 	align AlignTracker
 	sw    switchBuffer
 	idq   backend.IDQ
-	thr   fthread // stream cleared; loop holds its position
-	loop  isa.LoopStream
+	thr   fthread // its stream holds the loop's position
 	ctr   ThreadCounters
 
 	// lcpAdds and swAdds are the addends to Ctr[t].LCPStallCycles and
@@ -113,8 +99,7 @@ type LoopSnap struct {
 }
 
 // Snapshot copies the state thread t's loop can change into s, reusing
-// s's buffers, and starts the addend log. Thread t must be running an
-// *isa.LoopStream.
+// s's buffers, and starts the addend log.
 func (f *Frontend) Snapshot(s *LoopSnap, t int) {
 	s.t = t
 	s.dsb.copyFrom(f.DSB)
@@ -125,8 +110,6 @@ func (f *Frontend) Snapshot(s *LoopSnap, t int) {
 	s.sw.copyFrom(f.sw)
 	s.idq.CopyFrom(&f.idq[t])
 	s.thr = f.thr[t]
-	s.thr.stream = nil
-	s.loop = *f.thr[t].stream.(*isa.LoopStream)
 	s.ctr = f.Ctr[t]
 	if s.lcpAdds == nil {
 		// Sized once, so that logging a period seldom grows them.
@@ -147,13 +130,13 @@ func (f *Frontend) StopLog() { f.log = nil }
 // debt bit for bit. Only counters and recency ticks have moved.
 func (f *Frontend) LoopRecurs(s *LoopSnap) bool {
 	t := s.t
-	loop, ok := f.thr[t].stream.(*isa.LoopStream)
-	if !ok || !loop.Recurs(&s.loop) || !f.thr[t].recurs(&s.thr) {
+	th := &f.thr[t]
+	if !th.live || !th.stream.Recurs(&s.thr.stream) || !th.recurs(&s.thr) {
 		return false
 	}
-	iters, _ := loop.Progress()
-	prevIters, _ := s.loop.Progress()
-	return f.lsd[t].recurs(&s.lsd, iters-prevIters) && *f.align == s.align &&
+	reps, _ := th.stream.Progress()
+	prevReps, _ := s.thr.stream.Progress()
+	return f.lsd[t].recurs(&s.lsd, reps-prevReps) && *f.align == s.align &&
 		f.idq[t].Recurs(&s.idq) && f.BPU[t].Recurs(&s.bpu) && f.sw.recurs(&s.sw) &&
 		f.DSB.recurs(&s.dsb) && f.L1I.Recurs(&s.l1i)
 }
@@ -172,7 +155,7 @@ func (f *Frontend) AdvanceLoop(s *LoopSnap, k uint64) {
 	f.lsd[t].advance(&s.lsd, k)
 	f.sw.advance(&s.sw, k)
 	f.idq[t].Advance(&s.idq, k)
-	f.thr[t].stream.(*isa.LoopStream).Advance(&s.loop, int(k))
+	f.thr[t].stream.Advance(&s.thr.stream, int(k))
 	f.Ctr[t].advance(&s.ctr, k, s.lcpAdds, s.swAdds)
 }
 

@@ -43,7 +43,9 @@ type Frontend struct {
 }
 
 type fthread struct {
-	stream isa.Stream
+	stream isa.SeqStream
+	// live is set while stream is installed and has not run out.
+	live   bool
 	cur    isa.Inst
 	hasCur bool
 
@@ -121,8 +123,9 @@ func (f *Frontend) LSDFor(t int) *LSD { return f.lsd[t] }
 
 // SetStream installs the dynamic instruction stream thread t executes
 // next. Any previous stream is discarded.
-func (f *Frontend) SetStream(t int, s isa.Stream) {
+func (f *Frontend) SetStream(t int, s isa.SeqStream) {
 	f.thr[t].stream = s
+	f.thr[t].live = true
 	f.thr[t].hasCur = false
 	f.thr[t].lastFetchLine = ^uint64(0)
 }
@@ -227,23 +230,11 @@ func (f *Frontend) load(t int) bool {
 	if th.hasCur {
 		return true
 	}
-	if th.stream == nil {
-		return false
-	}
-	// Devirtualize the two common stream types: every attack loop is a
-	// LoopStream, every contract program a SeqStream.
-	var in isa.Inst
-	var ok bool
-	switch s := th.stream.(type) {
-	case *isa.LoopStream:
-		in, ok = s.Next()
-	case *isa.SeqStream:
-		in, ok = s.Next()
-	default:
-		in, ok = th.stream.Next()
-	}
+	in, ok := th.stream.Next()
 	if !ok {
-		th.stream = nil
+		// Past the end: the pending window fill completes. Later calls
+		// find no fill pending.
+		th.live = false
 		f.finalizeFill(t)
 		return false
 	}
@@ -290,12 +281,11 @@ func plain(in *isa.Inst, w uint64) bool {
 // skip of the stream and the load of the successor, which is all
 // advance would do for each of them. It returns the micro-ops delivered
 // so far, or false and delivers nothing when the loaded instruction is
-// not plain or its stream shows nothing ahead (a ConcatStream or a
-// FuncStream has no view).
+// not plain or its stream shows nothing ahead.
 func (f *Frontend) run(t, n, width int) (int, bool) {
 	th := &f.thr[t]
 	w := isa.Window(th.cur.Addr)
-	ahead := lookahead(th.stream)
+	ahead := th.stream.Ahead()
 	if len(ahead) == 0 || !plain(&th.cur, w) {
 		return n, false
 	}
@@ -319,9 +309,9 @@ func (f *Frontend) run(t, n, width int) (int, bool) {
 	if k < len(ahead) {
 		// The successor is in view: load it as Next would yield it.
 		th.cur = ahead[k]
-		skip(th.stream, k+1)
+		th.stream.Skip(k + 1)
 	} else {
-		skip(th.stream, k)
+		th.stream.Skip(k)
 		th.hasCur = false
 		if !f.load(t) && k > 0 {
 			// The stream ran out: cur keeps the last instruction
@@ -330,31 +320,6 @@ func (f *Frontend) run(t, n, width int) (int, bool) {
 		}
 	}
 	return n, true
-}
-
-// lookahead returns the instructions s yields next without consuming
-// them, or nil for a stream that offers no view. It switches on the
-// concrete stream types so that their methods inline on the delivery
-// path.
-func lookahead(s isa.Stream) []isa.Inst {
-	switch s := s.(type) {
-	case *isa.LoopStream:
-		return s.Ahead()
-	case *isa.SeqStream:
-		return s.Ahead()
-	}
-	return nil
-}
-
-// skip consumes the first k instructions of the view lookahead returned
-// for s.
-func skip(s isa.Stream, k int) {
-	switch s := s.(type) {
-	case *isa.LoopStream:
-		s.Skip(k)
-	case *isa.SeqStream:
-		s.Skip(k)
-	}
 }
 
 // switchTo charges the DSB<->MITE switch penalty when the delivery path

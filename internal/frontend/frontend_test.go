@@ -16,7 +16,7 @@ func newFE(lsdEnabled bool) *Frontend {
 
 // run drives thread t's stream to completion with a 4-wide backend drain
 // and returns the cycle count.
-func run(t *testing.T, f *Frontend, tid int, s isa.Stream) int {
+func run(t *testing.T, f *Frontend, tid int, s isa.SeqStream) int {
 	t.Helper()
 	f.SetStream(tid, s)
 	cycles := 0

@@ -16,8 +16,8 @@ import (
 // the core's detector does, and returns f and that snapshot.
 func recurringFrontend(t *testing.T, f *Frontend, blocks []*isa.Block) (*Frontend, *LoopSnap) {
 	t.Helper()
-	loop := isa.NewLoopStream(blocks, 1<<20)
-	f.SetStream(0, loop)
+	f.SetStream(0, isa.NewLoopStream(blocks, 1<<20))
+	loop := f.Stream(0)
 	s := &LoopSnap{}
 	armed, since, window, iter := false, 0, 1, 0
 	for range 1_000_000 {
@@ -79,7 +79,8 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 		"fill window":     func(f *Frontend, _ *LoopSnap) { f.thr[0].fillWindow++ },
 		"fill micro-ops":  func(f *Frontend, _ *LoopSnap) { f.thr[0].fillUOps++ },
 		"last fetch line": func(f *Frontend, _ *LoopSnap) { f.thr[0].lastFetchLine++ },
-		"stream position": func(f *Frontend, _ *LoopSnap) { f.thr[0].stream.(*isa.LoopStream).Next() },
+		"stream position": func(f *Frontend, _ *LoopSnap) { f.thr[0].stream.Next() },
+		"stream ran out":  func(f *Frontend, _ *LoopSnap) { f.thr[0].live = false },
 		"partitioning":    func(f *Frontend, _ *LoopSnap) { f.DSB.partitioned = !f.DSB.partitioned },
 		"DSB window":      func(f *Frontend, _ *LoopSnap) { validEntry(f).window++ },
 		"DSB thread":      func(f *Frontend, _ *LoopSnap) { validEntry(f).thread = 1 },
@@ -144,8 +145,8 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 
 // iterations returns how many loop iterations lie between s and f.
 func iterations(f *Frontend, s *LoopSnap) int {
-	now, _ := f.thr[0].stream.(*isa.LoopStream).Progress()
-	then, _ := s.loop.Progress()
+	now, _ := f.thr[0].stream.Progress()
+	then, _ := s.thr.stream.Progress()
 	return now - then
 }
 
@@ -193,7 +194,7 @@ func TestAdvanceLoopMatchesDelivery(t *testing.T) {
 // deliverIterations drives thread 0 with a 4-wide drain for n more loop
 // iterations, ending at an iteration boundary.
 func deliverIterations(f *Frontend, n int) {
-	loop := f.thr[0].stream.(*isa.LoopStream)
+	loop := &f.thr[0].stream
 	end, _ := loop.Progress()
 	end += n
 	for i, _ := loop.Progress(); i < end; i, _ = loop.Progress() {

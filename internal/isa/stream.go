@@ -2,33 +2,28 @@ package isa
 
 import "slices"
 
-// Stream is a dynamic instruction stream: the sequence of instruction
-// instances a hardware thread executes, in program order. The frontend
-// simulator pulls from a Stream as it fetches.
-type Stream interface {
-	// Next returns the next dynamic instruction, or ok=false when the
-	// stream is exhausted.
-	Next() (Inst, bool)
+// Piece is a stretch of a program: Body, yielded Count times over.
+// Count is at least 0. A loop piece is Body run as a loop Count times:
+// on its last repetition the body's final instruction, the back-edge,
+// is yielded not taken if it is a jmp (the loop exits), exactly the
+// branch pattern that ends LSD streaming in the paper (Section IV).
+type Piece struct {
+	Body  []Inst
+	Count int
+	Loop  bool
 }
 
-// LoopStream yields the instructions of a chained block sequence a fixed
-// number of iterations. Every terminating jmp is taken except the final
-// jmp of the final iteration, which is not taken (the loop exits), exactly
-// the branch pattern that ends LSD streaming in the paper (Section IV).
-type LoopStream struct {
-	flat  []Inst
-	iters int
-	pos   int
-	iter  int
-}
+// Program is a dynamic instruction sequence written as pieces, yielded
+// in order. A loop is one piece (LoopProgram), so a program of loops is
+// never written out instruction by instruction. Its bodies are read,
+// never written, so one body can back any number of programs and
+// streams.
+type Program []Piece
 
-// NewLoopStream builds a stream that executes the blocks in order, iters
-// times. It panics if blocks is empty or iters < 1.
-func NewLoopStream(blocks []*Block, iters int) *LoopStream {
-	if len(blocks) == 0 {
-		panic("isa: NewLoopStream with no blocks")
-	}
-	return NewFlatLoopStream(Flatten(blocks), iters)
+// LoopProgram returns the program of a loop over flat that runs iters
+// times, iters at least 1: one loop piece, which reads flat in place.
+func LoopProgram(flat []Inst, iters int) Program {
+	return Program{{Body: flat, Count: iters, Loop: true}}
 }
 
 // Flatten concatenates a chained block group's instructions into one
@@ -47,86 +42,6 @@ func Flatten(blocks []*Block) []Inst {
 	return flat
 }
 
-// NewFlatLoopStream is NewLoopStream over a pre-flattened instruction
-// sequence. The stream reads flat but never writes it (the final
-// back-edge's Taken flip happens on a copy), so one flattened layout can
-// back any number of streams, sequentially or concurrently.
-func NewFlatLoopStream(flat []Inst, iters int) *LoopStream {
-	if len(flat) == 0 {
-		panic("isa: NewFlatLoopStream with no instructions")
-	}
-	if iters < 1 {
-		panic("isa: NewFlatLoopStream with iters < 1")
-	}
-	return &LoopStream{flat: flat, iters: iters}
-}
-
-// Next implements Stream.
-func (s *LoopStream) Next() (Inst, bool) {
-	if s.iter >= s.iters {
-		return Inst{}, false
-	}
-	in := s.flat[s.pos]
-	s.pos++
-	if s.pos == len(s.flat) {
-		s.pos = 0
-		s.iter++
-		if s.iter == s.iters && in.Kind == Jmp {
-			// Loop exit: final back-edge not taken.
-			in.Taken = false
-		}
-	}
-	return in, true
-}
-
-// Ahead returns the instructions Next yields next, up to but not
-// including the current iteration's back-edge, without consuming them.
-// The view is the program itself: read it, do not write or keep it.
-// Ending it before the back-edge leaves the loop exit's Taken flip and
-// the iteration count to Next. Skip consumes a prefix of the view.
-func (s *LoopStream) Ahead() []Inst {
-	if s.iter >= s.iters {
-		return nil
-	}
-	return s.flat[s.pos : len(s.flat)-1]
-}
-
-// Skip consumes the first k instructions of Ahead's view, k at most its
-// length, as k calls of Next would.
-func (s *LoopStream) Skip(k int) { s.pos += k }
-
-// ExitBody returns the body a loop over flat runs on its last
-// iteration: a copy of flat whose final jmp, the back-edge, is not
-// taken.
-func ExitBody(flat []Inst) []Inst {
-	exit := slices.Clone(flat)
-	if last := &exit[len(exit)-1]; last.Kind == Jmp {
-		last.Taken = false
-	}
-	return exit
-}
-
-// LoopProgram returns the program a LoopStream over flat yields in iters
-// iterations, iters at least 1: flat iters-1 times, then exit, which is
-// ExitBody(flat), once.
-func LoopProgram(flat, exit []Inst, iters int) Program {
-	return Program{{Body: flat, Count: iters - 1}, {Body: exit, Count: 1}}
-}
-
-// Piece is a stretch of a program: Body, yielded Count times over.
-// Count is at least 0.
-type Piece struct {
-	Body  []Inst
-	Count int
-}
-
-// Program is a dynamic instruction sequence written as pieces, yielded
-// in order, each exactly as written. A loop is two pieces
-// (LoopProgram), so a program of loops is never written out
-// instruction by instruction. Its bodies are read, never written, so
-// one body can back any number of programs and streams.
-type Program []Piece
-
 // Len returns how many instructions the program yields.
 func (p Program) Len() int {
 	n := 0
@@ -137,102 +52,147 @@ func (p Program) Len() int {
 }
 
 // Insts writes the program out: every instruction it yields, in order.
-func (p Program) Insts() []Inst {
-	out := make([]Inst, 0, p.Len())
-	for _, pc := range p {
-		for range pc.Count {
-			out = append(out, pc.Body...)
-		}
-	}
-	return out
-}
+func (p Program) Insts() []Inst { return p.Stream().appendTo(make([]Inst, 0, p.Len())) }
 
 // Equal reports whether p and q yield the same instructions. It walks
 // the two in lockstep, a stretch of bodies at a time; stretches of the
 // same body compare without reading it.
 func (p Program) Equal(q Program) bool {
-	a, b := SeqStream{prog: p}, SeqStream{prog: q}
-	a.seek()
-	b.seek()
+	a, b := p.Stream(), q.Stream()
 	for {
 		x, y := a.Ahead(), b.Ahead()
-		n := min(len(x), len(y))
-		if n == 0 {
-			return len(x) == len(y)
+		if n := min(len(x), len(y)); n > 0 {
+			if &x[0] != &y[0] && !slices.Equal(x[:n], y[:n]) {
+				return false
+			}
+			a.Skip(n)
+			b.Skip(n)
+			continue
 		}
-		if &x[0] != &y[0] && !slices.Equal(x[:n], y[:n]) {
+		i, ok := a.Next()
+		j, more := b.Next()
+		if ok != more || i != j {
 			return false
 		}
-		a.Skip(n)
-		b.Skip(n)
+		if !ok {
+			return true
+		}
 	}
 }
 
 // Stream returns a stream that yields the program once.
-func (p Program) Stream() *SeqStream {
-	s := &SeqStream{prog: p}
+func (p Program) Stream() SeqStream {
+	s := SeqStream{prog: p}
 	s.seek()
 	return s
 }
 
-// SeqStream yields a program once, piece after piece.
+// SeqStream is a dynamic instruction stream: the sequence of
+// instruction instances a hardware thread executes, in program order.
+// It is a cursor over a program, piece after piece, and a value: a copy
+// continues from the same position independently, since the program it
+// reads is never written. The frontend simulator holds one per thread
+// and pulls from it as it fetches.
 type SeqStream struct {
 	prog Program
-	next int    // the piece after the current one
-	body []Inst // the current piece's body; empty once the stream is exhausted
-	left int    // repetitions of body still to come after the current one
-	off  int    // instructions of the current repetition yielded
-	pos  int    // instructions yielded in all
+	next int   // the piece of prog after the current one
+	cur  Piece // the current piece; the zero Piece once the stream is exhausted
+	rep  int   // repetitions of the current piece finished
+	off  int   // instructions of the current repetition yielded
+	pos  int   // instructions yielded in all
+	// noView empties Ahead: see NextOnly.
+	noView bool
 }
 
-// NewSeqStream wraps insts in a Stream: the program of one piece,
-// yielded once.
-func NewSeqStream(insts []Inst) *SeqStream { return &SeqStream{body: insts} }
+// NewSeqStream returns a stream that yields insts once.
+func NewSeqStream(insts []Inst) SeqStream {
+	return SeqStream{cur: Piece{Body: insts, Count: 1}}
+}
 
-// Next implements Stream.
+// NewLoopStream returns a stream that executes the blocks in order,
+// iters times. Every terminating jmp is taken except the final jmp of
+// the final iteration, which is not taken (the loop exits). It panics
+// if blocks is empty or iters < 1.
+func NewLoopStream(blocks []*Block, iters int) SeqStream {
+	if len(blocks) == 0 {
+		panic("isa: NewLoopStream with no blocks")
+	}
+	return NewFlatLoopStream(Flatten(blocks), iters)
+}
+
+// NewFlatLoopStream is NewLoopStream over a pre-flattened instruction
+// sequence: the stream of LoopProgram(flat, iters). It reads flat but
+// never writes it (the final back-edge's Taken flip happens on a copy),
+// so one flattened layout can back any number of streams, sequentially
+// or concurrently.
+func NewFlatLoopStream(flat []Inst, iters int) SeqStream {
+	if len(flat) == 0 {
+		panic("isa: NewFlatLoopStream with no instructions")
+	}
+	if iters < 1 {
+		panic("isa: NewFlatLoopStream with iters < 1")
+	}
+	return SeqStream{cur: Piece{Body: flat, Count: iters, Loop: true}}
+}
+
+// NextOnly returns a copy of s whose Ahead is always empty, so that a
+// frontend delivers it one instruction at a time. It is the reference
+// that delivery in runs is tested against, not a stream to simulate
+// with.
+func NextOnly(s SeqStream) SeqStream {
+	s.noView = true
+	return s
+}
+
+// Next returns the next dynamic instruction, or ok=false when the
+// stream is exhausted.
 func (s *SeqStream) Next() (Inst, bool) {
-	if s.off >= len(s.body) {
+	if s.off >= len(s.cur.Body) {
 		return Inst{}, false
 	}
-	in := s.body[s.off]
+	in := s.cur.Body[s.off]
 	s.off++
 	s.pos++
-	if s.off == len(s.body) {
+	if s.off == len(s.cur.Body) {
+		if s.cur.Loop && s.rep == s.cur.Count-1 && in.Kind == Jmp {
+			// Loop exit: final back-edge not taken.
+			in.Taken = false
+		}
 		s.turn()
 	}
 	return in, true
 }
 
-// turn moves past a finished repetition of the current body: to its
+// turn moves past a finished repetition of the current piece: to its
 // next repetition, or to the first piece after it that yields anything.
 func (s *SeqStream) turn() {
 	s.off = 0
-	if s.left > 0 {
-		s.left--
+	if s.rep++; s.rep < s.cur.Count {
 		return
 	}
+	s.rep = 0
 	for s.next < len(s.prog) {
 		pc := s.prog[s.next]
 		s.next++
 		if pc.Count > 0 && len(pc.Body) > 0 {
-			s.body, s.left = pc.Body, pc.Count-1
+			s.cur = pc
 			return
 		}
 	}
-	s.body = nil
+	s.cur = Piece{}
 }
 
 // seek places the stream pos instructions into its program, or past its
 // end.
 func (s *SeqStream) seek() {
-	s.next, s.body, s.left, s.off = 0, nil, 0, 0
+	s.next, s.cur, s.rep, s.off = 0, Piece{}, 0, 0
 	rest := s.pos
 	for s.next < len(s.prog) {
 		pc := s.prog[s.next]
 		s.next++
 		n := len(pc.Body) * pc.Count
 		if rest < n {
-			s.body, s.left, s.off = pc.Body, pc.Count-1-rest/len(pc.Body), rest%len(pc.Body)
+			s.cur, s.rep, s.off = pc, rest/len(pc.Body), rest%len(pc.Body)
 			return
 		}
 		rest -= n
@@ -240,17 +200,27 @@ func (s *SeqStream) seek() {
 }
 
 // Ahead returns the instructions Next yields next without consuming
-// them: the rest of the current repetition of a piece's body. The view
-// is the program itself: read it, do not write or keep it. Skip
-// consumes a prefix of the view.
-func (s *SeqStream) Ahead() []Inst { return s.body[s.off:] }
+// them: the rest of the current repetition of a piece's body, less a
+// loop body's final instruction, whose Taken flip and repetition count
+// are left to Next. The view is the program itself: read it, do not
+// write or keep it. Skip consumes a prefix of the view.
+func (s *SeqStream) Ahead() []Inst {
+	end := len(s.cur.Body)
+	if s.cur.Loop {
+		end--
+	}
+	if s.noView || s.off >= end {
+		return nil
+	}
+	return s.cur.Body[s.off:end]
+}
 
 // Skip consumes the first k instructions of Ahead's view, k at most its
 // length, as k calls of Next would.
 func (s *SeqStream) Skip(k int) {
 	s.off += k
 	s.pos += k
-	if s.off == len(s.body) {
+	if s.off == len(s.cur.Body) {
 		s.turn()
 	}
 }
@@ -267,108 +237,51 @@ func (s *SeqStream) Retarget(prog Program) {
 	s.seek()
 }
 
-// ConcatStream chains multiple streams end to end.
-type ConcatStream struct {
-	streams []Stream
-	idx     int
-}
+// Progress returns how many repetitions of its current piece the stream
+// has finished, and how many the piece makes in all.
+func (s *SeqStream) Progress() (rep, count int) { return s.rep, s.cur.Count }
 
-// Concat returns a stream yielding each input stream in turn.
-func Concat(streams ...Stream) *ConcatStream { return &ConcatStream{streams: streams} }
-
-// Next implements Stream.
-func (s *ConcatStream) Next() (Inst, bool) {
-	for s.idx < len(s.streams) {
-		if in, ok := s.streams[s.idx].Next(); ok {
-			return in, true
-		}
-		s.idx++
-	}
-	return Inst{}, false
-}
-
-// CloneableStream is a Stream that can snapshot its position: the
-// returned stream continues from exactly the same point, independently.
-// A simulator holding a cloneable stream mid-delivery can therefore be
-// deep-cloned and replayed byte-for-byte (the contract executor's
-// mid-stream snapshots). All the package's data-backed streams implement
-// it; FuncStream — an arbitrary generator whose state lives in the
-// closure — cannot.
-type CloneableStream interface {
-	Stream
-	// CloneStream returns an independent continuation of the stream.
-	CloneStream() Stream
-}
-
-// CloneStream implements CloneableStream. The flat instruction slice is
-// immutable and shared; the position is copied.
-func (s *LoopStream) CloneStream() Stream {
-	c := *s
-	return &c
-}
-
-// Progress returns how many iterations the stream has started past,
-// counting from zero, and how many it runs in all.
-func (s *LoopStream) Progress() (iter, iters int) { return s.iter, s.iters }
-
-// Recurs reports whether s, a copy of prev some whole iterations later,
-// is at prev's position in the same loop.
-func (s *LoopStream) Recurs(prev *LoopStream) bool {
-	return s.pos == prev.pos && s.iters == prev.iters && s.iter > prev.iter &&
-		len(s.flat) == len(prev.flat) && &s.flat[0] == &prev.flat[0]
+// Recurs reports whether s, a copy of prev some whole repetitions
+// later, is at prev's position in the same piece.
+func (s *SeqStream) Recurs(prev *SeqStream) bool {
+	return s.off == prev.off && s.next == prev.next && s.rep > prev.rep &&
+		s.cur.Count == prev.cur.Count && s.cur.Loop == prev.cur.Loop &&
+		len(s.cur.Body) == len(prev.cur.Body) && &s.cur.Body[0] == &prev.cur.Body[0]
 }
 
 // Advance moves a stream that Recurs from prev forward by k more times
-// the iterations it ran since prev.
-func (s *LoopStream) Advance(prev *LoopStream, k int) { s.iter += k * (s.iter - prev.iter) }
-
-// CloneStream implements CloneableStream. The program is immutable and
-// shared; the position is copied.
-func (s *SeqStream) CloneStream() Stream {
-	c := *s
-	return &c
+// the repetitions it made since prev.
+func (s *SeqStream) Advance(prev *SeqStream, k int) {
+	s.rep += k * (s.rep - prev.rep)
+	s.pos += k * (s.pos - prev.pos)
 }
 
-// CloneStream implements CloneableStream. Every sub-stream must itself
-// be cloneable; CloneStream panics otherwise.
-func (s *ConcatStream) CloneStream() Stream {
-	c := &ConcatStream{streams: make([]Stream, len(s.streams)), idx: s.idx}
-	for i, sub := range s.streams {
-		cs, ok := sub.(CloneableStream)
-		if !ok {
-			panic("isa: ConcatStream.CloneStream over a non-cloneable sub-stream")
-		}
-		c.streams[i] = cs.CloneStream()
-	}
-	return c
-}
-
-// FuncStream adapts a generator function to the Stream interface. The
-// victim workload generators use this to produce phase-dependent streams.
-type FuncStream func() (Inst, bool)
-
-// Next implements Stream.
-func (f FuncStream) Next() (Inst, bool) { return f() }
-
-// Drain returns every instruction a finite stream yields, drawn with
-// Next. Intended for tests; it consumes the stream.
-func Drain(s Stream) []Inst {
-	var out []Inst
-	for in, ok := s.Next(); ok; in, ok = s.Next() {
-		out = append(out, in)
-	}
-	return out
-}
-
-// CountUOps drains a copy-free count of the total micro-ops a finite
-// stream would deliver. Intended for tests; it consumes the stream.
-func CountUOps(s Stream) int {
-	n := 0
+// appendTo appends every instruction s yields to out, reading a copy of
+// s, and returns the extended slice.
+func (s SeqStream) appendTo(out []Inst) []Inst {
 	for {
+		if a := s.Ahead(); len(a) > 0 {
+			out = append(out, a...)
+			s.Skip(len(a))
+			continue
+		}
 		in, ok := s.Next()
 		if !ok {
-			return n
+			return out
 		}
+		out = append(out, in)
+	}
+}
+
+// Drain returns every instruction s yields. Intended for tests; s is
+// passed by value, so the caller's stream does not move.
+func Drain(s SeqStream) []Inst { return s.appendTo(nil) }
+
+// CountUOps returns the total micro-ops s yields. Intended for tests.
+func CountUOps(s SeqStream) int {
+	n := 0
+	for in, ok := s.Next(); ok; in, ok = s.Next() {
 		n += int(in.UOps)
 	}
+	return n
 }

@@ -68,40 +68,51 @@ func TestLoopStreamPanics(t *testing.T) {
 	NewLoopStream(nil, 1)
 }
 
-// TestLoopProgramMatchesLoopStream pins the two pieces a loop is
-// written as to the stream it replaces: LoopProgram over the body and
-// its ExitBody yields exactly what a LoopStream yields, the final
-// back-edge not taken, and writes out the same instructions.
+// TestLoopProgramMatchesLoopStream pins the one piece a loop is
+// written as to the loop written out by hand: LoopProgram and
+// NewLoopStream yield the body iters times over, every back-edge taken
+// but the final one, and Insts writes out the same instructions without
+// writing into the body.
 func TestLoopProgramMatchesLoopStream(t *testing.T) {
 	pause := []*Block{PauseBlock(AddrForSet(7, 1), 4)}
 	ChainLoop(pause)
 	for _, blocks := range [][]*Block{MixChain(3, 4, true), MixChain(5, 2, false), pause} {
 		flat := Flatten(blocks)
 		for _, iters := range []int{1, 2, 5} {
-			want := Drain(NewLoopStream(blocks, iters))
-			prog := LoopProgram(flat, ExitBody(flat), iters)
+			var want []Inst
+			for range iters {
+				want = append(want, flat...)
+			}
+			want[len(want)-1].Taken = false
+			prog := LoopProgram(flat, iters)
 			if got := Drain(prog.Stream()); !slices.Equal(got, want) {
 				t.Fatalf("blocks %d, iters %d: the program yields %d instructions, not the loop's %d", len(blocks), iters, len(got), len(want))
+			}
+			if got := Drain(NewLoopStream(blocks, iters)); !slices.Equal(got, want) {
+				t.Fatalf("blocks %d, iters %d: the loop stream yields %d instructions, not the loop's %d", len(blocks), iters, len(got), len(want))
 			}
 			if !slices.Equal(prog.Insts(), want) || prog.Len() != len(want) {
 				t.Fatalf("blocks %d, iters %d: Insts or Len differ from the loop's instructions", len(blocks), iters)
 			}
 		}
 		if !flat[len(flat)-1].Taken {
-			t.Fatal("ExitBody wrote into the body it copies")
+			t.Fatal("the loop wrote into the body it reads")
 		}
 	}
 }
 
 // TestSeqStreamWalksPieces drives a program with empty bodies, zero
-// counts and repeated pieces through every entry point: from any
-// position, Next, Pos, a clone, and Retarget (to the same program, and
+// counts, repeated pieces and a loop through every entry point: from any
+// position, Next, Pos, a copy, and Retarget (to the same program, and
 // through an empty one as a snapshot detaches it) yield exactly the rest
 // of the program written out.
 func TestSeqStreamWalksPieces(t *testing.T) {
 	a, b := MixBlock(0x100).Insts, MixBlock(0x200).Insts[:3]
-	prog := Program{{Body: nil, Count: 3}, {Body: a, Count: 2}, {Body: b, Count: 0}, {Body: b, Count: 1}, {Body: a[:1], Count: 3}, {Body: a, Count: 0}}
-	want := slices.Concat(a, a, b, a[:1], a[:1], a[:1])
+	exit := slices.Clone(a)
+	exit[len(exit)-1].Taken = false
+	prog := Program{{Body: nil, Count: 3}, {Body: a, Count: 2}, {Body: b, Count: 0}, {Body: b, Count: 1},
+		{Body: a[:1], Count: 3}, {Body: a, Count: 0}, {Body: a, Count: 2, Loop: true}}
+	want := slices.Concat(a, a, b, a[:1], a[:1], a[:1], a, exit)
 	if !slices.Equal(prog.Insts(), want) || prog.Len() != len(want) {
 		t.Fatalf("Insts writes %d instructions, Len says %d, want %d", len(prog.Insts()), prog.Len(), len(want))
 	}
@@ -113,13 +124,15 @@ func TestSeqStreamWalksPieces(t *testing.T) {
 		if s.Pos() != at {
 			t.Fatalf("after %d instructions Pos is %d", at, s.Pos())
 		}
-		c := s.CloneStream().(*SeqStream)
+		c := s
 		c.Retarget(nil)
 		c.Retarget(prog)
-		for name, x := range map[string]Stream{"stream": s, "clone": s.CloneStream(), "retargeted": c} {
+		for name, x := range map[string]SeqStream{"stream": s, "copy": s, "retargeted": c} {
 			if got := Drain(x); !slices.Equal(got, want[at:]) {
 				t.Fatalf("%s at %d yields %d instructions, want %d", name, at, len(got), len(want)-at)
 			}
+		}
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
 		}
 		if s.Pos() != len(want) {
 			t.Fatalf("drained stream's Pos is %d, want %d", s.Pos(), len(want))
@@ -134,8 +147,9 @@ func TestSeqStreamWalksPieces(t *testing.T) {
 // whatever pieces the two programs are written as.
 func TestProgramEqual(t *testing.T) {
 	flat := Flatten(MixChain(3, 2, true))
-	exit := ExitBody(flat)
-	loop := LoopProgram(flat, exit, 3)
+	exit := slices.Clone(flat)
+	exit[len(exit)-1].Taken = false
+	loop := LoopProgram(flat, 3)
 	other := MixBlock(0x300).Insts
 	for _, tc := range []struct {
 		name string
@@ -144,10 +158,12 @@ func TestProgramEqual(t *testing.T) {
 	}{
 		{"same program", loop, loop, true},
 		{"written out", loop, Program{{Body: loop.Insts(), Count: 1}}, true},
-		{"copied bodies", loop, LoopProgram(slices.Clone(flat), ExitBody(flat), 3), true},
+		{"copied bodies", loop, LoopProgram(slices.Clone(flat), 3), true},
 		{"split pieces", loop, Program{{Body: flat, Count: 1}, {Body: flat, Count: 1}, {Body: exit, Count: 1}}, true},
+		{"split loop", loop, Program{{Body: flat, Count: 2}, {Body: flat, Count: 1, Loop: true}}, true},
 		{"empty", nil, Program{{Body: flat, Count: 0}}, true},
-		{"prefix", loop, LoopProgram(flat, exit, 2), false},
+		{"prefix", loop, LoopProgram(flat, 2), false},
+		{"loop not exited", loop, Program{{Body: flat, Count: 3}}, false},
 		{"longer", loop, append(slices.Clone(loop), Piece{Body: other, Count: 1}), false},
 		{"exit not taken", Program{{Body: flat, Count: 1}}, Program{{Body: exit, Count: 1}}, false},
 		{"empty and not", nil, loop, false},
@@ -178,81 +194,46 @@ func TestSeqStream(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := NewSeqStream(MixBlock(0x100).Insts)
-	b := NewSeqStream(MixBlock(0x200).Insts)
-	s := Concat(a, b)
-	n := 0
-	for {
-		_, ok := s.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 10 {
-		t.Errorf("concat yielded %d, want 10", n)
-	}
-}
-
-func TestConcatEmpty(t *testing.T) {
-	s := Concat()
-	if _, ok := s.Next(); ok {
-		t.Error("empty concat should be exhausted")
-	}
-}
-
-func TestFuncStream(t *testing.T) {
-	n := 0
-	s := FuncStream(func() (Inst, bool) {
-		if n >= 3 {
-			return Inst{}, false
-		}
-		n++
-		return Inst{Kind: Nop, UOps: 1, Len: 1}, true
-	})
-	if got := CountUOps(s); got != 3 {
-		t.Errorf("FuncStream uops = %d, want 3", got)
-	}
-}
-
 // TestLoopStreamRecursAndAdvance pins the steady-loop skip's stream
-// helpers: a stream whole iterations past its copy recurs, every other
-// difference breaks the recurrence, and Advance lands exactly where
-// drawing the skipped instructions would.
+// helpers: a stream whole repetitions of its piece past its copy
+// recurs, every other difference breaks the recurrence, and Advance
+// lands exactly where drawing the skipped instructions would.
 func TestLoopStreamRecursAndAdvance(t *testing.T) {
 	flat := Flatten(MixChain(3, 2, true))
 	s := NewFlatLoopStream(flat, 100)
 	for range 3 {
 		s.Next()
 	}
-	prev := *s
+	prev := s
 	for range 2 * len(flat) {
 		s.Next()
 	}
 	if !s.Recurs(&prev) {
 		t.Fatal("two iterations later the stream does not recur")
 	}
-	for name, change := range map[string]func(x *LoopStream){
-		"position":     func(x *LoopStream) { x.pos++ },
-		"total":        func(x *LoopStream) { x.iters++ },
-		"no iteration": func(x *LoopStream) { x.iter = prev.iter },
-		"shorter body": func(x *LoopStream) { x.flat = x.flat[:len(x.flat)-1] },
-		"other body":   func(x *LoopStream) { x.flat = slices.Clone(x.flat) },
+	for name, change := range map[string]func(x *SeqStream){
+		"position":     func(x *SeqStream) { x.off++ },
+		"total":        func(x *SeqStream) { x.cur.Count++ },
+		"no iteration": func(x *SeqStream) { x.rep = prev.rep },
+		"other piece":  func(x *SeqStream) { x.next++ },
+		"not a loop":   func(x *SeqStream) { x.cur.Loop = false },
+		"shorter body": func(x *SeqStream) { x.cur.Body = x.cur.Body[:len(x.cur.Body)-1] },
+		"other body":   func(x *SeqStream) { x.cur.Body = slices.Clone(x.cur.Body) },
 	} {
-		x := *s
+		x := s
 		change(&x)
 		if x.Recurs(&prev) {
 			t.Errorf("%s: stream still recurs", name)
 		}
 	}
-	want := *s
+	want := s
 	for range 3 * 2 * len(flat) {
 		want.Next()
 	}
 	s.Advance(&prev, 3)
-	if s.pos != want.pos || s.iter != want.iter {
-		t.Fatalf("advanced to pos %d iter %d, drawing reaches pos %d iter %d", s.pos, s.iter, want.pos, want.iter)
+	if s.off != want.off || s.rep != want.rep || s.pos != want.pos {
+		t.Fatalf("advanced to offset %d repetition %d position %d, drawing reaches %d, %d, %d",
+			s.off, s.rep, s.pos, want.off, want.rep, want.pos)
 	}
 }
 
@@ -260,23 +241,21 @@ func TestLoopStreamRecursAndAdvance(t *testing.T) {
 // prefix of Ahead's view with Skip and then one instruction with Next,
 // and requires exactly the instructions Next alone yields, the final
 // back-edge not taken. A loop's view never holds its back-edge, which
-// only Next yields.
+// only Next yields, and the per-instruction reference shows no view.
 func TestAheadAndSkipFollowNext(t *testing.T) {
 	blocks := MixChain(2, 3, true)
 	flat := Flatten(blocks)
-	type viewer interface {
-		Stream
-		Ahead() []Inst
-		Skip(k int)
-	}
 	for _, tc := range []struct {
 		name   string
-		mk     func() viewer
+		mk     func() SeqStream
 		window int // instructions the view may hold at most
 	}{
-		{"loop", func() viewer { return NewFlatLoopStream(flat, 4) }, len(flat) - 1},
-		{"seq", func() viewer { return NewSeqStream(Drain(NewLoopStream(blocks, 4))) }, 4 * len(flat)},
-		{"program", func() viewer { return LoopProgram(flat, ExitBody(flat), 4).Stream() }, len(flat)},
+		{"loop", func() SeqStream { return NewFlatLoopStream(flat, 4) }, len(flat) - 1},
+		{"seq", func() SeqStream { return NewSeqStream(Drain(NewLoopStream(blocks, 4))) }, 4 * len(flat)},
+		{"program", func() SeqStream {
+			return Program{{Body: flat, Count: 1}, {Body: flat, Count: 3, Loop: true}}.Stream()
+		}, len(flat)},
+		{"reference", func() SeqStream { return NextOnly(NewFlatLoopStream(flat, 4)) }, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []Inst

@@ -33,8 +33,8 @@ import (
 //     snapshots the way a campaign evaluates children, records exactly
 //     the traces, divergence and verdict fresh executors do.
 //  6. Program soundness — each arm's phase programs, drained, yield
-//     BuildPair's instructions, which are each armed gene's LoopStream in
-//     turn; a stream over a phase stands at each gene's end index when it
+//     BuildPair's instructions, which are each armed gene's loop stream
+//     in turn; a stream over a phase stands at each gene's end index when it
 //     has yielded that gene; and one retargeted at a gene boundary the
 //     child shares, to the child's program, yields the child's
 //     instructions from there.
@@ -142,18 +142,22 @@ func checkPrograms(t *testing.T, g, child Genome, pair contract.Pair) {
 			t.Fatalf("phase %d of %s: the program, BuildPair and the genes' loops disagree", i, g.key())
 		}
 
-		// Gene by gene through the views the frontend delivers runs from.
+		// Gene by gene through the views the frontend delivers runs from,
+		// and Next where a view ends before a loop's back-edge.
 		s := ph.prog.Stream()
 		for _, end := range ph.ends {
-			for k := 1; s.Pos() < end && k > 0; {
-				k = min(len(s.Ahead()), end-s.Pos())
-				s.Skip(k)
+			for s.Pos() < end {
+				if k := min(len(s.Ahead()), end-s.Pos()); k > 0 {
+					s.Skip(k)
+				} else if _, ok := s.Next(); !ok {
+					break
+				}
 			}
 			if s.Pos() != end {
 				t.Fatalf("phase %d of %s: Pos %d at a gene ending at %d", i, g.key(), s.Pos(), end)
 			}
 		}
-		if len(s.Ahead()) != 0 {
+		if _, ok := s.Next(); ok {
 			t.Fatalf("phase %d of %s: the stream goes on past its last gene", i, g.key())
 		}
 
@@ -169,7 +173,7 @@ func checkPrograms(t *testing.T, g, child Genome, pair contract.Pair) {
 				s.Next()
 			}
 			// Detached and resupplied, as a snapshot restores.
-			c := s.CloneStream().(*isa.SeqStream)
+			c := s
 			c.Retarget(nil)
 			c.Retarget(kid.prog)
 			if !slices.Equal(isa.Drain(c), kidInsts[at:]) {

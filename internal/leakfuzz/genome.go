@@ -13,9 +13,9 @@
 // noise, so a (seed, budget) pair always reproduces the same findings.
 //
 // An arm runs as a program of its genes' loop bodies (isa.Program): each
-// gene is its body repeated Iters-1 times and then its exit body, the
-// body with its back-edge not taken. A campaign builds each body once, in
-// a table it owns, and no evaluation writes an arm's instructions out.
+// gene is one loop piece, its body run Iters times. A campaign builds
+// each body once, in a table it owns, and no evaluation writes an arm's
+// instructions out.
 //
 // Every mutated child comes from a corpus genome and differs from it in
 // a gene or two, so each of its arms starts with genes one of its
@@ -201,27 +201,21 @@ func (g Gene) blocks() []*isa.Block {
 	}
 }
 
-// loop is a gene's loop body, built: the body every iteration but the
-// last runs, and the exit body the last one runs, its back-edge not
-// taken.
-type loop struct{ body, exit []isa.Inst }
-
 // loops holds the loop bodies a campaign has built, by gene with its
 // Iters and Alt cleared: at most 2,048 of them (4 ops, 32 sets, 8 ways,
 // 2 flags). Arms run programs over these bodies and never write their
 // instructions out.
-type loops map[Gene]loop
+type loops map[Gene][]isa.Inst
 
 // of returns the loop body of an armed gene, building it on first use.
-func (ls loops) of(g Gene) loop {
+func (ls loops) of(g Gene) []isa.Inst {
 	k := Gene{Op: g.Op, Set: g.Set, Ways: g.Ways, Flag: g.Flag}
-	l, ok := ls[k]
+	body, ok := ls[k]
 	if !ok {
-		flat := isa.Flatten(k.blocks())
-		l = loop{body: flat, exit: isa.ExitBody(flat)}
-		ls[k] = l
+		body = isa.Flatten(k.blocks())
+		ls[k] = body
 	}
-	return l
+	return body
 }
 
 // phase is one phase of a secret arm, built: the genes the arm runs,
@@ -233,19 +227,18 @@ type phase struct {
 	ends  []int
 }
 
-// build writes the genes' loops as one secret arm runs them, two pieces
-// per gene over bodies from ls. A gene's instructions depend on that
-// armed gene alone.
+// build writes the genes' loops as one secret arm runs them, one loop
+// piece per gene over a body from ls. A gene's instructions depend on
+// that armed gene alone.
 func build(genes []Gene, secret bool, ls loops) phase {
 	ph := phase{
 		genes: make([]Gene, 0, len(genes)),
-		prog:  make(isa.Program, 0, 2*len(genes)),
+		prog:  make(isa.Program, 0, len(genes)),
 		ends:  make([]int, 0, len(genes)),
 	}
 	for _, gene := range genes {
 		if a, ok := gene.arm(secret); ok {
-			l := ls.of(a)
-			ph.prog = append(ph.prog, isa.LoopProgram(l.body, l.exit, a.Iters)...)
+			ph.prog = append(ph.prog, isa.LoopProgram(ls.of(a), a.Iters)...)
 			ph.genes = append(ph.genes, a)
 			ph.ends = append(ph.ends, ph.prog.Len())
 		}
