@@ -10,7 +10,12 @@
 // the paper warns.
 package backend
 
-import "repro/internal/isa"
+import (
+	"fmt"
+
+	"repro/internal/cache"
+	"repro/internal/isa"
+)
 
 // Params configures the execution engine.
 type Params struct {
@@ -42,30 +47,32 @@ func portMask(k isa.Kind) uint8 {
 	}
 }
 
+// idqSlots is the size of an IDQ's ring: the next power of two above
+// the 64 micro-ops every model's IDQ holds, which leaves a slot for every
+// instruction such a queue admits, each of at least one micro-op, and
+// makes the ring arithmetic a mask instead of a modulo.
+const idqSlots = 128
+
 // IDQ is one hardware thread's Instruction Decode Queue: the micro-op
 // buffer between frontend delivery and backend retirement (Figure 1).
 // The frontend pushes into it and the backend pops from it; its length
 // counts micro-ops, not instructions, and its ring holds one slot per
-// instruction. The buffer is sized to the next power of two above the
-// capacity, which leaves a slot for every instruction the capacity
-// admits, each of at least one micro-op, and makes the ring arithmetic
-// a mask instead of a modulo.
+// instruction. The ring is held inline, so an IDQ is a value.
 type IDQ struct {
-	buf      []isa.Inst
-	mask     int
+	buf      [idqSlots]isa.Inst
 	head     int
 	n        int // instructions buffered
 	size     int // their micro-ops
 	capacity int // micro-ops the queue may hold
 }
 
-// NewIDQ builds an empty queue holding up to capacity micro-ops.
+// NewIDQ builds an empty queue holding up to capacity micro-ops, fewer
+// than the ring's 128 slots.
 func NewIDQ(capacity int) IDQ {
-	n := 1
-	for n <= capacity {
-		n <<= 1
+	if capacity >= idqSlots {
+		panic(fmt.Sprintf("backend: an IDQ of %d micro-ops overflows its %d-slot ring", capacity, idqSlots))
 	}
-	return IDQ{buf: make([]isa.Inst, n), mask: n - 1, capacity: capacity}
+	return IDQ{capacity: capacity}
 }
 
 // Len returns the micro-ops buffered.
@@ -77,7 +84,7 @@ func (q *IDQ) Free() int { return q.capacity - q.size }
 // Push appends an instruction's micro-ops. The caller bounds pushes by
 // Free.
 func (q *IDQ) Push(in isa.Inst) {
-	q.buf[(q.head+q.n)&q.mask] = in
+	q.buf[(q.head+q.n)&(idqSlots-1)] = in
 	q.n++
 	q.size += int(in.UOps)
 }
@@ -89,15 +96,11 @@ func (q *IDQ) Pop() (isa.Inst, bool) {
 		return isa.Inst{}, false
 	}
 	in := q.buf[q.head]
-	q.head = (q.head + 1) & q.mask
+	q.head = (q.head + 1) & (idqSlots - 1)
 	q.n--
 	q.size -= int(in.UOps)
 	return in, true
 }
-
-// MemHook observes retiring memory micro-ops (the CPU core wires this to
-// the L1D cache so loads/stores generate data traffic).
-type MemHook func(t int, in isa.Inst)
 
 // Backend retires micro-ops against shared execution ports.
 type Backend struct {
@@ -115,9 +118,10 @@ func New(p Params) *Backend { return &Backend{P: p} }
 
 // Cycle retires up to RetireWidth micro-ops per thread from the two
 // threads' IDQs, sharing the execution ports between the threads; the
-// first thread considered alternates each cycle. It returns the total
-// retired this cycle.
-func (b *Backend) Cycle(idq *[2]IDQ, mem MemHook) int {
+// first thread considered alternates each cycle. Retiring loads and
+// stores access l1d, unless it is nil. It returns the total retired
+// this cycle.
+func (b *Backend) Cycle(idq *[2]IDQ, l1d *cache.Cache) int {
 	var portsBusy uint8
 	total := 0
 	first := b.prio
@@ -148,8 +152,8 @@ func (b *Backend) Cycle(idq *[2]IDQ, mem MemHook) int {
 			}
 			b.Retired[t]++
 			total++
-			if mem != nil && (in.Kind == isa.Load || in.Kind == isa.Store) {
-				mem(t, in)
+			if l1d != nil && (in.Kind == isa.Load || in.Kind == isa.Store) {
+				l1d.Access(in.MemAddr)
 			}
 			if conflict {
 				break

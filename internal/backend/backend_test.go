@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cache"
 	"repro/internal/isa"
 )
 
@@ -81,10 +82,11 @@ func TestMemHook(t *testing.T) {
 	var idq [2]IDQ
 	idq[0] = NewIDQ(4)
 	idq[0].Push(isa.Inst{Kind: isa.Load, UOps: 1, MemAddr: 0x1234})
-	var seen []uint64
-	b.Cycle(&idq, func(t int, in isa.Inst) { seen = append(seen, in.MemAddr) })
-	if len(seen) != 1 || seen[0] != 0x1234 {
-		t.Errorf("mem hook saw %v", seen)
+	idq[0].Push(isa.Inst{Kind: isa.Mov, UOps: 1, MemAddr: 0x5678})
+	var l1d cache.Cache
+	b.Cycle(&idq, &l1d)
+	if l1d.Stats().Accesses() != 1 || !l1d.Probe(0x1234) {
+		t.Errorf("the L1D saw %+v; want the load's one access", l1d.Stats())
 	}
 }
 
@@ -155,13 +157,13 @@ func TestIDQRecursAndAdvance(t *testing.T) {
 		q.Pop()
 		q.Pop()
 	}
+	// Enough periods that every slot of the ring has been written.
 	q := NewIDQ(8)
 	q.Push(isa.Inst{Addr: 1, UOps: 1, Kind: isa.Mov})
-	for range 20 {
+	for range 50 {
 		period(&q)
 	}
-	var prev IDQ
-	prev.CopyFrom(&q)
+	prev := q
 	period(&q)
 	if !q.Recurs(&prev) {
 		t.Fatal("the ring does not recur after one period")
@@ -170,17 +172,15 @@ func TestIDQRecursAndAdvance(t *testing.T) {
 		"occupancy":    func(x *IDQ) { x.size++ },
 		"instructions": func(x *IDQ) { x.n++ },
 		"live slot":    func(x *IDQ) { x.buf[x.head].Addr++ },
-		"dead slot":    func(x *IDQ) { x.buf[(x.head+x.mask)&x.mask].Addr++ },
+		"dead slot":    func(x *IDQ) { x.buf[(x.head+idqSlots-1)%idqSlots].Addr++ },
 	} {
-		var x IDQ
-		x.CopyFrom(&q)
+		x := q
 		change(&x)
 		if x.Recurs(&prev) {
 			t.Errorf("%s: ring still recurs", name)
 		}
 	}
-	var want IDQ
-	want.CopyFrom(&q)
+	want := q
 	for range 7 {
 		period(&want)
 	}

@@ -1,22 +1,14 @@
 package backend
 
-// CopyFrom overwrites q with a deep copy of src, reusing q's ring
-// buffer when it has room.
-func (q *IDQ) CopyFrom(src *IDQ) {
-	buf := q.buf
-	*q = *src
-	q.buf = append(buf[:0], src.buf...)
-}
-
 // Recurs reports whether q, a copy of prev some cycles later, holds the
 // same ring read from its head: the same buffered micro-ops and, behind
 // them, the same dead slots.
 func (q *IDQ) Recurs(prev *IDQ) bool {
-	if q.n != prev.n || q.size != prev.size || len(q.buf) != len(prev.buf) {
+	if q.n != prev.n || q.size != prev.size {
 		return false
 	}
-	for i := range q.buf {
-		if q.buf[(q.head+i)&q.mask] != prev.buf[(prev.head+i)&prev.mask] {
+	for i := range idqSlots {
+		if q.buf[(q.head+i)&(idqSlots-1)] != prev.buf[(prev.head+i)&(idqSlots-1)] {
 			return false
 		}
 	}
@@ -27,10 +19,10 @@ func (q *IDQ) Recurs(prev *IDQ) bool {
 // repetitions of the change since prev: the head moves k more times as
 // far, and the ring's contents turn with it.
 func (q *IDQ) Advance(prev *IDQ, k uint64) {
-	step := uint64((q.head - prev.head) & q.mask)
-	head := int((uint64(q.head) + k*step) & uint64(q.mask))
-	for i := range q.buf {
-		q.buf[(head+i)&q.mask] = prev.buf[(prev.head+i)&prev.mask]
+	step := uint64((q.head - prev.head) & (idqSlots - 1))
+	head := int((uint64(q.head) + k*step) & (idqSlots - 1))
+	for i := range idqSlots {
+		q.buf[(head+i)&(idqSlots-1)] = prev.buf[(prev.head+i)&(idqSlots-1)]
 	}
 	q.head = head
 }

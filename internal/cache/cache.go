@@ -16,9 +16,16 @@ type Config struct {
 	LineSize int // bytes
 }
 
+// The L1 geometry, the only one a Cache takes.
+const (
+	sets     = 64
+	ways     = 8
+	lineSize = 64
+)
+
 // L1Config is the L1 configuration shared by every CPU model in Table I:
 // 32 KB, 8-way, 64-byte lines, 64 sets.
-var L1Config = Config{Sets: 64, Ways: 8, LineSize: 64}
+var L1Config = Config{Sets: sets, Ways: ways, LineSize: lineSize}
 
 // Size returns the total capacity in bytes.
 func (c Config) Size() int { return c.Sets * c.Ways * c.LineSize }
@@ -48,30 +55,27 @@ type line struct {
 	lru   uint64 // higher = more recently used
 }
 
-// Cache is a set-associative cache with true LRU replacement. It tracks
-// only tags (no data); the simulator needs residency and recency, not
-// contents.
+// Cache is a set-associative cache with true LRU replacement, of the L1
+// geometry. It tracks only tags (no data); the simulator needs residency
+// and recency, not contents. A Cache is a value: its lines are held
+// inline, so assigning one copies it, and the zero Cache is empty.
 type Cache struct {
-	cfg   Config
-	lines []line // sets*ways, row-major by set
+	lines [sets * ways]line // row-major by set
 	tick  uint64
 	stats Stats
 }
 
-// New builds an empty cache with the given geometry. It panics on
-// non-positive dimensions or a non-power-of-two line size or set count.
+// New builds an empty cache with the given geometry, which must be
+// L1Config's: it panics on any other.
 func New(cfg Config) *Cache {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.LineSize <= 0 {
-		panic("cache: non-positive geometry")
+	if cfg != (Config{Sets: sets, Ways: ways, LineSize: lineSize}) {
+		panic(fmt.Sprintf("cache: geometry %+v is not the L1's %d sets, %d ways, %d-byte lines", cfg, sets, ways, lineSize))
 	}
-	if cfg.Sets&(cfg.Sets-1) != 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
-		panic(fmt.Sprintf("cache: sets (%d) and line size (%d) must be powers of two", cfg.Sets, cfg.LineSize))
-	}
-	return &Cache{cfg: cfg, lines: make([]line, cfg.Sets*cfg.Ways)}
+	return &Cache{}
 }
 
 // Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
+func (c *Cache) Config() Config { return Config{Sets: sets, Ways: ways, LineSize: lineSize} }
 
 // Stats returns the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -81,16 +85,16 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Set returns the set index for addr.
 func (c *Cache) Set(addr uint64) int {
-	return int(addr/uint64(c.cfg.LineSize)) & (c.cfg.Sets - 1)
+	return int(addr/lineSize) & (sets - 1)
 }
 
 // Tag returns the tag for addr.
 func (c *Cache) Tag(addr uint64) uint64 {
-	return addr / uint64(c.cfg.LineSize) / uint64(c.cfg.Sets)
+	return addr / lineSize / sets
 }
 
 func (c *Cache) set(idx int) []line {
-	return c.lines[idx*c.cfg.Ways : (idx+1)*c.cfg.Ways]
+	return c.lines[idx*ways : (idx+1)*ways]
 }
 
 // Access looks addr up, fills on miss (evicting the LRU way if the set is

@@ -49,7 +49,7 @@ func TestSetIndexing(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := l1()
 	base := uint64(0x10000)
-	stride := uint64(c.cfg.Sets * c.cfg.LineSize)
+	stride := uint64(sets * lineSize)
 	// Fill all 8 ways of one set.
 	for w := uint64(0); w < 8; w++ {
 		c.Access(base + w*stride)
@@ -73,7 +73,7 @@ func TestEightWaysFitWithoutEviction(t *testing.T) {
 	// The paper's Figure 3 argument: 8 blocks mapping to one set fit the
 	// 8 ways with no eviction.
 	c := l1()
-	stride := uint64(c.cfg.Sets * c.cfg.LineSize)
+	stride := uint64(sets * lineSize)
 	for w := uint64(0); w < 8; w++ {
 		c.Access(0x2000 + w*stride)
 	}
@@ -110,7 +110,7 @@ func TestTouch(t *testing.T) {
 		t.Error("touch of resident line failed")
 	}
 	// Touch must refresh LRU: fill set, touch oldest, check survival.
-	stride := uint64(c.cfg.Sets * c.cfg.LineSize)
+	stride := uint64(sets * lineSize)
 	for w := uint64(1); w < 8; w++ {
 		c.Access(0x1000 + w*stride)
 	}
@@ -183,7 +183,7 @@ func TestLRUWay(t *testing.T) {
 	if c.LRUWay(0x1000) != -1 {
 		t.Error("set with free ways should report -1")
 	}
-	stride := uint64(c.cfg.Sets * c.cfg.LineSize)
+	stride := uint64(sets * lineSize)
 	for w := uint64(0); w < 8; w++ {
 		c.Access(0x1000 + w*stride)
 	}
@@ -194,7 +194,7 @@ func TestLRUWay(t *testing.T) {
 
 func TestOccupiedWays(t *testing.T) {
 	c := l1()
-	stride := uint64(c.cfg.Sets * c.cfg.LineSize)
+	stride := uint64(sets * lineSize)
 	for w := uint64(0); w < 5; w++ {
 		c.Access(0x1000 + w*stride)
 	}
@@ -208,6 +208,7 @@ func TestNewPanics(t *testing.T) {
 		{Sets: 0, Ways: 8, LineSize: 64},
 		{Sets: 63, Ways: 8, LineSize: 64},
 		{Sets: 64, Ways: 8, LineSize: 60},
+		{Sets: 32, Ways: 8, LineSize: 64},
 	} {
 		func() {
 			defer func() {
@@ -262,7 +263,7 @@ func TestInvariantOccupancyBounded(t *testing.T) {
 // recurrence, and Advance lands where running the periods does.
 func TestRecursAndAdvance(t *testing.T) {
 	c := l1()
-	stride := uint64(c.cfg.Sets * c.cfg.LineSize)
+	stride := uint64(sets * lineSize)
 	period := func(c *Cache) {
 		for i := range uint64(9) {
 			c.Access(0x1000 + i*stride)
@@ -277,13 +278,12 @@ func TestRecursAndAdvance(t *testing.T) {
 		}
 	}
 	octave(c)
-	var prev Cache
-	prev.CopyFrom(c)
+	prev := *c
 	period(c)
 	if c.Recurs(&prev) {
 		t.Fatal("recurs after one period, with every line in the thrashed set moved")
 	}
-	c.CopyFrom(&prev)
+	*c = prev
 	octave(c)
 	if !c.Recurs(&prev) {
 		t.Fatal("does not recur after eight periods")
@@ -297,15 +297,13 @@ func TestRecursAndAdvance(t *testing.T) {
 			l[0].lru, l[1].lru = l[1].lru, l[0].lru
 		},
 	} {
-		var x Cache
-		x.CopyFrom(c)
+		x := *c
 		change(&x)
 		if x.Recurs(&prev) {
 			t.Errorf("%s: still recurs", name)
 		}
 	}
-	var want Cache
-	want.CopyFrom(c)
+	want := *c
 	for range 3 {
 		octave(&want)
 	}

@@ -1,23 +1,11 @@
 package cache
 
-// CopyFrom overwrites c with a deep copy of src: identical geometry,
-// contents, recency state and statistics. c's line array is reused, so
-// copying between caches of one geometry allocates nothing.
-func (c *Cache) CopyFrom(src *Cache) {
-	lines := c.lines
-	*c = *src
-	c.lines = append(lines[:0], src.lines...)
-}
-
 // Recurs reports whether c, a copy of prev some accesses later, holds
 // the same lines in the same ways, with the valid lines of every set in
 // the same recency order. Replacement reads only that order, so from
 // here c evicts exactly as prev did.
 func (c *Cache) Recurs(prev *Cache) bool {
-	if c.cfg != prev.cfg {
-		return false
-	}
-	for s := 0; s < c.cfg.Sets; s++ {
+	for s := range sets {
 		a, b := c.set(s), prev.set(s)
 		same := true
 		for i := range a {

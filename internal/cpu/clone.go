@@ -12,12 +12,12 @@ package cpu
 // measurement callback still pending, leaving c partly copied.
 func (c *Core) CopyFrom(src *Core) {
 	c.Model = src.Model
-	c.FE.CopyFrom(src.FE) // also copies the L1I, which the frontend shares
-	*c.BE = *src.BE
-	c.L1D.CopyFrom(src.L1D)
-	*c.PM = *src.PM
-	c.TSC.CopyFrom(src.TSC)
-	*c.R = *src.R
+	c.FE = src.FE
+	c.BE = src.BE
+	c.L1D = src.L1D
+	c.PM = src.PM
+	c.TSC = src.TSC
+	c.R = src.R
 	c.cycle = src.cycle
 	c.lastBoth = src.lastBoth
 	c.miteHold = src.miteHold

@@ -105,7 +105,7 @@ func dirtyCore(t *testing.T, m Model) *Core {
 		t.Fatal("branch predictor untrained")
 	case c.FE.SwitchBufferStats().Inserts == 0:
 		t.Fatal("switch buffer empty")
-	case c.L1I.Stats() == (cache.Stats{}) || c.L1D.Stats() == (cache.Stats{}):
+	case c.FE.L1I.Stats() == (cache.Stats{}) || c.L1D.Stats() == (cache.Stats{}):
 		t.Fatal("an L1 cache was never accessed")
 	case c.FE.Align().Level() == 0:
 		t.Fatal("no misalignment poison")
@@ -124,8 +124,6 @@ func dirtyCore(t *testing.T, m Model) *Core {
 func TestCopyFromRestoresFreshCore(t *testing.T) {
 	variant := Gold6226()
 	variant.Name = "variant"
-	variant.FE.DSBSets = 16
-	variant.FE.SwitchBufSize = 4
 	variant.FE.IDQCapacity = 48
 	variant.BE.Ports = 6
 	variant.PW = power.DefaultParams(3.1)

@@ -34,58 +34,51 @@ type Task struct {
 }
 
 // Core is one simulated physical core with two SMT hardware threads.
+// It holds its parts inline: the L1I belongs to the frontend, FE.L1I.
 type Core struct {
+	// The fields that hold pointers come first: the collector scans a
+	// core only up to its last pointer, which skips the parts' arrays.
 	Model Model
-	FE    *frontend.Frontend
-	BE    *backend.Backend
-	L1I   *cache.Cache
-	L1D   *cache.Cache
-	PM    *power.Meter
-	TSC   *timer.TSC
-	R     *rng.RNG
+	queue [2][]*Task
+	cur   [2]*Task
+	// snap is the steady-loop skip's snapshot buffer, reused across run
+	// loop calls. It holds a snapshot only inside a call and is kept at
+	// length zero between calls, so it carries no state.
+	snap []loopSnap
+
+	FE  frontend.Frontend
+	BE  backend.Backend
+	L1D cache.Cache
+	PM  power.Meter
+	TSC timer.TSC
+	R   rng.RNG
 
 	cycle    uint64
-	queue    [2][]*Task
 	qhead    [2]int // next undispatched index into queue[t]
-	cur      [2]*Task
 	lastBoth uint64
 	miteHold int // thread holding the fetch slot an extra cycle, or -1
-
-	// memHook is the L1D wiring passed to the backend every cycle, built
-	// once so Step does not rebuild the closure.
-	memHook backend.MemHook
 
 	// Previous totals of the frontend counters the power meter reads;
 	// Step tracks per-cycle deltas of just these four scalars instead of
 	// diffing two full ThreadCounters structs every cycle.
 	prevLSD, prevDSB, prevMITE, prevStall uint64
-
-	// snap is the steady-loop skip's snapshot buffer, reused across run
-	// loop calls. It holds a snapshot only inside a call and is kept at
-	// length zero between calls, so it carries no state.
-	snap []loopSnap
 }
 
 // NewCore builds a core for the given model, seeded deterministically.
 func NewCore(m Model, seed uint64) *Core {
 	r := rng.New(seed)
-	l1i := cache.New(cache.L1Config)
-	l1d := cache.New(cache.L1Config)
 	c := &Core{
 		miteHold: -1,
 		Model:    m,
-		FE:       frontend.New(m.FE, l1i, m.LSDEnabled),
-		BE:       backend.New(m.BE),
-		L1I:      l1i,
-		L1D:      l1d,
-		PM:       power.NewMeter(m.PW),
+		FE:       frontend.New(m.FE, cache.New(cache.L1Config), m.LSDEnabled),
+		BE:       *backend.New(m.BE),
+		PM:       *power.NewMeter(m.PW),
 		TSC:      timer.NewTSC(r.Fork(1), m.TimerSigmaAbs, m.TimerSigmaRel),
-		R:        r,
+		R:        *r,
 	}
 	if m.StaticDSBPartition {
 		c.FE.SetPartitioned(true)
 	}
-	c.memHook = func(t int, in isa.Inst) { c.L1D.Access(in.MemAddr) }
 	return c
 }
 
@@ -198,7 +191,7 @@ func (c *Core) Step() {
 	}
 
 	// Backend retirement; loads and stores touch the L1D as they execute.
-	retired := c.BE.Cycle(c.FE.IDQs(), c.memHook)
+	retired := c.BE.Cycle(c.FE.IDQs(), &c.L1D)
 
 	// Package power accrual from this cycle's frontend activity. The
 	// meter reads only the delivery-path micro-op and stall counters, so

@@ -118,8 +118,8 @@ func requireSameState(t *testing.T, a, b *Core) {
 		}
 	}
 	// Retired counts, port conflicts and the retire priority.
-	if *a.BE != *b.BE {
-		t.Fatalf("backend %+v vs %+v", *a.BE, *b.BE)
+	if a.BE != b.BE {
+		t.Fatalf("backend %+v vs %+v", a.BE, b.BE)
 	}
 	if ea, eb := math.Float64bits(a.PM.TrueEnergy()), math.Float64bits(b.PM.TrueEnergy()); ea != eb {
 		t.Fatalf("true energy %v vs %v", a.PM.TrueEnergy(), b.PM.TrueEnergy())

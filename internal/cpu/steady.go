@@ -190,8 +190,8 @@ func (d *loopDetector) arm(c *Core) {
 	c.snap = c.snap[:1]
 	s := &c.snap[0]
 	c.FE.Snapshot(&s.fe, d.t)
-	s.l1d.CopyFrom(c.L1D)
-	s.be = *c.BE
+	s.l1d = c.L1D
+	s.be = c.BE
 	s.cycle, s.iter = c.cycle, d.iter
 	s.prev = [4]uint64{c.prevLSD, c.prevDSB, c.prevMITE, c.prevStall}
 	s.energy = s.energy[:0]

@@ -294,9 +294,9 @@ func FuzzSteadySkip(f *testing.F) {
 				for stepped.Cycle() < skipped.Cycle() {
 					stepped.Step()
 				}
-				if *skipped.BE != *stepped.BE || math.Float64bits(skipped.PM.TrueEnergy()) != math.Float64bits(stepped.PM.TrueEnergy()) {
+				if skipped.BE != stepped.BE || math.Float64bits(skipped.PM.TrueEnergy()) != math.Float64bits(stepped.PM.TrueEnergy()) {
 					t.Fatalf("cycle %d: backend %+v vs %+v, energy %v vs %v", skipped.Cycle(),
-						*skipped.BE, *stepped.BE, skipped.PM.TrueEnergy(), stepped.PM.TrueEnergy())
+						skipped.BE, stepped.BE, skipped.PM.TrueEnergy(), stepped.PM.TrueEnergy())
 				}
 			}
 		case data[1]&2 != 0:

@@ -10,59 +10,11 @@ import (
 	"repro/internal/isa"
 )
 
-// This file implements copying of the frontend's state into an existing
-// frontend, so a calibrated simulator snapshot can be replayed
-// byte-for-byte (the sweep engine's calibration memoization, the
-// leakage-contract executor's mid-stream snapshots and per-evaluation
-// resets). Every mutable structure is copied into the destination's own
-// buffers; the only shared data is immutable (decoded instruction
-// slices inside streams).
-
-// copyFrom overwrites d with src's contents, recency ticks, partitioning
-// mode and statistics. The eviction scratch buffers stay d's own.
-func (d *DSB) copyFrom(src *DSB) {
-	sets, used, evict, surv := d.sets, d.used, d.evictScratch, d.survScratch
-	*d = *src
-	d.sets, d.used = append(sets[:0], src.sets...), append(used[:0], src.used...)
-	d.evictScratch, d.survScratch = evict, surv
-}
-
-// copyFrom overwrites l with src's detector state. l keeps its own
-// alignment tracker: both threads' detectors on a frontend share one,
-// and the frontend copies it once.
-func (l *LSD) copyFrom(src *LSD) {
-	align, windows, locked := l.align, l.windows, l.lockedWindows
-	*l = *src
-	l.align = align
-	l.windows = append(windows[:0], src.windows...)
-	l.lockedWindows = append(locked[:0], src.lockedWindows...)
-}
-
-func (b *switchBuffer) copyFrom(src *switchBuffer) {
-	addrs, counts := b.addrs, b.counts
-	*b = *src
-	b.addrs = append(addrs[:0], src.addrs...)
-	b.counts = append(counts[:0], src.counts...)
-}
-
-// CopyFrom overwrites f with a deep copy of src, including the contents
-// of src's L1I, reusing f's own structures: f's L1I stays the cache it
-// was built with (the one its core shares). In-flight streams are
-// values, copied with their threads.
-func (f *Frontend) CopyFrom(src *Frontend) {
-	f.P = src.P
-	f.DSB.copyFrom(src.DSB)
-	f.L1I.CopyFrom(src.L1I)
-	*f.align = *src.align
-	f.sw.copyFrom(src.sw)
-	f.Ctr = src.Ctr
-	for t := 0; t < 2; t++ {
-		*f.BPU[t] = *src.BPU[t]
-		f.lsd[t].copyFrom(src.lsd[t])
-		f.idq[t].CopyFrom(&src.idq[t])
-		f.thr[t] = src.thr[t]
-	}
-}
+// This file implements the steady-loop skip's side of the frontend: a
+// snapshot of the state one thread's loop reads and writes, the check
+// that a later iteration boundary recurs to it, and the fast-forward
+// that repeats the verified period. A frontend is a value, so copying
+// one is an assignment, and so is each part of a snapshot.
 
 // Stream returns thread t's in-flight instruction stream, the cursor the
 // frontend delivers from, or nil once the stream has run out: after the
@@ -98,17 +50,17 @@ type LoopSnap struct {
 	lcpAdds, swAdds []float64
 }
 
-// Snapshot copies the state thread t's loop can change into s, reusing
-// s's buffers, and starts the addend log.
+// Snapshot copies the state thread t's loop can change into s and
+// starts the addend log.
 func (f *Frontend) Snapshot(s *LoopSnap, t int) {
 	s.t = t
-	s.dsb.copyFrom(f.DSB)
-	s.l1i.CopyFrom(f.L1I)
-	s.bpu = *f.BPU[t]
-	s.lsd.copyFrom(f.lsd[t])
-	s.align = *f.align
-	s.sw.copyFrom(f.sw)
-	s.idq.CopyFrom(&f.idq[t])
+	s.dsb = f.DSB
+	s.l1i = f.L1I
+	s.bpu = f.BPU[t]
+	s.lsd = f.lsd[t]
+	s.align = f.align
+	s.sw = f.sw
+	s.idq = f.idq[t]
 	s.thr = f.thr[t]
 	s.ctr = f.Ctr[t]
 	if s.lcpAdds == nil {
@@ -136,7 +88,7 @@ func (f *Frontend) LoopRecurs(s *LoopSnap) bool {
 	}
 	reps, _ := th.stream.Progress()
 	prevReps, _ := s.thr.stream.Progress()
-	return f.lsd[t].recurs(&s.lsd, reps-prevReps) && *f.align == s.align &&
+	return f.lsd[t].recurs(&s.lsd, reps-prevReps) && f.align == s.align &&
 		f.idq[t].Recurs(&s.idq) && f.BPU[t].Recurs(&s.bpu) && f.sw.recurs(&s.sw) &&
 		f.DSB.recurs(&s.dsb) && f.L1I.Recurs(&s.l1i)
 }
@@ -173,10 +125,10 @@ func (th *fthread) recurs(prev *fthread) bool {
 // same partitioning, and the valid entries of every set in the same
 // recency order, which is all replacement reads.
 func (d *DSB) recurs(prev *DSB) bool {
-	if d.partitioned != prev.partitioned || !slices.Equal(d.used, prev.used) {
+	if d.partitioned != prev.partitioned || d.used != prev.used {
 		return false
 	}
-	for si := 0; si < d.p.DSBSets; si++ {
+	for si := range isa.DSBSets {
 		a, b := d.set(si), prev.set(si)
 		same := true
 		for i := range a {
@@ -228,7 +180,8 @@ func (l *LSD) recurs(prev *LSD, iters int) bool {
 	return l.enabled == prev.enabled && l.head == prev.head && l.tracking == prev.tracking &&
 		l.uops == prev.uops && l.crossings == prev.crossings && l.lastSig == prev.lastSig &&
 		l.locked == prev.locked && l.lockedSig == prev.lockedSig &&
-		slices.Equal(l.windows, prev.windows) && slices.Equal(l.lockedWindows, prev.lockedWindows) &&
+		slices.Equal(l.windows[:l.nwin], prev.windows[:prev.nwin]) &&
+		slices.Equal(l.lockedWindows[:l.nlocked], prev.lockedWindows[:prev.nlocked]) &&
 		(l.stable == prev.stable ||
 			prev.stable >= l.p.LSDLockIterations && l.stable-prev.stable == iters)
 }
@@ -243,7 +196,7 @@ func (l *LSD) advance(prev *LSD, k uint64) {
 
 // recurs reports whether b holds prev's transition points and counts.
 func (b *switchBuffer) recurs(prev *switchBuffer) bool {
-	return slices.Equal(b.addrs, prev.addrs) && slices.Equal(b.counts, prev.counts)
+	return b.addrs == prev.addrs && b.counts == prev.counts
 }
 
 // advance grows b's statistics by k more times their growth since prev.

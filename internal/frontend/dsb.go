@@ -30,44 +30,33 @@ type dsbEntry struct {
 }
 
 // DSB models the Decoded Stream Buffer: a 32-set, 8-way cache of decoded
-// 32-byte instruction windows (Section IV-B). While two hardware threads
-// are active the DSB is set-partitioned — each thread indexes into half
-// the sets — and repartition transitions invalidate every window whose
-// index changes, the eviction mechanism behind the MT attacks (Section
-// V-A).
+// 32-byte instruction windows (Section IV-B), isa.DSBSets by isa.DSBWays.
+// While two hardware threads are active the DSB is set-partitioned —
+// each thread indexes into half the sets — and repartition transitions
+// invalidate every window whose index changes, the eviction mechanism
+// behind the MT attacks (Section V-A). Its entries are held inline, so a
+// DSB is a value.
 type DSB struct {
 	p Params
 	// sets holds DSBWays entry slots per set, set after set (set i is
-	// sets[i*DSBWays:(i+1)*DSBWays]), so the whole array is one buffer.
-	// A set's entries occupy a prefix of its slots, used[i] long; line
-	// occupancy is tracked per entry.
-	sets []dsbEntry
-	used []uint8
+	// sets[i*DSBWays:(i+1)*DSBWays]). A set's entries occupy a prefix of
+	// its slots, used[i] long; line occupancy is tracked per entry.
+	sets [isa.DSBSets * isa.DSBWays]dsbEntry
+	used [isa.DSBSets]uint8
 	// lines counts the valid entries' lines across every set, kept up
 	// to date as entries are placed and invalidated.
 	lines       int
 	tick        uint64
 	partitioned bool
 	stats       DSBStats
-
-	// evictScratch backs the Evicted slices Fill and SetPartitioned
-	// return; eviction-heavy channels call Fill every few cycles and the
-	// result is consumed before the next call, so one buffer is reused.
-	// Both scratch buffers are kept at length zero between calls: they
-	// carry no state.
-	evictScratch []Evicted
-	survScratch  []dsbEntry
 }
 
 // NewDSB builds an empty DSB from p.
-func NewDSB(p Params) *DSB {
-	return &DSB{p: p, sets: make([]dsbEntry, p.DSBSets*p.DSBWays), used: make([]uint8, p.DSBSets)}
-}
+func NewDSB(p Params) DSB { return DSB{p: p} }
 
 // set returns the entries of set i: the slots in use.
 func (d *DSB) set(i int) []dsbEntry {
-	w := d.p.DSBWays
-	return d.sets[i*w : i*w+int(d.used[i])]
+	return d.sets[i*isa.DSBWays : i*isa.DSBWays+int(d.used[i])]
 }
 
 // place stores e in the first invalid entry of set i, or in its next
@@ -80,7 +69,7 @@ func (d *DSB) place(i int, e dsbEntry) {
 			return
 		}
 	}
-	d.sets[i*d.p.DSBWays+len(set)] = e
+	d.sets[i*isa.DSBWays+len(set)] = e
 	d.used[i]++
 }
 
@@ -98,10 +87,15 @@ func (d *DSB) ResetStats() { d.stats = DSBStats{} }
 // DSB, or the low half of the index placed in the thread's half when
 // partitioned (Section IV-B).
 func (d *DSB) SetIndex(thread int, window uint64) int {
-	if !d.partitioned {
-		return int(window) & (d.p.DSBSets - 1)
+	return setIndex(thread, window, d.partitioned)
+}
+
+// setIndex is SetIndex under the given partitioning mode.
+func setIndex(thread int, window uint64, partitioned bool) int {
+	if !partitioned {
+		return int(window) & (isa.DSBSets - 1)
 	}
-	half := d.p.DSBSets / 2
+	const half = isa.DSBSets / 2
 	return int(window)&(half-1) | thread*half
 }
 
@@ -135,29 +129,26 @@ func (d *DSB) Contains(thread int, window uint64) bool {
 // Fill inserts a decoded window of the given micro-op count, evicting
 // least-recently-used windows until its lines fit in the set. Windows
 // that exceed DSBLinesPerWindow lines are not cacheable and are dropped
-// (fill fails silently; the window keeps decoding through MITE). The
-// returned list names every window evicted to make room; it aliases a
-// scratch buffer that is only valid until the next Fill or
-// SetPartitioned call.
-func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
+// (fill fails silently; the window keeps decoding through MITE). It
+// appends every window evicted to make room, at most DSBWays of them,
+// to evicted and returns the extended slice.
+func (d *DSB) Fill(thread int, window uint64, uops int, evicted []Evicted) []Evicted {
 	lines := (uops + d.p.DSBLineUOps - 1) / d.p.DSBLineUOps
 	if lines == 0 {
 		lines = 1
 	}
 	if lines > d.p.DSBLinesPerWindow {
-		return nil // not cacheable: too many micro-ops per window
+		return evicted // not cacheable: too many micro-ops per window
 	}
 	if d.Contains(thread, window) {
-		return nil
+		return evicted
 	}
 	d.tick++
 	idx := d.SetIndex(thread, window)
 	set := d.set(idx)
-	evicted := d.evictScratch[:0]
-	for d.usedLines(set)+lines > d.p.DSBWays {
+	for d.usedLines(set)+lines > isa.DSBWays {
 		v := d.lruVictim(set)
 		if v < 0 {
-			d.evictScratch = evicted[:0]
 			return evicted // cannot make room (shouldn't happen)
 		}
 		evicted = append(evicted, Evicted{Thread: set[v].thread, Window: set[v].window})
@@ -168,7 +159,6 @@ func (d *DSB) Fill(thread int, window uint64, uops int) []Evicted {
 	d.place(idx, dsbEntry{window: window, thread: thread, lines: lines, uops: uops, lru: d.tick, valid: true})
 	d.lines += lines
 	d.stats.Fills++
-	d.evictScratch = evicted[:0]
 	return evicted
 }
 
@@ -207,42 +197,33 @@ func (d *DSB) lruVictim(set []dsbEntry) int {
 // whose set index differs under the new mode is invalidated — the paper's
 // "when the second thread becomes active, DSB becomes partitioned, which
 // forces DSB evictions of micro-ops of the first thread" (Section IV-B).
-// The invalidated windows are returned so the owning threads' LSDs can be
-// flushed.
-// The returned slice aliases the same scratch buffer as Fill's.
-func (d *DSB) SetPartitioned(on bool) []Evicted {
+// The survivors of each set keep their order at the front of its slots.
+// The invalidated windows are appended to evicted, so the owning
+// threads' LSDs can be flushed, and the extended slice is returned.
+func (d *DSB) SetPartitioned(on bool, evicted []Evicted) []Evicted {
 	if d.partitioned == on {
-		return nil
+		return evicted
 	}
-	surviving := d.survScratch[:0]
-	evicted := d.evictScratch[:0]
-	for si := 0; si < d.p.DSBSets; si++ {
+	for si := range isa.DSBSets {
 		set := d.set(si)
+		kept := 0
 		for _, e := range set {
-			if !e.valid {
-				continue
-			}
-			d.partitioned = on
-			newIdx := d.SetIndex(e.thread, e.window)
-			d.partitioned = !on
-			if newIdx == si {
-				surviving = append(surviving, e)
-			} else {
+			switch {
+			case !e.valid:
+			case setIndex(e.thread, e.window, on) == si:
+				set[kept] = e
+				kept++
+			default:
 				evicted = append(evicted, Evicted{Thread: e.thread, Window: e.window})
 				d.lines -= e.lines
 				d.stats.Evictions++
 			}
 		}
-		clear(set)
-		d.used[si] = 0
+		clear(set[kept:])
+		d.used[si] = uint8(kept)
 	}
 	d.partitioned = on
 	d.stats.Partitions++
-	for _, e := range surviving {
-		d.place(d.SetIndex(e.thread, e.window), e)
-	}
-	d.survScratch = surviving[:0]
-	d.evictScratch = evicted[:0]
 	return evicted
 }
 

@@ -7,7 +7,10 @@ import (
 	"repro/internal/rng"
 )
 
-func newDSB() *DSB { return NewDSB(DefaultParams()) }
+func newDSB() *DSB {
+	d := NewDSB(DefaultParams())
+	return &d
+}
 
 // windowForSet returns the window index of an aligned block in the given
 // DSB set and way.
@@ -19,7 +22,7 @@ func TestDSBFillLookup(t *testing.T) {
 	if d.Lookup(0, w) {
 		t.Error("cold lookup should miss")
 	}
-	d.Fill(0, w, 5)
+	d.Fill(0, w, 5, nil)
 	if !d.Lookup(0, w) {
 		t.Error("filled window should hit")
 	}
@@ -32,7 +35,7 @@ func TestDSBEightWaysFit(t *testing.T) {
 	// Figure 3: 8 one-line windows mapping to the same set co-reside.
 	d := newDSB()
 	for way := 0; way < 8; way++ {
-		if ev := d.Fill(0, windowForSet(9, way), 5); len(ev) != 0 {
+		if ev := d.Fill(0, windowForSet(9, way), 5, nil); len(ev) != 0 {
 			t.Fatalf("way %d fill evicted %v", way, ev)
 		}
 	}
@@ -48,9 +51,9 @@ func TestDSBNinthWayEvicts(t *testing.T) {
 	// forces a DSB eviction.
 	d := newDSB()
 	for way := 0; way < 8; way++ {
-		d.Fill(0, windowForSet(9, way), 5)
+		d.Fill(0, windowForSet(9, way), 5, nil)
 	}
-	ev := d.Fill(0, windowForSet(9, 8), 5)
+	ev := d.Fill(0, windowForSet(9, 8), 5, nil)
 	if len(ev) != 1 {
 		t.Fatalf("9th fill evicted %d windows, want 1", len(ev))
 	}
@@ -62,13 +65,13 @@ func TestDSBNinthWayEvicts(t *testing.T) {
 func TestDSBMultiLineWindow(t *testing.T) {
 	// A window with 13-18 micro-ops occupies 3 of the set's 8 lines.
 	d := newDSB()
-	d.Fill(0, windowForSet(1, 0), 16)
+	d.Fill(0, windowForSet(1, 0), 16, nil)
 	if got := d.OccupiedLines(0, windowForSet(1, 0)); got != 3 {
 		t.Errorf("occupied lines = %d, want 3", got)
 	}
 	// Three 3-line windows fill 9 > 8 lines: third fill evicts.
-	d.Fill(0, windowForSet(1, 1), 16)
-	ev := d.Fill(0, windowForSet(1, 2), 16)
+	d.Fill(0, windowForSet(1, 1), 16, nil)
+	ev := d.Fill(0, windowForSet(1, 2), 16, nil)
 	if len(ev) == 0 {
 		t.Error("third 3-line window should evict")
 	}
@@ -77,7 +80,7 @@ func TestDSBMultiLineWindow(t *testing.T) {
 func TestDSBUncacheableWindow(t *testing.T) {
 	// More than 18 micro-ops per window is not cacheable.
 	d := newDSB()
-	if ev := d.Fill(0, windowForSet(2, 0), 19); ev != nil {
+	if ev := d.Fill(0, windowForSet(2, 0), 19, nil); ev != nil {
 		t.Error("uncacheable fill should be dropped")
 	}
 	if d.Contains(0, windowForSet(2, 0)) {
@@ -88,7 +91,7 @@ func TestDSBUncacheableWindow(t *testing.T) {
 func TestDSBPerThreadEntries(t *testing.T) {
 	d := newDSB()
 	w := windowForSet(4, 0)
-	d.Fill(0, w, 5)
+	d.Fill(0, w, 5, nil)
 	if d.Contains(1, w) {
 		t.Error("thread 1 should not hit thread 0's window")
 	}
@@ -100,7 +103,7 @@ func TestDSBPartitionIndexing(t *testing.T) {
 	if got := d.SetIndex(0, w); got != 20 {
 		t.Errorf("unpartitioned index = %d, want 20", got)
 	}
-	d.SetPartitioned(true)
+	d.SetPartitioned(true, nil)
 	// Partitioned: thread 0 gets sets 0-15, thread 1 gets 16-31.
 	if got := d.SetIndex(0, w); got != 4 {
 		t.Errorf("thread 0 partitioned index = %d, want 4 (20 mod 16)", got)
@@ -116,9 +119,9 @@ func TestDSBPartitionEvictsRelocatedWindows(t *testing.T) {
 	d := newDSB()
 	wLow := windowForSet(5, 0)   // survives for thread 0
 	wHigh := windowForSet(21, 0) // relocated => invalidated
-	d.Fill(0, wLow, 5)
-	d.Fill(0, wHigh, 5)
-	ev := d.SetPartitioned(true)
+	d.Fill(0, wLow, 5, nil)
+	d.Fill(0, wHigh, 5, nil)
+	ev := d.SetPartitioned(true, nil)
 	if !d.Contains(0, wLow) {
 		t.Error("set-5 window should survive partitioning for thread 0")
 	}
@@ -138,10 +141,10 @@ func TestDSBPartitionEvictsRelocatedWindows(t *testing.T) {
 
 func TestDSBUnpartitionRestoresFullIndexing(t *testing.T) {
 	d := newDSB()
-	d.SetPartitioned(true)
+	d.SetPartitioned(true, nil)
 	wHigh := windowForSet(21, 0)
-	d.Fill(1, wHigh, 5) // thread 1, partitioned set 21
-	ev := d.SetPartitioned(false)
+	d.Fill(1, wHigh, 5, nil) // thread 1, partitioned set 21
+	ev := d.SetPartitioned(false, nil)
 	// Window 21 for thread 1: partitioned index 21, unpartitioned 21: survives.
 	if !d.Contains(1, wHigh) {
 		t.Errorf("thread 1 set-21 window should survive unpartitioning (evicted: %v)", ev)
@@ -153,8 +156,8 @@ func TestDSBUnpartitionRestoresFullIndexing(t *testing.T) {
 
 func TestDSBPartitionIdempotent(t *testing.T) {
 	d := newDSB()
-	d.Fill(0, windowForSet(5, 0), 5)
-	if ev := d.SetPartitioned(false); ev != nil {
+	d.Fill(0, windowForSet(5, 0), 5, nil)
+	if ev := d.SetPartitioned(false, nil); ev != nil {
 		t.Error("no-op partition change should evict nothing")
 	}
 	if d.Stats().Partitions != 0 {
@@ -166,11 +169,11 @@ func TestDSBPartitionedCapacityHalvesForSameIndexBlocks(t *testing.T) {
 	// Under partitioning a thread still has 8 ways per set but only half
 	// the sets: two address groups 16 sets apart now collide.
 	d := newDSB()
-	d.SetPartitioned(true)
+	d.SetPartitioned(true, nil)
 	// Sets 4 and 20 both index to thread-0 set 4 when partitioned.
 	for way := 0; way < 4; way++ {
-		d.Fill(0, windowForSet(4, way), 5)
-		d.Fill(0, windowForSet(20, way), 5)
+		d.Fill(0, windowForSet(4, way), 5, nil)
+		d.Fill(0, windowForSet(20, way), 5, nil)
 	}
 	if got := d.OccupiedLines(0, windowForSet(4, 0)); got != 8 {
 		t.Errorf("partitioned set occupancy = %d, want 8 (two groups collide)", got)
@@ -179,8 +182,8 @@ func TestDSBPartitionedCapacityHalvesForSameIndexBlocks(t *testing.T) {
 
 func TestDSBInvalidateThread(t *testing.T) {
 	d := newDSB()
-	d.Fill(0, windowForSet(1, 0), 5)
-	d.Fill(1, windowForSet(2, 0), 5)
+	d.Fill(0, windowForSet(1, 0), 5, nil)
+	d.Fill(1, windowForSet(2, 0), 5, nil)
 	d.InvalidateThread(0)
 	if d.Contains(0, windowForSet(1, 0)) {
 		t.Error("thread 0 window should be gone")
@@ -213,9 +216,9 @@ func TestDSBKeepsItsLineCount(t *testing.T) {
 			w := windowForSet(r.Intn(4)*9%isa.DSBSets, r.Intn(12))
 			switch k := r.Intn(20); {
 			case k < 14:
-				d.Fill(thread, w, 1+r.Intn(20)) // up to four lines; past three, uncacheable
+				d.Fill(thread, w, 1+r.Intn(20), nil) // up to four lines; past three, uncacheable
 			case k < 16:
-				d.SetPartitioned(r.Bool(0.5))
+				d.SetPartitioned(r.Bool(0.5), nil)
 			case k < 19:
 				addr := isa.AddrForSet(r.Intn(isa.DSBSets), r.Intn(12))
 				d.InvalidateWindowRange(thread, addr, uint64(1+r.Intn(4096)))

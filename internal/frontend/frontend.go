@@ -17,29 +17,29 @@ import (
 // the thread's current fetch address, charging the path-dependent stalls
 // (LCP predecode stalls, DSB<->MITE switch penalties, LSD replay bubbles,
 // mispredict redirects) that constitute the timing side channel.
+//
+// A Frontend is a value: it holds every part inline and each thread's
+// stream as a cursor over immutable instructions, so assigning one
+// frontend to another copies its whole state.
 type Frontend struct {
-	P   Params
-	DSB *DSB
-	L1I *cache.Cache
-	BPU [2]*branch.Predictor
-
-	lsd   [2]*LSD
-	align *AlignTracker
-	sw    *switchBuffer
-	thr   [2]fthread
-	idq   [2]backend.IDQ
-
-	// dsbRes are the per-thread DSB-residency probes handed to the LSDs,
-	// built once so the per-instruction advance path does not reconstruct
-	// a closure.
-	dsbRes [2]func(window uint64) bool
-
-	// Ctr holds per-thread event counters.
-	Ctr [2]ThreadCounters
-
+	// The fields that hold pointers come first: the collector scans a
+	// frontend only up to its last pointer, which skips the arrays.
+	thr [2]fthread
 	// log, while non-nil, records the float counter addends of a loop
 	// period being verified (see Snapshot).
 	log *LoopSnap
+
+	P Params
+	// Ctr holds per-thread event counters.
+	Ctr [2]ThreadCounters
+
+	DSB   DSB
+	L1I   cache.Cache
+	BPU   [2]branch.Predictor
+	lsd   [2]LSD
+	align AlignTracker
+	sw    switchBuffer
+	idq   [2]backend.IDQ
 }
 
 type fthread struct {
@@ -63,28 +63,21 @@ type fthread struct {
 	lastFetchLine uint64
 }
 
-// New builds a frontend. lsdEnabled controls whether the Loop Stream
-// Detector participates (Section X's microcode patches disable it).
-func New(p Params, l1i *cache.Cache, lsdEnabled bool) *Frontend {
-	f := &Frontend{
-		P:     p,
-		DSB:   NewDSB(p),
-		L1I:   l1i,
-		align: NewAlignTracker(p.LSDPoisonCap),
-		sw:    newSwitchBuffer(p.SwitchBufSize),
-	}
-	for t := 0; t < 2; t++ {
-		t := t
-		f.BPU[t] = branch.New()
-		f.lsd[t] = NewLSD(p, lsdEnabled, f.align)
+// New builds a frontend whose L1I starts as a copy of l1i. lsdEnabled
+// controls whether the Loop Stream Detector participates (Section X's
+// microcode patches disable it).
+func New(p Params, l1i *cache.Cache, lsdEnabled bool) Frontend {
+	f := Frontend{P: p, DSB: NewDSB(p), L1I: *l1i, align: NewAlignTracker(p.LSDPoisonCap)}
+	for t := range 2 {
+		f.BPU[t] = *branch.New()
+		f.lsd[t] = NewLSD(p, t, lsdEnabled)
 		f.idq[t] = backend.NewIDQ(p.IDQCapacity)
-		f.dsbRes[t] = func(w uint64) bool { return f.DSB.Contains(t, w) }
 	}
 	return f
 }
 
 // Align exposes the shared misalignment tracker (tests, experiments).
-func (f *Frontend) Align() *AlignTracker { return f.align }
+func (f *Frontend) Align() *AlignTracker { return &f.align }
 
 // DrainTransients models the pipeline serialization of a task or
 // context switch on thread t: fractional stall debt, the last delivery
@@ -119,7 +112,7 @@ func (f *Frontend) PopUOp(t int) (isa.Inst, bool) { return f.idq[t].Pop() }
 func (f *Frontend) IDQs() *[2]backend.IDQ { return &f.idq }
 
 // LSDFor exposes a thread's loop stream detector (tests, experiments).
-func (f *Frontend) LSDFor(t int) *LSD { return f.lsd[t] }
+func (f *Frontend) LSDFor(t int) *LSD { return &f.lsd[t] }
 
 // SetStream installs the dynamic instruction stream thread t executes
 // next. Any previous stream is discarded.
@@ -178,8 +171,8 @@ func (f *Frontend) SetPartitioned(on bool) {
 	if f.DSB.Partitioned() == on {
 		return
 	}
-	evicted := f.DSB.SetPartitioned(on)
-	for _, e := range evicted {
+	var buf [isa.DSBSets * isa.DSBWays]Evicted
+	for _, e := range f.DSB.SetPartitioned(on, buf[:0]) {
 		f.lsd[e.Thread].NotifyEviction(e.Window)
 	}
 	f.lsd[0].Flush()
@@ -252,7 +245,7 @@ func (f *Frontend) advance(t int) isa.Inst {
 	th.hasCur = false
 	th.prevLCP = in.HasLCP()
 	f.idq[t].Push(in)
-	f.lsd[t].Observe(in, f.dsbRes[t])
+	f.lsd[t].Observe(in, &f.align, &f.DSB)
 	if in.Kind == isa.Pause {
 		th.stall += f.P.PauseCycles
 	}
@@ -522,8 +515,8 @@ func (f *Frontend) finalizeFill(t int) {
 	if th.fillUOps == 0 {
 		return
 	}
-	evicted := f.DSB.Fill(t, th.fillWindow, th.fillUOps)
-	for _, e := range evicted {
+	var buf [isa.DSBWays]Evicted
+	for _, e := range f.DSB.Fill(t, th.fillWindow, th.fillUOps, buf[:0]) {
 		f.lsd[e.Thread].NotifyEviction(e.Window)
 	}
 }

@@ -10,8 +10,12 @@ import (
 // newFE builds a frontend with a warm, large L1I so instruction cache
 // effects don't perturb path-timing tests (the paper's attacks cause no
 // L1I misses; Section IV-F).
-func newFE(lsdEnabled bool) *Frontend {
-	return New(DefaultParams(), cache.New(cache.L1Config), lsdEnabled)
+func newFE(lsdEnabled bool) *Frontend { return newFEWith(DefaultParams(), lsdEnabled) }
+
+// newFEWith is newFE with parameters p.
+func newFEWith(p Params, lsdEnabled bool) *Frontend {
+	f := New(p, cache.New(cache.L1Config), lsdEnabled)
+	return &f
 }
 
 // run drives thread t's stream to completion with a 4-wide backend drain

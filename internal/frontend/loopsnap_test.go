@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/clonecheck"
 	"repro/internal/isa"
 )
@@ -102,9 +101,15 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 		"LSD locked signature": func(f *Frontend, _ *LoopSnap) {
 			f.lsd[0].lockedSig.uops++
 		},
-		"LSD windows": func(f *Frontend, _ *LoopSnap) { f.lsd[0].windows = append(f.lsd[0].windows, 1) },
+		"LSD windows": func(f *Frontend, _ *LoopSnap) { f.lsd[0].noteWindow(1) },
 		"LSD locked windows": func(f *Frontend, _ *LoopSnap) {
-			f.lsd[0].lockedWindows = append(f.lsd[0].lockedWindows, 1)
+			// One window more, or one fewer where the list is full.
+			if l := &f.lsd[0]; l.nlocked < len(l.lockedWindows) {
+				l.lockedWindows[l.nlocked] = 1
+				l.nlocked++
+			} else {
+				l.nlocked--
+			}
 		},
 		"LSD stability reset": func(f *Frontend, _ *LoopSnap) { f.lsd[0].stable = 0 },
 		"LSD stability grew below the threshold": func(f *Frontend, s *LoopSnap) {
@@ -129,7 +134,6 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 			s    *LoopSnap
 		}{{"locked", locked, sl}, {"tracking", tracking, st}} {
 			f, s := copyFE(c.f), *c.s
-			s.lsd.windows = append([]uint64(nil), s.lsd.windows...)
 			change(f, &s)
 			if f.LoopRecurs(&s) {
 				t.Errorf("%s loop, %s changed: still recurs", c.kind, name)
@@ -150,11 +154,12 @@ func iterations(f *Frontend, s *LoopSnap) int {
 	return now - then
 }
 
-// copyFE returns a deep copy of f with its own L1I.
+// copyFE returns a copy of f that logs no addends: a snapshot's log is
+// its own frontend's.
 func copyFE(f *Frontend) *Frontend {
-	c := New(f.P, cache.New(cache.L1Config), f.lsd[0].enabled)
-	c.CopyFrom(f)
-	return c
+	c := *f
+	c.log = nil
+	return &c
 }
 
 // TestAdvanceLoopMatchesDelivery advances recurring loops by whole
@@ -176,7 +181,7 @@ func TestAdvanceLoopMatchesDelivery(t *testing.T) {
 		{"lcp", lcp, dyadic},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f, s := recurringFrontend(t, New(tc.p, cache.New(cache.L1Config), true), tc.blocks)
+			f, s := recurringFrontend(t, newFEWith(tc.p, true), tc.blocks)
 			per := iterations(f, s)
 			want := copyFE(f)
 			deliverIterations(want, 5*per)

@@ -1,6 +1,10 @@
 package frontend
 
-import "repro/internal/isa"
+import (
+	"fmt"
+
+	"repro/internal/isa"
+)
 
 // LSD models the Loop Stream Detector (Section IV-A): when the same
 // micro-op loop streams repeatedly and fits the detector's limits, the
@@ -16,27 +20,41 @@ import "repro/internal/isa"
 //
 // The LSD is inclusive in the DSB: eviction of any body window flushes
 // the lock (Section IV-F), as does a DSB repartition or a loop exit.
+// Its window lists are held inline, so an LSD is a value.
 type LSD struct {
 	p       Params
+	thread  int // the hardware thread whose DSB windows a lock requires
 	enabled bool
-	align   *AlignTracker
 
-	// Candidate-loop tracking.
+	// Candidate-loop tracking: the distinct windows the current
+	// iteration touched are windows[:nwin]. An iteration touches at
+	// most two windows per instruction before its micro-ops outgrow
+	// the capacity and tracking resets.
 	head      uint64
 	tracking  bool
 	uops      int
-	windows   []uint64
+	windows   [2*maxLoopUOps + 2]uint64
+	nwin      int
 	crossings int
 	lastSig   loopSig
 	stable    int
 
+	// The locked loop's body windows are lockedWindows[:nlocked].
 	locked        bool
 	lockedSig     loopSig
-	lockedWindows []uint64
+	lockedWindows [maxLoopWindows]uint64
+	nlocked       int
 
 	locks   uint64
 	flushes uint64
 }
+
+// The largest loop body every model's detector takes: LSDCapacityUOps
+// micro-ops in at most LSDWindowSlots windows.
+const (
+	maxLoopUOps    = 64
+	maxLoopWindows = 8
+)
 
 // loopSig summarizes one observed loop iteration for stability comparison.
 type loopSig struct {
@@ -51,16 +69,17 @@ type loopSig struct {
 // in the LSD" (Section IV-G) and that a sender thread's misaligned
 // accesses redirect the *receiver* thread's delivery from LSD to DSB
 // (Section V-B) — so the tracker is modelled as a structure shared by both
-// hardware threads' detectors. Each window-crossing instruction poisons
-// it; each completed fully-aligned loop iteration ages one entry out; a
-// loop can only lock while the tracker is clean.
+// hardware threads' detectors: the frontend holds it and hands it to
+// each detector it feeds. Each window-crossing instruction poisons it;
+// each completed fully-aligned loop iteration ages one entry out; a loop
+// can only lock while the tracker is clean.
 type AlignTracker struct {
 	poison int
 	cap    int
 }
 
 // NewAlignTracker builds a tracker that saturates at cap stale entries.
-func NewAlignTracker(cap int) *AlignTracker { return &AlignTracker{cap: cap} }
+func NewAlignTracker(cap int) AlignTracker { return AlignTracker{cap: cap} }
 
 // Note records one misaligned (window-crossing) instruction.
 func (a *AlignTracker) Note() {
@@ -82,14 +101,16 @@ func (a *AlignTracker) Poisoned() bool { return a.poison > 0 }
 // Level returns the current entry count (tests, experiments).
 func (a *AlignTracker) Level() int { return a.poison }
 
-// NewLSD builds a detector. enabled=false models microcode with the LSD
-// fused off (Table I footnote b, Section X). The align tracker is shared
-// between the two hardware threads' detectors on a core.
-func NewLSD(p Params, enabled bool, align *AlignTracker) *LSD {
-	if align == nil {
-		align = NewAlignTracker(p.LSDPoisonCap)
+// NewLSD builds the detector of a hardware thread. enabled=false models
+// microcode with the LSD fused off (Table I footnote b, Section X). It
+// panics if p admits a loop body larger than the detector's window lists
+// hold.
+func NewLSD(p Params, thread int, enabled bool) LSD {
+	if p.LSDCapacityUOps > maxLoopUOps || p.LSDWindowSlots > maxLoopWindows {
+		panic(fmt.Sprintf("frontend: LSD of %d micro-ops in %d windows; at most %d in %d are modelled",
+			p.LSDCapacityUOps, p.LSDWindowSlots, maxLoopUOps, maxLoopWindows))
 	}
-	return &LSD{p: p, enabled: enabled && p.LSDCapacityUOps > 0, align: align}
+	return LSD{p: p, thread: thread, enabled: enabled && p.LSDCapacityUOps > 0}
 }
 
 // Enabled reports whether the detector is present and active.
@@ -108,18 +129,18 @@ func (l *LSD) Locks() uint64 { return l.locks }
 // an external event.
 func (l *LSD) Flushes() uint64 { return l.flushes }
 
-// Observe feeds one delivered instruction into loop detection. dsbResident
-// reports whether a window is currently held by this thread in the DSB;
-// the inclusive-hierarchy requirement means a loop can only lock while its
-// windows are all cached.
-func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
+// Observe feeds one delivered instruction into loop detection. align is
+// the frontend's shared misalignment tracker, and dsb the DSB: the
+// inclusive-hierarchy requirement means a loop can only lock while dsb
+// holds all its windows for this thread.
+func (l *LSD) Observe(in isa.Inst, align *AlignTracker, dsb *DSB) {
 	wAddr := isa.Window(in.Addr)
 	wEnd := isa.Window(in.Addr + uint64(in.Len) - 1)
 	crossing := wEnd != wAddr
 	if crossing {
 		// Misaligned instructions poison the shared alignment tracker
 		// regardless of which thread executes them (Section IV-G, V-B).
-		l.align.Note()
+		align.Note()
 	}
 	if !l.enabled || l.locked {
 		return
@@ -142,7 +163,7 @@ func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
 	switch {
 	case in.Taken && l.tracking && in.Target == l.head:
 		// Completed one full iteration of the candidate loop.
-		sig := loopSig{head: l.head, uops: l.uops, windows: len(l.windows), crossings: l.crossings}
+		sig := loopSig{head: l.head, uops: l.uops, windows: l.nwin, crossings: l.crossings}
 		if sig == l.lastSig {
 			l.stable++
 		} else {
@@ -151,16 +172,16 @@ func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
 		}
 		if sig.crossings == 0 {
 			// A fully-aligned qualified iteration ages the tracker.
-			l.align.Decay()
+			align.Decay()
 		}
-		if l.stable >= l.p.LSDLockIterations && l.qualifies(sig, dsbResident) {
+		if l.stable >= l.p.LSDLockIterations && l.qualifies(sig, align, dsb) {
 			l.locked = true
 			l.lockedSig = sig
-			l.lockedWindows = append(l.lockedWindows[:0], l.windows...)
+			l.nlocked = copy(l.lockedWindows[:], l.windows[:l.nwin])
 			l.locks++
 		}
 		l.uops, l.crossings = 0, 0
-		l.windows = l.windows[:0]
+		l.nwin = 0
 	case in.Taken && in.Target < in.Addr:
 		// Backward jump to a new head: start tracking a fresh candidate.
 		l.head = in.Target
@@ -168,7 +189,7 @@ func (l *LSD) Observe(in isa.Inst, dsbResident func(window uint64) bool) {
 		l.stable = 0
 		l.lastSig = loopSig{}
 		l.uops, l.crossings = 0, 0
-		l.windows = l.windows[:0]
+		l.nwin = 0
 	}
 }
 
@@ -187,8 +208,8 @@ func (l *LSD) ObserveRun(w uint64, uops int) {
 	}
 }
 
-func (l *LSD) qualifies(sig loopSig, dsbResident func(window uint64) bool) bool {
-	if l.align.Poisoned() {
+func (l *LSD) qualifies(sig loopSig, align *AlignTracker, dsb *DSB) bool {
+	if align.Poisoned() {
 		return false
 	}
 	if sig.uops > l.p.LSDCapacityUOps {
@@ -200,8 +221,8 @@ func (l *LSD) qualifies(sig loopSig, dsbResident func(window uint64) bool) bool 
 	if sig.crossings > l.p.LSDMaxCrossings {
 		return false
 	}
-	for _, w := range l.windows {
-		if !dsbResident(w) {
+	for _, w := range l.windows[:l.nwin] {
+		if !dsb.Contains(l.thread, w) {
 			return false
 		}
 	}
@@ -209,19 +230,20 @@ func (l *LSD) qualifies(sig loopSig, dsbResident func(window uint64) bool) bool 
 }
 
 func (l *LSD) noteWindow(w uint64) {
-	for _, x := range l.windows {
+	for _, x := range l.windows[:l.nwin] {
 		if x == w {
 			return
 		}
 	}
-	l.windows = append(l.windows, w)
+	l.windows[l.nwin] = w
+	l.nwin++
 }
 
 func (l *LSD) resetTracking() {
 	l.tracking = false
 	l.stable = 0
 	l.uops, l.crossings = 0, 0
-	l.windows = l.windows[:0]
+	l.nwin = 0
 	l.lastSig = loopSig{}
 }
 
@@ -229,7 +251,7 @@ func (l *LSD) resetTracking() {
 // delivery engine uses it to distinguish the loop's internal jumps from a
 // genuine departure from the loop.
 func (l *LSD) InBody(window uint64) bool {
-	for _, w := range l.lockedWindows {
+	for _, w := range l.lockedWindows[:l.nlocked] {
 		if w == window {
 			return true
 		}
@@ -262,7 +284,7 @@ func (l *LSD) NotifyEviction(window uint64) {
 		}
 		return
 	}
-	for _, w := range l.windows {
+	for _, w := range l.windows[:l.nwin] {
 		if w == window {
 			l.resetTracking()
 			return

@@ -9,22 +9,41 @@ import (
 	"repro/internal/rng"
 )
 
+// newLSD builds thread 0's detector from the default parameters.
+func newLSD(enabled bool) *LSD {
+	l := NewLSD(DefaultParams(), 0, enabled)
+	return &l
+}
+
 // observeLoop feeds the LSD `iters` passes over the chained blocks, as if
 // delivered by the frontend, with every window DSB-resident.
 func observeLoop(l *LSD, blocks []*isa.Block, iters int) {
+	d := newDSB()
+	for _, b := range blocks {
+		for _, in := range b.Insts {
+			d.Fill(l.thread, isa.Window(in.Addr), 1, nil)
+			d.Fill(l.thread, isa.Window(in.End()-1), 1, nil)
+		}
+	}
+	feedLoop(l, d, blocks, iters)
+}
+
+// feedLoop feeds the LSD `iters` passes over the chained blocks with the
+// DSB d and a clean alignment tracker.
+func feedLoop(l *LSD, d *DSB, blocks []*isa.Block, iters int) {
+	align := NewAlignTracker(l.p.LSDPoisonCap)
 	s := isa.NewLoopStream(blocks, iters)
 	for {
 		in, ok := s.Next()
 		if !ok {
 			return
 		}
-		l.Observe(in, func(uint64) bool { return true })
+		l.Observe(in, &align, d)
 	}
 }
 
 func TestLSDLockAfterStableIterations(t *testing.T) {
-	p := DefaultParams()
-	l := NewLSD(p, true, nil)
+	l := newLSD(true)
 	blocks := isa.MixChain(2, 4, true)
 	observeLoop(l, blocks, 4)
 	if !l.Locked() {
@@ -36,8 +55,7 @@ func TestLSDLockAfterStableIterations(t *testing.T) {
 }
 
 func TestLSDCapacityLimit(t *testing.T) {
-	p := DefaultParams()
-	l := NewLSD(p, true, nil)
+	l := newLSD(true)
 	// 14 blocks x 5 uops = 70 > 64: never locks (multi-set chain so the
 	// window-slot rule isn't what rejects it).
 	blocks := make([]*isa.Block, 14)
@@ -52,8 +70,7 @@ func TestLSDCapacityLimit(t *testing.T) {
 }
 
 func TestLSDDisabled(t *testing.T) {
-	p := DefaultParams()
-	l := NewLSD(p, false, nil)
+	l := newLSD(false)
 	observeLoop(l, isa.MixChain(2, 4, true), 6)
 	if l.Locked() {
 		t.Error("disabled LSD locked")
@@ -61,7 +78,7 @@ func TestLSDDisabled(t *testing.T) {
 }
 
 func TestLSDInBodyWindows(t *testing.T) {
-	l := NewLSD(DefaultParams(), true, nil)
+	l := newLSD(true)
 	blocks := isa.MixChain(2, 4, true)
 	observeLoop(l, blocks, 4)
 	if !l.Locked() {
@@ -78,7 +95,7 @@ func TestLSDInBodyWindows(t *testing.T) {
 }
 
 func TestLSDNotifyEvictionFlushesBodyWindow(t *testing.T) {
-	l := NewLSD(DefaultParams(), true, nil)
+	l := newLSD(true)
 	blocks := isa.MixChain(2, 4, true)
 	observeLoop(l, blocks, 4)
 	l.NotifyEviction(isa.Window(blocks[1].Start()))
@@ -91,7 +108,7 @@ func TestLSDNotifyEvictionFlushesBodyWindow(t *testing.T) {
 }
 
 func TestLSDNotifyEvictionIgnoresForeignWindow(t *testing.T) {
-	l := NewLSD(DefaultParams(), true, nil)
+	l := newLSD(true)
 	observeLoop(l, isa.MixChain(2, 4, true), 4)
 	l.NotifyEviction(isa.Window(isa.AddrForSet(30, 3)))
 	if !l.Locked() {
@@ -100,7 +117,7 @@ func TestLSDNotifyEvictionIgnoresForeignWindow(t *testing.T) {
 }
 
 func TestLSDLoopExit(t *testing.T) {
-	l := NewLSD(DefaultParams(), true, nil)
+	l := newLSD(true)
 	observeLoop(l, isa.MixChain(2, 4, true), 4)
 	l.LoopExit()
 	if l.Locked() {
@@ -111,15 +128,8 @@ func TestLSDLoopExit(t *testing.T) {
 func TestLSDResidencyRequired(t *testing.T) {
 	// A loop whose windows are not all DSB-resident cannot lock: the LSD
 	// is inclusive in the DSB.
-	l := NewLSD(DefaultParams(), true, nil)
-	s := isa.NewLoopStream(isa.MixChain(2, 4, true), 6)
-	for {
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
-		l.Observe(in, func(uint64) bool { return false })
-	}
+	l := newLSD(true)
+	feedLoop(l, newDSB(), isa.MixChain(2, 4, true), 6)
 	if l.Locked() {
 		t.Error("locked without DSB residency")
 	}
@@ -146,7 +156,7 @@ func TestAlignTrackerSaturationAndDecay(t *testing.T) {
 }
 
 func TestSwitchBufferLearning(t *testing.T) {
-	b := newSwitchBuffer(8)
+	var b switchBuffer
 	addr := uint64(0x2000)
 	if b.cost(addr) {
 		t.Error("first occurrence should be unlearned")
@@ -164,9 +174,9 @@ func TestSwitchBufferLearning(t *testing.T) {
 }
 
 func TestSwitchBufferConflictsDefeatLearning(t *testing.T) {
-	b := newSwitchBuffer(4)
+	var b switchBuffer
 	// More distinct transition points than entries, hitting the same slot.
-	addrs := []uint64{0x1000, 0x1008, 0x1010, 0x1018, 0x1020, 0x1028, 0x1030, 0x1038, 0x1040}
+	addrs := []uint64{0x1000, 0x1010, 0x1020, 0x1030, 0x1040, 0x1050, 0x1060, 0x1070, 0x1080}
 	learned := 0
 	for round := 0; round < 10; round++ {
 		for _, a := range addrs {
@@ -204,11 +214,18 @@ func plainRun(r *rng.RNG, w uint64) []isa.Inst {
 func TestObserveRunMatchesObserve(t *testing.T) {
 	p := DefaultParams()
 	r := rng.New(7)
-	resident := func(uint64) bool { return true }
+	dsb := newDSB()
 	states := map[string]int{}
+	// detector is an LSD with the tracker the frontend hands it.
+	type detector struct {
+		LSD   LSD
+		Align AlignTracker
+	}
 	for i := range 5000 {
 		w := 100 + uint64(r.Intn(16))
-		a := NewLSD(p, r.Intn(6) != 0, nil)
+		var x detector
+		x.LSD, x.Align = NewLSD(p, 0, r.Intn(6) != 0), NewAlignTracker(p.LSDPoisonCap)
+		a := &x.LSD
 		a.locked = r.Intn(5) == 0
 		a.tracking = r.Intn(4) != 0
 		a.head = w * isa.WindowBytes
@@ -221,10 +238,8 @@ func TestObserveRunMatchesObserve(t *testing.T) {
 		}
 		a.crossings, a.stable = r.Intn(3), r.Intn(3)
 		a.lastSig = loopSig{head: a.head, uops: r.Intn(64), windows: r.Intn(8)}
-		a.align.poison = r.Intn(p.LSDPoisonCap + 1)
-		b := NewLSD(p, a.enabled, nil)
-		b.copyFrom(a)
-		*b.align = *a.align
+		x.Align.poison = r.Intn(p.LSDPoisonCap + 1)
+		y := x
 
 		run := plainRun(r, w)
 		uops := 0
@@ -244,10 +259,10 @@ func TestObserveRunMatchesObserve(t *testing.T) {
 			states["tracking"]++
 		}
 		for _, in := range run {
-			a.Observe(in, resident)
+			a.Observe(in, &x.Align, dsb)
 		}
-		b.ObserveRun(w, uops)
-		if diff := clonecheck.Diff(a, b); len(diff) != 0 {
+		y.LSD.ObserveRun(w, uops)
+		if diff := clonecheck.Diff(x, y); len(diff) != 0 {
 			t.Fatalf("case %d, run of %d micro-ops in window %d:\n%s", i, uops, w, strings.Join(diff, "\n"))
 		}
 	}

@@ -42,12 +42,13 @@ func (s Source) String() string {
 // Params holds the frontend geometry and latency constants. The defaults
 // encode the structure sizes the paper documents for Skylake-family parts
 // (Section IV, Table I); the float-valued latencies are the calibration
-// surface used to match the paper's measured separations.
+// surface used to match the paper's measured separations. The sizes of
+// the arrays the parts hold are fixed: the DSB's 32 sets of 8 ways
+// (isa.DSBSets, isa.DSBWays), the L1I's shape (cache.L1Config), the
+// switch buffer's 8 entries and the IDQ's ring.
 type Params struct {
-	// DSB geometry (Section IV-B): 32 sets, 8 ways, 6 micro-ops or one
-	// 32-byte window per line, at most 3 lines per window.
-	DSBSets           int
-	DSBWays           int
+	// DSB lines (Section IV-B): 6 micro-ops or one 32-byte window per
+	// line, at most 3 lines per window.
 	DSBLineUOps       int
 	DSBLinesPerWindow int
 
@@ -89,7 +90,6 @@ type Params struct {
 	SwitchPenalty       float64
 	SwitchResidual      float64
 	SwitchOverlapCharge float64
-	SwitchBufSize       int
 
 	// LCP predecode stalls (Section IV-H). A run of consecutive LCP
 	// instructions serializes the predecoder and its stall lands fully on
@@ -120,8 +120,6 @@ type Params struct {
 // CPU model in Table I.
 func DefaultParams() Params {
 	return Params{
-		DSBSets:             32,
-		DSBWays:             8,
 		DSBLineUOps:         6,
 		DSBLinesPerWindow:   3,
 		LSDCapacityUOps:     64,
@@ -137,7 +135,6 @@ func DefaultParams() Params {
 		SwitchPenalty:       2.0,
 		SwitchResidual:      0.25,
 		SwitchOverlapCharge: 0.15,
-		SwitchBufSize:       8,
 		LCPStallIsolated:    2.56,
 		LCPStallChained:     3.0,
 		LCPOverlapCharge:    0.12,

@@ -11,7 +11,7 @@ import (
 // set ever exceeds its 8 ways of line capacity.
 func TestDSBOccupancyInvariant(t *testing.T) {
 	f := func(ops []uint16) bool {
-		d := NewDSB(DefaultParams())
+		d := newDSB()
 		for _, op := range ops {
 			tid := int(op>>15) & 1
 			set := int(op>>10) & 31
@@ -19,9 +19,9 @@ func TestDSBOccupancyInvariant(t *testing.T) {
 			uops := int(op&15) + 1
 			switch op % 7 {
 			case 6:
-				d.SetPartitioned(!d.Partitioned())
+				d.SetPartitioned(!d.Partitioned(), nil)
 			default:
-				d.Fill(tid, windowForSet(set, way), uops)
+				d.Fill(tid, windowForSet(set, way), uops, nil)
 			}
 			// Invariant: every set's line occupancy within capacity.
 			for s := 0; s < 32; s++ {
@@ -41,11 +41,11 @@ func TestDSBOccupancyInvariant(t *testing.T) {
 // immediately after its fill (no self-eviction).
 func TestDSBLookupAfterFill(t *testing.T) {
 	f := func(set, way, uops uint8) bool {
-		d := NewDSB(DefaultParams())
+		d := newDSB()
 		s := int(set) % 32
 		w := int(way) % 16
 		u := int(uops)%18 + 1
-		d.Fill(0, windowForSet(s, w), u)
+		d.Fill(0, windowForSet(s, w), u, nil)
 		return d.Contains(0, windowForSet(s, w))
 	}
 	if err := quick.Check(f, nil); err != nil {

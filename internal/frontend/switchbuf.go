@@ -6,13 +6,20 @@ package frontend
 // switch penalty amortizes away. An alternating layout ("mixed issue")
 // generates more transition points than the buffer holds, so every switch
 // pays the full penalty — the mechanism behind Figure 4's switch-penalty
-// asymmetry and the slow-switch covert channel (Section V-E).
+// asymmetry and the slow-switch covert channel (Section V-E). The buffer
+// holds its entries inline, and the zero buffer is empty.
 type switchBuffer struct {
-	addrs   []uint64
-	counts  []uint8
-	learned uint8 // occurrences before a transition point is free
-	stats   SwitchStats
+	addrs  [switchEntries]uint64
+	counts [switchEntries]uint8
+	stats  SwitchStats
 }
+
+const (
+	// switchEntries is the buffer's size in transition points.
+	switchEntries = 8
+	// switchLearned is how many occurrences make a transition point free.
+	switchLearned = 2
+)
 
 // SwitchStats counts switch-buffer events since construction or reset.
 // The leakage fuzzer folds these into its coverage features, and the
@@ -24,27 +31,14 @@ type SwitchStats struct {
 	Inserts   uint64 // new transition point recorded (cold or conflict)
 }
 
-// newSwitchBuffer builds a buffer of the given capacity. A size of zero
-// (or negative) models hardware without transition-point memoization:
-// the buffer learns nothing and every switch pays the full penalty.
-func newSwitchBuffer(size int) *switchBuffer {
-	if size <= 0 {
-		return &switchBuffer{learned: 2}
-	}
-	return &switchBuffer{addrs: make([]uint64, size), counts: make([]uint8, size), learned: 2}
-}
-
 // cost reports whether the transition at addr is learned (the caller
 // charges only the residual penalty) and records the occurrence.
 // Direct-mapped by address; a conflicting address evicts the previous
 // entry, which is what defeats learning for dense transition patterns.
 func (b *switchBuffer) cost(addr uint64) bool {
-	if len(b.addrs) == 0 {
-		return false // disabled: nothing learns, full penalty always
-	}
-	i := int(addr>>1) % len(b.addrs)
+	i := int(addr>>1) % switchEntries
 	if b.addrs[i] == addr {
-		if b.counts[i] >= b.learned {
+		if b.counts[i] >= switchLearned {
 			b.stats.Hits++
 			return true // learned: caller charges only the residual
 		}
@@ -62,10 +56,4 @@ func (b *switchBuffer) cost(addr uint64) bool {
 }
 
 // reset forgets all transition points and clears the statistics.
-func (b *switchBuffer) reset() {
-	for i := range b.addrs {
-		b.addrs[i] = 0
-		b.counts[i] = 0
-	}
-	b.stats = SwitchStats{}
-}
+func (b *switchBuffer) reset() { *b = switchBuffer{} }

@@ -2,33 +2,13 @@ package frontend
 
 import "testing"
 
-// Capacity-boundary semantics: the leakage fuzzer uses switch-buffer
-// hit/conflict/insert events as coverage features, so the edge sizes are
-// pinned here before anything leans on them.
-
-func TestSwitchBufferSizeZeroIsDisabled(t *testing.T) {
-	for _, size := range []int{0, -3} {
-		b := newSwitchBuffer(size)
-		addr := uint64(0x2000)
-		for i := 0; i < 10; i++ {
-			if b.cost(addr) {
-				t.Fatalf("size %d: disabled buffer learned a transition point", size)
-			}
-		}
-		if b.stats != (SwitchStats{}) {
-			t.Fatalf("size %d: disabled buffer recorded events: %+v", size, b.stats)
-		}
-		b.reset() // must not panic on the empty buffer
-		c := newSwitchBuffer(8)
-		c.copyFrom(b)
-		if c.cost(addr) {
-			t.Fatalf("size %d: copied disabled buffer learned", size)
-		}
-	}
-}
+// Entry-boundary semantics: the leakage fuzzer uses switch-buffer
+// hit/conflict/insert events as coverage features, so the behaviour of
+// one entry under one and under two transition points is pinned here
+// before anything leans on it. 0x2000 and 0x3000 share an entry.
 
 func TestSwitchBufferSizeOne(t *testing.T) {
-	b := newSwitchBuffer(1)
+	var b switchBuffer
 	a1, a2 := uint64(0x2000), uint64(0x3000)
 
 	// A single stable transition point learns through the lone entry.
@@ -42,8 +22,8 @@ func TestSwitchBufferSizeOne(t *testing.T) {
 		t.Fatalf("stats after learning: %+v, want %+v", b.stats, want)
 	}
 
-	// Any second address maps to the same entry: alternation evicts on
-	// every occurrence, so nothing ever learns again.
+	// A second address on the same entry: alternation evicts on every
+	// occurrence, so nothing ever learns again.
 	for i := 0; i < 6; i++ {
 		if b.cost(a2) || b.cost(a1) {
 			t.Fatal("alternating transition points learned through a size-1 buffer")
@@ -55,7 +35,7 @@ func TestSwitchBufferSizeOne(t *testing.T) {
 }
 
 func TestSwitchBufferConflictEvictRelearn(t *testing.T) {
-	b := newSwitchBuffer(1)
+	var b switchBuffer
 	a1, a2 := uint64(0x2000), uint64(0x3000)
 
 	// Learn a1, evict it with a2, then relearn a1 from scratch: the
@@ -82,12 +62,11 @@ func TestSwitchBufferConflictEvictRelearn(t *testing.T) {
 }
 
 func TestSwitchBufferStatsSurviveCloneAndReset(t *testing.T) {
-	b := newSwitchBuffer(4)
+	var b switchBuffer
 	b.cost(0x1000)
 	b.cost(0x1000)
 	b.cost(0x1000)
-	c := newSwitchBuffer(2)
-	c.copyFrom(b)
+	c := b
 	if c.stats != b.stats {
 		t.Fatalf("copied stats %+v != original %+v", c.stats, b.stats)
 	}

@@ -327,7 +327,7 @@ func (l *Lab) leakL1IFlushReload(v int) int {
 	// icache invalidations drop the micro-op cache entries too).
 	for i := 0; i < chunkBits; i++ {
 		addr := l1iProbe + uint64(i)*64
-		l.core.L1I.FlushLine(addr)
+		l.core.FE.L1I.FlushLine(addr)
 		l.core.FE.DSB.InvalidateWindowRange(0, addr, 64)
 	}
 	l.train()
@@ -337,7 +337,7 @@ func (l *Lab) leakL1IFlushReload(v int) int {
 	recovered := 0
 	for i := 0; i < chunkBits; i++ {
 		addr := l1iProbe + uint64(i)*64
-		if l.core.L1I.Probe(addr) {
+		if l.core.FE.L1I.Probe(addr) {
 			recovered = i
 		}
 	}
@@ -354,7 +354,7 @@ func (l *Lab) leakL1IPrimeProbe(v int) int {
 	// victim's probe lines, different tags).
 	for i := 0; i < chunkBits; i++ {
 		for w := 0; w < 8; w++ {
-			l.core.L1I.Access(l1iProbe + uint64(i)*64 + uint64(w)*4096 + 0x100000)
+			l.core.FE.L1I.Access(l1iProbe + uint64(i)*64 + uint64(w)*4096 + 0x100000)
 		}
 	}
 	l.train()
@@ -365,7 +365,7 @@ func (l *Lab) leakL1IPrimeProbe(v int) int {
 	for i := 0; i < chunkBits; i++ {
 		resident := 0
 		for w := 0; w < 8; w++ {
-			if l.core.L1I.Probe(l1iProbe + uint64(i)*64 + uint64(w)*4096 + 0x100000) {
+			if l.core.FE.L1I.Probe(l1iProbe + uint64(i)*64 + uint64(w)*4096 + 0x100000) {
 				resident++
 			}
 		}
@@ -444,7 +444,7 @@ func (l *Lab) Leak(secret []byte) Result {
 // LeakCtx is byte-identical to Leak.
 func (l *Lab) LeakCtx(rc runctx.Ctx, secret []byte) (Result, error) {
 	stage := "spectre " + l.cfg.Chan.String()
-	l.core.L1I.ResetStats()
+	l.core.FE.L1I.ResetStats()
 	l.core.L1D.ResetStats()
 	l.core.FE.DSB.ResetStats()
 	correct := 0
@@ -463,10 +463,10 @@ func (l *Lab) LeakCtx(rc runctx.Ctx, secret []byte) (Result, error) {
 	// The instruction-side miss rate uses all instruction delivery
 	// events as denominator (micro-op cache hits bypass the L1I, but a
 	// perf-counter measurement of fetch activity sees them).
-	ifetch := float64(l.core.L1I.Stats().Accesses() + l.core.FE.DSB.Stats().Hits)
+	ifetch := float64(l.core.FE.L1I.Stats().Accesses() + l.core.FE.DSB.Stats().Hits)
 	l1iMiss := 0.0
 	if ifetch > 0 {
-		l1iMiss = float64(l.core.L1I.Stats().Misses) / ifetch
+		l1iMiss = float64(l.core.FE.L1I.Stats().Misses) / ifetch
 	}
 	res := Result{
 		Channel:   l.cfg.Chan,

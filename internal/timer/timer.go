@@ -15,8 +15,10 @@ package timer
 import "repro/internal/rng"
 
 // TSC is a timestamp counter read through a noisy measurement process.
+// It holds its noise generator inline, so a copy of a TSC measures on
+// independently, drawing the same noise the original would.
 type TSC struct {
-	r *rng.RNG
+	r rng.RNG
 	// SigmaAbs is absolute jitter in cycles per measurement (interrupt
 	// skew, rdtscp serialization variance).
 	SigmaAbs float64
@@ -29,9 +31,9 @@ type TSC struct {
 	SpikeCycles float64
 }
 
-// NewTSC builds a noisy timestamp counter driven by r.
-func NewTSC(r *rng.RNG, sigmaAbs, sigmaRel float64) *TSC {
-	return &TSC{r: r, SigmaAbs: sigmaAbs, SigmaRel: sigmaRel, SpikeProb: 0.002, SpikeCycles: 900}
+// NewTSC builds a noisy timestamp counter driven by a copy of r.
+func NewTSC(r *rng.RNG, sigmaAbs, sigmaRel float64) TSC {
+	return TSC{r: *r, SigmaAbs: sigmaAbs, SigmaRel: sigmaRel, SpikeProb: 0.002, SpikeCycles: 900}
 }
 
 // Measure converts a true cycle duration into what rdtscp differencing
