@@ -54,8 +54,6 @@ const (
 	// channels' benchmark setting (half the paper's 240,000; see
 	// PowerConfig.Iters).
 	DefaultPowerIters = 120_000
-	// DSBWays is N, the DSB associativity.
-	DSBWays = 8
 
 	// evictionSet is a DSB set in the upper half of the index space:
 	// a thread-0 receiver loses it on SMT repartitioning, which is what

@@ -97,7 +97,7 @@ func NewMT(cfg MTConfig) *MT {
 	// changes.
 	set := evictionSet
 	aligned := true
-	count := DSBWays + 1 - cfg.D
+	count := isa.DSBWays + 1 - cfg.D
 	if cfg.Kind == Misalignment {
 		set = misalignSet
 		aligned = false
@@ -173,7 +173,7 @@ func (a *MT) SenderBlocks() []*isa.Block { return a.sender }
 func SGXSenderChain(cfg MTConfig, padNops int) []*isa.Block {
 	set := evictionSet
 	aligned := true
-	count := DSBWays + 1 - cfg.D
+	count := isa.DSBWays + 1 - cfg.D
 	if cfg.Kind == Misalignment {
 		set = misalignSet
 		aligned = false

@@ -65,7 +65,7 @@ type NonMT struct {
 
 // NewNonMT builds the channel and its block layout.
 func NewNonMT(cfg NonMTConfig) *NonMT {
-	if cfg.D <= 0 || cfg.D > DSBWays {
+	if cfg.D <= 0 || cfg.D > isa.DSBWays {
 		panic(fmt.Sprintf("attack: d=%d out of range", cfg.D))
 	}
 	a := &NonMT{cfg: cfg, core: cpu.NewCore(cfg.Model, cfg.Seed)}
@@ -75,7 +75,7 @@ func NewNonMT(cfg NonMTConfig) *NonMT {
 	case Eviction:
 		// Encode-1: N+1-d extra blocks in the same set force the
 		// eviction (Section IV-F).
-		extra := DSBWays + 1 - cfg.D
+		extra := isa.DSBWays + 1 - cfg.D
 		a.one = chain(receiverBlocks(cfg.Set, cfg.D), senderBlocks(cfg.Set, cfg.D, extra, true))
 		if cfg.Stealthy {
 			// Encode-0: same work, different set y (Section V-C).

@@ -60,7 +60,7 @@ func NewPower(cfg PowerConfig) *Power {
 	p.r = rng.New(cfg.Seed).Fork(7)
 	switch cfg.Kind {
 	case Eviction:
-		extra := DSBWays + 1 - cfg.D
+		extra := isa.DSBWays + 1 - cfg.D
 		p.one = chain(receiverBlocks(cfg.Set, cfg.D), senderBlocks(cfg.Set, cfg.D, extra, true))
 		p.zero = chain(receiverBlocks(cfg.Set, cfg.D), senderBlocks(altSet, cfg.D, extra, true))
 	case Misalignment:

@@ -1,11 +1,11 @@
 // Package clonecheck detects mutable state shared between an object and
-// its supposed deep clone. The simulator's hand-written clone.go files
-// (calibration memoization, contract snapshots) silently go stale when a
-// struct grows a pointer, slice, or map field; walking both object
-// graphs with reflection and flagging any aliased mutable memory turns
-// that silent corruption into a failing test. Size walks one graph the
-// same way to measure what a clone costs; the leakage-contract
-// executor's snapshots report it to the fuzzer's bounded snapshot store.
+// its supposed deep clone, and describes where two object graphs hold
+// different state. A core is copied by assignment, but the attack
+// channels' CloneChannel methods are still written by hand and silently
+// go stale when a struct grows a pointer, slice, or map field; walking
+// both object graphs with reflection and flagging any aliased mutable
+// memory turns that silent corruption into a failing test. Diff prints
+// the differences the simulator's equivalence oracles report.
 package clonecheck
 
 import (

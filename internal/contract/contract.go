@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"unsafe"
 
-	"repro/internal/clonecheck"
 	"repro/internal/cpu"
 	"repro/internal/frontend"
 	"repro/internal/isa"
@@ -273,8 +272,8 @@ func NewExecutorWith(m cpu.Model, seed uint64, p Params) *Executor {
 	return &Executor{core: cpu.NewCore(m, seed), p: p, seed: seed}
 }
 
-// Snapshot is an executor's state frozen at a cycle boundary: a deep
-// copy of its core, with the open window's baselines and the windows its
+// Snapshot is an executor's state frozen at a cycle boundary: a copy of
+// its core, with the open window's baselines and the windows its
 // phase has closed. A snapshot taken mid-phase keeps the frontend's
 // position in the phase's program but not the program itself, which
 // Restore supplies. Snapshots are immutable: Restore copies out of one,
@@ -286,8 +285,8 @@ type Snapshot struct {
 	bytes int
 }
 
-// Bytes returns the memory the snapshot holds: its core and its trace's
-// backing array.
+// Bytes returns the memory the snapshot holds: its core with its tasks
+// (cpu.Core.Bytes) and its trace's backing array.
 func (s *Snapshot) Bytes() int { return s.bytes }
 
 // Snapshot freezes the executor's state. Take it between phases, or
@@ -302,7 +301,7 @@ func (e *Executor) Snapshot() *Snapshot {
 		core:  c,
 		win:   e.win,
 		tr:    e.tr[:len(e.tr):len(e.tr)],
-		bytes: clonecheck.Size(c) + cap(e.tr)*int(unsafe.Sizeof(Observation{})),
+		bytes: c.Bytes() + cap(e.tr)*int(unsafe.Sizeof(Observation{})),
 	}
 }
 
@@ -333,7 +332,7 @@ func (e *Executor) Reset() {
 // Core exposes the underlying core (tests, coverage features).
 func (e *Executor) Core() *cpu.Core { return e.core }
 
-// Clone deep-copies the executor, including a program in flight. The
+// Clone copies the executor, including a program in flight. The
 // clone's subsequent observations are byte-identical to the original's.
 func (e *Executor) Clone() *Executor {
 	c := *e

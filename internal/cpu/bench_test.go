@@ -39,6 +39,18 @@ func BenchmarkCoreStep(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreClone times one Clone of dirtyCore's Gold 6226 core: a
+// core mid-run with every kind of state the simulator keeps and a queue
+// of tasks.
+func BenchmarkCoreClone(b *testing.B) {
+	c := dirtyCore(b, Gold6226())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.Clone()
+	}
+}
+
 // BenchmarkCoreRunTimed times one full timed attack step (protocol
 // overhead, stream execution, noisy measurement) at the non-MT channel's
 // default p=10 scale.

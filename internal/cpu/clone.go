@@ -1,34 +1,31 @@
 package cpu
 
-// CopyFrom overwrites c with a deep copy of src, reusing c's own
-// structures: afterwards stepping c produces exactly the cycle counts,
-// counter values, and RNG draws src would produce from this point, and
-// c shares no mutable state with src. src may be of another model; c
-// takes its model along with its state. Copying an idle core of the
-// same model allocates nothing, which is how the leakage-contract
-// executor restores a pristine core before every secret arm. In-flight and queued tasks are
-// snapshotted too, as long as they carry no callbacks — a closure cannot
-// be deep-copied, so CopyFrom panics on a task with OnStart/OnDone or a
-// measurement callback still pending, leaving c partly copied.
+import "unsafe"
+
+// CopyFrom overwrites c with a copy of src: afterwards stepping c
+// produces exactly the cycle counts, counter values, and RNG draws src
+// would produce from this point, and c shares no mutable state with src.
+// src may be of another model; c takes its model along with its state.
+//
+// A core is a value — its parts are held inline and its streams are
+// cursors over immutable instructions — so the copy is an assignment.
+// Only the task queue is copied by hand: c gets its own queue, reusing
+// its backing arrays, and its own copy of every task, and it keeps its
+// own loop-skip scratch. Copying a core with no tasks allocates nothing,
+// which is how the leakage-contract executor restores a pristine core
+// before every secret arm. Tasks must carry no callbacks — a closure
+// cannot be copied — so CopyFrom panics on a task with OnStart/OnDone or
+// a measurement callback still pending, leaving c partly copied.
 func (c *Core) CopyFrom(src *Core) {
-	c.Model = src.Model
-	c.FE = src.FE
-	c.BE = src.BE
-	c.L1D = src.L1D
-	c.PM = src.PM
-	c.TSC = src.TSC
-	c.R = src.R
-	c.cycle = src.cycle
-	c.lastBoth = src.lastBoth
-	c.miteHold = src.miteHold
-	c.prevLSD, c.prevDSB, c.prevMITE, c.prevStall = src.prevLSD, src.prevDSB, src.prevMITE, src.prevStall
-	for t := 0; t < 2; t++ {
-		c.cur[t] = nil
+	queue, snap := c.queue, c.snap
+	*c = *src
+	c.snap = snap
+	for t := range 2 {
 		if src.cur[t] != nil {
 			c.cur[t] = cloneTask(src.cur[t])
 		}
 		// Dispatched entries ahead of qhead are nil.
-		c.queue[t], c.qhead[t] = c.queue[t][:0], src.qhead[t]
+		c.queue[t] = queue[t][:0]
 		for _, task := range src.queue[t] {
 			if task != nil {
 				task = cloneTask(task)
@@ -38,14 +35,34 @@ func (c *Core) CopyFrom(src *Core) {
 	}
 }
 
-// Clone returns a deep copy of the core: a new core of the same model
-// with c's state copied in (see CopyFrom). The sweep engine clones cores
-// at the quiescent point after a calibration preamble (always
-// callback-free); the leakage-contract executor clones mid-stream.
+// Clone returns a copy of the core: a new core with c's state copied in
+// (see CopyFrom). The sweep engine clones cores at the quiescent point
+// after a calibration preamble (always callback-free); the
+// leakage-contract executor clones mid-stream.
 func (c *Core) Clone() *Core {
-	d := NewCore(c.Model, 0)
+	d := new(Core)
 	d.CopyFrom(c)
 	return d
+}
+
+// Bytes returns the memory a copy of c holds: the core itself, its tasks
+// and its queues' backing arrays, but not the instructions its streams
+// read, which copies share.
+func (c *Core) Bytes() int {
+	const task = int(unsafe.Sizeof(Task{}))
+	n := int(unsafe.Sizeof(*c))
+	for t := range 2 {
+		n += cap(c.queue[t]) * int(unsafe.Sizeof(c))
+		for _, q := range c.queue[t] {
+			if q != nil {
+				n += task
+			}
+		}
+		if c.cur[t] != nil {
+			n += task
+		}
+	}
+	return n
 }
 
 // cloneTask copies a task's scalar state and rejects tasks whose

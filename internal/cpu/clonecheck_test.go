@@ -1,11 +1,14 @@
 package cpu
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/clonecheck"
+	"repro/internal/frontend"
 	"repro/internal/isa"
 	"repro/internal/power"
 )
@@ -69,7 +72,7 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 // draws, accrued energy and RAPL reads, misalignment poison, a MITE
 // fetch-slot hold, a half-dispatched task queue on thread 0 and
 // micro-ops left in thread 1's IDQ by AbortThread(1).
-func dirtyCore(t *testing.T, m Model) *Core {
+func dirtyCore(t testing.TB, m Model) *Core {
 	t.Helper()
 	c := NewCore(m, 7)
 	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(3, 2, true), 40))
@@ -146,6 +149,87 @@ func TestCopyFromRestoresFreshCore(t *testing.T) {
 				t.Fatalf("CopyFrom of an idle core allocates %.0f times", allocs)
 			}
 		})
+	}
+}
+
+// TestCoreIsAValue walks the type of Core and fails on every field
+// through which an assignment of one core to another would share
+// mutable state or a closure over the original: a func, map or chan
+// anywhere, and a pointer, slice or interface outside the allow-list.
+// The list holds instruction bodies and programs, which are never
+// written; the tasks and their queue, which CopyFrom copies; and the
+// scratch a copy keeps as its own, which holds nothing between run loop
+// calls.
+func TestCoreIsAValue(t *testing.T) {
+	allowed := map[reflect.Type]string{
+		reflect.TypeFor[[]isa.Inst]():         "instruction bodies",
+		reflect.TypeFor[isa.Program]():        "programs",
+		reflect.TypeFor[*Task]():              "a task",
+		reflect.TypeFor[[]*Task]():            "a task queue",
+		reflect.TypeFor[[]loopSnap]():         "the loop skip's snapshot buffer",
+		reflect.TypeFor[*frontend.LoopSnap](): "the loop skip's addend log",
+	}
+	var shared []string
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		if _, ok := allowed[typ]; ok {
+			return
+		}
+		switch typ.Kind() {
+		case reflect.Func, reflect.Map, reflect.Chan, reflect.Pointer, reflect.Slice,
+			reflect.Interface, reflect.UnsafePointer:
+			shared = append(shared, path+" "+typ.String())
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeFor[Core](), "Core")
+	if len(shared) != 0 {
+		t.Fatalf("an assignment of a core shares:\n%s", strings.Join(shared, "\n"))
+	}
+}
+
+// TestConcurrentCopiesShareNothing runs two copies of a dirty core at
+// once, one a Clone and one copied over a core that has run loops of its
+// own, and requires each to end in the state a lone copy reaches. Under
+// the race detector, any backing array or scratch buffer a copy still
+// shares with another shows up as a race.
+func TestConcurrentCopiesShareNothing(t *testing.T) {
+	src := dirtyCore(t, Gold6226())
+	work := func(c *Core) {
+		c.RunUntilIdle(10_000_000)
+		c.Enqueue(1, isa.NewLoopStream(isa.MixChain(20, 6, true), 200), nil)
+		c.RunTimed(0, isa.NewLoopStream(isa.MixChain(12, 10, true), 300))
+		c.RunTimed(0, isa.NewLoopStream(isa.MixChain(3, 8, true), 3000))
+	}
+	lone := src.Clone()
+	skips := loopSkips.Load()
+	work(lone)
+	if loopSkips.Load() == skips || lone.FE.DSB.Stats().Partitions == src.FE.DSB.Stats().Partitions {
+		t.Fatal("the work did not both skip a loop and partition the DSB")
+	}
+	used := NewCore(Gold6226(), 2)
+	work(used)
+	used.CopyFrom(src)
+	copies := []*Core{src.Clone(), used}
+	var wg sync.WaitGroup
+	for _, c := range copies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(c)
+		}()
+	}
+	wg.Wait()
+	for i, c := range copies {
+		if diff := clonecheck.Diff(lone, c); len(diff) != 0 {
+			t.Fatalf("copy %d run beside another differs from a lone copy:\n%s", i, strings.Join(diff, "\n"))
+		}
 	}
 }
 

@@ -19,6 +19,8 @@ import (
 // retired. Attacks build their Init/Encode/Decode steps out of Tasks and
 // time them through a noisy TSC.
 type Task struct {
+	// Stream is the task's instructions until dispatch, which hands the
+	// stream to the frontend.
 	Stream isa.SeqStream
 	// OnStart fires when the task is dispatched to the frontend.
 	OnStart func()
@@ -34,7 +36,10 @@ type Task struct {
 }
 
 // Core is one simulated physical core with two SMT hardware threads.
-// It holds its parts inline: the L1I belongs to the frontend, FE.L1I.
+// A core is a value: it holds its parts inline (the L1I is the
+// frontend's, FE.L1I), and each thread's stream is a cursor over
+// immutable instructions, so an assignment copies the whole simulator
+// state but the tasks, which CopyFrom copies as well.
 type Core struct {
 	// The fields that hold pointers come first: the collector scans a
 	// core only up to its last pointer, which skips the parts' arrays.
@@ -42,8 +47,9 @@ type Core struct {
 	queue [2][]*Task
 	cur   [2]*Task
 	// snap is the steady-loop skip's snapshot buffer, reused across run
-	// loop calls. It holds a snapshot only inside a call and is kept at
-	// length zero between calls, so it carries no state.
+	// loop calls and kept by a core when another is copied over it. It
+	// holds a snapshot only inside a call and is kept at length zero
+	// between calls, so it carries no state.
 	snap []loopSnap
 
 	FE  frontend.Frontend

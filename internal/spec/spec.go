@@ -29,6 +29,7 @@ import (
 	"repro/internal/cmdutil"
 	"repro/internal/cpu"
 	"repro/internal/defense"
+	"repro/internal/isa"
 	"repro/internal/runctx"
 	"repro/internal/sgx"
 )
@@ -356,12 +357,12 @@ func (s ChannelSpec) validFor(m cpu.Model) rejection {
 		}
 		return rejection{}
 	}
-	if s.D < 1 || s.D > attack.DSBWays {
-		return rejection{format: "d=%d out of range (want 1..%d)", ints: [2]int{s.D, attack.DSBWays}}
+	if s.D < 1 || s.D > isa.DSBWays {
+		return rejection{format: "d=%d out of range (want 1..%d)", ints: [2]int{s.D, isa.DSBWays}}
 	}
 	if s.Mechanism == MechanismMisalignment {
-		if s.M > attack.DSBWays {
-			return rejection{format: "m=%d out of range (want <= %d)", ints: [2]int{s.M, attack.DSBWays}}
+		if s.M > isa.DSBWays {
+			return rejection{format: "m=%d out of range (want <= %d)", ints: [2]int{s.M, isa.DSBWays}}
 		}
 		if s.M <= s.D {
 			return rejection{format: "misalignment needs m > d (m-d sender blocks); got d=%d m=%d", ints: [2]int{s.D, s.M}}
