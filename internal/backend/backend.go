@@ -118,9 +118,11 @@ func New(p Params) *Backend { return &Backend{P: p} }
 
 // Cycle retires up to RetireWidth micro-ops per thread from the two
 // threads' IDQs, sharing the execution ports between the threads; the
-// first thread considered alternates each cycle. Retiring loads and
-// stores access l1d, unless it is nil. It returns the total retired
-// this cycle.
+// first thread considered alternates each cycle. A thread retires whole
+// instructions while their micro-ops fit the width; its first
+// instruction of the cycle always retires, as in frontend delivery.
+// Retiring loads and stores access l1d, unless it is nil. It returns the
+// micro-ops retired this cycle.
 func (b *Backend) Cycle(idq *[2]IDQ, l1d *cache.Cache) int {
 	var portsBusy uint8
 	total := 0
@@ -129,13 +131,13 @@ func (b *Backend) Cycle(idq *[2]IDQ, l1d *cache.Cache) int {
 	for i := 0; i < 2; i++ {
 		t := first ^ i
 		q := &idq[t]
-		for n := 0; n < b.P.RetireWidth; n++ {
-			// Pop-and-check: the failed pop doubles as the empty-queue
-			// test.
-			in, ok := q.Pop()
-			if !ok {
+		for n := 0; n < b.P.RetireWidth && q.n > 0; {
+			uops := int(q.buf[q.head].UOps)
+			if n > 0 && n+uops > b.P.RetireWidth {
 				break
 			}
+			n += uops
+			in, _ := q.Pop()
 			mask := portMask(in.Kind)
 			conflict := false
 			if mask != 0 {
@@ -150,8 +152,8 @@ func (b *Backend) Cycle(idq *[2]IDQ, l1d *cache.Cache) int {
 					portsBusy |= free & (-free) // claim lowest free port
 				}
 			}
-			b.Retired[t]++
-			total++
+			b.Retired[t] += uint64(uops)
+			total += uops
 			if l1d != nil && (in.Kind == isa.Load || in.Kind == isa.Store) {
 				l1d.Access(in.MemAddr)
 			}

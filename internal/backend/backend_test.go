@@ -29,6 +29,25 @@ func TestRetireWidth(t *testing.T) {
 	}
 }
 
+// TestRetireCountsMicroOps retires instructions of several micro-ops:
+// whole instructions retire while their micro-ops fit the width, the
+// first of a cycle whatever its size, and Retired counts micro-ops.
+func TestRetireCountsMicroOps(t *testing.T) {
+	b := New(DefaultParams())
+	var idq [2]IDQ
+	idq[0] = NewIDQ(16)
+	for range 4 {
+		idq[0].Push(isa.Inst{Kind: isa.Nop, UOps: 2, Len: 1})
+	}
+	idq[0].Push(isa.Inst{Kind: isa.Nop, UOps: 6, Len: 1})
+	idq[0].Push(isa.Inst{Kind: isa.Nop, UOps: 1, Len: 1})
+	for i, want := range []struct{ cycle, total uint64 }{{4, 4}, {4, 8}, {6, 14}, {1, 15}} {
+		if got := b.Cycle(&idq, nil); uint64(got) != want.cycle || b.Retired[0] != want.total {
+			t.Fatalf("cycle %d retired %d micro-ops, %d in all; want %d and %d", i, got, b.Retired[0], want.cycle, want.total)
+		}
+	}
+}
+
 func TestBothThreadsRetire(t *testing.T) {
 	b := New(DefaultParams())
 	var idq [2]IDQ

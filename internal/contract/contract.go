@@ -363,8 +363,9 @@ func (e *Executor) Start(prog isa.Program) {
 }
 
 // windows bounds the observation windows a phase running prog closes:
-// every window but the last retires at least WindowUOps of its
-// instructions, each of which the core counts as one retired micro-op.
+// every window but the last retires at least WindowUOps micro-ops, and
+// every instruction the isa package builds is one micro-op. A phase of
+// larger instructions grows its trace past the bound as it goes.
 func (e *Executor) windows(prog isa.Program) int {
 	return (prog.Len() + e.p.WindowUOps - 1) / e.p.WindowUOps
 }
