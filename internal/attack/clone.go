@@ -44,7 +44,6 @@ func (a *MT) CloneChannel() channel.BitChannel {
 func (p *Power) CloneChannel() channel.BitChannel {
 	c := *p
 	c.core = p.core.Clone()
-	c.r = p.r.Clone()
 	c.rc = runctx.Ctx{}
 	return &c
 }

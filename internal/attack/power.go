@@ -43,7 +43,7 @@ func DefaultPower(model cpu.Model, kind Kind) PowerConfig {
 type Power struct {
 	cfg  PowerConfig
 	core *cpu.Core
-	r    *rng.RNG
+	r    rng.RNG // the RAPL noise, held inline so a copy draws on alone
 	rc   runctx.Ctx
 
 	one  []*isa.Block
@@ -57,7 +57,7 @@ type Power struct {
 // demonstrated in Section V-C").
 func NewPower(cfg PowerConfig) *Power {
 	p := &Power{cfg: cfg, core: cpu.NewCore(cfg.Model, cfg.Seed)}
-	p.r = rng.New(cfg.Seed).Fork(7)
+	p.r = *rng.New(cfg.Seed).Fork(7)
 	switch cfg.Kind {
 	case Eviction:
 		extra := isa.DSBWays + 1 - cfg.D
