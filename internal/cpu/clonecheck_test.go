@@ -69,13 +69,16 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 // of state the simulator keeps, left mid-run: a DSB that evicted and
 // that partitioned while both threads ran, LSD locks, a trained branch
 // predictor, a filled switch buffer, L1I and L1D lines, TSC and RNG
-// draws, accrued energy and RAPL reads, misalignment poison, a MITE
-// fetch-slot hold, a half-dispatched task queue on thread 0 and
-// micro-ops left in thread 1's IDQ by AbortThread(1).
+// draws, accrued energy and RAPL reads, misalignment poison, a loop the
+// steady-loop skip fast-forwarded, which leaves the core its snapshot
+// buffer, a MITE fetch-slot hold, a half-dispatched task queue on
+// thread 0 and micro-ops left in thread 1's IDQ by AbortThread(1).
 func dirtyCore(t testing.TB, m Model) *Core {
 	t.Helper()
 	c := NewCore(m, 7)
 	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(3, 2, true), 40))
+	skips := loopSkips.Load()
+	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(7, 6, true), 3000))
 	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(5, 6, false), 20))
 	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(12, 10, true), 4)) // overflows a DSB set
 	lcp := []*isa.Block{isa.LCPBlock(isa.AddrForSet(6, 4), 14, true)}
@@ -112,6 +115,8 @@ func dirtyCore(t testing.TB, m Model) *Core {
 		t.Fatal("an L1 cache was never accessed")
 	case c.FE.Align().Level() == 0:
 		t.Fatal("no misalignment poison")
+	case loopSkips.Load() == skips || cap(c.snap) == 0:
+		t.Fatal("no loop was skipped")
 	case c.qhead[0] == 0 || c.miteHold < 0 || c.FE.IDQLen(1) == 0:
 		t.Fatalf("qhead %d, miteHold %d, thread 1 IDQ %d", c.qhead[0], c.miteHold, c.FE.IDQLen(1))
 	}
@@ -156,35 +161,44 @@ func TestCopyFromRestoresFreshCore(t *testing.T) {
 // through which an assignment of one core to another would share
 // mutable state or a closure over the original: a func, map or chan
 // anywhere, and a pointer, slice or interface outside the allow-list.
-// The list holds instruction bodies and programs, which are never
-// written; the tasks and their queue, which CopyFrom copies; and the
-// scratch a copy keeps as its own, which holds nothing between run loop
-// calls.
+// The list names fields: the instruction bodies and programs streams
+// read, which are never written; the tasks and their queue, which
+// CopyFrom copies; and the scratch a copy keeps as its own, which holds
+// nothing between run loop calls.
 func TestCoreIsAValue(t *testing.T) {
-	allowed := map[reflect.Type]string{
-		reflect.TypeFor[[]isa.Inst]():         "instruction bodies",
-		reflect.TypeFor[isa.Program]():        "programs",
-		reflect.TypeFor[*Task]():              "a task",
-		reflect.TypeFor[[]*Task]():            "a task queue",
-		reflect.TypeFor[[]loopSnap]():         "the loop skip's snapshot buffer",
-		reflect.TypeFor[*frontend.LoopSnap](): "the loop skip's addend log",
+	type field struct {
+		in   reflect.Type
+		name string
+	}
+	allowed := map[field]bool{
+		{reflect.TypeFor[isa.Piece](), "Body"}:        true,
+		{reflect.TypeFor[isa.SeqStream](), "prog"}:    true,
+		{reflect.TypeFor[Core](), "queue"}:            true,
+		{reflect.TypeFor[Core](), "cur"}:              true,
+		{reflect.TypeFor[Core](), "snap"}:             true,
+		{reflect.TypeFor[frontend.Frontend](), "log"}: true,
 	}
 	var shared []string
+	seen := map[reflect.Type]bool{}
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
-		if _, ok := allowed[typ]; ok {
-			return
-		}
 		switch typ.Kind() {
-		case reflect.Func, reflect.Map, reflect.Chan, reflect.Pointer, reflect.Slice,
-			reflect.Interface, reflect.UnsafePointer:
+		case reflect.Func, reflect.Map, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
 			shared = append(shared, path+" "+typ.String())
+		case reflect.Pointer, reflect.Slice:
+			shared = append(shared, path+" "+typ.String())
+			if !seen[typ] {
+				// What the reference reaches is listed too.
+				seen[typ] = true
+				walk(typ.Elem(), path+"[]")
+			}
 		case reflect.Array:
 			walk(typ.Elem(), path+"[]")
 		case reflect.Struct:
 			for i := range typ.NumField() {
-				f := typ.Field(i)
-				walk(f.Type, path+"."+f.Name)
+				if f := typ.Field(i); !allowed[field{typ, f.Name}] {
+					walk(f.Type, path+"."+f.Name)
+				}
 			}
 		}
 	}
