@@ -76,12 +76,12 @@ func NewCore(m Model, seed uint64) *Core {
 	c := &Core{
 		miteHold: -1,
 		Model:    m,
-		FE:       frontend.New(m.FE, cache.New(cache.L1Config), m.LSDEnabled),
 		BE:       *backend.New(m.BE),
 		PM:       *power.NewMeter(m.PW),
 		TSC:      timer.NewTSC(r.Fork(1), m.TimerSigmaAbs, m.TimerSigmaRel),
 		R:        *r,
 	}
+	c.FE.Init(m.FE, new(cache.Cache), m.LSDEnabled)
 	if m.StaticDSBPartition {
 		c.FE.SetPartitioned(true)
 	}

@@ -67,13 +67,20 @@ type fthread struct {
 // controls whether the Loop Stream Detector participates (Section X's
 // microcode patches disable it).
 func New(p Params, l1i *cache.Cache, lsdEnabled bool) Frontend {
-	f := Frontend{P: p, DSB: NewDSB(p), L1I: *l1i, align: NewAlignTracker(p.LSDPoisonCap)}
+	var f Frontend
+	f.Init(p, l1i, lsdEnabled)
+	return f
+}
+
+// Init makes f the frontend New builds, in place, as a core does with the
+// frontend it holds.
+func (f *Frontend) Init(p Params, l1i *cache.Cache, lsdEnabled bool) {
+	*f = Frontend{P: p, DSB: NewDSB(p), L1I: *l1i, align: NewAlignTracker(p.LSDPoisonCap)}
 	for t := range 2 {
 		f.BPU[t] = *branch.New()
 		f.lsd[t] = NewLSD(p, t, lsdEnabled)
 		f.idq[t] = backend.NewIDQ(p.IDQCapacity)
 	}
-	return f
 }
 
 // Align exposes the shared misalignment tracker (tests, experiments).
