@@ -72,10 +72,13 @@ func New(p Params, l1i *cache.Cache, lsdEnabled bool) Frontend {
 	return f
 }
 
-// Init makes f the frontend New builds, in place, as a core does with the
-// frontend it holds.
+// Init makes f, a zero Frontend, the frontend New builds, in place, as a
+// core does with the frontend it holds.
 func (f *Frontend) Init(p Params, l1i *cache.Cache, lsdEnabled bool) {
-	*f = Frontend{P: p, DSB: NewDSB(p), L1I: *l1i, align: NewAlignTracker(p.LSDPoisonCap)}
+	f.P = p
+	f.DSB.p = p
+	f.L1I = *l1i
+	f.align = NewAlignTracker(p.LSDPoisonCap)
 	for t := range 2 {
 		f.BPU[t] = *branch.New()
 		f.lsd[t] = NewLSD(p, t, lsdEnabled)
