@@ -10,6 +10,13 @@
 // package builds those blocks, lays them out at virtual addresses that
 // collide in a chosen DSB set (Figure 3), and produces the dynamic
 // instruction streams that the frontend simulator consumes.
+//
+// A stream is one type, SeqStream: a value cursor over a Program, a
+// sequence of pieces that each repeat an immutable instruction body. A
+// loop is one piece, whose last repetition yields its back-edge not
+// taken. Since bodies are never written, copying a stream is an
+// assignment, and a simulator that holds its streams by value is copied
+// the same way.
 package isa
 
 import "fmt"
