@@ -2,20 +2,27 @@
 // simulated frontend: the eviction-based and misalignment-based channels
 // in both multi-threaded (Sections V-A, V-B) and single-threaded
 // (Sections V-C, V-D) settings, the LCP slow-switch channel (Section
-// V-E), and the power-based variants (Section VII).
+// V-E), the power-based variants (Section VII), and the SGX variants
+// whose sender runs inside an enclave (Section VIII).
 //
 // Every channel follows the paper's three-step protocol — Init sets the
 // frontend path state, Encode perturbs it according to the secret bit,
 // Decode measures — and satisfies channel.BitChannel so the shared
 // transmission machinery computes rates and error rates exactly as the
-// evaluation section does.
+// evaluation section does. Every channel runs on a rig (its core and
+// bound run context) and otherwise holds only scalars and the flattened
+// instruction loops it runs, which are never written: a copy of a
+// channel is an assignment plus a copy of its core.
 package attack
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/channel"
 	"repro/internal/cpu"
 	"repro/internal/isa"
+	"repro/internal/runctx"
 )
 
 // Kind selects the frontend mechanism a channel modulates.
@@ -71,47 +78,94 @@ const (
 	pauseSetBase = 28
 )
 
-// receiverBlocks builds the receiver's d aligned mix blocks for a set.
-func receiverBlocks(set, d int) []*isa.Block {
-	blocks := make([]*isa.Block, d)
-	for w := 0; w < d; w++ {
-		blocks[w] = isa.MixBlock(isa.AddrForSet(set, w))
-	}
-	return blocks
+// rig is what every channel runs on: its simulated core and the run
+// context a transmission binds.
+type rig struct {
+	core *cpu.Core
+	rc   runctx.Ctx
 }
 
-// senderBlocks builds the sender's blocks for ways d..d+count-1.
-func senderBlocks(set, d, count int, aligned bool) []*isa.Block {
+// BindCtx implements channel.CtxAware: a bit sent while rc is cancelled
+// runs nothing and measures 0, and the caller discards it.
+func (r *rig) BindCtx(rc runctx.Ctx) { r.rc = rc }
+
+// Cycles implements channel.BitChannel.
+func (r *rig) Cycles() uint64 { return r.core.Cycle() }
+
+// FreqGHz implements channel.BitChannel.
+func (r *rig) FreqGHz() float64 { return r.core.Model.FreqGHz }
+
+// copied returns a rig on a copy of r's core with no run context bound.
+// It is all of a channel that CloneChannel copies beyond an assignment
+// (channel.Cloneable): a copy replays exactly the measurements the
+// original would make, and the loops both run are never written.
+func (r *rig) copied() rig { return rig{core: r.core.Clone()} }
+
+// CloneChannel implements channel.Cloneable.
+func (a *NonMT) CloneChannel() channel.BitChannel {
+	c := *a
+	c.rig = a.copied()
+	return &c
+}
+
+// CloneChannel implements channel.Cloneable.
+func (a *SlowSwitch) CloneChannel() channel.BitChannel {
+	c := *a
+	c.rig = a.copied()
+	return &c
+}
+
+// CloneChannel implements channel.Cloneable.
+func (a *Power) CloneChannel() channel.BitChannel {
+	c := *a
+	c.rig = a.copied()
+	return &c
+}
+
+// CloneChannel implements channel.Cloneable.
+func (a *MT) CloneChannel() channel.BitChannel {
+	c := *a
+	c.rig = a.copied()
+	return &c
+}
+
+// CloneChannel implements channel.Cloneable.
+func (a *SGXNonMT) CloneChannel() channel.BitChannel {
+	c := *a
+	c.rig = a.copied()
+	return &c
+}
+
+// CloneChannel implements channel.Cloneable.
+func (a *SGXMT) CloneChannel() channel.BitChannel {
+	c := *a
+	c.rig = a.copied()
+	return &c
+}
+
+// ways builds count mix blocks for ways from..from+count-1 of a DSB set,
+// aligned or offset by half a window.
+func ways(set, from, count int, aligned bool) []*isa.Block {
 	blocks := make([]*isa.Block, count)
-	for i := 0; i < count; i++ {
+	for i := range blocks {
 		if aligned {
-			blocks[i] = isa.MixBlock(isa.AddrForSet(set, d+i))
+			blocks[i] = isa.MixBlock(isa.AddrForSet(set, from+i))
 		} else {
-			blocks[i] = isa.MixBlock(isa.MisalignedAddrForSet(set, d+i))
+			blocks[i] = isa.MixBlock(isa.MisalignedAddrForSet(set, from+i))
 		}
 	}
 	return blocks
 }
 
-// chain links a sequence of block groups into one closed loop: the last
-// block of each group jumps to the first block of the next, and the final
-// group jumps back to the very first block. The result is the grand
-// per-iteration loop of the non-MT channels (init -> encode -> decode
-// compressed into init/decode + encode, Section V-C).
-func chain(groups ...[]*isa.Block) []*isa.Block {
-	n := 0
-	for _, g := range groups {
-		n += len(g)
-	}
-	all := make([]*isa.Block, 0, n)
-	for _, g := range groups {
-		all = append(all, g...)
-	}
-	if len(all) == 0 {
-		return nil
-	}
-	isa.ChainLoop(all)
-	return all
+// loop links groups of blocks into one closed loop — the last block of
+// each group jumps to the first block of the next, and the final group
+// jumps back to the very first block — and flattens it into the
+// instructions a stream runs: a channel's per-iteration loop (init ->
+// encode -> decode compressed into init/decode + encode, Section V-C).
+func loop(groups ...[]*isa.Block) []isa.Inst {
+	blocks := slices.Concat(groups...)
+	isa.ChainLoop(blocks)
+	return isa.Flatten(blocks)
 }
 
 func checkHT(m cpu.Model) {

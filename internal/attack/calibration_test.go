@@ -123,6 +123,25 @@ func TestMTPanicsWithoutHT(t *testing.T) {
 	NewMT(DefaultMT(cpu.XeonE2288G(), Eviction))
 }
 
+// TestMTMeasurementsDefault requires an MT and an SGX MT channel built
+// with no measurement count to transmit exactly what one built with the
+// default ten passes does.
+func TestMTMeasurementsDefault(t *testing.T) {
+	m := cpu.XeonE2174G()
+	for _, build := range []func(MTConfig) channel.BitChannel{
+		func(cfg MTConfig) channel.BitChannel { return NewMT(cfg) },
+		func(cfg MTConfig) channel.BitChannel { return NewSGXMT(cfg) },
+	} {
+		cfg := DefaultMT(m, Eviction)
+		cfg.Measurements = 10
+		want := channel.Transmit(build(cfg), m.Name, channel.Alternating(12), 8)
+		cfg.Measurements = 0
+		if got := channel.Transmit(build(cfg), m.Name, channel.Alternating(12), 8); got != want {
+			t.Errorf("Measurements 0 sent %+v; 10 sent %+v", got, want)
+		}
+	}
+}
+
 func TestMessagePatternHelpers(t *testing.T) {
 	if channel.AllZeros(4) != "0000" || channel.AllOnes(3) != "111" {
 		t.Error("constant messages wrong")

@@ -1,9 +1,8 @@
-package sgx
+package attack
 
 import (
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/channel"
 	"repro/internal/cpu"
 )
@@ -14,12 +13,12 @@ func TestRequireSGX(t *testing.T) {
 			t.Fatal("Gold 6226 has no SGX; construction must panic")
 		}
 	}()
-	NewNonMT(attack.DefaultNonMT(cpu.Gold6226(), attack.Eviction, false))
+	NewSGXNonMT(DefaultNonMT(cpu.Gold6226(), Eviction, false))
 }
 
 func TestNonMTSGXDecodes(t *testing.T) {
-	for _, kind := range []attack.Kind{attack.Eviction, attack.Misalignment} {
-		ch := NewNonMT(attack.DefaultNonMT(cpu.XeonE2174G(), kind, false))
+	for _, kind := range []Kind{Eviction, Misalignment} {
+		ch := NewSGXNonMT(DefaultNonMT(cpu.XeonE2174G(), kind, false))
 		res := channel.Transmit(ch, "E-2174G", channel.Alternating(24), 10)
 		if res.ErrorRate > 0.15 {
 			t.Errorf("%s error %.1f%% too high", ch.Name(), 100*res.ErrorRate)
@@ -30,9 +29,9 @@ func TestNonMTSGXDecodes(t *testing.T) {
 func TestSGXSlowerThanPlain(t *testing.T) {
 	// Table VI: SGX rates are roughly 1/25-1/30 of the plain non-MT rates.
 	m := cpu.XeonE2174G()
-	plain := channel.Transmit(attack.NewNonMT(attack.DefaultNonMT(m, attack.Eviction, false)),
+	plain := channel.Transmit(NewNonMT(DefaultNonMT(m, Eviction, false)),
 		m.Name, channel.Alternating(40), 16)
-	sgx := channel.Transmit(NewNonMT(attack.DefaultNonMT(m, attack.Eviction, false)),
+	sgx := channel.Transmit(NewSGXNonMT(DefaultNonMT(m, Eviction, false)),
 		m.Name, channel.Alternating(24), 10)
 	ratio := plain.RateKbps / sgx.RateKbps
 	if ratio < 8 || ratio > 80 {
@@ -45,7 +44,7 @@ func TestMTSGXDecodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("MT SGX channel is slow")
 	}
-	ch := NewMT(attack.DefaultMT(cpu.XeonE2174G(), attack.Eviction))
+	ch := NewSGXMT(DefaultMT(cpu.XeonE2174G(), Eviction))
 	res := channel.Transmit(ch, "E-2174G", channel.Alternating(16), 8)
 	if res.ErrorRate > 0.30 {
 		t.Errorf("MT SGX error %.1f%% too high", 100*res.ErrorRate)
@@ -56,10 +55,10 @@ func TestMTSGXDecodes(t *testing.T) {
 }
 
 func TestSGXIterationFloor(t *testing.T) {
-	cfg := attack.DefaultNonMT(cpu.XeonE2286G(), attack.Eviction, false)
+	cfg := DefaultNonMT(cpu.XeonE2286G(), Eviction, false)
 	cfg.P = 10 // plain default must be raised to the SGX setting
-	ch := NewNonMT(cfg)
-	if ch.cfg.P < NonMTIters {
-		t.Errorf("P = %d, want >= %d", ch.cfg.P, NonMTIters)
+	ch := NewSGXNonMT(cfg)
+	if ch.cfg.P < SGXNonMTIters {
+		t.Errorf("P = %d, want >= %d", ch.cfg.P, SGXNonMTIters)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // Cloneable is a BitChannel whose full simulator state can be deep-
 // copied. Transmitting on the clone produces exactly the measurement
 // sequence the original would have produced from the snapshot point —
-// the property the calibration cache's byte-identity rests on. All
-// channels in internal/attack and internal/sgx implement it.
+// the property the calibration cache's byte-identity rests on. All six
+// channel types in internal/attack implement it.
 type Cloneable interface {
 	BitChannel
 	// CloneChannel returns an independent deep copy of the channel. The

@@ -1,11 +1,11 @@
 // Package clonecheck detects mutable state shared between an object and
 // its supposed deep clone, and describes where two object graphs hold
-// different state. A core is copied by assignment, but the attack
-// channels' CloneChannel methods are still written by hand and silently
-// go stale when a struct grows a pointer, slice, or map field; walking
-// both object graphs with reflection and flagging any aliased mutable
-// memory turns that silent corruption into a failing test. Diff prints
-// the differences the simulator's equivalence oracles report.
+// different state. A core is copied by assignment, and a channel by an
+// assignment plus a copy of its core; a field that holds a pointer,
+// slice or map would make either copy share state with its original.
+// Walking both object graphs with reflection and flagging any aliased
+// mutable memory turns that silent corruption into a failing test. Diff
+// prints the differences the simulator's equivalence oracles report.
 package clonecheck
 
 import (

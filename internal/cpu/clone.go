@@ -13,9 +13,10 @@ import "unsafe"
 // its backing arrays, and its own copy of every task, and it keeps its
 // own loop-skip scratch. Copying a core with no tasks allocates nothing,
 // which is how the leakage-contract executor restores a pristine core
-// before every secret arm. Tasks must carry no callbacks — a closure
-// cannot be copied — so CopyFrom panics on a task with OnStart/OnDone or
-// a measurement callback still pending, leaving c partly copied.
+// before every secret arm. A closure cannot be copied, so CopyFrom
+// panics on a task whose OnDone callback is still pending, leaving c
+// partly copied; a pending measurement task (MeasureEnqueue) copies like
+// any other, and the copy adds its reading to its own sums.
 func (c *Core) CopyFrom(src *Core) {
 	queue, snap := c.queue, c.snap
 	*c = *src
@@ -65,10 +66,10 @@ func (c *Core) Bytes() int {
 	return n
 }
 
-// cloneTask copies a task's scalar state and rejects tasks whose
-// callbacks would dangle into the original core's world.
+// cloneTask copies a task's scalar state and rejects a task whose
+// callback would dangle into the original core's world.
 func cloneTask(t *Task) *Task {
-	if t.OnStart != nil || t.OnDone != nil || t.measCb != nil {
+	if t.OnDone != nil {
 		panic("cpu: Clone with an in-flight callback-bearing task")
 	}
 	c := *t

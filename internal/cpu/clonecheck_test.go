@@ -71,11 +71,14 @@ func TestCloneSharesNoMutableState(t *testing.T) {
 // predictor, a filled switch buffer, L1I and L1D lines, TSC and RNG
 // draws, accrued energy and RAPL reads, misalignment poison, a loop the
 // steady-loop skip fast-forwarded, which leaves the core its snapshot
-// buffer, a MITE fetch-slot hold, a half-dispatched task queue on
-// thread 0 and micro-ops left in thread 1's IDQ by AbortThread(1).
+// buffer, a MITE fetch-slot hold, a finished measurement in thread 0's
+// sums, a half-dispatched task queue on thread 0 whose dispatched task
+// is a measurement in flight, and micro-ops left in thread 1's IDQ by
+// AbortThread(1).
 func dirtyCore(t testing.TB, m Model) *Core {
 	t.Helper()
 	c := NewCore(m, 7)
+	c.MeasureEnqueue(0, isa.NewLoopStream(isa.MixChain(4, 3, true), 10))
 	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(3, 2, true), 40))
 	skips := loopSkips.Load()
 	c.RunTimed(0, isa.NewLoopStream(isa.MixChain(7, 6, true), 3000))
@@ -94,9 +97,9 @@ func dirtyCore(t testing.TB, m Model) *Core {
 	nops := []*isa.Block{isa.NopBlockLen(isa.AddrForSet(20, 2), 24, 1)}
 	isa.ChainLoop(nops)
 	c.Enqueue(1, isa.NewLoopStream(nops, 1000), nil)
-	for i := 0; i < 3; i++ {
-		c.Enqueue(0, isa.NewLoopStream(isa.MixChain(9, 4, i%2 == 0), 300), nil)
-	}
+	c.MeasureEnqueue(0, isa.NewLoopStream(isa.MixChain(9, 4, true), 300))
+	c.Enqueue(0, isa.NewLoopStream(isa.MixChain(9, 4, false), 300), nil)
+	c.Enqueue(0, isa.NewLoopStream(isa.MixChain(9, 4, true), 300), nil)
 	for i := 0; i < 20_000 && (c.qhead[0] == 0 || c.miteHold < 0 || c.FE.IDQLen(1) == 0); i++ {
 		c.Step()
 	}
@@ -119,6 +122,8 @@ func dirtyCore(t testing.TB, m Model) *Core {
 		t.Fatal("no loop was skipped")
 	case c.qhead[0] == 0 || c.miteHold < 0 || c.FE.IDQLen(1) == 0:
 		t.Fatalf("qhead %d, miteHold %d, thread 1 IDQ %d", c.qhead[0], c.miteHold, c.FE.IDQLen(1))
+	case c.measN[0] == 0 || c.cur[0] == nil || !c.cur[0].measure:
+		t.Fatal("no finished measurement, or none in flight")
 	}
 	return c
 }

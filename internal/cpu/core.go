@@ -22,16 +22,14 @@ type Task struct {
 	// Stream is the task's instructions until dispatch, which hands the
 	// stream to the frontend.
 	Stream isa.SeqStream
-	// OnStart fires when the task is dispatched to the frontend.
-	OnStart func()
-	OnDone  func(start, end uint64)
+	OnDone func(start, end uint64)
 
 	start uint64
 
-	// Measurement tasks (MeasureEnqueue) carry their noisy-measurement
-	// state in the task itself instead of per-call closures, keeping the
-	// per-measurement allocation down to the task and its stream.
-	measCb     func(measured float64)
+	// A measurement task (MeasureEnqueue) adds its noisy reading to its
+	// thread's sums in the core when it finishes; miteBefore is the
+	// thread's MITE micro-op count at its dispatch.
+	measure    bool
 	miteBefore uint64
 }
 
@@ -68,6 +66,11 @@ type Core struct {
 	// Step tracks per-cycle deltas of just these four scalars instead of
 	// diffing two full ThreadCounters structs every cycle.
 	prevLSD, prevDSB, prevMITE, prevStall uint64
+
+	// The sum and count of each thread's finished measurement readings
+	// since Measured last read them.
+	measSum [2]float64
+	measN   [2]int
 }
 
 // NewCore builds a core for the given model, seeded deterministically.
@@ -140,10 +143,7 @@ func (c *Core) Step() {
 			// The frontend delivers from its own copy of the stream.
 			c.FE.SetStream(t, task.Stream)
 			task.Stream = isa.SeqStream{}
-			if task.OnStart != nil {
-				task.OnStart()
-			}
-			if task.measCb != nil {
+			if task.measure {
 				task.miteBefore = c.FE.Ctr[t].UOpsMITE
 			}
 		}
@@ -217,25 +217,28 @@ func (c *Core) Step() {
 			if task.OnDone != nil {
 				task.OnDone(task.start, c.cycle)
 			}
-			if task.measCb != nil {
-				c.finishMeasure(t, task)
+			if task.measure {
+				mite := c.FE.Ctr[t].UOpsMITE - task.miteBefore
+				c.measSum[t] += c.reading(c.cycle-task.start, c.Model.ProtocolOverheadCycles, mite)
+				c.measN[t]++
 			}
 		}
 	}
 }
 
-// finishMeasure reports a measurement task's noisy timing, exactly as
-// RunTimed would: serializing-timer noise on the duration plus protocol
-// overhead, and MITE jitter scaled by the legacy-decoded micro-op count.
-func (c *Core) finishMeasure(t int, task *Task) {
-	m := c.TSC.Measure(float64(c.cycle-task.start) + c.Model.ProtocolOverheadCycles)
-	if mu := float64(c.FE.Ctr[t].UOpsMITE - task.miteBefore); mu > 0 && c.Model.MITEJitterSqrtUOp > 0 {
+// reading is the noisy TSC reading of a timed step that ran for cycles
+// and decoded mite micro-ops through MITE: serializing-timer noise on
+// the duration plus the step's fixed overhead, and MITE jitter scaled by
+// the legacy-decoded micro-op count (see Model.MITEJitterSqrtUOp).
+func (c *Core) reading(cycles uint64, overhead float64, mite uint64) float64 {
+	m := c.TSC.Measure(float64(cycles) + overhead)
+	if mu := float64(mite); mu > 0 && c.Model.MITEJitterSqrtUOp > 0 {
 		m += c.R.NormScaled(0, c.Model.MITEJitterSqrtUOp*math.Sqrt(mu))
 	}
 	if m < 0 {
 		m = 0
 	}
-	task.measCb(m)
+	return m
 }
 
 // AbortThread drops thread t's current task and queue without running
@@ -359,55 +362,50 @@ func (c *Core) RunUntilIdle(maxCycles uint64) {
 
 // RunTimed enqueues a stream on thread t, runs it to completion, and
 // returns the noisy TSC measurement of its duration plus the model's
-// fixed protocol overhead — one timed attack step. Steps that decoded
-// through MITE pick up extra jitter proportional to the legacy-decoded
-// micro-op count (see Model.MITEJitterPerUOp).
+// fixed protocol overhead — one timed attack step (see reading).
 func (c *Core) RunTimed(t int, s isa.SeqStream) float64 {
-	var dur float64
-	before := c.FE.Ctr[t].UOpsMITE
-	// The measurement handshake (serializing rdtscp pairs, fences, loop
-	// setup) occupies real time as well as appearing in the reading.
-	c.RunCycles(uint64(c.Model.ProtocolOverheadCycles))
-	c.Enqueue(t, s, func(start, end uint64) { dur = float64(end - start) })
-	c.RunUntilIdle(100_000_000)
-	miteUOps := float64(c.FE.Ctr[t].UOpsMITE - before)
-	m := c.TSC.Measure(dur + c.Model.ProtocolOverheadCycles)
-	if miteUOps > 0 && c.Model.MITEJitterSqrtUOp > 0 {
-		m += c.R.NormScaled(0, c.Model.MITEJitterSqrtUOp*math.Sqrt(miteUOps))
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
+	return c.runTimed(t, s, c.Model.ProtocolOverheadCycles)
 }
 
 // RunTimedTight is RunTimed with only the in-process rdtscp overhead
 // (~60 cycles) instead of the cross-process protocol handshake: the
 // timing mode of a Spectre attacker probing its own structures.
 func (c *Core) RunTimedTight(t int, s isa.SeqStream) float64 {
-	const tightOverhead = 60
-	var dur float64
+	return c.runTimed(t, s, 60)
+}
+
+// runTimed is RunTimed with the given measurement overhead.
+func (c *Core) runTimed(t int, s isa.SeqStream, overhead float64) float64 {
+	var cycles uint64
 	before := c.FE.Ctr[t].UOpsMITE
-	c.RunCycles(tightOverhead)
-	c.Enqueue(t, s, func(start, end uint64) { dur = float64(end - start) })
+	// The measurement handshake (serializing rdtscp pairs, fences, loop
+	// setup) occupies real time as well as appearing in the reading.
+	c.RunCycles(uint64(overhead))
+	c.Enqueue(t, s, func(start, end uint64) { cycles = end - start })
 	c.RunUntilIdle(100_000_000)
-	m := c.TSC.Measure(dur + tightOverhead)
-	if mu := float64(c.FE.Ctr[t].UOpsMITE - before); mu > 0 && c.Model.MITEJitterSqrtUOp > 0 {
-		m += c.R.NormScaled(0, c.Model.MITEJitterSqrtUOp*math.Sqrt(mu))
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
+	return c.reading(cycles, overhead, c.FE.Ctr[t].UOpsMITE-before)
 }
 
 // MeasureEnqueue schedules a stream on thread t whose duration is
-// reported through the same noisy measurement process as RunTimed, but
-// without blocking: the callback fires when the task completes. MT
-// receivers use this to take measurements while the sender thread runs.
-func (c *Core) MeasureEnqueue(t int, s isa.SeqStream, cb func(measured float64)) {
+// measured through the same noisy process as RunTimed, but without
+// blocking: when the task completes, its reading joins thread t's sums,
+// which Measured reads. MT receivers use this to take measurements while
+// the sender thread runs.
+func (c *Core) MeasureEnqueue(t int, s isa.SeqStream) {
 	c.checkThread(t)
-	c.queue[t] = append(c.queue[t], &Task{Stream: s, measCb: cb})
+	c.queue[t] = append(c.queue[t], &Task{Stream: s, measure: true})
+}
+
+// Measured returns the mean of the readings thread t's measurement
+// tasks have reported since the last call, or 0 if there are none, and
+// clears them.
+func (c *Core) Measured(t int) float64 {
+	sum, n := c.measSum[t], c.measN[t]
+	c.measSum[t], c.measN[t] = 0, 0
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // Counters returns the frontend counters for thread t.

@@ -138,11 +138,10 @@ func requireSameState(t *testing.T, a, b *Core) {
 // who retires first, and returns what it read.
 func followUp(c *Core) [5]uint64 {
 	timed := c.RunTimed(0, isa.NewLoopStream(isa.MixChain(3, 6, true), 10))
-	var measured float64
 	c.Enqueue(1, isa.NewLoopStream(loadLoop(0x700000, 0x900000), 40), nil)
-	c.MeasureEnqueue(0, isa.NewLoopStream(loadLoop(0x600000, 0x800000), 20), func(m float64) { measured = m })
+	c.MeasureEnqueue(0, isa.NewLoopStream(loadLoop(0x600000, 0x800000), 20))
 	c.RunUntilIdle(10_000_000)
-	return [5]uint64{math.Float64bits(timed), math.Float64bits(measured), c.Cycle(),
+	return [5]uint64{math.Float64bits(timed), math.Float64bits(c.Measured(0)), c.Cycle(),
 		math.Float64bits(c.PM.TrueEnergy()), c.BE.PortConflicts}
 }
 
@@ -176,7 +175,7 @@ func TestMeasureEnqueueChecksThread(t *testing.T) {
 					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
 				}
 			}()
-			c.MeasureEnqueue(tc.thread, isa.NewLoopStream(isa.MixChain(0, 1, true), 1), func(float64) {})
+			c.MeasureEnqueue(tc.thread, isa.NewLoopStream(isa.MixChain(0, 1, true), 1))
 		})
 	}
 }

@@ -88,9 +88,6 @@ type Model struct {
 	EnclaveNoiseFactor float64
 }
 
-// CyclesPerSecond returns the clock rate in Hz.
-func (m Model) CyclesPerSecond() float64 { return m.FreqGHz * 1e9 }
-
 // WithLSD returns a copy of the model with the LSD force-enabled or
 // disabled, the microcode-patch knob of Section X.
 func (m Model) WithLSD(enabled bool) Model {

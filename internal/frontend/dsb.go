@@ -256,6 +256,3 @@ func (d *DSB) InvalidateThread(thread int) {
 func (d *DSB) OccupiedLines(thread int, window uint64) int {
 	return d.usedLines(d.set(d.SetIndex(thread, window)))
 }
-
-// WindowOf is a convenience re-export of the ISA window function.
-func WindowOf(addr uint64) uint64 { return isa.Window(addr) }

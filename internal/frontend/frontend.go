@@ -166,15 +166,6 @@ func (f *Frontend) SkipStall(t int, k uint64) {
 	f.Ctr[t].StallCycles += k
 }
 
-// NextAddr returns the address of the next instruction to deliver, used
-// by tests to observe fetch progress.
-func (f *Frontend) NextAddr(t int) (uint64, bool) {
-	if !f.thr[t].hasCur && !f.load(t) {
-		return 0, false
-	}
-	return f.thr[t].cur.Addr, true
-}
-
 // SetPartitioned toggles SMT set-partitioning of the DSB. Repartitioning
 // invalidates relocated windows and flushes both LSDs (Section IV-B).
 func (f *Frontend) SetPartitioned(on bool) {

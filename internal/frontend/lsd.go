@@ -113,9 +113,6 @@ func NewLSD(p Params, thread int, enabled bool) LSD {
 	return LSD{p: p, thread: thread, enabled: enabled && p.LSDCapacityUOps > 0}
 }
 
-// Enabled reports whether the detector is present and active.
-func (l *LSD) Enabled() bool { return l.enabled }
-
 // Locked reports whether the LSD is currently streaming a loop.
 func (l *LSD) Locked() bool { return l.locked }
 

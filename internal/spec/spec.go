@@ -14,9 +14,9 @@
 // defaults so equal scenarios compare equal, Validate rejects the
 // impossible combinations (MT on an SMT-disabled model, power+SGX,
 // anything but plain non-MT timing for slow-switch), and Build
-// constructs the simulated channel from the attack and sgx packages'
-// default configurations — a default spec transmits byte-identically to
-// the paper's channel built by hand from those defaults.
+// constructs the simulated channel from the attack package's default
+// configurations — a default spec transmits byte-identically to the
+// paper's channel built by hand from those defaults.
 package spec
 
 import (
@@ -31,7 +31,6 @@ import (
 	"repro/internal/defense"
 	"repro/internal/isa"
 	"repro/internal/runctx"
-	"repro/internal/sgx"
 )
 
 // Mechanism is the frontend mechanism a channel modulates.
@@ -214,10 +213,10 @@ func (s ChannelSpec) withDefaults() ChannelSpec {
 		case s.Threading == ThreadingMT:
 			s.P = attack.DefaultMeasurements
 		case s.SGX:
-			// The SGX layer raises any smaller p to its floor anyway
+			// NewSGXNonMT raises any smaller p to its floor anyway
 			// (Section VIII); normalizing to the floor keeps the
 			// canonical encoding honest about what runs.
-			s.P = sgx.NonMTIters
+			s.P = attack.SGXNonMTIters
 		default:
 			s.P = attack.DefaultP
 		}
@@ -370,11 +369,11 @@ func (s ChannelSpec) validFor(m cpu.Model) rejection {
 	} else if s.M != 0 {
 		return rejection{format: "m applies only to the misalignment mechanism"}
 	}
-	if s.SGX && s.Threading == ThreadingNonMT && s.P < sgx.NonMTIters {
+	if s.SGX && s.Threading == ThreadingNonMT && s.P < attack.SGXNonMTIters {
 		// The enclave layer would silently raise a smaller p to its
 		// floor; rejecting instead keeps the canonical encoding equal to
 		// what actually runs.
-		return rejection{format: "SGX non-MT needs p >= %d (Section VIII); got p=%d", ints: [2]int{sgx.NonMTIters, s.P}}
+		return rejection{format: "SGX non-MT needs p >= %d (Section VIII); got p=%d", ints: [2]int{attack.SGXNonMTIters, s.P}}
 	}
 	if s.Sink == SinkPower {
 		// The paper's power receiver polls RAPL from the sender's own
@@ -447,7 +446,7 @@ func (s ChannelSpec) Build(m cpu.Model) channel.BitChannel {
 		cfg.ContendedSender = s.Contended
 		cfg.Seed = s.Seed
 		if s.SGX {
-			return sgx.NewMT(cfg)
+			return attack.NewSGXMT(cfg)
 		}
 		return attack.NewMT(cfg)
 	default:
@@ -456,7 +455,7 @@ func (s ChannelSpec) Build(m cpu.Model) channel.BitChannel {
 		cfg.P = s.P
 		cfg.Seed = s.Seed
 		if s.SGX {
-			return sgx.NewNonMT(cfg)
+			return attack.NewSGXNonMT(cfg)
 		}
 		return attack.NewNonMT(cfg)
 	}

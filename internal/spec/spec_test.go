@@ -10,7 +10,6 @@ import (
 	"repro/internal/channel"
 	"repro/internal/cpu"
 	"repro/internal/defense"
-	"repro/internal/sgx"
 )
 
 func TestNormalizeMatchesPaperDefaults(t *testing.T) {
@@ -46,8 +45,8 @@ func TestNormalizeMatchesPaperDefaults(t *testing.T) {
 		t.Errorf("MT p normalized to %d", mt.P)
 	}
 	enclave := ChannelSpec{Model: "Xeon E-2174G", SGX: true}.Normalize()
-	if enclave.P != sgx.NonMTIters {
-		t.Errorf("SGX non-MT p normalized to %d, want %d", enclave.P, sgx.NonMTIters)
+	if enclave.P != attack.SGXNonMTIters {
+		t.Errorf("SGX non-MT p normalized to %d, want %d", enclave.P, attack.SGXNonMTIters)
 	}
 
 	// Model names canonicalize case-insensitively.
@@ -292,8 +291,8 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 // TestBuildEquivalence is the redesign's headline proof: for each of
-// the paper's seven named channels, built by hand from the attack and
-// sgx packages' default configurations, the same scenario expressed as
+// the paper's seven named channels, built by hand from the attack
+// package's default configurations, the same scenario expressed as
 // a ChannelSpec builds a channel whose Transmit result — rate, error
 // rate, received bits, rendered row — is byte-identical for the same
 // seed. Each case is named after the constructor the public package
@@ -302,7 +301,7 @@ func TestBuildEquivalence(t *testing.T) {
 	ht := cpu.XeonE2174G() // HT + SGX: every variant exists here or on Gold
 	gold := cpu.Gold6226()
 	bits, calib := 24, 10
-	powerIters, sgxP := 120_000, sgx.NonMTIters
+	powerIters, sgxP := 120_000, attack.SGXNonMTIters
 	if testing.Short() {
 		bits, powerIters = 16, 3000
 	}
@@ -339,11 +338,11 @@ func TestBuildEquivalence(t *testing.T) {
 			func(m cpu.Model) channel.BitChannel {
 				cfg := attack.DefaultNonMT(m, attack.Eviction, false)
 				cfg.P = sgxP
-				return sgx.NewNonMT(cfg)
+				return attack.NewSGXNonMT(cfg)
 			},
 			ChannelSpec{Mechanism: MechanismEviction, SGX: true, P: sgxP}},
 		{"NewSGXMTChannel", ht,
-			func(m cpu.Model) channel.BitChannel { return sgx.NewMT(attack.DefaultMT(m, attack.Misalignment)) },
+			func(m cpu.Model) channel.BitChannel { return attack.NewSGXMT(attack.DefaultMT(m, attack.Misalignment)) },
 			ChannelSpec{Mechanism: MechanismMisalignment, Threading: ThreadingMT, SGX: true}},
 		// Defended specs: Build must apply the defense transform before
 		// constructing, matching a build on a model defended by hand

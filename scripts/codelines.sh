@@ -9,7 +9,8 @@
 #	scripts/codelines.sh internal | tail -1
 set -euo pipefail
 [ $# -gt 0 ] || set -- .
-find "$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort | awk '
+# Hidden directories (.git, .bench_build) and testdata hold no package.
+find "$@" -path '*/.*' -prune -o -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print | sort | awk '
 {
 	file = $0
 	dir = file
