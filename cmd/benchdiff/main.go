@@ -76,6 +76,8 @@ var (
 
 // load extracts pkg.benchmark -> metrics from one result file. A
 // benchmark reported more than once is summarized over its rows.
+// test2json may split one output line across several events, so each
+// benchmark's output is joined into lines before rows are matched.
 func load(path string) (map[string]metrics, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -83,6 +85,12 @@ func load(path string) (map[string]metrics, error) {
 	}
 	defer f.Close()
 	rows := map[string][]metrics{}
+	partial := map[string]string{} // each benchmark's output after its last newline
+	add := func(name, line string) {
+		if cur, ok := parseRow(line); ok {
+			rows[name] = append(rows[name], cur)
+		}
+	}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -93,37 +101,50 @@ func load(path string) (map[string]metrics, error) {
 		if ev.Action != "output" || ev.Test == "" {
 			continue
 		}
-		m := nsPerOp.FindStringSubmatch(ev.Output)
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			continue
-		}
-		iters, err := strconv.ParseInt(m[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		cur := metrics{Ns: ns, Allocs: -1, Iters: iters}
-		if am := allocsPerOp.FindStringSubmatch(ev.Output); am != nil {
-			if av, err := strconv.ParseFloat(am[1], 64); err == nil {
-				cur.Allocs = av
-			}
-		}
-		if wm := simCyclesPerOp.FindStringSubmatch(ev.Output); wm != nil {
-			if cycles, err := strconv.ParseFloat(wm[1], 64); err == nil && iters > 0 {
-				cur.Work = work{SimCycles: cycles, Iters: iters}
-			}
-		}
 		name := ev.Package + "." + ev.Test
-		rows[name] = append(rows[name], cur)
+		lines := strings.Split(partial[name]+ev.Output, "\n")
+		for _, line := range lines[:len(lines)-1] {
+			add(name, line)
+		}
+		partial[name] = lines[len(lines)-1]
+	}
+	for name, line := range partial {
+		add(name, line)
 	}
 	out := make(map[string]metrics, len(rows))
 	for name, rs := range rows {
 		out[name] = summarize(rs)
 	}
 	return out, sc.Err()
+}
+
+// parseRow reads one benchmark result line, reporting false for any
+// other line.
+func parseRow(line string) (metrics, bool) {
+	m := nsPerOp.FindStringSubmatch(line)
+	if m == nil {
+		return metrics{}, false
+	}
+	ns, err := strconv.ParseFloat(m[2], 64)
+	if err != nil {
+		return metrics{}, false
+	}
+	iters, err := strconv.ParseInt(m[1], 10, 64)
+	if err != nil {
+		return metrics{}, false
+	}
+	cur := metrics{Ns: ns, Allocs: -1, Iters: iters}
+	if am := allocsPerOp.FindStringSubmatch(line); am != nil {
+		if av, err := strconv.ParseFloat(am[1], 64); err == nil {
+			cur.Allocs = av
+		}
+	}
+	if wm := simCyclesPerOp.FindStringSubmatch(line); wm != nil {
+		if cycles, err := strconv.ParseFloat(wm[1], 64); err == nil && iters > 0 {
+			cur.Work = work{SimCycles: cycles, Iters: iters}
+		}
+	}
+	return cur, true
 }
 
 // summarize folds a benchmark's rows into one: the median ns/op (the

@@ -134,16 +134,21 @@ func TestCommittedBaselineWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"repro/internal/attack.BenchmarkSendBit_NonMTEviction": 4467,
-		"repro/internal/attack.BenchmarkSendBit_NonMTStealthy": 6664,
-		"repro/internal/attack.BenchmarkSendBit_NonMTMisalign": 4396,
-		"repro/internal/attack.BenchmarkSendBit_MTEviction":    23220,
-		"repro/internal/attack.BenchmarkSendBit_SlowSwitch":    4787,
-		"repro/internal/attack.BenchmarkSendBit_Power":         2666,
-		"repro/internal/cpu.BenchmarkCoreRunTimed":             4467,
-		"repro/internal/cpu.BenchmarkCoreRunCyclesIdle":        4045,
-		"repro/internal/cpu.BenchmarkCoreRunCyclesMT":          30000,
-		"repro/internal/contract.BenchmarkExecutorObserve":     2710,
+		"repro/internal/attack.BenchmarkSendBit_NonMTEviction":    4467,
+		"repro/internal/attack.BenchmarkSendBit_NonMTStealthy":    6664,
+		"repro/internal/attack.BenchmarkSendBit_NonMTMisalign":    4396,
+		"repro/internal/attack.BenchmarkSendBit_MTEviction":       23220,
+		"repro/internal/attack.BenchmarkSendBit_SlowSwitch":       4787,
+		"repro/internal/attack.BenchmarkSendBit_Power":            2666,
+		"repro/internal/cpu.BenchmarkCoreRunTimed":                4467,
+		"repro/internal/cpu.BenchmarkCoreRunCyclesIdle":           4045,
+		"repro/internal/cpu.BenchmarkCoreRunCyclesMT":             30000,
+		"repro/internal/contract.BenchmarkExecutorObserve":        2710,
+		"repro/internal/sweep.BenchmarkSweep_FullSpace":           159689382,
+		"repro/internal/sweep.BenchmarkSweep_FullSpaceUnmemoized": 159689382,
+		"repro/internal/sweep.BenchmarkSweep_FullSpaceParallel4":  159689382,
+		"repro/internal/power.BenchmarkMeterReplay":               2097152,
+		"repro/internal/power.BenchmarkMeterAddCycles":            100000,
 	}
 	for name, cycles := range want {
 		if w := res[name].Work; w.SimCycles != cycles || w.Iters < 1 {
@@ -239,6 +244,66 @@ func TestDisagreeingRowsFail(t *testing.T) {
 			if failed != tc.fail || strings.Contains(out.String(), "ROWS DISAGREE") != tc.fail {
 				t.Fatalf("%s: failed = %v, want %v; output:\n%s", tc.name, failed, tc.fail, out.String())
 			}
+		}
+	}
+}
+
+// TestRowsSplitAcrossEventsAreJoined: test2json may split one benchmark
+// row across output events. Inside a -count 3 stream the split rows are
+// joined and summarized with the whole one, none dropped: the median
+// comes from all three rows and allocs/op from each. Rows that really
+// disagree still fail.
+func TestRowsSplitAcrossEventsAreJoined(t *testing.T) {
+	stream := func(lastAllocs string) string {
+		var b []byte
+		for _, out := range []string{
+			"=== RUN   BenchmarkTableI_Models\n",
+			"BenchmarkTableI_Models\n",
+			"BenchmarkTableI_Models-2 \t",
+			"       1\t     41000 ns/op\t    2048 B/op\t       1 allocs/op\n",
+			"BenchmarkTableI_Models-2 \t",
+			"       1\t     390", // split inside ns/op
+			"00 ns/op\t    2048 B/op\t       1 allocs/op\n",
+			"BenchmarkTableI_Models-2 \t",
+			"       1\t     40000 ns/op\t    2048 B/op\t  ", // split before allocs/op
+			"     " + lastAllocs + " allocs/op\n",
+			"PASS\n",
+		} {
+			line, err := json.Marshal(event{Action: "output", Package: "repro", Test: "BenchmarkTableI_Models", Output: out})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = append(append(b, line...), '\n')
+		}
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := writeResults(t, "1\t 40000 ns/op\t 1 allocs/op")
+	for _, tc := range []struct {
+		allocs string
+		fail   bool
+	}{{"1", false}, {"7", true}} {
+		res, err := load(stream(tc.allocs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res["repro.BenchmarkTableI_Models"]
+		if got.Ns != 40000 || got.Allocs != 1 || got.Iters != 1 || (got.Disagree != "") != tc.fail {
+			t.Fatalf("last row at %s allocs/op summarizes to %+v, want the median 40000 ns/op of three rows at 1 allocs/op, disagreeing: %v",
+				tc.allocs, got, tc.fail)
+		}
+		oldRes, err := load(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newRes := map[string]metrics{"p.B": got}
+		var out strings.Builder
+		failed := compare(&out, oldRes, newRes, 50, 300, 25)
+		if failed != tc.fail || strings.Contains(out.String(), "ROWS DISAGREE") != tc.fail || strings.Contains(out.String(), "ALLOC REGRESSION") {
+			t.Fatalf("last row at %s allocs/op: failed = %v, want %v; output:\n%s", tc.allocs, failed, tc.fail, out.String())
 		}
 	}
 }

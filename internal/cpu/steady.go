@@ -17,9 +17,11 @@ import (
 // cycle can read, every further period does exactly what the verified
 // one did. The run loops then apply that period's change k more times
 // instead of stepping it: integer counters and recency ticks move k
-// times as far, and the float accumulators (package energy with its
-// RAPL publications, LCP stall and switch-penalty cycles) receive the
-// period's recorded addends again, one at a time, in order. Every
+// times as far, and the float accumulators (package energy, LCP stall
+// and switch-penalty cycles) are left with the bits of adding the
+// period's recorded addends again, in order, k times over: fsum.Repeat
+// adds whole periods in closed form, and the meter computes the span's
+// last RAPL publication on the cycle stepping would publish it. Every
 // simulated value stays bit-identical to stepping.
 //
 // Detection state lives for one RunCycles or RunUntilIdle call: callers

@@ -31,8 +31,8 @@ func (f *Frontend) Stream(t int) *isa.SeqStream {
 // the sibling thread is idle. An idle sibling's predictor, detector,
 // IDQ, counters and fetch state do not change, so they are not copied.
 // From Snapshot until AdvanceLoop or StopLog the frontend also logs,
-// in order, every float addend it adds to the thread's counters, so a
-// verified period can be replayed bit for bit.
+// in order, every float addend it adds to the thread's counters, so the
+// sums of k more periods can be taken bit for bit.
 type LoopSnap struct {
 	t     int
 	dsb   DSB
@@ -96,8 +96,9 @@ func (f *Frontend) LoopRecurs(s *LoopSnap) bool {
 // AdvanceLoop moves a frontend for which LoopRecurs(s) holds forward by
 // k more periods, each repeating the change since Snapshot(s): counters
 // and recency ticks move k more times as far, the stream runs k times
-// as many iterations again, and the logged addends are added once more,
-// in order, k times over. It ends the log.
+// as many iterations again, and each float counter is left with the
+// bits of adding the logged addends once more, in order, k times over
+// (in closed form, by fsum.Repeat). It ends the log.
 func (f *Frontend) AdvanceLoop(s *LoopSnap, k uint64) {
 	t := s.t
 	f.log = nil

@@ -11,6 +11,8 @@
 // paper exploits.
 package frontend
 
+import "repro/internal/fsum"
+
 // Source identifies which frontend path delivered a micro-op group.
 type Source uint8
 
@@ -203,9 +205,10 @@ func (c ThreadCounters) Sub(o ThreadCounters) ThreadCounters {
 }
 
 // advance moves c forward by k more repetitions of its change since
-// prev: each integer counter grows by k more times its growth, and the
-// float counters, whose sums round, receive the logged addends lcp and
-// sw again, in order, k times over.
+// prev: each integer counter grows by k more times its growth, and each
+// float counter, whose sum rounds, is left with the bits of adding its
+// logged addends, lcp or sw, again in order, k times over (fsum.Repeat
+// adds the whole repetitions in closed form).
 func (c *ThreadCounters) advance(prev *ThreadCounters, k uint64, lcp, sw []float64) {
 	c.UOpsLSD += k * (c.UOpsLSD - prev.UOpsLSD)
 	c.UOpsDSB += k * (c.UOpsDSB - prev.UOpsDSB)
@@ -216,12 +219,6 @@ func (c *ThreadCounters) advance(prev *ThreadCounters, k uint64, lcp, sw []float
 	c.SwitchCount += k * (c.SwitchCount - prev.SwitchCount)
 	c.Mispredicts += k * (c.Mispredicts - prev.Mispredicts)
 	c.L1IMisses += k * (c.L1IMisses - prev.L1IMisses)
-	for range k {
-		for _, a := range lcp {
-			c.LCPStallCycles += a
-		}
-		for _, a := range sw {
-			c.SwitchCycles += a
-		}
-	}
+	c.LCPStallCycles = fsum.Repeat(c.LCPStallCycles, lcp, k)
+	c.SwitchCycles = fsum.Repeat(c.SwitchCycles, sw, k)
 }

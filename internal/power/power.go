@@ -11,6 +11,8 @@
 // ~0.6 Kbps in Table V.
 package power
 
+import "repro/internal/fsum"
+
 // Params calibrates the energy model. Energy is accounted in watt-cycles
 // (average watts times cycles), so dividing by elapsed cycles yields
 // watts directly, independent of clock frequency.
@@ -87,50 +89,48 @@ func (m *Meter) addCycle(e float64) {
 	m.cycles++
 	m.energy += e
 	if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
-		m.publish()
+		m.publish(m.energy, m.cycles)
 	}
 }
 
 // AddCycles accrues k cycles of one activity whose CycleEnergy is e,
-// exactly as k calls of AddCycleDelta with that activity would: e is
-// added once per cycle in order (one k*e add can round differently), and
-// RAPL publishes on the same cycles.
+// exactly as k calls of AddCycleDelta with that activity would: it
+// replays a one-cycle period k times.
 func (m *Meter) AddCycles(k uint64, e float64) {
-	for k > 0 {
-		n := min(m.untilPublish(), k)
-		sum := m.energy
-		for range n {
-			sum += e
-		}
-		m.energy = sum
-		m.cycles += n
-		k -= n
-		if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
-			m.publish()
-		}
-	}
+	es := [1]float64{e}
+	m.Replay(es[:], k)
 }
 
 // Replay accrues k repetitions of the recorded cycles whose CycleEnergy
 // values es holds, exactly as calling AddCycleDelta for each of them in
-// order, k times over, would: the energy is added one cycle at a time
-// and RAPL publishes on the same cycles.
+// order, k times over, would. fsum.Repeat adds the energy of whole
+// repetitions in closed form, with the bits adding one cycle at a time
+// gives. Each RAPL publication overwrites the one before, and nothing
+// reads the counter inside the span, so only the span's last
+// publication is computed: from the energy after whole repetitions plus
+// a prefix of es, on the cycle stepping would publish it.
 func (m *Meter) Replay(es []float64, k uint64) {
-	for range k {
-		for rest := es; len(rest) > 0; {
-			n := min(m.untilPublish(), uint64(len(rest)))
-			e := m.energy
-			for _, x := range rest[:n] {
+	p := uint64(len(es))
+	n, e := p*k, m.energy
+	if next := m.untilPublish(); next <= n {
+		iv := max(m.P.RAPLIntervalCycles, 1)
+		last := next + (n-next)/iv*iv
+		q, r := last/p, last%p
+		e = fsum.Repeat(e, es, q)
+		for _, x := range es[:r] {
+			e += x
+		}
+		m.publish(e, m.cycles+last)
+		if r > 0 {
+			for _, x := range es[r:] {
 				e += x
 			}
-			m.energy = e
-			m.cycles += n
-			rest = rest[n:]
-			if m.cycles-m.raplCycle >= m.P.RAPLIntervalCycles {
-				m.publish()
-			}
+			q++
 		}
+		k -= q
 	}
+	m.energy = fsum.Repeat(e, es, k)
+	m.cycles += n
 }
 
 // untilPublish returns how many cycles to accrue up to and including
@@ -142,10 +142,11 @@ func (m *Meter) untilPublish() uint64 {
 	return 1
 }
 
-func (m *Meter) publish() {
+// publish sets the RAPL counter to energy e, quantized, as of cycle at.
+func (m *Meter) publish(e float64, at uint64) {
 	q := m.P.RAPLQuantum
-	m.raplValue = float64(uint64(m.energy/q)) * q
-	m.raplCycle = m.cycles
+	m.raplValue = float64(uint64(e/q)) * q
+	m.raplCycle = at
 }
 
 // Cycles returns the number of accounted cycles.

@@ -119,3 +119,107 @@ func TestAddCyclesMatchesPerCycle(t *testing.T) {
 		}
 	}
 }
+
+// sameMeter reports whether two meters agree field by field, floats in
+// bits.
+func sameMeter(a, b *Meter) bool {
+	return a.P == b.P && a.cycles == b.cycles && a.raplCycle == b.raplCycle && a.raplReads == b.raplReads &&
+		math.Float64bits(a.energy) == math.Float64bits(b.energy) &&
+		math.Float64bits(a.raplValue) == math.Float64bits(b.raplValue)
+}
+
+// TestReplayMatchesPerCycle: a period replayed in bulk (by Replay, or
+// by AddCycles for a one-cycle period) leaves the meter, field by field
+// and in float bits, as stepping its cycles one by one does: for RAPL
+// intervals of 0, 1 and longer, with the span's last publication at
+// every offset of it (its first and last cycle included) or with none,
+// and from energies in many binades, one a few units below a power of
+// two.
+func TestReplayMatchesPerCycle(t *testing.T) {
+	starts := []float64{0, 1234.5, math.Ldexp(1, 20) - 5*math.Ldexp(1, 19-52), 3.7e9}
+	for _, es := range [][]float64{
+		{47.4, 45.3, 91.8, 46.5, 58.2, 45.9, 101.1}, // inexact, as CycleEnergy's
+		{46.8},
+	} {
+		run := func(iv, phase, k uint64, start float64) (offset uint64) {
+			p := params()
+			p.RAPLIntervalCycles = iv
+			stepped, bulk := NewMeter(p), NewMeter(p)
+			for _, m := range []*Meter{stepped, bulk} {
+				m.cycles, m.raplCycle, m.energy, m.raplValue = 1000+phase, 1000, start, 10
+			}
+			for range k {
+				for _, e := range es {
+					stepped.addCycle(e)
+				}
+			}
+			if len(es) == 1 {
+				bulk.AddCycles(k, es[0])
+			} else {
+				bulk.Replay(es, k)
+			}
+			if !sameMeter(stepped, bulk) {
+				t.Fatalf("period %v, interval %d, phase %d, %d passes from %v: bulk meter %+v, stepped meter %+v",
+					es, iv, phase, k, start, *bulk, *stepped)
+			}
+			if stepped.raplCycle > 1000 {
+				return stepped.raplCycle - 1000 - phase
+			}
+			return 0
+		}
+		const n = 84
+		seen := map[uint64]bool{}
+		for _, iv := range []uint64{0, 1, 2, 5, 7, 13, n - 1, n, n + 1, 10 * n} {
+			for phase := range max(iv, 1) {
+				for _, start := range starts {
+					seen[run(iv, phase, n/uint64(len(es)), start)] = true
+				}
+			}
+		}
+		for off := range uint64(n + 1) {
+			if !seen[off] {
+				t.Errorf("period %v: no case's last publication fell at offset %d of the span (0: none)", es, off)
+			}
+		}
+		for _, iv := range []uint64{0, 1, 1000, 20999, 21000, 21001, 135000} {
+			for _, phase := range []uint64{0, 1, 500, 999} {
+				for _, start := range starts {
+					run(iv, min(phase, max(iv, 1)-1), 21000/uint64(len(es)), start)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMeterReplay prices the steady-loop skip's energy replay: a
+// 256-cycle period of a power channel's energies, replayed 8192 times
+// across RAPL publications.
+func BenchmarkMeterReplay(b *testing.B) {
+	p := DefaultParams(2.7)
+	m := Meter{P: p}
+	es := make([]float64, 256)
+	for i := range es {
+		es[i] = m.CycleEnergy(uint64(i%3), uint64(4*(i%2)), uint64(i%5/4*4), uint64(i%7/6), 4-i%2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		m = Meter{P: p}
+		m.Replay(es, 8192)
+	}
+	b.ReportMetric(float64(m.Cycles()), "sim-cycles/op")
+}
+
+// BenchmarkMeterAddCycles prices the stall skip's energy: 100,000 stall
+// cycles added in one call.
+func BenchmarkMeterAddCycles(b *testing.B) {
+	p := DefaultParams(2.7)
+	m := Meter{P: p}
+	e := m.CycleEnergy(0, 0, 0, 1, 0)
+	b.ReportAllocs()
+	for range b.N {
+		m = Meter{P: p}
+		m.AddCycles(100_000, e)
+	}
+	b.ReportMetric(float64(m.Cycles()), "sim-cycles/op")
+}

@@ -20,48 +20,40 @@ func benchOptions(workers int) Options {
 // (calibration-memoizing) runner. Its ns/op and allocs/op are gated by
 // cmd/benchdiff in CI.
 func BenchmarkSweep_FullSpace(b *testing.B) {
-	o := benchOptions(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(context.Background(), Filter{}, o, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed != rep.Specs || rep.Specs == 0 {
-			b.Fatalf("sweep incomplete: %d/%d", rep.Completed, rep.Specs)
-		}
-	}
+	benchSweep(b, benchOptions(1), nil)
 }
 
 // BenchmarkSweep_FullSpaceUnmemoized pins the cost of the plain
 // per-spec calibrate-then-transmit path, so the memoized runner's
 // benefit stays visible in the trajectory.
 func BenchmarkSweep_FullSpaceUnmemoized(b *testing.B) {
-	o := benchOptions(1)
+	benchSweep(b, benchOptions(1), Direct)
+}
+
+// BenchmarkSweep_FullSpaceParallel4 is the same space on four workers:
+// the wall-clock configuration a sweep service actually runs.
+func BenchmarkSweep_FullSpaceParallel4(b *testing.B) {
+	benchSweep(b, benchOptions(4), nil)
+}
+
+// benchSweep runs the whole space b.N times through runner and reports
+// the simulated cycles of one sweep, the sum of its rows' transmission
+// cycles, as sim-cycles/op.
+func benchSweep(b *testing.B, o Options, runner RunFunc) {
 	b.ReportAllocs()
+	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(context.Background(), Filter{}, o, Direct, nil)
+		rep, err := Run(context.Background(), Filter{}, o, runner, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if rep.Completed != rep.Specs || rep.Specs == 0 {
 			b.Fatalf("sweep incomplete: %d/%d", rep.Completed, rep.Specs)
 		}
-	}
-}
-
-// BenchmarkSweep_FullSpaceParallel4 is the same space on four workers:
-// the wall-clock configuration a sweep service actually runs.
-func BenchmarkSweep_FullSpaceParallel4(b *testing.B) {
-	o := benchOptions(4)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := Run(context.Background(), Filter{}, o, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Completed != rep.Specs {
-			b.Fatalf("sweep incomplete: %d/%d", rep.Completed, rep.Specs)
+		cycles = 0
+		for _, r := range rep.Rows {
+			cycles += r.Result.Cycles
 		}
 	}
+	b.ReportMetric(float64(cycles), "sim-cycles/op")
 }
