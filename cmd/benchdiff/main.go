@@ -14,10 +14,12 @@
 // exits 1. A speedup must do the same simulated work faster.
 //
 // A benchmark reported more than once in a file (go test -count N) is
-// compared by its median ns/op, so one run on a busy host cannot trip
-// the time gate alone. Its rows at one iteration count must report the
-// same allocs/op and sim-cycles/op, which are deterministic; where they
-// do not, its row is marked ROWS DISAGREE and benchdiff exits 1.
+// compared by its median ns/op and allocs/op, so one run on a busy host
+// cannot trip the time gate alone. Its rows at one iteration count must
+// report the same sim-cycles/op, which is deterministic, and allocs/op
+// that agree up to the few allocations other goroutines make
+// (allocSlack); where they do not, its row is marked ROWS DISAGREE and
+// benchdiff exits 1.
 //
 // Usage:
 //
@@ -34,6 +36,7 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,18 +79,30 @@ var (
 
 // load extracts pkg.benchmark -> metrics from one result file. A
 // benchmark reported more than once is summarized over its rows.
-// test2json may split one output line across several events, so each
-// benchmark's output is joined into lines before rows are matched.
+// test2json gives only a benchmark's first result line its Test field
+// and emits the rows of later -count runs as package output, so a
+// package output line that starts with the name of the benchmark the
+// package ran last is that benchmark's row. test2json may also split
+// one output line across several events, so each stream, a benchmark's
+// or a package's own, is joined into lines before rows are matched.
 func load(path string) (map[string]metrics, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	type stream struct{ pkg, test string }
 	rows := map[string][]metrics{}
-	partial := map[string]string{} // each benchmark's output after its last newline
-	add := func(name, line string) {
+	partial := map[stream]string{} // each stream's output after its last newline
+	last := map[string]string{}    // the benchmark each package ran last
+	add := func(s stream, line string) {
+		if s.test == "" {
+			if s.test = last[s.pkg]; !rowOf(line, s.test) {
+				return
+			}
+		}
 		if cur, ok := parseRow(line); ok {
+			name := s.pkg + "." + s.test
 			rows[name] = append(rows[name], cur)
 		}
 	}
@@ -98,24 +113,39 @@ func load(path string) (map[string]metrics, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			continue // tolerate non-JSON noise (build output, teed text)
 		}
-		if ev.Action != "output" || ev.Test == "" {
+		if strings.HasPrefix(ev.Test, "Benchmark") {
+			last[ev.Package] = ev.Test
+		}
+		if ev.Action != "output" {
 			continue
 		}
-		name := ev.Package + "." + ev.Test
-		lines := strings.Split(partial[name]+ev.Output, "\n")
+		s := stream{ev.Package, ev.Test}
+		lines := strings.Split(partial[s]+ev.Output, "\n")
 		for _, line := range lines[:len(lines)-1] {
-			add(name, line)
+			add(s, line)
 		}
-		partial[name] = lines[len(lines)-1]
+		partial[s] = lines[len(lines)-1]
 	}
-	for name, line := range partial {
-		add(name, line)
+	for s, line := range partial {
+		add(s, line)
 	}
 	out := make(map[string]metrics, len(rows))
 	for name, rs := range rows {
 		out[name] = summarize(rs)
 	}
 	return out, sc.Err()
+}
+
+// rowOf reports whether line starts with benchmark name's result row
+// label: the name, optionally followed by -GOMAXPROCS.
+func rowOf(line, name string) bool {
+	label, _, _ := strings.Cut(strings.TrimLeft(line, " \t"), "\t")
+	label = strings.TrimSpace(label)
+	if name == "" || !strings.HasPrefix(label, name) {
+		return false
+	}
+	procs, ok := strings.CutPrefix(label[len(name):], "-")
+	return label == name || ok && procs != "" && strings.Trim(procs, "0123456789") == ""
 }
 
 // parseRow reads one benchmark result line, reporting false for any
@@ -147,29 +177,47 @@ func parseRow(line string) (metrics, bool) {
 	return cur, true
 }
 
+// allocSlack is how many allocations rows of one benchmark may differ
+// by and still agree: 64, or 2% of the larger count. Allocations that
+// other goroutines make during a one-iteration run are counted too (a
+// per-P sync.Pool miss in fmt or net/http, a background allocation of
+// the runtime), and do not repeat: in three -count 3 passes of the whole
+// suite on a 2-CPU host, rows spread by up to 30 allocations of about
+// 200 (the HTTP cache hit) and by 43 of about 6,300 (the serial
+// runner). A benchmark whose state carries over from one op to the next
+// (a warm cache) differs by far more.
+func allocSlack(allocs float64) float64 { return max(64, allocs/50) }
+
 // summarize folds a benchmark's rows into one: the median ns/op (the
-// mean of the middle two of an even count), and the first row's
-// allocs/op and simulated work, which every row at the same iteration
-// count must repeat. Disagree names the first row that does not.
+// mean of the middle two of an even count), and the median allocs/op and
+// the first row's simulated work of the rows at the first row's
+// iteration count, which must repeat that work exactly and agree on
+// allocs/op within allocSlack. Disagree says how they do not.
 func summarize(rs []metrics) metrics {
-	ns := make([]float64, len(rs))
-	for i, r := range rs {
-		ns[i] = r.Ns
-	}
-	sort.Float64s(ns)
+	var ns, allocs []float64
 	m := rs[0]
-	m.Ns = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
 	for i, r := range rs {
-		if r.Iters != m.Iters || m.Disagree != "" {
+		ns = append(ns, r.Ns)
+		if r.Iters != m.Iters {
 			continue
 		}
-		if r.Allocs != m.Allocs {
-			m.Disagree = fmt.Sprintf("%s vs %s allocs/op in rows 1 and %d", fmtAllocs(m.Allocs), fmtAllocs(r.Allocs), i+1)
-		} else if r.Work != m.Work {
+		allocs = append(allocs, r.Allocs)
+		if r.Work != m.Work && m.Disagree == "" {
 			m.Disagree = fmt.Sprintf("%.0f vs %.0f sim-cycles/op in rows 1 and %d", m.Work.SimCycles, r.Work.SimCycles, i+1)
 		}
 	}
+	m.Ns, m.Allocs = median(ns), median(allocs)
+	if lo, hi := slices.Min(allocs), slices.Max(allocs); hi-lo > allocSlack(hi) && m.Disagree == "" {
+		m.Disagree = fmt.Sprintf("%s to %s allocs/op", fmtAllocs(lo), fmtAllocs(hi))
+	}
 	return m
+}
+
+// median returns the middle value of xs, or the mean of the middle two
+// of an even count; it sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
 }
 
 // pctDelta is the percentage change from old to new; 0 when old is not

@@ -216,8 +216,8 @@ func TestRepeatedRowsCompareByMedian(t *testing.T) {
 }
 
 // TestDisagreeingRowsFail pins that rows of one benchmark at one
-// iteration count must repeat their allocs/op and sim-cycles/op, in
-// either file, or the comparison fails and says so.
+// iteration count must repeat their sim-cycles/op, and their allocs/op
+// up to allocSlack, in either file, or the comparison fails and says so.
 func TestDisagreeingRowsFail(t *testing.T) {
 	base := writeResults(t, "1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op")
 	for _, tc := range []struct {
@@ -225,7 +225,8 @@ func TestDisagreeingRowsFail(t *testing.T) {
 		rows []string
 		fail bool
 	}{
-		{"allocs", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "1\t 1000 ns/op\t 5000 sim-cycles/op\t 5 allocs/op"}, true},
+		{"allocs", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "1\t 1000 ns/op\t 5000 sim-cycles/op\t 80 allocs/op"}, true},
+		{"allocs within the slack", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "1\t 1000 ns/op\t 5000 sim-cycles/op\t 5 allocs/op"}, false},
 		{"work", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "1\t 1000 ns/op\t 5001 sim-cycles/op\t 4 allocs/op"}, true},
 		{"other iteration counts", []string{"1\t 1000 ns/op\t 5000 sim-cycles/op\t 4 allocs/op", "50\t 900 ns/op\t 4900 sim-cycles/op\t 3 allocs/op"}, false},
 	} {
@@ -285,7 +286,7 @@ func TestRowsSplitAcrossEventsAreJoined(t *testing.T) {
 	for _, tc := range []struct {
 		allocs string
 		fail   bool
-	}{{"1", false}, {"7", true}} {
+	}{{"1", false}, {"7", false}, {"80", true}} {
 		res, err := load(stream(tc.allocs))
 		if err != nil {
 			t.Fatal(err)
@@ -304,6 +305,63 @@ func TestRowsSplitAcrossEventsAreJoined(t *testing.T) {
 		failed := compare(&out, oldRes, newRes, 50, 300, 25)
 		if failed != tc.fail || strings.Contains(out.String(), "ROWS DISAGREE") != tc.fail || strings.Contains(out.String(), "ALLOC REGRESSION") {
 			t.Fatalf("last row at %s allocs/op: failed = %v, want %v; output:\n%s", tc.allocs, failed, tc.fail, out.String())
+		}
+	}
+}
+
+// TestLaterCountRowsArePackageOutput reads three -count rows in the
+// shape Go 1.24's test2json writes them: only the first result line
+// carries the benchmark's Test field, the second and third are package
+// output, and a package line may be split across events. All three
+// rows belong to the benchmark that ran last in the package, none to a
+// benchmark of another package or to the next one, so the median and
+// the row check see every row.
+func TestLaterCountRowsArePackageOutput(t *testing.T) {
+	stream := func(third string) string {
+		var b []byte
+		for _, ev := range []event{
+			{Action: "run", Package: "repro/internal/cpu", Test: "BenchmarkCoreStep"},
+			{Action: "output", Package: "repro/internal/cpu", Test: "BenchmarkCoreStep", Output: "=== RUN   BenchmarkCoreStep\n"},
+			{Action: "output", Package: "repro/internal/cpu", Test: "BenchmarkCoreStep", Output: "BenchmarkCoreStep\n"},
+			{Action: "output", Package: "repro/internal/cpu", Test: "BenchmarkCoreStep", Output: "BenchmarkCoreStep-2            \t       1\t      4573 ns/op\t     100 sim-cycles/op\t       0 B/op\t       0 allocs/op\n"},
+			{Action: "output", Package: "repro/internal/cpu", Output: "BenchmarkCoreStep-2            \t       1\t      2100 ns/op\t     100 sim-cycles/op\t  "},
+			{Action: "output", Package: "repro/internal/cpu", Output: "     0 B/op\t       0 allocs/op\n"},
+			{Action: "output", Package: "repro/internal/other", Output: "BenchmarkCoreStep-2            \t       1\t         1 ns/op\t     100 sim-cycles/op\t       0 B/op\t       0 allocs/op\n"},
+			{Action: "output", Package: "repro/internal/cpu", Output: "BenchmarkCoreStep-2            \t       1\t      " + third + "\n"},
+			{Action: "run", Package: "repro/internal/cpu", Test: "BenchmarkCoreStepper"},
+			{Action: "output", Package: "repro/internal/cpu", Output: "BenchmarkCoreStep-2            \t       1\t         1 ns/op\t     100 sim-cycles/op\t       0 B/op\t       0 allocs/op\n"},
+			{Action: "output", Package: "repro/internal/cpu", Output: "PASS\n"},
+			{Action: "output", Package: "repro/internal/cpu", Output: "ok  \trepro/internal/cpu\t0.009s\n"},
+		} {
+			line, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = append(append(b, line...), '\n')
+		}
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		third    string
+		disagree bool
+	}{
+		{"2028 ns/op\t     100 sim-cycles/op\t       0 B/op\t       0 allocs/op", false},
+		{"2028 ns/op\t     100 sim-cycles/op\t      64 B/op\t       1 allocs/op", false},
+		{"2028 ns/op\t     100 sim-cycles/op\t    4096 B/op\t     100 allocs/op", true},
+		{"2028 ns/op\t     101 sim-cycles/op\t       0 B/op\t       0 allocs/op", true},
+	} {
+		res, err := load(stream(tc.third))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res["repro/internal/cpu.BenchmarkCoreStep"]
+		if len(res) != 1 || got.Ns != 2100 || got.Allocs != 0 || (got.Disagree != "") != tc.disagree {
+			t.Fatalf("third row %q: loaded %+v, want one benchmark at the median 2100 ns/op of its three rows, disagreeing: %v",
+				tc.third, res, tc.disagree)
 		}
 	}
 }

@@ -53,13 +53,21 @@ func portMask(k isa.Kind) uint8 {
 // makes the ring arithmetic a mask instead of a modulo.
 const idqSlots = 128
 
+// Entry is what an IDQ keeps of a delivered instruction: the fields
+// retirement reads.
+type Entry struct {
+	MemAddr uint64 // the data address a Load or Store touches
+	UOps    uint8
+	Kind    isa.Kind
+}
+
 // IDQ is one hardware thread's Instruction Decode Queue: the micro-op
 // buffer between frontend delivery and backend retirement (Figure 1).
 // The frontend pushes into it and the backend pops from it; its length
-// counts micro-ops, not instructions, and its ring holds one slot per
+// counts micro-ops, not instructions, and its ring holds one Entry per
 // instruction. The ring is held inline, so an IDQ is a value.
 type IDQ struct {
-	buf      [idqSlots]isa.Inst
+	buf      [idqSlots]Entry
 	head     int
 	n        int // instructions buffered
 	size     int // their micro-ops
@@ -83,17 +91,17 @@ func (q *IDQ) Free() int { return q.capacity - q.size }
 
 // Push appends an instruction's micro-ops. The caller bounds pushes by
 // Free.
-func (q *IDQ) Push(in isa.Inst) {
-	q.buf[(q.head+q.n)&(idqSlots-1)] = in
+func (q *IDQ) Push(in *isa.Inst) {
+	q.buf[(q.head+q.n)&(idqSlots-1)] = Entry{MemAddr: in.MemAddr, UOps: in.UOps, Kind: in.Kind}
 	q.n++
 	q.size += int(in.UOps)
 }
 
-// Pop removes the oldest instruction; ok is false when the queue is
-// empty.
-func (q *IDQ) Pop() (isa.Inst, bool) {
+// Pop removes the oldest instruction's entry; ok is false when the
+// queue is empty.
+func (q *IDQ) Pop() (Entry, bool) {
 	if q.n == 0 {
-		return isa.Inst{}, false
+		return Entry{}, false
 	}
 	in := q.buf[q.head]
 	q.head = (q.head + 1) & (idqSlots - 1)

@@ -14,7 +14,7 @@ import (
 func fill(k isa.Kind, n int) IDQ {
 	q := NewIDQ(n)
 	for range n {
-		q.Push(isa.Inst{Kind: k, UOps: 1, Len: 1})
+		q.Push(&isa.Inst{Kind: k, UOps: 1, Len: 1})
 	}
 	return q
 }
@@ -37,10 +37,10 @@ func TestRetireCountsMicroOps(t *testing.T) {
 	var idq [2]IDQ
 	idq[0] = NewIDQ(16)
 	for range 4 {
-		idq[0].Push(isa.Inst{Kind: isa.Nop, UOps: 2, Len: 1})
+		idq[0].Push(&isa.Inst{Kind: isa.Nop, UOps: 2, Len: 1})
 	}
-	idq[0].Push(isa.Inst{Kind: isa.Nop, UOps: 6, Len: 1})
-	idq[0].Push(isa.Inst{Kind: isa.Nop, UOps: 1, Len: 1})
+	idq[0].Push(&isa.Inst{Kind: isa.Nop, UOps: 6, Len: 1})
+	idq[0].Push(&isa.Inst{Kind: isa.Nop, UOps: 1, Len: 1})
 	for i, want := range []struct{ cycle, total uint64 }{{4, 4}, {4, 8}, {6, 14}, {1, 15}} {
 		if got := b.Cycle(&idq, nil); uint64(got) != want.cycle || b.Retired[0] != want.total {
 			t.Fatalf("cycle %d retired %d micro-ops, %d in all; want %d and %d", i, got, b.Retired[0], want.cycle, want.total)
@@ -100,8 +100,8 @@ func TestMemHook(t *testing.T) {
 	b := New(DefaultParams())
 	var idq [2]IDQ
 	idq[0] = NewIDQ(4)
-	idq[0].Push(isa.Inst{Kind: isa.Load, UOps: 1, MemAddr: 0x1234})
-	idq[0].Push(isa.Inst{Kind: isa.Mov, UOps: 1, MemAddr: 0x5678})
+	idq[0].Push(&isa.Inst{Kind: isa.Load, UOps: 1, MemAddr: 0x1234})
+	idq[0].Push(&isa.Inst{Kind: isa.Mov, UOps: 1, MemAddr: 0x5678})
 	var l1d cache.Cache
 	b.Cycle(&idq, &l1d)
 	if l1d.Stats().Accesses() != 1 || !l1d.Probe(0x1234) {
@@ -143,14 +143,14 @@ func TestIDQRingFIFO(t *testing.T) {
 		}
 		q := NewIDQ(64)
 		for _, a := range addrs {
-			q.Push(isa.Inst{Addr: uint64(a), UOps: 1})
+			q.Push(&isa.Inst{MemAddr: uint64(a), UOps: 1})
 		}
 		if q.Len() != len(addrs) {
 			return false
 		}
 		for _, a := range addrs {
 			in, ok := q.Pop()
-			if !ok || in.Addr != uint64(a) {
+			if !ok || in.MemAddr != uint64(a) {
 				return false
 			}
 		}
@@ -170,7 +170,7 @@ func TestIDQRingFIFO(t *testing.T) {
 func TestIDQRecursAndAdvance(t *testing.T) {
 	period := func(q *IDQ) {
 		for i := range 3 {
-			q.Push(isa.Inst{Addr: uint64(0x40 + i), UOps: 1, Kind: isa.Mov})
+			q.Push(&isa.Inst{MemAddr: uint64(0x40 + i), UOps: 1, Kind: isa.Mov})
 		}
 		q.Pop()
 		q.Pop()
@@ -178,7 +178,7 @@ func TestIDQRecursAndAdvance(t *testing.T) {
 	}
 	// Enough periods that every slot of the ring has been written.
 	q := NewIDQ(8)
-	q.Push(isa.Inst{Addr: 1, UOps: 1, Kind: isa.Mov})
+	q.Push(&isa.Inst{MemAddr: 1, UOps: 1, Kind: isa.Mov})
 	for range 50 {
 		period(&q)
 	}
@@ -190,8 +190,8 @@ func TestIDQRecursAndAdvance(t *testing.T) {
 	for name, change := range map[string]func(x *IDQ){
 		"occupancy":    func(x *IDQ) { x.size++ },
 		"instructions": func(x *IDQ) { x.n++ },
-		"live slot":    func(x *IDQ) { x.buf[x.head].Addr++ },
-		"dead slot":    func(x *IDQ) { x.buf[(x.head+idqSlots-1)%idqSlots].Addr++ },
+		"live slot":    func(x *IDQ) { x.buf[x.head].MemAddr++ },
+		"dead slot":    func(x *IDQ) { x.buf[(x.head+idqSlots-1)%idqSlots].MemAddr++ },
 	} {
 		x := q
 		change(&x)
@@ -219,7 +219,7 @@ func TestBackendAdvance(t *testing.T) {
 	cycles := uint64(0)
 	period := func(b *Backend) {
 		for range 7 {
-			idq[0].Push(isa.Inst{Kind: isa.Load, UOps: 1})
+			idq[0].Push(&isa.Inst{Kind: isa.Load, UOps: 1})
 		}
 		for idq[0].Len() > 0 {
 			b.Cycle(&idq, nil)
@@ -247,17 +247,18 @@ func TestBackendAdvance(t *testing.T) {
 func TestIDQHoldsInstructionsOfManyMicroOps(t *testing.T) {
 	q := NewIDQ(8)
 	a := isa.Inst{Addr: 0x100, Kind: isa.Add, UOps: 2, Len: 4}
-	b := isa.Inst{Addr: 0x104, Kind: isa.Nop, UOps: 1, Len: 1}
-	q.Push(a)
-	q.Push(b)
+	b := isa.Inst{Addr: 0x104, Kind: isa.Load, UOps: 1, Len: 1, MemAddr: 0x2000}
+	q.Push(&a)
+	q.Push(&b)
 	if q.Len() != 3 || q.Free() != 5 {
 		t.Fatalf("Len %d, Free %d after pushing 3 micro-ops into 8", q.Len(), q.Free())
 	}
-	var got []isa.Inst
+	var got []Entry
 	for in, ok := q.Pop(); ok; in, ok = q.Pop() {
 		got = append(got, in)
 	}
-	if len(got) != 2 || got[0] != a || got[1] != b || q.Len() != 0 {
+	want := []Entry{{Kind: isa.Add, UOps: 2}, {Kind: isa.Load, UOps: 1, MemAddr: 0x2000}}
+	if !reflect.DeepEqual(got, want) || q.Len() != 0 {
 		t.Fatalf("popped %+v, %d micro-ops left; want the two pushed instructions", got, q.Len())
 	}
 }

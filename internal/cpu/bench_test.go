@@ -103,15 +103,35 @@ func fingerprintVictim(windows int) []*isa.Block {
 
 // BenchmarkCoreRunCyclesMT times one fingerprint sample of Figure 12:
 // RunCycles(30_000) with the attacker's nop loop on thread 0 and a
-// 300-window victim on thread 1. Both threads are always busy, so no
-// skip applies and each cycle delivers. Beside sim-cycles/op it reports
-// the micro-ops both threads retired per op.
+// 300-window victim on thread 1. The two loops' joint state does not
+// recur within a sample, so every cycle is stepped: the benchmark fails
+// if the steady-loop skip fires. Beside sim-cycles/op it reports the
+// micro-ops both threads retired per op.
 func BenchmarkCoreRunCyclesMT(b *testing.B) {
+	skips := loopSkips.Load()
+	benchRunCyclesMT(b, 300)
+	if loopSkips.Load() != skips {
+		b.Fatal("the steady-loop skip fired: this benchmark prices stepped two-thread cycles")
+	}
+}
+
+// BenchmarkCoreRunCyclesMTSteady is BenchmarkCoreRunCyclesMT beside a
+// 60-window victim, a phase whose joint state with the attacker recurs
+// within a sample, so the two-thread steady-loop skip covers most of
+// its cycles.
+func BenchmarkCoreRunCyclesMTSteady(b *testing.B) {
+	benchRunCyclesMT(b, 60)
+}
+
+// benchRunCyclesMT times RunCycles(30_000), one fingerprint sample,
+// with the attacker on thread 0 and a victim of the given number of
+// windows on thread 1.
+func benchRunCyclesMT(b *testing.B, windows int) {
 	const sample = 30_000
 	c := NewCore(Gold6226(), 1)
 	// An iteration takes at least a cycle, so neither loop drains.
 	c.Enqueue(0, isa.NewLoopStream(fingerprintAttacker(), b.N*sample+1), nil)
-	c.Enqueue(1, isa.NewLoopStream(fingerprintVictim(300), b.N*sample+1), nil)
+	c.Enqueue(1, isa.NewLoopStream(fingerprintVictim(windows), b.N*sample+1), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {

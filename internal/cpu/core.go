@@ -124,7 +124,11 @@ func (c *Core) Idle() bool { return !c.Busy(0) && !c.Busy(1) }
 // Step advances the core by one cycle: task dispatch, DSB partition
 // management, SMT fetch arbitration, frontend delivery, backend
 // retirement, and power accrual.
-func (c *Core) Step() {
+func (c *Core) Step() { c.step() }
+
+// step is Step; it returns the energy the cycle accrued, which the
+// steady-loop skip records.
+func (c *Core) step() float64 {
 	c.cycle++
 
 	// Dispatch queued tasks. The queue is drained by head index so the
@@ -206,7 +210,7 @@ func (c *Core) Step() {
 	dsb := c.FE.Ctr[0].UOpsDSB + c.FE.Ctr[1].UOpsDSB
 	mite := c.FE.Ctr[0].UOpsMITE + c.FE.Ctr[1].UOpsMITE
 	stall := c.FE.Ctr[0].StallCycles + c.FE.Ctr[1].StallCycles
-	c.PM.AddCycleDelta(lsd-c.prevLSD, dsb-c.prevDSB, mite-c.prevMITE, stall-c.prevStall, retired)
+	e := c.PM.AddCycleDelta(lsd-c.prevLSD, dsb-c.prevDSB, mite-c.prevMITE, stall-c.prevStall, retired)
 	c.prevLSD, c.prevDSB, c.prevMITE, c.prevStall = lsd, dsb, mite, stall
 
 	// Task completion: stream fully fetched and IDQ drained.
@@ -224,6 +228,7 @@ func (c *Core) Step() {
 			}
 		}
 	}
+	return e
 }
 
 // reading is the noisy TSC reading of a timed step that ran for cycles
@@ -252,8 +257,8 @@ func (c *Core) AbortThread(t int) {
 }
 
 // RunCycles advances exactly n cycles. Quiet stretches are skipped in
-// bulk (see quietSpan), and a lone thread's loop whose state recurs is
-// fast-forwarded by whole periods (see steady.go). A stall is stepped
+// bulk (see quietSpan), and a lone thread's loop, or two threads' loops,
+// whose state recurs is fast-forwarded by whole periods (see steady.go). A stall is stepped
 // while the loop detector holds a snapshot, which records the energy of
 // every cycle it is compared over. Every simulated value matches n calls
 // of Step.
@@ -266,8 +271,7 @@ func (c *Core) RunCycles(n uint64) {
 			c.skipQuiet(k)
 			continue
 		}
-		c.Step()
-		d.step(c, end)
+		d.step(c, c.step(), end)
 	}
 }
 
@@ -352,11 +356,11 @@ func (c *Core) RunUntilIdle(maxCycles uint64) {
 			c.skipQuiet(k)
 			continue
 		}
-		c.Step()
+		e := c.step()
 		if c.cycle-start > maxCycles {
 			panic(fmt.Sprintf("cpu: RunUntilIdle exceeded %d cycles", maxCycles))
 		}
-		d.step(c, limit)
+		d.step(c, e, limit)
 	}
 }
 

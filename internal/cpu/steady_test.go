@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,6 +19,10 @@ type steadyLoop struct {
 	// recurs is false for loops whose state never repeats bit for bit on
 	// a model, so the skip cannot fire there.
 	recurs func(m Model) bool
+	// beside is set for loops whose joint state with Figure 12's
+	// attacker loop on the sibling thread recurs within 60,001 cycles on
+	// every hyper-threaded model.
+	beside bool
 }
 
 func chained(blocks ...*isa.Block) []*isa.Block {
@@ -54,23 +59,23 @@ func steadyLoops() []steadyLoop {
 	// drifting: its state never recurs.
 	dyadic := func(m Model) bool { return m.Name == dyadicLCP().Name }
 	return []steadyLoop{
-		{"dsb thrash 9 blocks", isa.MixChain(3, 9, true), 3000, always},
-		{"lsd lock 8 blocks", isa.MixChain(3, 8, true), 5000, always},
-		{"one block", isa.MixChain(4, 1, true), 20000, always},
+		{"dsb thrash 9 blocks", isa.MixChain(3, 9, true), 3000, always, true},
+		{"lsd lock 8 blocks", isa.MixChain(3, 8, true), 5000, always, true},
+		{"one block", isa.MixChain(4, 1, true), 20000, always, false},
 		// A lone jump to itself: one-cycle iterations, so a snapshot can
 		// come while an aborted sibling's micro-ops still retire.
-		{"self jump", chained(isa.NopBlock(isa.AddrForSet(4, 3), 0)), 20000, always},
-		{"misaligned 8 blocks", isa.MixChain(5, 8, false), 3000, always},
-		{"aligned+misaligned 6+3", isa.MixChainMixed(7, 6, 3), 3000, always},
-		{"lcp mixed", chained(isa.LCPBlock(isa.AddrForSet(6, 4), 14, true)), 3000, dyadic},
-		{"lcp ordered", chained(isa.LCPBlock(isa.AddrForSet(9, 2), 14, false)), 3000, dyadic},
-		{"sgx sender", sgxSender(), 1000, always},
+		{"self jump", chained(isa.NopBlock(isa.AddrForSet(4, 3), 0)), 20000, always, false},
+		{"misaligned 8 blocks", isa.MixChain(5, 8, false), 3000, always, true},
+		{"aligned+misaligned 6+3", isa.MixChainMixed(7, 6, 3), 3000, always, true},
+		{"lcp mixed", chained(isa.LCPBlock(isa.AddrForSet(6, 4), 14, true)), 3000, dyadic, false},
+		{"lcp ordered", chained(isa.LCPBlock(isa.AddrForSet(9, 2), 14, false)), 3000, dyadic, false},
+		{"sgx sender", sgxSender(), 1000, always, true},
 		// Five loads contend for two load ports every iteration.
-		{"load ports", loadLoop(isa.AddrForSet(11, 1), 0x20000), 3000, always},
+		{"load ports", loadLoop(isa.AddrForSet(11, 1), 0x20000), 3000, always, false},
 		// Nine loads cycle through one 8-way L1D set, so the set's ways
 		// hold their tags again only every eighth iteration.
-		{"l1d thrash", chained(isa.LoadBlock(isa.AddrForSet(12, 1), l1dThrash())), 3000, always},
-		{"pause", chained(isa.PauseBlock(isa.AddrForSet(28, 3), 2)), 200, always},
+		{"l1d thrash", chained(isa.LoadBlock(isa.AddrForSet(12, 1), l1dThrash())), 3000, always, false},
+		{"pause", chained(isa.PauseBlock(isa.AddrForSet(28, 3), 2)), 200, always, false},
 	}
 }
 
@@ -113,34 +118,47 @@ func runUntilIdle(c *Core, skip bool) {
 	}
 }
 
+// runCycles runs c for n cycles through RunCycles when skip is set and
+// through plain Step otherwise.
+func runCycles(c *Core, n uint64, skip bool) {
+	if skip {
+		c.RunCycles(n)
+		return
+	}
+	for range n {
+		c.Step()
+	}
+}
+
 // TestSteadySkipMatchesStep runs every loop shape on every model through
 // the run loops on one core and through plain Step on its clone, and
 // requires the two cores to end in identical state: after RunUntilIdle,
-// after RunCycles with an odd budget that ends mid-loop, and with a
-// second thread that finishes first, so the DSB partition reverts
-// mid-run.
+// after RunCycles with an odd budget that ends mid-loop, with a second
+// thread that finishes first, so the DSB partition reverts mid-run, and
+// beside Figure 12's attacker loop on the sibling thread, through both
+// run loops. Beside the attacker, the loops marked beside must fire a
+// skip while both threads loop; whether the others' joint state recurs
+// is not pinned.
 func TestSteadySkipMatchesStep(t *testing.T) {
+	beside := func(c *Core, loop steadyLoop, attacker int) {
+		c.Enqueue(0, isa.NewLoopStream(fingerprintAttacker(), attacker), nil)
+		c.Enqueue(1, isa.NewLoopStream(loop.blocks, loop.iters), nil)
+	}
 	modes := []struct {
-		name string
-		ht   bool // needs a second hardware thread
-		run  func(c *Core, loop steadyLoop, skip bool)
+		name  string
+		ht    bool // needs a second hardware thread
+		joint bool // both threads loop, so the skip may or may not fire
+		run   func(c *Core, loop steadyLoop, skip bool)
 	}{
-		{"RunUntilIdle", false, func(c *Core, loop steadyLoop, skip bool) {
+		{"RunUntilIdle", false, false, func(c *Core, loop steadyLoop, skip bool) {
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
 			runUntilIdle(c, skip)
 		}},
-		{"RunCycles mid-loop", false, func(c *Core, loop steadyLoop, skip bool) {
+		{"RunCycles mid-loop", false, false, func(c *Core, loop steadyLoop, skip bool) {
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
-			const n = 40_001
-			if skip {
-				c.RunCycles(n)
-			} else {
-				for range n {
-					c.Step()
-				}
-			}
+			runCycles(c, 40_001, skip)
 		}},
-		{"aborted sibling", true, func(c *Core, loop steadyLoop, skip bool) {
+		{"aborted sibling", true, false, func(c *Core, loop steadyLoop, skip bool) {
 			// Thread 1 leaves micro-ops in its IDQ that retire while
 			// thread 0's loop starts: a warm DSB delivers faster than the
 			// backend retires, so the IDQ backs up.
@@ -155,13 +173,25 @@ func TestSteadySkipMatchesStep(t *testing.T) {
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
 			runUntilIdle(c, skip)
 		}},
-		{"sibling finishes first", true, func(c *Core, loop steadyLoop, skip bool) {
+		{"sibling finishes first", true, false, func(c *Core, loop steadyLoop, skip bool) {
 			c.Enqueue(1, isa.NewLoopStream(isa.MixChain(20, 6, true), 30), nil)
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
 			runUntilIdle(c, skip)
 			if c.FE.DSB.Partitioned() || c.FE.DSB.Stats().Partitions < 2 {
 				panic("the DSB partition did not revert")
 			}
+		}},
+		{"beside the attacker RunCycles", true, true, func(c *Core, loop steadyLoop, skip bool) {
+			beside(c, loop, 100_000)
+			before := loopSkips.Load()
+			runCycles(c, 60_001, skip)
+			if skip && loop.beside && (loopSkips.Load() == before || !c.Busy(0) || !c.Busy(1)) {
+				panic("no skip fired while both threads looped")
+			}
+		}},
+		{"beside the attacker RunUntilIdle", true, true, func(c *Core, loop steadyLoop, skip bool) {
+			beside(c, loop, 1500)
+			runUntilIdle(c, skip)
 		}},
 	}
 	for _, m := range steadyModels() {
@@ -179,12 +209,93 @@ func TestSteadySkipMatchesStep(t *testing.T) {
 					mode.run(stepped, loop, false)
 					fired := loopSkips.Load() > before
 					requireSameCore(t, skipped, stepped)
-					if want := loop.recurs(m); fired != want {
+					if want := loop.recurs(m); !mode.joint && fired != want {
 						t.Fatalf("skip fired %v, want %v", fired, want)
 					}
 				})
 			}
 		}
+	}
+}
+
+// steadyPair returns a Gold 6226 core 5,000 cycles into Figure 12's
+// attacker loop beside a 60-window victim, whose joint state recurs.
+func steadyPair() *Core {
+	c := NewCore(Gold6226(), 1)
+	c.Enqueue(0, isa.NewLoopStream(fingerprintAttacker(), 100_000), nil)
+	c.Enqueue(1, isa.NewLoopStream(fingerprintVictim(60), 100_000), nil)
+	runCycles(c, 5_000, false)
+	return c
+}
+
+// firstSkip runs a clone of c through a RunCycles call of 30,001 cycles
+// until its first skip, and returns the cycle of the snapshot that
+// recurred, the boundary it recurred at and the cycle the skip landed on.
+func firstSkip(t *testing.T, c *Core) (armed, at, landed uint64) {
+	t.Helper()
+	probe := c.Clone()
+	end := probe.Cycle() + 30_001
+	var d loopDetector
+	defer d.disarm(probe)
+	for skips := loopSkips.Load(); probe.Cycle() < end; {
+		if d.snap != nil {
+			armed = d.snap.cycle
+		}
+		at = probe.Cycle() + 1
+		d.step(probe, probe.step(), end)
+		if loopSkips.Load() != skips {
+			return armed, at, probe.Cycle()
+		}
+	}
+	t.Fatal("the two-thread skip did not fire")
+	return 0, 0, 0
+}
+
+// TestTwoThreadSkipEndsOnTheLimit ends a RunCycles call on the cycle a
+// two-thread skip lands on, so that no stepped cycle follows the skip
+// to set what Step sets every cycle both threads run (the DSB
+// partition's last two-thread cycle): the core must equal a stepped
+// one. A call with a larger budget detects the same period at the same
+// boundary.
+func TestTwoThreadSkipEndsOnTheLimit(t *testing.T) {
+	c := steadyPair()
+	_, _, landed := firstSkip(t, c)
+	skipped, stepped := c.Clone(), c.Clone()
+	skipped.RunCycles(landed - c.Cycle())
+	runCycles(stepped, landed-c.Cycle(), false)
+	requireSameCore(t, skipped, stepped)
+}
+
+// TestTwoThreadRecurrenceChecksHoldAndParity takes a core at a boundary
+// where two threads' loops recur to the detector's snapshot and changes
+// what only two-thread cycles read: a different MITE fetch hold, or one
+// cycle more (an odd period, which swaps the fetch grant and the retire
+// priority), must each break the recurrence.
+func TestTwoThreadRecurrenceChecksHoldAndParity(t *testing.T) {
+	c := steadyPair()
+	armed, at, _ := firstSkip(t, c)
+	runCycles(c, armed-c.Cycle(), false)
+	var d loopDetector
+	d.retarget(c)
+	d.arm(c)
+	defer d.disarm(c)
+	for c.Cycle() < at {
+		d.record(c, c.step())
+	}
+	if !d.recurs(c) {
+		t.Fatal("the boundary does not recur")
+	}
+	hold := c.miteHold
+	if c.miteHold = 0; hold == 0 {
+		c.miteHold = -1
+	}
+	if d.recurs(c) {
+		t.Error("a different fetch hold still recurs")
+	}
+	c.miteHold = hold
+	c.cycle++
+	if d.recurs(c) {
+		t.Error("an odd period still recurs")
 	}
 }
 
@@ -247,9 +358,10 @@ func fuzzLoop(set, n int, kinds []byte) []*isa.Block {
 
 // FuzzSteadySkip builds a loop from the input — block kinds (mix, LCP,
 // nop, pause), DSB set, block count, alignment, iteration count, model,
-// thread and run mode — and requires the run loops, or Advance at limits
-// the input sets, to leave the core in exactly the state plain stepping
-// does.
+// thread and run mode — and, with bit 2 of the second byte set on a
+// hyper-threaded model, a second loop on the sibling thread, and
+// requires the run loops, or Advance at limits the input sets, to leave
+// the core in exactly the state plain stepping does.
 func FuzzSteadySkip(f *testing.F) {
 	f.Add([]byte{0, 0, 200, 3, 7, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 120, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8})
@@ -258,6 +370,8 @@ func FuzzSteadySkip(f *testing.F) {
 	f.Add([]byte{2, 4, 255, 20, 6, 0, 0, 0, 0, 0, 2 | 29<<3})
 	f.Add([]byte{0, 8, 20, 28, 2, 3 | 2<<3, 0, 3 | 17<<3})
 	f.Add([]byte{0, 9, 10, 6, 1, 1 | 5<<3, 3 | 30<<3})
+	f.Add([]byte{0, 4, 200, 3, 7, 0, 0, 0, 2 | 12<<3})
+	f.Add([]byte{1, 6, 120, 9, 3, 2 | 30<<3, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -281,6 +395,13 @@ func FuzzSteadySkip(f *testing.F) {
 		}
 		skipped := NewCore(m, uint64(data[0]))
 		skipped.Enqueue(thread, isa.NewLoopStream(blocks, iters), nil)
+		if data[1]&4 != 0 && m.HyperThreading {
+			// The sibling's loop: the same kinds in other sets, reversed.
+			kinds := slices.Clone(data[5:])
+			slices.Reverse(kinds)
+			sibling := fuzzLoop((int(data[3])+16)%isa.DSBSets, 1+int(data[4]>>4)%10, kinds)
+			skipped.Enqueue(1-thread, isa.NewLoopStream(sibling, iters/2+int(data[0])*8), nil)
+		}
 		stepped := skipped.Clone()
 		switch {
 		case advance:

@@ -90,14 +90,15 @@ func Figure2(rc RunCtx, o Opts) (Figure2Data, string, error) {
 	const passes = 400
 	run := func(path string, model cpu.Model, blocks []*isa.Block) ([]float64, error) {
 		core := cpu.NewCore(model, o.Seed)
-		core.Enqueue(0, isa.NewLoopStream(blocks, 10), nil) // warmup
+		flat := isa.Flatten(blocks)
+		core.Enqueue(0, isa.NewFlatLoopStream(flat, 10), nil) // warmup
 		core.RunUntilIdle(10_000_000)
 		out := make([]float64, passes)
 		for i := range out {
 			if err := rc.Step("timing "+path, i, passes); err != nil {
 				return nil, err
 			}
-			out[i] = core.RunTimedTight(0, isa.NewLoopStream(blocks, 8))
+			out[i] = core.RunTimedTight(0, isa.NewFlatLoopStream(flat, 8))
 		}
 		return out, nil
 	}
@@ -492,7 +493,8 @@ func Figure9(rc RunCtx, o Opts) (Figure9Data, string, error) {
 	run := func(path string, model cpu.Model, blocks []*isa.Block) ([]float64, error) {
 		core := cpu.NewCore(model, o.Seed)
 		r := rng.New(o.Seed).Fork(11)
-		core.Enqueue(0, isa.NewLoopStream(blocks, 20), nil)
+		flat := isa.Flatten(blocks)
+		core.Enqueue(0, isa.NewFlatLoopStream(flat, 20), nil)
 		core.RunUntilIdle(10_000_000)
 		out := make([]float64, 0, windows)
 		for i := 0; i < windows; i++ {
@@ -500,7 +502,7 @@ func Figure9(rc RunCtx, o Opts) (Figure9Data, string, error) {
 				return nil, err
 			}
 			e0, c0 := core.PM.TrueEnergy(), core.Cycle()
-			core.Enqueue(0, isa.NewLoopStream(blocks, 60), nil)
+			core.Enqueue(0, isa.NewFlatLoopStream(flat, 60), nil)
 			core.RunUntilIdle(10_000_000)
 			w := power.AvgWatts(core.PM.TrueEnergy()-e0, core.Cycle()-c0)
 			out = append(out, w+r.NormScaled(0, 0.6))

@@ -136,8 +136,11 @@ func parted(a, b schedule) int {
 // sim is the simulation side of a trace: a core running the attacker's
 // loop on thread 0, with the victim's phases queued on thread 1.
 type sim struct {
-	core   *cpu.Core
-	w      *victim.Workload
+	core *cpu.Core
+	w    *victim.Workload
+	// flat holds each phase's blocks flattened, once a phase first
+	// starts; a sim's copy shares it.
+	flat   [][]isa.Inst
 	period uint64
 	cycles int    // the trace's length in cycles, plus two samples
 	stage  string // progress stage
@@ -150,6 +153,7 @@ func newSim(cfg Config, w *victim.Workload) *sim {
 	s := &sim{
 		core:   cpu.NewCore(cfg.Model, cfg.Seed),
 		w:      w,
+		flat:   make([][]isa.Inst, len(w.Phases)),
 		period: cfg.SamplePeriod,
 		cycles: int(cfg.SamplePeriod) * (cfg.Samples + 2),
 		stage:  "trace " + w.Name,
@@ -173,15 +177,25 @@ func (s *sim) run(rc runctx.Ctx, phase []int, ipc []float64, from, to int) error
 			// most one block per cycle. A phase ends only by this
 			// requeue, never by its loop running out, so two runs
 			// whose phase lengths drift apart queue the same stream.
-			blocks := s.w.PhaseBlocks(p % len(s.w.Phases))
 			s.core.AbortThread(1)
-			s.core.Enqueue(1, isa.NewLoopStream(blocks, s.cycles/len(blocks)+1000), nil)
+			s.core.Enqueue(1, s.phase(p%len(s.w.Phases)), nil)
 		}
 		snap := s.core.Snapshot(0)
 		s.core.RunCycles(s.period)
 		ipc[i] = s.core.IPCSince(0, snap)
 	}
 	return nil
+}
+
+// phase returns the victim's loop over phase i's blocks, flattened the
+// first time the phase starts, with an iteration count that outlasts
+// the trace.
+func (s *sim) phase(i int) isa.SeqStream {
+	blocks := s.w.PhaseBlocks(i)
+	if s.flat[i] == nil {
+		s.flat[i] = isa.Flatten(blocks)
+	}
+	return isa.NewFlatLoopStream(s.flat[i], s.cycles/len(blocks)+1000)
 }
 
 // BaselineIPC returns the attacker's solo IPC (no victim), the 3.58

@@ -26,90 +26,118 @@ func (f *Frontend) Stream(t int) *isa.SeqStream {
 	return &f.thr[t].stream
 }
 
-// LoopSnap is a copy of the frontend state one hardware thread's loop
-// reads and writes, taken by Snapshot at an iteration boundary while
-// the sibling thread is idle. An idle sibling's predictor, detector,
-// IDQ, counters and fetch state do not change, so they are not copied.
-// From Snapshot until AdvanceLoop or StopLog the frontend also logs,
-// in order, every float addend it adds to the thread's counters, so the
-// sums of k more periods can be taken bit for bit.
+// LoopSnap is a copy of the frontend state the looping threads read and
+// write, taken by Snapshot at an iteration boundary of one of their
+// loops: the shared DSB, L1I, alignment tracker and switch buffer, and
+// each looping thread's predictor, detector, IDQ, counters and fetch
+// state. A thread that does not loop is idle, and an idle thread's parts
+// do not change, so they are not copied. From Snapshot until AdvanceLoop
+// or StopLog the frontend also logs, in order and per thread, every
+// float addend it adds to a thread's counters, so the sums of k more
+// periods can be taken bit for bit.
 type LoopSnap struct {
-	t     int
+	loops [2]bool // the threads whose loops the snapshot holds
 	dsb   DSB
 	l1i   cache.Cache
-	bpu   branch.Predictor
-	lsd   LSD
 	align AlignTracker
 	sw    switchBuffer
-	idq   backend.IDQ
-	thr   fthread // its stream holds the loop's position
-	ctr   ThreadCounters
+	thr   [2]threadSnap
+}
 
-	// lcpAdds and swAdds are the addends to Ctr[t].LCPStallCycles and
-	// Ctr[t].SwitchCycles since the snapshot.
+// threadSnap is one looping thread's part of a LoopSnap.
+type threadSnap struct {
+	bpu branch.Predictor
+	lsd LSD
+	idq backend.IDQ
+	fth fthread // its stream holds the loop's position
+	ctr ThreadCounters
+
+	// lcpAdds and swAdds are the addends to the thread's LCPStallCycles
+	// and SwitchCycles since the snapshot.
 	lcpAdds, swAdds []float64
 }
 
-// Snapshot copies the state thread t's loop can change into s and
-// starts the addend log.
-func (f *Frontend) Snapshot(s *LoopSnap, t int) {
-	s.t = t
+// Snapshot copies the state the loops of the threads set in loops can
+// change into s and starts the addend logs.
+func (f *Frontend) Snapshot(s *LoopSnap, loops [2]bool) {
+	s.loops = loops
 	s.dsb = f.DSB
 	s.l1i = f.L1I
-	s.bpu = f.BPU[t]
-	s.lsd = f.lsd[t]
 	s.align = f.align
 	s.sw = f.sw
-	s.idq = f.idq[t]
-	s.thr = f.thr[t]
-	s.ctr = f.Ctr[t]
-	if s.lcpAdds == nil {
-		// Sized once, so that logging a period seldom grows them.
-		s.lcpAdds, s.swAdds = make([]float64, 0, 1024), make([]float64, 0, 1024)
+	for t, on := range loops {
+		if !on {
+			continue
+		}
+		p := &s.thr[t]
+		p.bpu = f.BPU[t]
+		p.lsd = f.lsd[t]
+		p.idq = f.idq[t]
+		p.fth = f.thr[t]
+		p.ctr = f.Ctr[t]
+		if p.lcpAdds == nil {
+			// Sized once, so that logging a period seldom grows them.
+			p.lcpAdds, p.swAdds = make([]float64, 0, 1024), make([]float64, 0, 1024)
+		}
+		p.lcpAdds, p.swAdds = p.lcpAdds[:0], p.swAdds[:0]
 	}
-	s.lcpAdds, s.swAdds = s.lcpAdds[:0], s.swAdds[:0]
 	f.log = s
 }
 
 // StopLog ends the addend log Snapshot started.
 func (f *Frontend) StopLog() { f.log = nil }
 
-// LoopRecurs reports whether thread s.t's loop, some whole iterations
-// after Snapshot(s) and with only its own delivery in between, has left
-// the frontend in a state no later cycle can tell from s's: every
-// structure the loop reads holds the same contents, recency compared by
-// order, the IDQ as its whole ring read from the head, and the stall
-// debt bit for bit. Only counters and recency ticks have moved.
+// LoopRecurs reports whether the looping threads, some whole iterations
+// of each loop after Snapshot(s) and with only their own delivery in
+// between, have left the frontend in a state no later cycle can tell
+// from s's: every structure the loops read holds the same contents,
+// recency compared by order, each IDQ as its whole ring read from the
+// head, and the stall debts bit for bit. Only counters and recency ticks
+// have moved. The loops' positions, which differ most often, are
+// compared first.
 func (f *Frontend) LoopRecurs(s *LoopSnap) bool {
-	t := s.t
-	th := &f.thr[t]
-	if !th.live || !th.stream.Recurs(&s.thr.stream) || !th.recurs(&s.thr) {
-		return false
+	for t, on := range s.loops {
+		th, p := &f.thr[t], &s.thr[t]
+		if on && (!th.live || !th.stream.Recurs(&p.fth.stream) || !th.recurs(&p.fth)) {
+			return false
+		}
 	}
-	reps, _ := th.stream.Progress()
-	prevReps, _ := s.thr.stream.Progress()
-	return f.lsd[t].recurs(&s.lsd, reps-prevReps) && f.align == s.align &&
-		f.idq[t].Recurs(&s.idq) && f.BPU[t].Recurs(&s.bpu) && f.sw.recurs(&s.sw) &&
-		f.DSB.recurs(&s.dsb) && f.L1I.Recurs(&s.l1i)
+	for t, on := range s.loops {
+		if !on {
+			continue
+		}
+		p := &s.thr[t]
+		reps, _ := f.thr[t].stream.Progress()
+		prevReps, _ := p.fth.stream.Progress()
+		if !f.lsd[t].recurs(&p.lsd, reps-prevReps) || !f.idq[t].Recurs(&p.idq) || !f.BPU[t].Recurs(&p.bpu) {
+			return false
+		}
+	}
+	return f.align == s.align && f.sw.recurs(&s.sw) && f.DSB.recurs(&s.dsb) && f.L1I.Recurs(&s.l1i)
 }
 
 // AdvanceLoop moves a frontend for which LoopRecurs(s) holds forward by
 // k more periods, each repeating the change since Snapshot(s): counters
-// and recency ticks move k more times as far, the stream runs k times
+// and recency ticks move k more times as far, each stream runs k times
 // as many iterations again, and each float counter is left with the
-// bits of adding the logged addends once more, in order, k times over
-// (in closed form, by fsum.Repeat). It ends the log.
+// bits of adding its thread's logged addends once more, in order, k
+// times over (in closed form, by fsum.Repeat). It ends the log.
 func (f *Frontend) AdvanceLoop(s *LoopSnap, k uint64) {
-	t := s.t
 	f.log = nil
 	f.DSB.advance(&s.dsb, k)
 	f.L1I.Advance(&s.l1i, k)
-	f.BPU[t].Advance(&s.bpu, k)
-	f.lsd[t].advance(&s.lsd, k)
 	f.sw.advance(&s.sw, k)
-	f.idq[t].Advance(&s.idq, k)
-	f.thr[t].stream.Advance(&s.thr.stream, int(k))
-	f.Ctr[t].advance(&s.ctr, k, s.lcpAdds, s.swAdds)
+	for t, on := range s.loops {
+		if !on {
+			continue
+		}
+		p := &s.thr[t]
+		f.BPU[t].Advance(&p.bpu, k)
+		f.lsd[t].advance(&p.lsd, k)
+		f.idq[t].Advance(&p.idq, k)
+		f.thr[t].stream.Advance(&p.fth.stream, int(k))
+		f.Ctr[t].advance(&p.ctr, k, p.lcpAdds, p.swAdds)
+	}
 }
 
 // recurs compares th with prev field by field, the stall debt bit for

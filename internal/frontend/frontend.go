@@ -25,8 +25,8 @@ type Frontend struct {
 	// The fields that hold pointers come first: the collector scans a
 	// frontend only up to its last pointer, which skips the arrays.
 	thr [2]fthread
-	// log, while non-nil, records the float counter addends of a loop
-	// period being verified (see Snapshot).
+	// log, while non-nil, records each thread's float counter addends
+	// of a loop period being verified (see Snapshot).
 	log *LoopSnap
 
 	P Params
@@ -115,8 +115,9 @@ func (f *Frontend) SwitchBufferStats() SwitchStats { return f.sw.stats }
 // IDQLen returns the micro-ops buffered for thread t.
 func (f *Frontend) IDQLen(t int) int { return f.idq[t].Len() }
 
-// PopUOp removes one micro-op from thread t's IDQ for retirement.
-func (f *Frontend) PopUOp(t int) (isa.Inst, bool) { return f.idq[t].Pop() }
+// PopUOp removes the oldest instruction's entry from thread t's IDQ for
+// retirement.
+func (f *Frontend) PopUOp(t int) (backend.Entry, bool) { return f.idq[t].Pop() }
 
 // IDQs returns both threads' IDQs, the queues the backend retires from.
 func (f *Frontend) IDQs() *[2]backend.IDQ { return &f.idq }
@@ -245,7 +246,7 @@ func (f *Frontend) advance(t int) isa.Inst {
 	in := th.cur
 	th.hasCur = false
 	th.prevLCP = in.HasLCP()
-	f.idq[t].Push(in)
+	f.idq[t].Push(&in)
 	f.lsd[t].Observe(in, &f.align, &f.DSB)
 	if in.Kind == isa.Pause {
 		th.stall += f.P.PauseCycles
@@ -294,9 +295,9 @@ func (f *Frontend) run(t, n, width int) (int, bool) {
 		n += int(in.UOps)
 	}
 	q := &f.idq[t]
-	q.Push(th.cur)
+	q.Push(&th.cur)
 	for i := range ahead[:k] {
-		q.Push(ahead[i])
+		q.Push(&ahead[i])
 	}
 	f.lsd[t].ObserveRun(w, n-start)
 	th.prevLCP = false
@@ -335,7 +336,8 @@ func (f *Frontend) switchTo(t int, src Source, addr uint64) {
 		f.Ctr[t].SwitchCycles += pen
 		f.Ctr[t].SwitchCount++
 		if f.log != nil {
-			f.log.swAdds = append(f.log.swAdds, pen)
+			l := &f.log.thr[t]
+			l.swAdds = append(l.swAdds, pen)
 		}
 	}
 }
@@ -366,7 +368,7 @@ func (f *Frontend) deliverLSD(t, budget int) (int, Source) {
 		}
 		th.hasCur = false
 		th.prevLCP = in.HasLCP()
-		f.idq[t].Push(in)
+		f.idq[t].Push(&in)
 		n += int(in.UOps)
 		if in.Kind == isa.Pause {
 			th.stall += f.P.PauseCycles
@@ -464,7 +466,8 @@ func (f *Frontend) deliverMITE(t, budget int) (int, Source) {
 			th.stall += charge
 			f.Ctr[t].LCPStallCycles += count
 			if f.log != nil {
-				f.log.lcpAdds = append(f.log.lcpAdds, count)
+				l := &f.log.thr[t]
+				l.lcpAdds = append(l.lcpAdds, count)
 			}
 		}
 		n += int(in.UOps)

@@ -38,7 +38,7 @@ func recurringFrontend(t *testing.T, f *Frontend, blocks []*isa.Block) (*Fronten
 			}
 			window *= 2
 		}
-		f.Snapshot(s, 0)
+		f.Snapshot(s, [2]bool{true})
 		armed, since = true, 0
 	}
 	t.Fatal("the loop never recurred")
@@ -113,15 +113,15 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 		},
 		"LSD stability reset": func(f *Frontend, _ *LoopSnap) { f.lsd[0].stable = 0 },
 		"LSD stability grew below the threshold": func(f *Frontend, s *LoopSnap) {
-			f.lsd[0].stable, s.lsd.stable = iterations(f, s), 0
+			f.lsd[0].stable, s.thr[0].lsd.stable = iterations(f, s), 0
 		},
 		"LSD stability grew by more than one per iteration": func(f *Frontend, s *LoopSnap) {
-			s.lsd.stable = f.lsd[0].stable - 2*iterations(f, s)
+			s.thr[0].lsd.stable = f.lsd[0].stable - 2*iterations(f, s)
 		},
 		"alignment tracker": func(f *Frontend, _ *LoopSnap) { f.align.poison++ },
 		"switch point":      func(f *Frontend, _ *LoopSnap) { f.sw.addrs[0]++ },
 		"switch count":      func(f *Frontend, _ *LoopSnap) { f.sw.counts[0]++ },
-		"IDQ":               func(f *Frontend, _ *LoopSnap) { f.idq[0].Push(isa.Inst{UOps: 1}) },
+		"IDQ":               func(f *Frontend, _ *LoopSnap) { f.idq[0].Push(&isa.Inst{UOps: 1}) },
 		"branch history":    func(f *Frontend, _ *LoopSnap) { f.BPU[0].Train(0x40, 0x80, 1) },
 		"L1I": func(f *Frontend, _ *LoopSnap) {
 			f.L1I.FlushAll()
@@ -142,7 +142,7 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 	}
 	// The stability count may grow by one per iteration past the lock
 	// threshold: a tracked loop that never qualifies keeps counting.
-	if st.lsd.stable == tracking.lsd[0].stable {
+	if st.thr[0].lsd.stable == tracking.lsd[0].stable {
 		t.Fatal("the tracked loop's stability did not grow")
 	}
 }
@@ -150,7 +150,7 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 // iterations returns how many loop iterations lie between s and f.
 func iterations(f *Frontend, s *LoopSnap) int {
 	now, _ := f.thr[0].stream.Progress()
-	then, _ := s.thr.stream.Progress()
+	then, _ := s.thr[0].fth.stream.Progress()
 	return now - then
 }
 

@@ -241,6 +241,10 @@ func (s *SeqStream) Retarget(prog Program) {
 // has finished, and how many the piece makes in all.
 func (s *SeqStream) Progress() (rep, count int) { return s.rep, s.cur.Count }
 
+// BodyLen returns how many instructions one repetition of the current
+// piece yields.
+func (s *SeqStream) BodyLen() int { return len(s.cur.Body) }
+
 // Recurs reports whether s, a copy of prev some whole repetitions
 // later, is at prev's position in the same piece.
 func (s *SeqStream) Recurs(prev *SeqStream) bool {

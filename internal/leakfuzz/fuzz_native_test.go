@@ -53,7 +53,7 @@ func FuzzFrontendContract(f *testing.F) {
 		t0a, _, _, leakA := contract.CheckTraces(m, 1, p, pair)
 		_, _, _, leakB := contract.CheckTraces(m, 42, p, pair)
 		if leakA != leakB {
-			t.Fatalf("contract verdict depends on the seed: %v vs %v (%s)", leakA, leakB, g.key())
+			t.Fatalf("contract verdict depends on the seed: %v vs %v (%s)", leakA, leakB, g.jsonText())
 		}
 
 		pub := g.clone()
@@ -61,7 +61,7 @@ func FuzzFrontendContract(f *testing.F) {
 			pub.Prep[i].Alt = AltNone
 		}
 		if d, leak := contract.Check(m, 1, p, pub.BuildPair()); leak {
-			t.Fatalf("identical arms diverged: %s (%s)", d, pub.key())
+			t.Fatalf("identical arms diverged: %s (%s)", d, pub.jsonText())
 		}
 
 		e := contract.NewExecutorWith(m, 1, p)
@@ -88,11 +88,11 @@ func FuzzFrontendContract(f *testing.F) {
 		}
 		orig, clone := finish(e), finish(snap)
 		if d, diff := contract.Compare(orig, clone); diff {
-			t.Fatalf("mid-stream clone diverged from original: %s (%s)", d, g.key())
+			t.Fatalf("mid-stream clone diverged from original: %s (%s)", d, g.jsonText())
 		}
 		if d, diff := contract.Compare(orig, t0a); diff {
 			// The stepwise trace must also equal the one-shot arm-0 trace.
-			t.Fatalf("stepwise trace diverged from one-shot: %s (%s)", d, g.key())
+			t.Fatalf("stepwise trace diverged from one-shot: %s (%s)", d, g.jsonText())
 		}
 
 		reused := contract.NewExecutorWith(m, 1, p)
@@ -103,7 +103,7 @@ func FuzzFrontendContract(f *testing.F) {
 			reused.Reset()
 			gotPrep, gotProbe := reused.Observe(prep), reused.Observe(pair.Probe)
 			if !slices.Equal(gotPrep, wantPrep) || !slices.Equal(gotProbe, wantProbe) {
-				t.Fatalf("arm %d on a reset executor differs from a fresh one (%s)", arm, g.key())
+				t.Fatalf("arm %d on a reset executor differs from a fresh one (%s)", arm, g.jsonText())
 			}
 		}
 
@@ -115,7 +115,7 @@ func FuzzFrontendContract(f *testing.F) {
 		fz.r = rng.New(h.Sum64())
 		child := fz.mutate(g)
 		if got, _ := fz.evaluate(child, parent); !reflect.DeepEqual(got, freshEval(m, 1, p, child)) {
-			t.Fatalf("child %s resumed from the snapshots of %s differs from fresh executors", child.key(), g.key())
+			t.Fatalf("child %s resumed from the snapshots of %s differs from fresh executors", child.jsonText(), g.jsonText())
 		}
 
 		checkPrograms(t, g, child, pair)
@@ -139,7 +139,7 @@ func checkPrograms(t *testing.T, g, child Genome, pair contract.Pair) {
 			ends = append(ends, len(ref))
 		}
 		if !slices.Equal(isa.Drain(ph.prog.Stream()), want) || !slices.Equal(ref, want) || !slices.Equal(ph.ends, ends) {
-			t.Fatalf("phase %d of %s: the program, BuildPair and the genes' loops disagree", i, g.key())
+			t.Fatalf("phase %d of %s: the program, BuildPair and the genes' loops disagree", i, g.jsonText())
 		}
 
 		// Gene by gene through the views the frontend delivers runs from,
@@ -154,11 +154,11 @@ func checkPrograms(t *testing.T, g, child Genome, pair contract.Pair) {
 				}
 			}
 			if s.Pos() != end {
-				t.Fatalf("phase %d of %s: Pos %d at a gene ending at %d", i, g.key(), s.Pos(), end)
+				t.Fatalf("phase %d of %s: Pos %d at a gene ending at %d", i, g.jsonText(), s.Pos(), end)
 			}
 		}
 		if _, ok := s.Next(); ok {
-			t.Fatalf("phase %d of %s: the stream goes on past its last gene", i, g.key())
+			t.Fatalf("phase %d of %s: the stream goes on past its last gene", i, g.jsonText())
 		}
 
 		kid := kids[i]
@@ -177,7 +177,7 @@ func checkPrograms(t *testing.T, g, child Genome, pair contract.Pair) {
 			c.Retarget(nil)
 			c.Retarget(kid.prog)
 			if !slices.Equal(isa.Drain(c), kidInsts[at:]) {
-				t.Fatalf("phase %d of %s retargeted at gene boundary %d to %s: not the child's instructions", i, g.key(), j, child.key())
+				t.Fatalf("phase %d of %s retargeted at gene boundary %d to %s: not the child's instructions", i, g.jsonText(), j, child.jsonText())
 			}
 		}
 	}

@@ -27,8 +27,7 @@
 package leakfuzz
 
 import (
-	"encoding/json"
-	"fmt"
+	"encoding/binary"
 
 	"repro/internal/contract"
 	"repro/internal/isa"
@@ -258,11 +257,23 @@ func (g Genome) BuildPair() contract.Pair {
 	}
 }
 
-// key is a canonical identity for corpus dedup.
+// key is a canonical identity for corpus dedup: the prep gene count,
+// then each gene's fields in order, the small ones a byte each and the
+// rest as varints, so that no two genomes share a key.
 func (g Genome) key() string {
-	b, err := json.Marshal(g)
-	if err != nil {
-		panic(fmt.Sprintf("leakfuzz: genome marshal: %v", err))
+	b := make([]byte, 0, 1+6*(len(g.Prep)+len(g.Probe)))
+	b = binary.AppendUvarint(b, uint64(len(g.Prep)))
+	for _, genes := range [2][]Gene{g.Prep, g.Probe} {
+		for _, x := range genes {
+			flag := byte(0)
+			if x.Flag {
+				flag = 1
+			}
+			b = append(b, byte(x.Op), byte(x.Alt), flag)
+			b = binary.AppendVarint(b, int64(x.Set))
+			b = binary.AppendVarint(b, int64(x.Ways))
+			b = binary.AppendVarint(b, int64(x.Iters))
+		}
 	}
 	return string(b)
 }

@@ -42,7 +42,7 @@ func TestCICampaignGolden(t *testing.T) {
 	}
 	var keys bytes.Buffer
 	for _, g := range r.Corpus {
-		keys.WriteString(g.key())
+		keys.WriteString(g.jsonText())
 		keys.WriteByte('\n')
 	}
 	for _, f := range []struct {

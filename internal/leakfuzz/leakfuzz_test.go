@@ -1,6 +1,7 @@
 package leakfuzz
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,16 @@ import (
 	"repro/internal/isa"
 	"repro/internal/rng"
 )
+
+// jsonText is the genome as JSON, the form the corpus golden and test
+// messages show.
+func (g Genome) jsonText() string {
+	b, err := json.Marshal(g)
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
 
 // ciSeed/ciBudget are the fixed campaign the CI smoke job runs (via
 // cmd/leakfuzz). TestRediscoversKnownChannels pins the exact outcome, so
@@ -36,7 +47,7 @@ func TestRediscoversKnownChannels(t *testing.T) {
 	}
 	if f, ok := got[contract.Unknown]; ok {
 		t.Errorf("unclassified counterexample on the default model: %s (genome %s)",
-			f.Divergence, f.Genome.key())
+			f.Divergence, f.Genome.jsonText())
 	}
 	// Every reported finding must be self-contained: re-running its
 	// minimized genome from scratch reproduces the leak and the
@@ -45,7 +56,7 @@ func TestRediscoversKnownChannels(t *testing.T) {
 		pair := f.Genome.BuildPair()
 		t0, t1, d, leak := contract.CheckTraces(cpu.Gold6226(), ciSeed, contract.DefaultParams(), pair)
 		if !leak {
-			t.Errorf("%s finding does not reproduce: %s", f.Mechanism, f.Genome.key())
+			t.Errorf("%s finding does not reproduce: %s", f.Mechanism, f.Genome.jsonText())
 			continue
 		}
 		if mech := contract.Classify(t0, t1); mech != f.Mechanism {
@@ -117,7 +128,7 @@ func TestIdenticalArmsNeverLeak(t *testing.T) {
 			g.Prep[j].Alt = AltNone
 		}
 		if d, leak := contract.Check(m, 1, contract.DefaultParams(), g.BuildPair()); leak {
-			t.Fatalf("identical arms diverged: %s (genome %s)", d, g.key())
+			t.Fatalf("identical arms diverged: %s (genome %s)", d, g.jsonText())
 		}
 	}
 }
@@ -141,7 +152,7 @@ func TestCheckTracesRunsPrepLikeTheFuzzer(t *testing.T) {
 		data[0] = 0 // no prep genes
 		g := DecodeGenome(data)
 		if len(g.Prep) != 0 {
-			t.Fatalf("genome decoded with prep genes: %s", g.key())
+			t.Fatalf("genome decoded with prep genes: %s", g.jsonText())
 		}
 		pair := g.BuildPair()
 		t0, t1, _, _ := contract.CheckTraces(m, 1, p, pair)
@@ -150,7 +161,7 @@ func TestCheckTracesRunsPrepLikeTheFuzzer(t *testing.T) {
 			e := contract.NewExecutorWith(m, 1, p)
 			e.Observe(prep)
 			if want := e.Observe(pair.Probe); !reflect.DeepEqual(probes[arm], want) {
-				t.Fatalf("arm %d: CheckTraces probe trace differs from Observe(prep), Observe(probe) (%s)", arm, g.key())
+				t.Fatalf("arm %d: CheckTraces probe trace differs from Observe(prep), Observe(probe) (%s)", arm, g.jsonText())
 			}
 		}
 	}
@@ -178,16 +189,16 @@ func TestDecodeGenomeTotal(t *testing.T) {
 		}
 		g := DecodeGenome(data)
 		if len(g.Probe) == 0 || len(g.Probe) > maxProbeGenes || len(g.Prep) > maxPrepGenes {
-			t.Fatalf("decoded genome out of bounds: %s", g.key())
+			t.Fatalf("decoded genome out of bounds: %s", g.jsonText())
 		}
 		for _, gene := range g.Probe {
 			if gene.Alt != AltNone {
-				t.Fatalf("probe gene carries a secret alteration: %s", g.key())
+				t.Fatalf("probe gene carries a secret alteration: %s", g.jsonText())
 			}
 		}
 		pair := g.BuildPair() // must not panic
 		if len(pair.Probe) == 0 {
-			t.Fatalf("decoded genome has an empty probe program: %s", g.key())
+			t.Fatalf("decoded genome has an empty probe program: %s", g.jsonText())
 		}
 	}
 	if !reflect.DeepEqual(DecodeGenome([]byte{2, 1, 2, 3, 4, 5}), DecodeGenome([]byte{2, 1, 2, 3, 4, 5})) {
@@ -209,7 +220,7 @@ func TestMinimizedGenomesAreMinimal(t *testing.T) {
 			t0, t1, _, leak := contract.CheckTraces(m, ciSeed, contract.DefaultParams(), c.BuildPair())
 			if leak && contract.Classify(t0, t1) == f.Mechanism {
 				t.Errorf("%s finding still shrinkable: prep gene %d removable from %s",
-					f.Mechanism, i, g.key())
+					f.Mechanism, i, g.jsonText())
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // storeBudget bounds the bytes one campaign's snapshot store holds. A
-// snapshot's core is about 81 KB on every modeled CPU, and CI-shaped
+// snapshot's core is about 77 KB on every modeled CPU, and CI-shaped
 // campaigns (Gold 6226, budget 2000) keep 49–100 snapshots, 4.5–8.7 MB
 // with their traces, so 16 MiB holds every corpus genome's snapshots in
 // the common case; past it the least recently used parents lose theirs.

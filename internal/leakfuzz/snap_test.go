@@ -35,7 +35,7 @@ func reportBytes(t *testing.T, r Report) []byte {
 		t.Fatal(err)
 	}
 	for _, g := range r.Corpus {
-		b = append(append(b, '\n'), g.key()...)
+		b = append(append(b, '\n'), g.jsonText()...)
 	}
 	return b
 }
@@ -71,7 +71,7 @@ func TestSnapshotsMatchThePlainPath(t *testing.T) {
 				stored.onEval = func(g Genome, got evalResult) {
 					want := freshEval(tc.m, seed, tc.p, g)
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d: evaluation of %s differs from fresh executors'", seed, g.key())
+						t.Fatalf("seed %d: evaluation of %s differs from fresh executors'", seed, g.jsonText())
 					}
 				}
 				got := reportBytes(t, stored.run())

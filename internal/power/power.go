@@ -67,9 +67,11 @@ func NewMeter(p Params) *Meter { return &Meter{P: p} }
 
 // AddCycleDelta accrues one cycle of energy given that cycle's frontend
 // activity, micro-ops delivered by each path and stall cycles, and the
-// number of micro-ops retired.
-func (m *Meter) AddCycleDelta(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, retired int) {
-	m.addCycle(m.CycleEnergy(uopsLSD, uopsDSB, uopsMITE, stallCycles, retired))
+// number of micro-ops retired. It returns the energy accrued.
+func (m *Meter) AddCycleDelta(uopsLSD, uopsDSB, uopsMITE, stallCycles uint64, retired int) float64 {
+	e := m.CycleEnergy(uopsLSD, uopsDSB, uopsMITE, stallCycles, retired)
+	m.addCycle(e)
+	return e
 }
 
 // CycleEnergy returns the energy AddCycleDelta accrues for one cycle of

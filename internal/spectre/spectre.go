@@ -109,12 +109,13 @@ type Lab struct {
 	cfg  Config
 	core *cpu.Core
 
-	// Frontend channel state: one 8-way mix chain per DSB set.
-	prime [chunkBits][]*isa.Block
-	// harness is the attacker's own timing-harness code loop; its fetch
-	// traffic is part of the denominator of the instruction-side miss
-	// rates Table VII reports.
-	harness []*isa.Block
+	// Frontend channel state: one 8-way mix chain per DSB set, flattened
+	// once.
+	prime [chunkBits][]isa.Inst
+	// harness is the attacker's own timing-harness code loop, flattened;
+	// its fetch traffic is part of the denominator of the
+	// instruction-side miss rates Table VII reports.
+	harness []isa.Inst
 	// benignLoads models the attack harness's own data traffic, which
 	// dilutes the probe misses into the miss *rates* Table VII reports.
 	benignLoads int
@@ -135,7 +136,7 @@ func (l *Lab) BufferTransientFills(on bool) { l.bufferFills = on }
 func NewLab(cfg Config) *Lab {
 	l := &Lab{cfg: cfg, core: cpu.NewCore(cfg.Model, cfg.Seed)}
 	for s := 0; s < chunkBits; s++ {
-		l.prime[s] = isa.MixChain(s, 8, true)
+		l.prime[s] = isa.Flatten(isa.MixChain(s, 8, true))
 	}
 	// Harness code placed in the upper half of the L1I index space so it
 	// does not collide with the L1I probe sets.
@@ -144,7 +145,7 @@ func NewLab(cfg Config) *Lab {
 		hb[i] = isa.MixBlock(0x0049_0800 + uint64(i)*40*32)
 	}
 	isa.ChainLoop(hb)
-	l.harness = hb
+	l.harness = isa.Flatten(hb)
 	switch cfg.Chan {
 	case MemFlushReload:
 		l.benignLoads = 1400
@@ -165,16 +166,11 @@ func NewLab(cfg Config) *Lab {
 // Core exposes the simulated core (tests, experiments).
 func (l *Lab) Core() *cpu.Core { return l.core }
 
-// runBlocks executes a block chain once on thread 0.
-func (l *Lab) runBlocks(blocks []*isa.Block) {
-	l.core.Enqueue(0, isa.NewLoopStream(blocks, 1), nil)
-	l.core.RunUntilIdle(50_000_000)
-}
-
-// timeBlocks executes and times a block chain once with in-process
-// rdtscp overhead (the Spectre attacker times its own probe loop).
-func (l *Lab) timeBlocks(blocks []*isa.Block) float64 {
-	return l.core.RunTimedTight(0, isa.NewLoopStream(blocks, 1))
+// timeLoop executes and times one pass of a flattened block chain with
+// in-process rdtscp overhead (the Spectre attacker times its own probe
+// loop).
+func (l *Lab) timeLoop(flat []isa.Inst) float64 {
+	return l.core.RunTimedTight(0, isa.NewFlatLoopStream(flat, 1))
 }
 
 // train teaches the victim's bounds check to predict taken (in-bounds).
@@ -198,7 +194,7 @@ func (l *Lab) transient(v int) {
 		// one primed line in that set).
 		b := isa.MixBlock(isa.AddrForSet(v, 8))
 		b.Insts[len(b.Insts)-1].Taken = false
-		l.runBlocks([]*isa.Block{b})
+		l.runLoop(b.Insts, 1)
 	case L1IFlushReload, L1IPrimeProbe:
 		// Transiently fetch the code line for value v.
 		l.runCodeLine(v)
@@ -219,7 +215,7 @@ func (l *Lab) transient(v int) {
 func (l *Lab) runCodeLine(v int) {
 	b := isa.NopBlockLen(l1iProbe+uint64(v)*64, 4, 2)
 	b.Insts[len(b.Insts)-1].Taken = false
-	l.runBlocks([]*isa.Block{b})
+	l.runLoop(b.Insts, 1)
 }
 
 // runLoad issues one load on thread 0.
@@ -243,13 +239,14 @@ func (l *Lab) benignTraffic() {
 		l.core.L1D.Access(0x5000_0000 + uint64(i%64)*64)
 	}
 	if l.harnessIters > 0 {
-		l.runBlocksN(l.harness, l.harnessIters)
+		l.runLoop(l.harness, l.harnessIters)
 	}
 }
 
-// runBlocksN executes a block chain as a loop of n iterations.
-func (l *Lab) runBlocksN(blocks []*isa.Block, n int) {
-	l.core.Enqueue(0, isa.NewLoopStream(blocks, n), nil)
+// runLoop executes a flattened block chain as a loop of n iterations on
+// thread 0.
+func (l *Lab) runLoop(flat []isa.Inst, n int) {
+	l.core.Enqueue(0, isa.NewFlatLoopStream(flat, n), nil)
 	l.core.RunUntilIdle(200_000_000)
 }
 
@@ -297,7 +294,7 @@ func (l *Lab) leakFrontend(v int) int {
 			// Two prime passes: a single pass cannot displace a stale
 			// transient line from an earlier chunk (it stays MRU until
 			// the refilled originals age it out).
-			l.runBlocksN(l.prime[s], 2)
+			l.runLoop(l.prime[s], 2)
 			l.train()
 			l.transient(v)
 			// Differential probe: the first pass carries the signal (a
@@ -305,8 +302,8 @@ func (l *Lab) leakFrontend(v int) int {
 			// is an immediate clean baseline. Differencing cancels
 			// set-specific systematics (predictor state, switch-point
 			// learning) that would otherwise bias an absolute argmax.
-			t1s = append(t1s, l.timeBlocks(l.prime[s]))
-			t2s = append(t2s, l.timeBlocks(l.prime[s]))
+			t1s = append(t1s, l.timeLoop(l.prime[s]))
+			t2s = append(t2s, l.timeLoop(l.prime[s]))
 		}
 		// Median over rounds (interrupt spikes in single measurements
 		// would destroy a mean), differenced against the set's own clean
@@ -317,7 +314,7 @@ func (l *Lab) leakFrontend(v int) int {
 		}
 	}
 	if l.harnessIters > 0 {
-		l.runBlocksN(l.harness, l.harnessIters)
+		l.runLoop(l.harness, l.harnessIters)
 	}
 	return best
 }

@@ -38,12 +38,18 @@ func BenchmarkSweep_FullSpaceParallel4(b *testing.B) {
 
 // benchSweep runs the whole space b.N times through runner and reports
 // the simulated cycles of one sweep, the sum of its rows' transmission
-// cycles, as sim-cycles/op.
+// cycles, as sim-cycles/op. A nil runner memoizes into a fresh memo
+// each op, so that every op calibrates as a sweep in a new process does,
+// whichever benchmarks ran before it.
 func benchSweep(b *testing.B, o Options, runner RunFunc) {
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(context.Background(), Filter{}, o, runner, nil)
+		run := runner
+		if run == nil {
+			run = NewMemo().RunFunc()
+		}
+		rep, err := Run(context.Background(), Filter{}, o, run, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
