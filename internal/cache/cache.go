@@ -49,19 +49,18 @@ func (s Stats) MissRate() float64 {
 	return 0
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	lru   uint64 // higher = more recently used
-}
-
 // Cache is a set-associative cache with true LRU replacement, of the L1
 // geometry. It tracks only tags (no data); the simulator needs residency
-// and recency, not contents. A Cache is a value: its lines are held
-// inline, so assigning one copies it, and the zero Cache is empty.
+// and recency, not contents. Each set holds its resident tags in recency
+// order, so two caches that replace alike hold equal tags. A Cache is a
+// value: its lines are held inline, so assigning one copies it, and the
+// zero Cache is empty.
 type Cache struct {
-	lines [sets * ways]line // row-major by set
-	tick  uint64
+	// tags holds ways slots per set, set after set. Set i's resident
+	// tags fill the first n[i] of its slots, most recently used first,
+	// and its other slots are zero.
+	tags  [sets * ways]uint64
+	n     [sets]uint8
 	stats Stats
 }
 
@@ -93,37 +92,42 @@ func (c *Cache) Tag(addr uint64) uint64 {
 	return addr / lineSize / sets
 }
 
-func (c *Cache) set(idx int) []line {
-	return c.lines[idx*ways : (idx+1)*ways]
+// set returns the resident tags of set i, most recently used first.
+func (c *Cache) set(i int) []uint64 {
+	return c.tags[i*ways : i*ways+int(c.n[i])]
 }
 
-// Access looks addr up, fills on miss (evicting the LRU way if the set is
-// full), updates recency, and reports whether it hit.
+// find returns addr's set, the tags it holds and addr's position among
+// them, or -1 if addr is not resident.
+func (c *Cache) find(addr uint64) (int, []uint64, int) {
+	s, tag := c.Set(addr), c.Tag(addr)
+	set := c.set(s)
+	for i, t := range set {
+		if t == tag {
+			return s, set, i
+		}
+	}
+	return s, set, -1
+}
+
+// Access looks addr up, fills on miss (evicting the least recently used
+// line if the set is full), makes its line the most recently used and
+// reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.tick++
-	setIdx, tag := c.Set(addr), c.Tag(addr)
-	set := c.set(setIdx)
-	victim := -1
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.tick
-			c.stats.Hits++
-			return true
-		}
-		switch {
-		case victim >= 0 && !set[victim].valid:
-			// Already found a free way; keep the first one.
-		case !set[i].valid:
-			victim = i
-		case victim < 0 || set[i].lru < set[victim].lru:
-			victim = i
-		}
+	if c.Touch(addr) {
+		c.stats.Hits++
+		return true
 	}
 	c.stats.Misses++
-	if set[victim].valid {
-		c.stats.Evictions++
+	s := c.Set(addr)
+	if c.n[s] == ways {
+		c.stats.Evictions++ // the last line, the least recently used, makes room
+	} else {
+		c.n[s]++
 	}
-	set[victim] = line{tag: tag, valid: true, lru: c.tick}
+	set := c.set(s)
+	set[len(set)-1] = c.Tag(addr)
+	toFront(set, len(set)-1)
 	return false
 }
 
@@ -131,77 +135,50 @@ func (c *Cache) Access(addr uint64) bool {
 // recency and without counting an access. Attackers use Probe-like timing;
 // the simulator's receivers use Access (which models the timed reload).
 func (c *Cache) Probe(addr uint64) bool {
-	setIdx, tag := c.Set(addr), c.Tag(addr)
-	for _, l := range c.set(setIdx) {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, _, i := c.find(addr)
+	return i >= 0
 }
 
-// Touch updates the recency of addr if resident (an LRU-state update with
-// no fill), the primitive behind the L1D-LRU covert channel. It reports
-// whether the line was resident.
+// Touch makes addr's line the most recently used if resident (an
+// LRU-state update with no fill), the primitive behind the L1D-LRU
+// covert channel. It reports whether the line was resident.
 func (c *Cache) Touch(addr uint64) bool {
-	c.tick++
-	setIdx, tag := c.Set(addr), c.Tag(addr)
-	set := c.set(setIdx)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.tick
-			return true
-		}
+	_, set, i := c.find(addr)
+	if i < 0 {
+		return false
 	}
-	return false
+	toFront(set, i)
+	return true
 }
 
-// LRUWay returns the way index that would be evicted next in addr's set,
-// or -1 if the set has an invalid (free) way.
-func (c *Cache) LRUWay(addr uint64) int {
-	set := c.set(c.Set(addr))
-	victim := -1
-	for i := range set {
-		if !set[i].valid {
-			return -1
-		}
-		if victim < 0 || set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	return victim
+// toFront moves set[i] to the front of set, keeping the others' order.
+func toFront(set []uint64, i int) {
+	t := set[i]
+	copy(set[1:i+1], set[:i])
+	set[0] = t
 }
 
 // FlushLine invalidates addr's line if resident (clflush).
 func (c *Cache) FlushLine(addr uint64) {
-	setIdx, tag := c.Set(addr), c.Tag(addr)
-	set := c.set(setIdx)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
-			c.stats.Flushes++
-			return
-		}
+	s, set, i := c.find(addr)
+	if i < 0 {
+		return
 	}
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
+	c.n[s]--
+	c.stats.Flushes++
 }
 
 // FlushAll invalidates the entire cache.
 func (c *Cache) FlushAll() {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			c.lines[i].valid = false
-			c.stats.Flushes++
-		}
+	for _, n := range c.n {
+		c.stats.Flushes += uint64(n)
 	}
+	c.tags, c.n = [sets * ways]uint64{}, [sets]uint8{}
 }
 
 // OccupiedWays returns how many valid lines addr's set holds.
 func (c *Cache) OccupiedWays(addr uint64) int {
-	n := 0
-	for _, l := range c.set(c.Set(addr)) {
-		if l.valid {
-			n++
-		}
-	}
-	return n
+	return int(c.n[c.Set(addr)])
 }

@@ -178,20 +178,6 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-func TestLRUWay(t *testing.T) {
-	c := l1()
-	if c.LRUWay(0x1000) != -1 {
-		t.Error("set with free ways should report -1")
-	}
-	stride := uint64(sets * lineSize)
-	for w := uint64(0); w < 8; w++ {
-		c.Access(0x1000 + w*stride)
-	}
-	if got := c.LRUWay(0x1000); got != 0 {
-		t.Errorf("LRU way = %d, want 0 (filled in order)", got)
-	}
-}
-
 func TestOccupiedWays(t *testing.T) {
 	c := l1()
 	stride := uint64(sets * lineSize)
@@ -256,11 +242,12 @@ func TestInvariantOccupancyBounded(t *testing.T) {
 }
 
 // TestRecursAndAdvance pins the steady-loop skip's cache helpers on a
-// period that cycles nine lines through one 8-way set, so a line moves
-// to the next way every period and the ways return to their tags only
-// every eighth period; it also flushes and refills one line. Recency
-// compares by order, any changed tag, valid bit or order breaks the
-// recurrence, and Advance lands where running the periods does.
+// period that cycles nine lines through one 8-way set, so every line of
+// the set is evicted and refilled each period; it also flushes and
+// refills one line. A set holds its lines in recency order, so the
+// thrashed set recurs after one period; any changed tag, dropped line
+// or swapped order breaks the recurrence, and Advance lands where
+// running the periods does.
 func TestRecursAndAdvance(t *testing.T) {
 	c := l1()
 	stride := uint64(sets * lineSize)
@@ -272,29 +259,22 @@ func TestRecursAndAdvance(t *testing.T) {
 		c.Access(0x2040)
 		c.Access(0x3080)
 	}
-	octave := func(c *Cache) {
-		for range 8 {
-			period(c)
-		}
-	}
-	octave(c)
+	period(c)
 	prev := *c
 	period(c)
-	if c.Recurs(&prev) {
-		t.Fatal("recurs after one period, with every line in the thrashed set moved")
-	}
-	*c = prev
-	octave(c)
 	if !c.Recurs(&prev) {
-		t.Fatal("does not recur after eight periods")
+		t.Fatal("does not recur after one period")
 	}
-	lines := func(x *Cache) []line { return x.set(x.Set(0x1000)) }
+	if c.stats.Evictions-prev.stats.Evictions != 9 {
+		t.Fatalf("a period evicted %d lines, want 9", c.stats.Evictions-prev.stats.Evictions)
+	}
+	lines := func(x *Cache) []uint64 { return x.set(x.Set(0x1000)) }
 	for name, change := range map[string]func(x *Cache){
-		"tag":   func(x *Cache) { lines(x)[0].tag++ },
-		"valid": func(x *Cache) { x.set(x.Set(0x2040))[0].valid = false },
+		"tag":          func(x *Cache) { lines(x)[0]++ },
+		"dropped line": func(x *Cache) { x.FlushLine(0x2040) },
 		"order": func(x *Cache) {
 			l := lines(x)
-			l[0].lru, l[1].lru = l[1].lru, l[0].lru
+			l[0], l[1] = l[1], l[0]
 		},
 	} {
 		x := *c
@@ -305,7 +285,7 @@ func TestRecursAndAdvance(t *testing.T) {
 	}
 	want := *c
 	for range 3 {
-		octave(&want)
+		period(&want)
 	}
 	c.Advance(&prev, 3)
 	if !reflect.DeepEqual(*c, want) {

@@ -72,6 +72,25 @@ func BenchmarkCoreRunTimed(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreRunShortLoops times one window of Figure 9's MITE+DSB
+// path on a warm Gold 6226 core: RunUntilIdle on a fresh 60-iteration
+// loop of the nine-block chain, which thrashes its DSB set. The
+// steady-loop skip covers most of each window.
+func BenchmarkCoreRunShortLoops(b *testing.B) {
+	c := NewCore(Gold6226(), 1)
+	flat := isa.Flatten(isa.MixChain(3, 9, true))
+	c.Enqueue(0, isa.NewFlatLoopStream(flat, 20), nil)
+	c.RunUntilIdle(10_000_000)
+	start := c.Cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.Enqueue(0, isa.NewFlatLoopStream(flat, 60), nil)
+		c.RunUntilIdle(10_000_000)
+	}
+	b.ReportMetric(float64(c.Cycle()-start)/float64(b.N), "sim-cycles/op")
+}
+
 // BenchmarkCoreRunCyclesIdle times RunCycles over one timer handshake
 // of an idle core, the protocol gap around every non-MT attack step.
 func BenchmarkCoreRunCyclesIdle(b *testing.B) {

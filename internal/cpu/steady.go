@@ -16,13 +16,16 @@ import (
 // equals the state some whole iterations earlier, in everything a later
 // cycle can read, every further period does exactly what the verified
 // one did. The run loops then apply that period's change k more times
-// instead of stepping it: integer counters and recency ticks move k
-// times as far, and the float accumulators (package energy, LCP stall
-// and switch-penalty cycles) are left with the bits of adding the
-// period's recorded addends again, in order, k times over: fsum.Repeat
-// adds whole periods in closed form, and the meter computes the span's
-// last RAPL publication on the cycle stepping would publish it. Every
-// simulated value stays bit-identical to stepping.
+// instead of stepping it: integer counters move k times as far, and the
+// float accumulators (package energy, LCP stall and switch-penalty
+// cycles) are left with the bits of adding the period's recorded
+// addends again, in order, k times over: fsum.Repeat adds whole periods
+// in closed form, and the meter computes the span's last RAPL
+// publication on the cycle stepping would publish it. Every simulated
+// value stays bit-identical to stepping. The DSB and the L1 caches hold
+// each set in recency order, so their contents recur as plain values: a
+// set that the loop thrashes, evicting and refilling every line each
+// iteration, recurs after one iteration, and a skip leaves it as it is.
 //
 // The same detector covers two threads that both run loops, as the
 // fingerprinting channel's attacker and victim do (Figures 11 and 12).
@@ -40,16 +43,24 @@ import (
 // snapshot is compared only with boundaries its own call stepped to.
 
 // Thresholds of the skip, sized from its cost on a Gold 6226 core (2-CPU
-// Intel Xeon host): a lone thread's snapshot takes about 2 µs and a full
-// compare 5 to 8 µs, the time of 20 and of 50 to 80 stepped cycles, and
-// a two-thread snapshot copies a third more; a failing compare usually
-// stops at its first fields, the loops' positions, in about 10 ns. Among
-// thresholds of 1024, 4096 and 16384 cycles, 4096 ran the full-space
-// sweep fastest; 16384 misses most SGX sender loops.
+// Intel Xeon host, where BenchmarkCoreStep takes about 45 ns): a lone
+// thread's snapshot of the 54 KB a loop can change takes about 0.9 µs
+// and a full compare 1.5 µs, the time of 20 and of 33 stepped cycles; a
+// two-thread snapshot takes 1.6 µs and its compare 2.3 µs. A failing
+// compare usually stops at its first fields, the loops' positions, in
+// about 10 ns. Among thresholds of 64, 256, 1,024 and 4,096 cycles, the
+// full-space sweep ran no slower at 64 to 1,024 than at 4,096 (medians
+// of 219 to 228 ms against 238 ms, five runs each), and only 256 and
+// below arm on Figure 9's shortest windows, 60-iteration loops of 614
+// cycles.
 const (
 	// loopMinSkip is the fewest cycles a skip must be able to cover
 	// before a snapshot is taken.
-	loopMinSkip = 4096
+	loopMinSkip = 256
+	// loopEnergyCap is the capacity a core's snapshot buffer starts
+	// with: the energy of a period up to this many cycles is recorded
+	// without growing it.
+	loopEnergyCap = 4096
 	// loopMaxWindow is the most loop iterations one snapshot is compared
 	// against. Each snapshot is compared at every boundary of a window
 	// that doubles from one iteration (Brent's cycle finding); past the
@@ -239,7 +250,7 @@ func (d *loopDetector) worth(c *Core, perIter uint64, prev [2]int, limit uint64)
 func (d *loopDetector) arm(c *Core) {
 	if cap(c.snap) == 0 {
 		// Sized once, so that recording a period seldom grows it.
-		c.snap = []loopSnap{{energy: make([]float64, 0, loopMinSkip)}}
+		c.snap = []loopSnap{{energy: make([]float64, 0, loopEnergyCap)}}
 	}
 	c.snap = c.snap[:1]
 	s := &c.snap[0]

@@ -23,6 +23,9 @@ type steadyLoop struct {
 	// attacker loop on the sibling thread recurs within 60,001 cycles on
 	// every hyper-threaded model.
 	beside bool
+	// short is set for Figure 9's chains, which the skip must cover in
+	// each of a series of short calls.
+	short bool
 }
 
 func chained(blocks ...*isa.Block) []*isa.Block {
@@ -59,23 +62,23 @@ func steadyLoops() []steadyLoop {
 	// drifting: its state never recurs.
 	dyadic := func(m Model) bool { return m.Name == dyadicLCP().Name }
 	return []steadyLoop{
-		{"dsb thrash 9 blocks", isa.MixChain(3, 9, true), 3000, always, true},
-		{"lsd lock 8 blocks", isa.MixChain(3, 8, true), 5000, always, true},
-		{"one block", isa.MixChain(4, 1, true), 20000, always, false},
+		{"dsb thrash 9 blocks", isa.MixChain(3, 9, true), 3000, always, true, true},
+		{"lsd lock 8 blocks", isa.MixChain(3, 8, true), 5000, always, true, true},
+		{"one block", isa.MixChain(4, 1, true), 20000, always, false, false},
 		// A lone jump to itself: one-cycle iterations, so a snapshot can
 		// come while an aborted sibling's micro-ops still retire.
-		{"self jump", chained(isa.NopBlock(isa.AddrForSet(4, 3), 0)), 20000, always, false},
-		{"misaligned 8 blocks", isa.MixChain(5, 8, false), 3000, always, true},
-		{"aligned+misaligned 6+3", isa.MixChainMixed(7, 6, 3), 3000, always, true},
-		{"lcp mixed", chained(isa.LCPBlock(isa.AddrForSet(6, 4), 14, true)), 3000, dyadic, false},
-		{"lcp ordered", chained(isa.LCPBlock(isa.AddrForSet(9, 2), 14, false)), 3000, dyadic, false},
-		{"sgx sender", sgxSender(), 1000, always, true},
+		{"self jump", chained(isa.NopBlock(isa.AddrForSet(4, 3), 0)), 20000, always, false, false},
+		{"misaligned 8 blocks", isa.MixChain(5, 8, false), 3000, always, true, false},
+		{"aligned+misaligned 6+3", isa.MixChainMixed(7, 6, 3), 3000, always, true, false},
+		{"lcp mixed", chained(isa.LCPBlock(isa.AddrForSet(6, 4), 14, true)), 3000, dyadic, false, false},
+		{"lcp ordered", chained(isa.LCPBlock(isa.AddrForSet(9, 2), 14, false)), 3000, dyadic, false, false},
+		{"sgx sender", sgxSender(), 1000, always, true, false},
 		// Five loads contend for two load ports every iteration.
-		{"load ports", loadLoop(isa.AddrForSet(11, 1), 0x20000), 3000, always, false},
-		// Nine loads cycle through one 8-way L1D set, so the set's ways
-		// hold their tags again only every eighth iteration.
-		{"l1d thrash", chained(isa.LoadBlock(isa.AddrForSet(12, 1), l1dThrash())), 3000, always, false},
-		{"pause", chained(isa.PauseBlock(isa.AddrForSet(28, 3), 2)), 200, always, false},
+		{"load ports", loadLoop(isa.AddrForSet(11, 1), 0x20000), 3000, always, false, false},
+		// Nine loads cycle through one 8-way L1D set, evicting every
+		// line of it each iteration.
+		{"l1d thrash", chained(isa.LoadBlock(isa.AddrForSet(12, 1), l1dThrash())), 3000, always, false, false},
+		{"pause", chained(isa.PauseBlock(isa.AddrForSet(28, 3), 2)), 200, always, false, false},
 	}
 }
 
@@ -93,7 +96,7 @@ func steadyModels() []Model {
 }
 
 // requireSameCore fails unless a and b hold identical state, down to
-// dead IDQ slots, recency ticks and float bits.
+// dead IDQ slots, the recency order of every set and float bits.
 func requireSameCore(t *testing.T, a, b *Core) {
 	t.Helper()
 	if diff := clonecheck.Diff(a, b); len(diff) != 0 {
@@ -138,7 +141,11 @@ func runCycles(c *Core, n uint64, skip bool) {
 // beside Figure 12's attacker loop on the sibling thread, through both
 // run loops. Beside the attacker, the loops marked beside must fire a
 // skip while both threads loop; whether the others' joint state recurs
-// is not pinned.
+// is not pinned. Figure 9's chains, the loops marked short (the
+// eight-block chain is its LSD path, or its DSB path on a model without
+// an LSD), also run as Figure 9 runs its windows: five RunUntilIdle
+// calls from an idle core, each on a fresh loop of 60 iterations, each
+// of which must fire a skip.
 func TestSteadySkipMatchesStep(t *testing.T) {
 	beside := func(c *Core, loop steadyLoop, attacker int) {
 		c.Enqueue(0, isa.NewLoopStream(fingerprintAttacker(), attacker), nil)
@@ -148,17 +155,18 @@ func TestSteadySkipMatchesStep(t *testing.T) {
 		name  string
 		ht    bool // needs a second hardware thread
 		joint bool // both threads loop, so the skip may or may not fire
+		short bool // runs only the loops marked short
 		run   func(c *Core, loop steadyLoop, skip bool)
 	}{
-		{"RunUntilIdle", false, false, func(c *Core, loop steadyLoop, skip bool) {
+		{"RunUntilIdle", false, false, false, func(c *Core, loop steadyLoop, skip bool) {
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
 			runUntilIdle(c, skip)
 		}},
-		{"RunCycles mid-loop", false, false, func(c *Core, loop steadyLoop, skip bool) {
+		{"RunCycles mid-loop", false, false, false, func(c *Core, loop steadyLoop, skip bool) {
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
 			runCycles(c, 40_001, skip)
 		}},
-		{"aborted sibling", true, false, func(c *Core, loop steadyLoop, skip bool) {
+		{"aborted sibling", true, false, false, func(c *Core, loop steadyLoop, skip bool) {
 			// Thread 1 leaves micro-ops in its IDQ that retire while
 			// thread 0's loop starts: a warm DSB delivers faster than the
 			// backend retires, so the IDQ backs up.
@@ -173,7 +181,7 @@ func TestSteadySkipMatchesStep(t *testing.T) {
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
 			runUntilIdle(c, skip)
 		}},
-		{"sibling finishes first", true, false, func(c *Core, loop steadyLoop, skip bool) {
+		{"sibling finishes first", true, false, false, func(c *Core, loop steadyLoop, skip bool) {
 			c.Enqueue(1, isa.NewLoopStream(isa.MixChain(20, 6, true), 30), nil)
 			c.Enqueue(0, isa.NewLoopStream(loop.blocks, loop.iters), nil)
 			runUntilIdle(c, skip)
@@ -181,7 +189,7 @@ func TestSteadySkipMatchesStep(t *testing.T) {
 				panic("the DSB partition did not revert")
 			}
 		}},
-		{"beside the attacker RunCycles", true, true, func(c *Core, loop steadyLoop, skip bool) {
+		{"beside the attacker RunCycles", true, true, false, func(c *Core, loop steadyLoop, skip bool) {
 			beside(c, loop, 100_000)
 			before := loopSkips.Load()
 			runCycles(c, 60_001, skip)
@@ -189,15 +197,25 @@ func TestSteadySkipMatchesStep(t *testing.T) {
 				panic("no skip fired while both threads looped")
 			}
 		}},
-		{"beside the attacker RunUntilIdle", true, true, func(c *Core, loop steadyLoop, skip bool) {
+		{"beside the attacker RunUntilIdle", true, true, false, func(c *Core, loop steadyLoop, skip bool) {
 			beside(c, loop, 1500)
 			runUntilIdle(c, skip)
+		}},
+		{"short runs", false, false, true, func(c *Core, loop steadyLoop, skip bool) {
+			for range 5 {
+				before := loopSkips.Load()
+				c.Enqueue(0, isa.NewLoopStream(loop.blocks, 60), nil)
+				runUntilIdle(c, skip)
+				if skip && loopSkips.Load() == before {
+					panic("a short run fired no skip")
+				}
+			}
 		}},
 	}
 	for _, m := range steadyModels() {
 		for _, loop := range steadyLoops() {
 			for _, mode := range modes {
-				if mode.ht && !m.HyperThreading {
+				if mode.ht && !m.HyperThreading || mode.short && !loop.short {
 					continue
 				}
 				name := fmt.Sprintf("%s/lsd=%v/%s/%s", m.Name, m.LSDEnabled, loop.name, mode.name)
@@ -361,7 +379,9 @@ func fuzzLoop(set, n int, kinds []byte) []*isa.Block {
 // thread and run mode — and, with bit 2 of the second byte set on a
 // hyper-threaded model, a second loop on the sibling thread, and
 // requires the run loops, or Advance at limits the input sets, to leave
-// the core in exactly the state plain stepping does.
+// the core in exactly the state plain stepping does. With bit 4 set the
+// loop runs as Figure 9 runs its windows: a series of RunUntilIdle
+// calls on one core, each on a fresh loop of 20 to 83 iterations.
 func FuzzSteadySkip(f *testing.F) {
 	f.Add([]byte{0, 0, 200, 3, 7, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 2, 120, 5, 8, 8, 8, 8, 8, 8, 8, 8, 8})
@@ -372,6 +392,9 @@ func FuzzSteadySkip(f *testing.F) {
 	f.Add([]byte{0, 9, 10, 6, 1, 1 | 5<<3, 3 | 30<<3})
 	f.Add([]byte{0, 4, 200, 3, 7, 0, 0, 0, 2 | 12<<3})
 	f.Add([]byte{1, 6, 120, 9, 3, 2 | 30<<3, 0, 4})
+	f.Add([]byte{0, 16, 40, 3, 8, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 16, 104, 3, 7, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 16 | 4, 40, 5, 8, 4, 0, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 6 {
 			return
@@ -393,8 +416,13 @@ func FuzzSteadySkip(f *testing.F) {
 			m.PW.StaticWatts = 45.3
 			m.PW.RAPLIntervalCycles = 997
 		}
+		short := data[1]&16 != 0
+		n := iters
+		if short {
+			n = 20 + int(data[2])%64
+		}
 		skipped := NewCore(m, uint64(data[0]))
-		skipped.Enqueue(thread, isa.NewLoopStream(blocks, iters), nil)
+		skipped.Enqueue(thread, isa.NewLoopStream(blocks, n), nil)
 		if data[1]&4 != 0 && m.HyperThreading {
 			// The sibling's loop: the same kinds in other sets, reversed.
 			kinds := slices.Clone(data[5:])
@@ -420,6 +448,18 @@ func FuzzSteadySkip(f *testing.F) {
 						skipped.BE, stepped.BE, skipped.PM.TrueEnergy(), stepped.PM.TrueEnergy())
 				}
 			}
+		case short:
+			// As many calls as the loop's iterations make, each compared
+			// with stepping.
+			for range iters / n {
+				runUntilIdle(skipped, true)
+				runUntilIdle(stepped, false)
+				requireSameCore(t, skipped, stepped)
+				skipped.Enqueue(thread, isa.NewLoopStream(blocks, n), nil)
+				stepped.Enqueue(thread, isa.NewLoopStream(blocks, n), nil)
+			}
+			runUntilIdle(skipped, true)
+			runUntilIdle(stepped, false)
 		case data[1]&2 != 0:
 			cycles := uint64(data[2])*997 + 1
 			skipped.RunCycles(cycles)

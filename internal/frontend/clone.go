@@ -30,11 +30,13 @@ func (f *Frontend) Stream(t int) *isa.SeqStream {
 // write, taken by Snapshot at an iteration boundary of one of their
 // loops: the shared DSB, L1I, alignment tracker and switch buffer, and
 // each looping thread's predictor, detector, IDQ, counters and fetch
-// state. A thread that does not loop is idle, and an idle thread's parts
-// do not change, so they are not copied. From Snapshot until AdvanceLoop
-// or StopLog the frontend also logs, in order and per thread, every
-// float addend it adds to a thread's counters, so the sums of k more
-// periods can be taken bit for bit.
+// state. The DSB and L1I keep each set in recency order and hold no
+// clock, so a later state that replaces as the snapshot's does compares
+// equal to it. A thread that does not loop is idle, and an idle
+// thread's parts do not change, so they are not copied. From Snapshot
+// until AdvanceLoop or StopLog the frontend also logs, in order and per
+// thread, every float addend it adds to a thread's counters, so the
+// sums of k more periods can be taken bit for bit.
 type LoopSnap struct {
 	loops [2]bool // the threads whose loops the snapshot holds
 	dsb   DSB
@@ -90,11 +92,11 @@ func (f *Frontend) StopLog() { f.log = nil }
 // LoopRecurs reports whether the looping threads, some whole iterations
 // of each loop after Snapshot(s) and with only their own delivery in
 // between, have left the frontend in a state no later cycle can tell
-// from s's: every structure the loops read holds the same contents,
-// recency compared by order, each IDQ as its whole ring read from the
-// head, and the stall debts bit for bit. Only counters and recency ticks
-// have moved. The loops' positions, which differ most often, are
-// compared first.
+// from s's: every structure the loops read holds the same contents, the
+// DSB's and L1I's sets in the same recency order, each IDQ as its whole
+// ring read from the head, and the stall debts bit for bit. Only
+// counters have moved. The loops' positions, which differ most often,
+// are compared first.
 func (f *Frontend) LoopRecurs(s *LoopSnap) bool {
 	for t, on := range s.loops {
 		th, p := &f.thr[t], &s.thr[t]
@@ -118,10 +120,11 @@ func (f *Frontend) LoopRecurs(s *LoopSnap) bool {
 
 // AdvanceLoop moves a frontend for which LoopRecurs(s) holds forward by
 // k more periods, each repeating the change since Snapshot(s): counters
-// and recency ticks move k more times as far, each stream runs k times
-// as many iterations again, and each float counter is left with the
-// bits of adding its thread's logged addends once more, in order, k
-// times over (in closed form, by fsum.Repeat). It ends the log.
+// move k more times as far, each stream runs k times as many iterations
+// again, and each float counter is left with the bits of adding its
+// thread's logged addends once more, in order, k times over (in closed
+// form, by fsum.Repeat). The DSB and L1I hold what they held, and only
+// their statistics move. It ends the log.
 func (f *Frontend) AdvanceLoop(s *LoopSnap, k uint64) {
 	f.log = nil
 	f.DSB.advance(&s.dsb, k)
@@ -150,50 +153,15 @@ func (th *fthread) recurs(prev *fthread) bool {
 		th.fillUOps == prev.fillUOps && th.lastFetchLine == prev.lastFetchLine
 }
 
-// recurs reports whether d holds prev's entries in the same slots, the
-// same partitioning, and the valid entries of every set in the same
-// recency order, which is all replacement reads.
+// recurs reports whether d holds prev's entries in the same recency
+// order, under the same partitioning, which is all replacement reads.
 func (d *DSB) recurs(prev *DSB) bool {
-	if d.partitioned != prev.partitioned || d.used != prev.used {
-		return false
-	}
-	for si := range isa.DSBSets {
-		a, b := d.set(si), prev.set(si)
-		same := true
-		for i := range a {
-			x, y := a[i], b[i]
-			if x.window != y.window || x.thread != y.thread || x.lines != y.lines ||
-				x.uops != y.uops || x.valid != y.valid {
-				return false
-			}
-			same = same && x.lru == y.lru
-		}
-		if same {
-			continue
-		}
-		for i := range a {
-			for j := i + 1; j < len(a); j++ {
-				if a[i].valid && a[j].valid && (a[i].lru < a[j].lru) != (b[i].lru < b[j].lru) {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	return d.partitioned == prev.partitioned && d.used == prev.used && d.sets == prev.sets
 }
 
-// advance moves a DSB that recurs from prev forward by k more
-// repetitions of the lookups and fills since prev: every recency tick
-// written since prev, and the tick counter, moves by k times the ticks
-// that passed, and the statistics grow by k more times their growth.
+// advance grows d's statistics by k more times their growth since prev,
+// the only part of a DSB that recurs from prev that moves.
 func (d *DSB) advance(prev *DSB, k uint64) {
-	n := k * (d.tick - prev.tick)
-	for i := range d.sets {
-		if d.sets[i].lru > prev.tick {
-			d.sets[i].lru += n
-		}
-	}
-	d.tick += n
 	d.stats.Hits += k * (d.stats.Hits - prev.stats.Hits)
 	d.stats.Misses += k * (d.stats.Misses - prev.stats.Misses)
 	d.stats.Evictions += k * (d.stats.Evictions - prev.stats.Evictions)

@@ -22,31 +22,30 @@ type Evicted struct {
 // DSBLinesPerWindow ways of its set (6 micro-ops per line).
 type dsbEntry struct {
 	window uint64
-	thread int
-	lines  int
-	uops   int
-	lru    uint64
-	valid  bool
+	uops   int32
+	thread uint8
+	lines  uint8
 }
 
 // DSB models the Decoded Stream Buffer: a 32-set, 8-way cache of decoded
-// 32-byte instruction windows (Section IV-B), isa.DSBSets by isa.DSBWays.
-// While two hardware threads are active the DSB is set-partitioned —
-// each thread indexes into half the sets — and repartition transitions
-// invalidate every window whose index changes, the eviction mechanism
-// behind the MT attacks (Section V-A). Its entries are held inline, so a
-// DSB is a value.
+// 32-byte instruction windows (Section IV-B), isa.DSBSets by isa.DSBWays,
+// with LRU replacement. While two hardware threads are active the DSB is
+// set-partitioned — each thread indexes into half the sets — and
+// repartition transitions invalidate every window whose index changes,
+// the eviction mechanism behind the MT attacks (Section V-A). Each set
+// holds its windows in recency order, so two DSBs that replace alike
+// hold equal entries. Its entries are held inline, so a DSB is a value.
 type DSB struct {
 	p Params
 	// sets holds DSBWays entry slots per set, set after set (set i is
-	// sets[i*DSBWays:(i+1)*DSBWays]). A set's entries occupy a prefix of
-	// its slots, used[i] long; line occupancy is tracked per entry.
+	// sets[i*DSBWays:(i+1)*DSBWays]). A set's entries fill the first
+	// used[i] of its slots, most recently used first, and its other
+	// slots are zero; line occupancy is tracked per entry.
 	sets [isa.DSBSets * isa.DSBWays]dsbEntry
 	used [isa.DSBSets]uint8
-	// lines counts the valid entries' lines across every set, kept up
-	// to date as entries are placed and invalidated.
+	// lines counts the entries' lines across every set, kept up to date
+	// as entries are placed and evicted.
 	lines       int
-	tick        uint64
 	partitioned bool
 	stats       DSBStats
 }
@@ -54,23 +53,32 @@ type DSB struct {
 // NewDSB builds an empty DSB from p.
 func NewDSB(p Params) DSB { return DSB{p: p} }
 
-// set returns the entries of set i: the slots in use.
+// set returns the entries of set i, most recently used first.
 func (d *DSB) set(i int) []dsbEntry {
 	return d.sets[i*isa.DSBWays : i*isa.DSBWays+int(d.used[i])]
 }
 
-// place stores e in the first invalid entry of set i, or in its next
-// unused slot.
-func (d *DSB) place(i int, e dsbEntry) {
-	set := d.set(i)
-	for j := range set {
-		if !set[j].valid {
-			set[j] = e
-			return
+// find returns the position of thread's window in set si, or -1.
+func (d *DSB) find(si, thread int, window uint64) int {
+	for i, e := range d.set(si) {
+		if e.window == window && int(e.thread) == thread {
+			return i
 		}
 	}
-	d.sets[i*isa.DSBWays+len(set)] = e
-	d.used[i]++
+	return -1
+}
+
+// evict removes entry i of set si, closing the gap, counts an eviction
+// and returns the window removed.
+func (d *DSB) evict(si, i int) Evicted {
+	set := d.set(si)
+	e := set[i]
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = dsbEntry{}
+	d.used[si]--
+	d.lines -= int(e.lines)
+	d.stats.Evictions++
+	return Evicted{Thread: int(e.thread), Window: e.window}
 }
 
 // Partitioned reports whether the DSB is currently set-partitioned.
@@ -99,31 +107,32 @@ func setIndex(thread int, window uint64, partitioned bool) int {
 	return int(window)&(half-1) | thread*half
 }
 
-// Lookup reports whether the window is cached for the thread and
-// refreshes its recency on a hit.
+// Lookup reports whether the window is cached for the thread and makes
+// it the most recently used of its set on a hit.
 func (d *DSB) Lookup(thread int, window uint64) bool {
-	d.tick++
-	set := d.set(d.SetIndex(thread, window))
-	for i := range set {
-		if set[i].valid && set[i].thread == thread && set[i].window == window {
-			set[i].lru = d.tick
-			d.stats.Hits++
-			return true
-		}
+	si := d.SetIndex(thread, window)
+	i := d.find(si, thread, window)
+	if i < 0 {
+		d.stats.Misses++
+		return false
 	}
-	d.stats.Misses++
-	return false
+	d.toFront(si, i)
+	d.stats.Hits++
+	return true
+}
+
+// toFront moves entry i of set si to the front, keeping the others'
+// order.
+func (d *DSB) toFront(si, i int) {
+	set := d.set(si)
+	e := set[i]
+	copy(set[1:i+1], set[:i])
+	set[0] = e
 }
 
 // Contains reports residency without updating recency or counters.
 func (d *DSB) Contains(thread int, window uint64) bool {
-	set := d.set(d.SetIndex(thread, window))
-	for i := range set {
-		if set[i].valid && set[i].thread == thread && set[i].window == window {
-			return true
-		}
-	}
-	return false
+	return d.find(d.SetIndex(thread, window), thread, window) >= 0
 }
 
 // Fill inserts a decoded window of the given micro-op count, evicting
@@ -143,84 +152,56 @@ func (d *DSB) Fill(thread int, window uint64, uops int, evicted []Evicted) []Evi
 	if d.Contains(thread, window) {
 		return evicted
 	}
-	d.tick++
-	idx := d.SetIndex(thread, window)
-	set := d.set(idx)
-	for d.usedLines(set)+lines > isa.DSBWays {
-		v := d.lruVictim(set)
-		if v < 0 {
+	si := d.SetIndex(thread, window)
+	for d.usedLines(si)+lines > isa.DSBWays {
+		n := int(d.used[si])
+		if n == 0 {
 			return evicted // cannot make room (shouldn't happen)
 		}
-		evicted = append(evicted, Evicted{Thread: set[v].thread, Window: set[v].window})
-		d.invalidate(&set[v])
+		evicted = append(evicted, d.evict(si, n-1))
 	}
-	// Eviction left an invalid entry or an unused slot, since every
-	// valid entry holds at least one line.
-	d.place(idx, dsbEntry{window: window, thread: thread, lines: lines, uops: uops, lru: d.tick, valid: true})
+	// Every entry holds at least one line, so eviction left a free slot.
+	n := int(d.used[si])
+	d.sets[si*isa.DSBWays+n] = dsbEntry{window: window, uops: int32(uops), thread: uint8(thread), lines: uint8(lines)}
+	d.used[si]++
+	d.toFront(si, n)
 	d.lines += lines
 	d.stats.Fills++
 	return evicted
-}
-
-// invalidate drops a valid entry, counting an eviction.
-func (d *DSB) invalidate(e *dsbEntry) {
-	e.valid = false
-	d.lines -= e.lines
-	d.stats.Evictions++
 }
 
 // TotalLines returns the number of valid cache lines resident across
 // every set — the occupancy observable of the leakage contract.
 func (d *DSB) TotalLines() int { return d.lines }
 
-func (d *DSB) usedLines(set []dsbEntry) int {
+// usedLines returns the lines set si's entries occupy.
+func (d *DSB) usedLines(si int) int {
 	n := 0
-	for _, e := range set {
-		if e.valid {
-			n += e.lines
-		}
+	for _, e := range d.set(si) {
+		n += int(e.lines)
 	}
 	return n
-}
-
-func (d *DSB) lruVictim(set []dsbEntry) int {
-	v := -1
-	for i := range set {
-		if set[i].valid && (v < 0 || set[i].lru < set[v].lru) {
-			v = i
-		}
-	}
-	return v
 }
 
 // SetPartitioned switches the partitioning mode. Every resident window
 // whose set index differs under the new mode is invalidated — the paper's
 // "when the second thread becomes active, DSB becomes partitioned, which
 // forces DSB evictions of micro-ops of the first thread" (Section IV-B).
-// The survivors of each set keep their order at the front of its slots.
-// The invalidated windows are appended to evicted, so the owning
-// threads' LSDs can be flushed, and the extended slice is returned.
+// The survivors of each set keep their recency order. The invalidated
+// windows are appended to evicted, so the owning threads' LSDs can be
+// flushed, and the extended slice is returned.
 func (d *DSB) SetPartitioned(on bool, evicted []Evicted) []Evicted {
 	if d.partitioned == on {
 		return evicted
 	}
 	for si := range isa.DSBSets {
-		set := d.set(si)
-		kept := 0
-		for _, e := range set {
-			switch {
-			case !e.valid:
-			case setIndex(e.thread, e.window, on) == si:
-				set[kept] = e
-				kept++
-			default:
-				evicted = append(evicted, Evicted{Thread: e.thread, Window: e.window})
-				d.lines -= e.lines
-				d.stats.Evictions++
+		for i := 0; i < int(d.used[si]); {
+			if e := d.set(si)[i]; setIndex(int(e.thread), e.window, on) != si {
+				evicted = append(evicted, d.evict(si, i))
+			} else {
+				i++
 			}
 		}
-		clear(set[kept:])
-		d.used[si] = uint8(kept)
 	}
 	d.partitioned = on
 	d.stats.Partitions++
@@ -233,20 +214,24 @@ func (d *DSB) SetPartitioned(on bool, evicted []Evicted) []Evicted {
 func (d *DSB) InvalidateWindowRange(thread int, addr uint64, bytes uint64) {
 	first := isa.Window(addr)
 	last := isa.Window(addr + bytes - 1)
-	for i := range d.sets {
-		e := &d.sets[i]
-		if e.valid && e.thread == thread && e.window >= first && e.window <= last {
-			d.invalidate(e)
-		}
-	}
+	d.invalidate(thread, func(w uint64) bool { return w >= first && w <= last })
 }
 
 // InvalidateThread drops every window owned by a thread (used by enclave
 // exit modelling and tests).
 func (d *DSB) InvalidateThread(thread int) {
-	for i := range d.sets {
-		if e := &d.sets[i]; e.valid && e.thread == thread {
-			d.invalidate(e)
+	d.invalidate(thread, func(uint64) bool { return true })
+}
+
+// invalidate drops each of thread's windows that gone reports true for.
+func (d *DSB) invalidate(thread int, gone func(window uint64) bool) {
+	for si := range isa.DSBSets {
+		for i := 0; i < int(d.used[si]); {
+			if e := d.set(si)[i]; int(e.thread) == thread && gone(e.window) {
+				d.evict(si, i)
+			} else {
+				i++
+			}
 		}
 	}
 }
@@ -254,5 +239,5 @@ func (d *DSB) InvalidateThread(thread int) {
 // OccupiedLines returns how many of a set's 8 ways hold valid lines under
 // the current mode, for the set that window would map to for thread.
 func (d *DSB) OccupiedLines(thread int, window uint64) int {
-	return d.usedLines(d.set(d.SetIndex(thread, window)))
+	return d.usedLines(d.SetIndex(thread, window))
 }

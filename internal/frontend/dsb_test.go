@@ -196,13 +196,13 @@ func TestDSBInvalidateThread(t *testing.T) {
 // TestDSBKeepsItsLineCount drives DSBs through random sequences of
 // fills, repartitions, range invalidations and thread invalidations,
 // and requires TotalLines, which the DSB keeps as entries come and go,
-// to equal a recount of the valid lines in every set after each.
+// to equal a recount of the entries' lines in every set after each.
 func TestDSBKeepsItsLineCount(t *testing.T) {
 	recount := func(d *DSB) int {
 		n := 0
-		for _, e := range d.sets {
-			if e.valid {
-				n += e.lines
+		for si := range isa.DSBSets {
+			for _, e := range d.set(si) {
+				n += int(e.lines)
 			}
 		}
 		return n

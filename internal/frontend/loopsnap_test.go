@@ -57,14 +57,11 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 	if !tracking.lsd[0].tracking || tracking.lsd[0].Locked() {
 		t.Fatal("9-block chain is not a tracked, unlocked candidate")
 	}
-	validEntry := func(f *Frontend) *dsbEntry {
-		for i := range f.DSB.sets {
-			if f.DSB.sets[i].valid {
-				return &f.DSB.sets[i]
-			}
+	firstEntry := func(f *Frontend) *dsbEntry {
+		if f.DSB.used[3] < 2 {
+			t.Fatal("DSB set 3 holds fewer than two entries")
 		}
-		t.Fatal("no valid DSB entry")
-		return nil
+		return &f.DSB.set(3)[0]
 	}
 	changes := map[string]func(f *Frontend, s *LoopSnap){
 		"fetch instruction": func(f *Frontend, _ *LoopSnap) { f.thr[0].cur.Addr++ },
@@ -81,15 +78,17 @@ func TestLoopRecursChecksEveryField(t *testing.T) {
 		"stream position": func(f *Frontend, _ *LoopSnap) { f.thr[0].stream.Next() },
 		"stream ran out":  func(f *Frontend, _ *LoopSnap) { f.thr[0].live = false },
 		"partitioning":    func(f *Frontend, _ *LoopSnap) { f.DSB.partitioned = !f.DSB.partitioned },
-		"DSB window":      func(f *Frontend, _ *LoopSnap) { validEntry(f).window++ },
-		"DSB thread":      func(f *Frontend, _ *LoopSnap) { validEntry(f).thread = 1 },
-		"DSB lines":       func(f *Frontend, _ *LoopSnap) { validEntry(f).lines++ },
-		"DSB micro-ops":   func(f *Frontend, _ *LoopSnap) { validEntry(f).uops++ },
-		"DSB valid":       func(f *Frontend, _ *LoopSnap) { validEntry(f).valid = false },
+		"DSB window":      func(f *Frontend, _ *LoopSnap) { firstEntry(f).window++ },
+		"DSB thread":      func(f *Frontend, _ *LoopSnap) { firstEntry(f).thread = 1 },
+		"DSB lines":       func(f *Frontend, _ *LoopSnap) { firstEntry(f).lines++ },
+		"DSB micro-ops":   func(f *Frontend, _ *LoopSnap) { firstEntry(f).uops++ },
+		"DSB entry dropped": func(f *Frontend, _ *LoopSnap) {
+			f.DSB.evict(3, 0)
+		},
 		"DSB entry count": func(f *Frontend, _ *LoopSnap) { f.DSB.used[3]-- },
-		"DSB recency order": func(f *Frontend, _ *LoopSnap) {
+		"DSB entries swapped": func(f *Frontend, _ *LoopSnap) {
 			set := f.DSB.set(3)
-			set[0].lru, set[1].lru = set[1].lru, set[0].lru
+			set[0], set[1] = set[1], set[0]
 		},
 		"LSD enabled":        func(f *Frontend, _ *LoopSnap) { f.lsd[0].enabled = false },
 		"LSD head":           func(f *Frontend, _ *LoopSnap) { f.lsd[0].head++ },

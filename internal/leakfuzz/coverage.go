@@ -20,10 +20,23 @@ const (
 	featDSBBase    = 0x300
 	featLSDLocked  = 0x310
 	featLeakBase   = 0x400
+	featEnd        = featLeakBase + 5 // above every key
 )
 
-// coverage is the accumulated feature set.
-type coverage map[int]struct{}
+// coverage is the accumulated feature set: one bit per key, and the
+// number of keys set.
+type coverage struct {
+	bits [(featEnd + 63) / 64]uint64
+	n    int
+}
+
+// add sets key k.
+func (c *coverage) add(k int) {
+	if w, b := k/64, uint64(1)<<(k%64); c.bits[w]&b == 0 {
+		c.bits[w] |= b
+		c.n++
+	}
+}
 
 // pathOf returns the window's dominant delivery path: 0 LSD, 1 DSB,
 // 2 MITE, 3 none (no micro-ops delivered).
@@ -81,17 +94,17 @@ func dsbBucket(d int) int {
 	}
 }
 
-// traceFeatures extracts every feature key a trace exhibits.
-func traceFeatures(tr contract.Trace, emit func(int)) {
+// addTrace sets every feature key a trace exhibits.
+func (c *coverage) addTrace(tr contract.Trace) {
 	prev := 3
 	for _, o := range tr {
 		cur := pathOf(o)
-		emit(featPathBase + prev*4 + cur)
+		c.add(featPathBase + prev*4 + cur)
 		prev = cur
-		emit(featSwitchBase + switchMask(o))
-		emit(featDSBBase + dsbBucket(o.DSBLines))
+		c.add(featSwitchBase + switchMask(o))
+		c.add(featDSBBase + dsbBucket(o.DSBLines))
 		if o.LSDLocked {
-			emit(featLSDLocked)
+			c.add(featLSDLocked)
 		}
 	}
 }
@@ -114,19 +127,13 @@ func mechFeature(mech contract.Mechanism) int {
 
 // addAll folds a candidate's features into the global set and reports
 // how many were new.
-func (c coverage) addAll(traces []contract.Trace, leak bool, mech contract.Mechanism) int {
-	fresh := 0
-	emit := func(k int) {
-		if _, ok := c[k]; !ok {
-			c[k] = struct{}{}
-			fresh++
-		}
-	}
+func (c *coverage) addAll(traces []contract.Trace, leak bool, mech contract.Mechanism) int {
+	before := c.n
 	for _, tr := range traces {
-		traceFeatures(tr, emit)
+		c.addTrace(tr)
 	}
 	if leak {
-		emit(mechFeature(mech))
+		c.add(mechFeature(mech))
 	}
-	return fresh
+	return c.n - before
 }

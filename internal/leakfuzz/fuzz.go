@@ -122,7 +122,6 @@ func newFuzzer(o Options, budget int) *fuzzer {
 		ex:    contract.NewExecutorWith(o.Model, o.Seed, o.Params),
 		loops: loops{},
 		keys:  map[string]bool{},
-		cov:   coverage{},
 		found: map[contract.Mechanism]bool{},
 	}
 	if budget > 0 {
@@ -141,7 +140,7 @@ func (f *fuzzer) run() Report {
 		f.consider(f.mutate(f.corpus[i]), f.sets[i])
 	}
 	f.report.CorpusSize = len(f.corpus)
-	f.report.Features = len(f.cov)
+	f.report.Features = f.cov.n
 	f.report.Corpus = append([]Genome(nil), f.corpus...)
 	return f.report
 }
